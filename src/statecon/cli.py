@@ -313,9 +313,6 @@ def make_parser() -> argparse.ArgumentParser:
                     help="override the main grid resolution")
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for sampled checks")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker cap for independent solves (currently "
-                    "single-threaded for byte-stable output)")
     ap.add_argument("--trajectory", default=None,
                     help="trajectory CSV (pmp-check)")
     return ap

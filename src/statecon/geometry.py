@@ -8,8 +8,8 @@ the whole exterior and inside the tube of radius ``rho0``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,10 +34,15 @@ class SubdiffDescription:
     interval: tuple[float, float]
 
 
-def _as_points(x):
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    return np.atleast_2d(x), single
+class BoundaryEval(NamedTuple):
+    """One evaluation of the geometry at a batch of m points: signed distance
+    ``b`` (m,), gradient ``Db`` (m, n), Hessian ``D2b`` (m, n, n), or None
+    when it was not asked for, and nearest boundary point ``P`` (m, n)."""
+
+    b: np.ndarray
+    Db: np.ndarray
+    D2b: np.ndarray | None
+    P: np.ndarray
 
 
 class Domain:
@@ -51,125 +56,90 @@ class Domain:
     def boundary_tol(self) -> float:
         return BOUNDARY_TOL_FACTOR * self.diameter
 
-    # shape-specific, batched over points X of shape (m, n)
-    def b_many(self, X: np.ndarray) -> np.ndarray:
+    def eval(self, X: np.ndarray, hess: bool = True) -> BoundaryEval:
+        """b, Db, D2b and the projection P at points X of shape (m, n), from
+        one evaluation of the shape; ``hess=False`` skips the Hessian."""
         raise NotImplementedError
+
+    def b_many(self, X: np.ndarray) -> np.ndarray:
+        return self.eval(X, hess=False).b
 
     def grad_many(self, X: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.eval(X, hess=False).Db
 
     def hess_many(self, X: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.eval(X).D2b
 
     def project_many(self, X: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.eval(X, hess=False).P
 
-    # scalar API
+    # scalar API; eval accepts a single point as a batch of one
     def signed_distance(self, x) -> float:
-        X, _ = _as_points(x)
-        return float(self.b_many(X)[0])
+        return float(self.eval(x, hess=False).b[0])
 
     def distance(self, x) -> float:
         return max(self.signed_distance(x), 0.0)
 
-    def _check_tube(self, b: float) -> None:
-        if b <= -self.rho0 or b >= self.rho0:
-            raise OutsideTube(f"point at signed distance {b:g} is outside the "
-                              f"tube of radius {self.rho0:g}")
-
-    def grad_b(self, x) -> np.ndarray:
-        X, _ = _as_points(x)
-        b = float(self.b_many(X)[0])
+    def _eval_in_tube(self, x, hess: bool = False) -> BoundaryEval:
+        e = self.eval(x, hess=hess)
         # b is smooth on the whole exterior for convex shapes; only the deep
         # interior (past the cut locus bound rho0) is off limits.
-        if b <= -self.rho0:
-            raise OutsideTube(f"b = {b:g} <= -rho0 = {-self.rho0:g}")
-        return self.grad_many(X)[0]
+        if e.b[0] <= -self.rho0:
+            raise OutsideTube(f"b = {e.b[0]:g} <= -rho0 = {-self.rho0:g}")
+        return e
+
+    def grad_b(self, x) -> np.ndarray:
+        return self._eval_in_tube(x).Db[0]
 
     def hess_b(self, x) -> np.ndarray:
-        X, _ = _as_points(x)
-        b = float(self.b_many(X)[0])
-        if b <= -self.rho0:
-            raise OutsideTube(f"b = {b:g} <= -rho0 = {-self.rho0:g}")
-        return self.hess_many(X)[0]
+        return self._eval_in_tube(x, hess=True).D2b[0]
 
     def project(self, x) -> np.ndarray:
-        X, _ = _as_points(x)
-        b = float(self.b_many(X)[0])
-        if b <= -self.rho0:
-            raise OutsideTube(f"b = {b:g} <= -rho0 = {-self.rho0:g}")
-        return self.project_many(X)[0]
+        return self._eval_in_tube(x).P[0]
 
     def subdiff_distance(self, x) -> SubdiffDescription:
-        X, _ = _as_points(x)
-        b = float(self.b_many(X)[0])
+        e = self.eval(x, hess=False)
+        b = float(e.b[0])
         tol = self.boundary_tol
         if b >= self.rho0:
             raise OutsideTube(f"b = {b:g} >= rho0 = {self.rho0:g}")
         if abs(b) <= tol:
-            return SubdiffDescription("boundary", self.grad_many(X)[0], (0.0, 1.0))
+            return SubdiffDescription("boundary", e.Db[0], (0.0, 1.0))
         if b < 0.0:
             return SubdiffDescription("interior", np.zeros(self.dim), (0.0, 0.0))
-        return SubdiffDescription("outside", self.grad_many(X)[0], (1.0, 1.0))
-
-    def distance_grad_many(self, X: np.ndarray) -> np.ndarray:
-        """Gradient selection of d = max(b, 0): 0 inside, Db outside, and the
-        midpoint Db/2 on the boundary band (fixed tie-break)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        b = self.b_many(X)
-        tol = self.boundary_tol
-        out = np.zeros_like(X)
-        mask = b > -tol
-        if np.any(mask):
-            g = self.grad_many(X[mask])
-            scale = np.where(b[mask] > tol, 1.0, 0.5)
-            out[mask] = g * scale[:, None]
-        return out
+        return SubdiffDescription("outside", e.Db[0], (1.0, 1.0))
 
     def contains(self, x, tol: float = 0.0) -> bool:
         return self.signed_distance(x) <= tol
 
-    def sample_tube(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Uniform rejection sample of points with |b| < rho0."""
+    def _sample(self, rng: np.random.Generator, size: int, pad: float,
+                keep) -> np.ndarray:
+        """Uniform rejection sample from the bounding box grown by ``pad``,
+        keeping the points whose signed distance satisfies ``keep``."""
         lo, hi = self.bounding_box()
-        lo = lo - self.rho0
-        hi = hi + self.rho0
+        lo = lo - pad
+        hi = hi + pad
         pts = []
         need = size
         while need > 0:
             cand = rng.uniform(lo, hi, size=(max(4 * need, 64), self.dim))
-            b = self.b_many(cand)
-            keep = cand[np.abs(b) < self.rho0 * (1.0 - 1e-12)]
-            pts.append(keep[:need])
-            need -= len(keep[:need])
+            kept = cand[keep(self.b_many(cand))]
+            pts.append(kept[:need])
+            need -= len(kept[:need])
         return np.vstack(pts)
 
+    def sample_tube(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Uniform rejection sample of points with |b| < rho0."""
+        r = self.rho0 * (1.0 - 1e-12)
+        return self._sample(rng, size, self.rho0, lambda b: np.abs(b) < r)
+
     def sample_closure(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        lo, hi = self.bounding_box()
-        pts = []
-        need = size
-        while need > 0:
-            cand = rng.uniform(lo, hi, size=(max(4 * need, 64), self.dim))
-            b = self.b_many(cand)
-            keep = cand[b <= 0.0]
-            pts.append(keep[:need])
-            need -= len(keep[:need])
-        return np.vstack(pts)
+        return self._sample(rng, size, 0.0, lambda b: b <= 0.0)
 
     def sample_extended(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Sample of the tube-extended set {b < rho0} (closure plus tube)."""
-        lo, hi = self.bounding_box()
-        lo = lo - self.rho0
-        hi = hi + self.rho0
-        pts = []
-        need = size
-        while need > 0:
-            cand = rng.uniform(lo, hi, size=(max(4 * need, 64), self.dim))
-            b = self.b_many(cand)
-            keep = cand[b < self.rho0 * (1.0 - 1e-12)]
-            pts.append(keep[:need])
-            need -= len(keep[:need])
-        return np.vstack(pts)
+        r = self.rho0 * (1.0 - 1e-12)
+        return self._sample(rng, size, self.rho0, lambda b: b < r)
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -205,29 +175,18 @@ class Ball(Domain):
         self.rho0 = self.radius
         self.diameter = 2.0 * self.radius
 
-    def b_many(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.linalg.norm(X - self.center, axis=1) - self.radius
-
-    def grad_many(self, X):
+    def eval(self, X, hess=True):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         q = X - self.center
         r = np.linalg.norm(q, axis=1)
-        r = np.where(r == 0.0, 1.0, r)
-        return q / r[:, None]
-
-    def hess_many(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        q = X - self.center
-        r = np.linalg.norm(q, axis=1)
+        b = r - self.radius
         r = np.where(r == 0.0, 1.0, r)
         n = q / r[:, None]
-        eye = np.eye(self.dim)
-        return (eye[None, :, :] - n[:, :, None] * n[:, None, :]) / r[:, None, None]
-
-    def project_many(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return self.center + self.radius * self.grad_many(X)
+        H = None
+        if hess:
+            eye = np.eye(self.dim)
+            H = (eye[None, :, :] - n[:, :, None] * n[:, None, :]) / r[:, None, None]
+        return BoundaryEval(b, n, H, self.center + self.radius * n)
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
@@ -238,8 +197,15 @@ class Ball(Domain):
 
 
 class Ellipse(Domain):
-    """Axis-aligned ellipse in the plane; signed distance by Newton/bisection
-    projection onto the boundary."""
+    """Axis-aligned ellipse in the plane.
+
+    Every quantity comes from the nearest boundary point P, found by a
+    monotone Newton iteration on Eberly's secular equation (see
+    ``_project_folded``): b = +-|x - P|, Db is the unit normal at P, and D2b
+    is kappa / (1 + b kappa) times the tangent projector, with kappa the
+    boundary curvature at P.  ``eval`` projects a batch once and derives all
+    four from it.
+    """
 
     def __init__(self, center, semi_axes):
         center = np.asarray(center, dtype=float)
@@ -255,129 +221,75 @@ class Ellipse(Domain):
         # smallest radius of curvature of the boundary
         self.rho0 = b * b / a
         self.diameter = 2.0 * a
-        self._proj_cache = {}
-
-    def _fold(self, X):
-        q = X - self.center
-        s = np.where(q >= 0.0, 1.0, -1.0)
-        return np.abs(q), s
 
     def _project_folded(self, Q):
         """Nearest boundary point for folded (nonnegative-quadrant) queries.
 
-        Distance, gradient and Hessian queries for the same batch all reduce
-        to this projection, so the most recent batches are memoized."""
-        key = Q.tobytes()
-        hit = self._proj_cache.get(key)
-        if hit is not None:
-            return hit
-        P = self._project_folded_impl(Q)
-        if len(self._proj_cache) > 8:
-            self._proj_cache.clear()
-        self._proj_cache[key] = P
-        return P
+        Order the semi-axes a <= A, let q_a, q_A be the query's coordinates
+        along them and c = A^2 - a^2.  Off the major axis the nearest point
+        is (a^2 q_a / u, A^2 q_A / (u + c)) at the root u > 0 of
 
-    def _project_folded_impl(self, Q):
-        a0, a1 = self.axes
-        m = Q.shape[0]
+            e(u) = (a q_a / u)^2 + (A q_A / (u + c))^2 - 1,
+
+        which is convex and decreasing (D. Eberly, "Distance from a Point to
+        an Ellipse, an Ellipsoid, or a Hyperellipsoid", Geometric Tools; his
+        t is u - a^2).  Either term alone is >= 1 at u0 = max(a q_a,
+        A q_A - c), so e(u0) >= 0 and Newton steps from u0 rise monotonically
+        to the root; they stop once every step is below 1e-15 u.  Solving for
+        u rather than t keeps a^2 q_a / u accurate near the major axis, where
+        t + a^2 would cancel.  On the major axis itself the closed form is
+        used: the nearest point leaves the vertex inside the evolute cusp at
+        q_A = c / A.
+        """
+        lo, hi = (0, 1) if self.axes[0] <= self.axes[1] else (1, 0)
+        a, A = self.axes[lo], self.axes[hi]
+        c = A * A - a * a
+        qa, qA = Q[:, lo], Q[:, hi]
         P = np.empty_like(Q)
 
-        tiny = 1e-14 * max(a0, a1)
-        on_ax1 = Q[:, 1] <= tiny     # on the x0 axis
-        on_ax0 = Q[:, 0] <= tiny     # on the x1 axis
-        general = ~(on_ax0 | on_ax1)
+        axis = qa <= 1e-14 * A
+        # a circle has no cusp: every axis point goes to the vertex
+        xA = np.minimum(A * A * qA[axis] / c, A) if c > 0.0 else A
+        P[axis, hi] = xA
+        P[axis, lo] = a * np.sqrt(np.maximum(1.0 - (xA / A) ** 2, 0.0))
 
-        if np.any(general):
-            q = Q[general]
-            w = q * self.axes            # a_i * q_i
-            # root of e(t) = sum (a_i q_i / (t + a_i^2))^2 - 1, decreasing and
-            # convex in t, so Newton steps bracketed by bisection converge
-            # monotonically once they land on the e >= 0 side
-            t_lo = np.full(q.shape[0], -float(min(a0, a1) ** 2))
-            t_hi = np.linalg.norm(w, axis=1) + 1e-12
-            t = t_hi.copy()
-            for _ in range(80):
-                r0 = w[:, 0] / (t + a0 * a0)
-                r1 = w[:, 1] / (t + a1 * a1)
-                e = r0 * r0 + r1 * r1 - 1.0
-                hi_side = e < 0.0
-                t_hi = np.where(hi_side, t, t_hi)
-                t_lo = np.where(hi_side, t_lo, t)
-                de = -2.0 * (r0 * r0 / (t + a0 * a0)
-                             + r1 * r1 / (t + a1 * a1))
-                tn = t - e / np.where(de == 0.0, -1.0, de)
-                inside = (tn > t_lo) & (tn < t_hi)
-                t = np.where(inside, tn, 0.5 * (t_lo + t_hi))
-                if np.max(t_hi - t_lo) < 1e-15 * (a0 * a0 + a1 * a1):
-                    break
-            P[general, 0] = a0 * a0 * q[:, 0] / (t + a0 * a0)
-            P[general, 1] = a1 * a1 * q[:, 1] / (t + a1 * a1)
-
-        if np.any(on_ax1):
-            q0 = Q[on_ax1, 0]
-            # along the x0 axis the nearest point leaves the vertex when the
-            # query is inside the evolute cusp
-            cusp = (a0 * a0 - a1 * a1) / a0 if a0 > a1 else 0.0
-            inner = q0 < cusp
-            x0 = np.where(inner, a0 * a0 * q0 / (a0 * a0 - a1 * a1 + 1e-300), a0)
-            x0 = np.minimum(x0, a0)
-            x1 = a1 * np.sqrt(np.maximum(1.0 - (x0 / a0) ** 2, 0.0))
-            P[on_ax1, 0] = x0
-            P[on_ax1, 1] = x1
-
-        if np.any(on_ax0 & ~on_ax1):
-            sel = on_ax0 & ~on_ax1
-            q1 = Q[sel, 1]
-            cusp = (a1 * a1 - a0 * a0) / a1 if a1 > a0 else 0.0
-            inner = q1 < cusp
-            x1 = np.where(inner, a1 * a1 * q1 / (a1 * a1 - a0 * a0 + 1e-300), a1)
-            x1 = np.minimum(x1, a1)
-            x0 = a0 * np.sqrt(np.maximum(1.0 - (x1 / a1) ** 2, 0.0))
-            P[sel, 0] = x0
-            P[sel, 1] = x1
-
+        off = ~axis
+        wa, wA = a * qa[off], A * qA[off]
+        u = np.maximum(wa, wA - c)
+        for _ in range(64):
+            ra, rA = wa / u, wA / (u + c)
+            e = ra * ra + rA * rA - 1.0
+            # rounding may leave e slightly negative at the root
+            step = np.maximum(e / (2.0 * (ra * ra / u + rA * rA / (u + c))),
+                              0.0)
+            u = u + step
+            if np.all(step <= 1e-15 * u):
+                break
+        P[off, lo] = a * a * qa[off] / u
+        P[off, hi] = A * A * qA[off] / (u + c)
         return P
 
-    def _inside(self, X):
+    def eval(self, X, hess=True):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
         q = X - self.center
-        return (q[:, 0] / self.axes[0]) ** 2 + (q[:, 1] / self.axes[1]) ** 2 < 1.0
-
-    def b_many(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Q, _ = self._fold(X)
-        P = self._project_folded(Q)
-        dist = np.linalg.norm(Q - P, axis=1)
-        return np.where(self._inside(X), -dist, dist)
-
-    def project_many(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Q, s = self._fold(X)
-        P = self._project_folded(Q)
-        return self.center + s * P
-
-    def grad_many(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        P = self.project_many(X)
-        # outward normal of the level set at the projection point
-        n = (P - self.center) / self.axes ** 2
-        norm = np.linalg.norm(n, axis=1)
-        return n / norm[:, None]
-
-    def _curvature_at(self, P):
+        Q = np.abs(q)
+        Pf = self._project_folded(Q)
+        dist = np.linalg.norm(Q - Pf, axis=1)
         a0, a1 = self.axes
-        c = (P[:, 0] - self.center[0]) / a0
-        s = (P[:, 1] - self.center[1]) / a1
-        return a0 * a1 / (a0 * a0 * s * s + a1 * a1 * c * c) ** 1.5
-
-    def hess_many(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        P = self.project_many(X)
-        b = self.b_many(X)
-        n = self.grad_many(X)
-        tau = np.stack([-n[:, 1], n[:, 0]], axis=1)
-        kappa = self._curvature_at(P)
-        coef = kappa / (1.0 + b * kappa)
-        return coef[:, None, None] * tau[:, :, None] * tau[:, None, :]
+        inside = (q[:, 0] / a0) ** 2 + (q[:, 1] / a1) ** 2 < 1.0
+        b = np.where(inside, -dist, dist)
+        Pc = np.where(q >= 0.0, Pf, -Pf)
+        # outward normal of the level set at the projection point
+        n = Pc / self.axes ** 2
+        Db = n / np.linalg.norm(n, axis=1)[:, None]
+        H = None
+        if hess:
+            tau = np.stack([-Db[:, 1], Db[:, 0]], axis=1)
+            cs, sn = Pf[:, 0] / a0, Pf[:, 1] / a1
+            kappa = a0 * a1 / (a0 * a0 * sn * sn + a1 * a1 * cs * cs) ** 1.5
+            coef = kappa / (1.0 + b * kappa)
+            H = coef[:, None, None] * tau[:, :, None] * tau[:, None, :]
+        return BoundaryEval(b, Db, H, self.center + Pc)
 
     def bounding_box(self):
         return self.center - self.axes, self.center + self.axes
@@ -406,55 +318,29 @@ class SmoothedBox(Domain):
         inner = half_widths - self.r
         self.diameter = 2.0 * (float(np.linalg.norm(inner)) + self.r)
 
-    def _q(self, X):
-        return np.abs(X - self.center) - (self.half - self.r)
-
-    def b_many(self, X):
+    def eval(self, X, hess=True):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        q = self._q(X)
-        pos = np.maximum(q, 0.0)
-        return (np.linalg.norm(pos, axis=1)
-                + np.minimum(np.max(q, axis=1), 0.0) - self.r)
-
-    def grad_many(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        q = self._q(X)
+        q = np.abs(X - self.center) - (self.half - self.r)
         s = np.where(X - self.center >= 0.0, 1.0, -1.0)
         pos = np.maximum(q, 0.0)
         norm = np.linalg.norm(pos, axis=1)
-        out = np.zeros_like(X)
+        b = norm + np.minimum(np.max(q, axis=1), 0.0) - self.r
+        Db = np.zeros_like(X)
         ext = norm > 0.0
-        if np.any(ext):
-            out[ext] = s[ext] * pos[ext] / norm[ext, None]
-        if np.any(~ext):
-            idx = np.argmax(q[~ext], axis=1)
-            rows = np.where(~ext)[0]
-            out[rows, idx] = s[rows, idx]
-        return out
-
-    def hess_many(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        q = self._q(X)
-        s = np.where(X - self.center >= 0.0, 1.0, -1.0)
-        pos = np.maximum(q, 0.0)
-        norm = np.linalg.norm(pos, axis=1)
-        H = np.zeros((X.shape[0], self.dim, self.dim))
-        ext = norm > 0.0
-        if np.any(ext):
-            # distance to the inner box feature: spherical in the active coords
-            u = s[ext] * pos[ext]
-            nrm = norm[ext]
-            n = u / nrm[:, None]
+        # outside the inner box: distance to its nearest feature, spherical
+        # in the active coordinates; inside it: the nearest face
+        n = s[ext] * pos[ext] / norm[ext, None]
+        Db[ext] = n
+        rows = np.flatnonzero(~ext)
+        idx = np.argmax(q[rows], axis=1)
+        Db[rows, idx] = s[rows, idx]
+        H = None
+        if hess:
+            H = np.zeros((X.shape[0], self.dim, self.dim))
             active = (pos[ext] > 0.0).astype(float)
             eyeA = active[:, :, None] * active[:, None, :] * np.eye(self.dim)
-            H[ext] = (eyeA - n[:, :, None] * n[:, None, :]) / nrm[:, None, None]
-        return H
-
-    def project_many(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        b = self.b_many(X)
-        g = self.grad_many(X)
-        return X - b[:, None] * g
+            H[ext] = (eyeA - n[:, :, None] * n[:, None, :]) / norm[ext, None, None]
+        return BoundaryEval(b, Db, H, X - b[:, None] * Db)
 
     def bounding_box(self):
         return self.center - self.half, self.center + self.half

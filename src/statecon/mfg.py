@@ -163,11 +163,6 @@ class GaussianKernelCoupling:
         r2 = np.sum(D * D, axis=2)
         return amp * np.exp(-0.5 * r2 / self.scale ** 2)
 
-    def F_stack(self, X, Y, w):
-        """F at rows of X against particle positions Y (m, k, n)."""
-        D = X[:, None, :] - Y
-        return self._phi(D, self.amp) @ w if Y.ndim == 3 else None
-
     def F(self, X, m: DiscreteMeasure):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         D = X[:, None, :] - m.points[None, :, :]

@@ -15,7 +15,7 @@ from scipy import sparse
 from scipy.optimize import minimize as _scipy_minimize
 from scipy.sparse.linalg import spsolve
 
-from .geometry import Domain
+from .geometry import BoundaryEval, Domain
 from .model import Problem
 
 FEASIBILITY_TOL_FACTOR = 1e-6
@@ -132,11 +132,23 @@ def penalized_cost(prob: Problem, dom: Domain, params: PenaltyParams,
     return _cost_and_grad(prob, dom, params, gamma, need_grad=False)[0]
 
 
+def _distance_grad(dom: Domain, geo: BoundaryEval) -> np.ndarray:
+    """Gradient selection of d = max(b, 0): 0 inside, Db outside, and the
+    midpoint Db/2 on the boundary band (fixed tie-break)."""
+    tol = dom.boundary_tol
+    scale = np.where(geo.b > tol, 1.0, np.where(geo.b > -tol, 0.5, 0.0))
+    return geo.Db * scale[:, None]
+
+
 def _cost_and_grad(prob: Problem, dom: Domain, params: PenaltyParams,
-                   gamma: Trajectory, need_grad: bool = True):
-    """Discrete cost and its gradient with respect to knots 1..N (knot 0 is
-    the pinned initial state)."""
+                   gamma: Trajectory, need_grad: bool = True,
+                   geo: BoundaryEval | None = None):
+    """Discrete cost, its gradient with respect to knots 1..N (knot 0 is the
+    pinned initial state) and the first-order geometry of the knots, which
+    the caller may pass in as ``geo`` when it already has it."""
     X = gamma.knots
+    if geo is None:
+        geo = dom.eval(X, hess=False)
     N, n = gamma.N, gamma.dim
     dt = gamma.dt
     tk = gamma.times
@@ -146,8 +158,7 @@ def _cost_and_grad(prob: Problem, dom: Domain, params: PenaltyParams,
     xl, xr = X[:-1], X[1:]
     fl = prob.f(tl, xl, V)
     fr = prob.f(tr, xr, V)
-    b = dom.b_many(X)
-    d = np.maximum(b, 0.0)
+    d = np.maximum(geo.b, 0.0)
     w = _trapezoid_weights(N, dt)
 
     cost = (0.5 * dt * np.sum(fl + fr)
@@ -155,7 +166,7 @@ def _cost_and_grad(prob: Problem, dom: Domain, params: PenaltyParams,
             + d[-1] / params.delta
             + float(prob.g(X[-1:]).item()))
     if not need_grad:
-        return cost, None
+        return cost, None, geo
 
     fvl = prob.fv(tl, xl, V)
     fvr = prob.fv(tr, xr, V)
@@ -171,30 +182,29 @@ def _cost_and_grad(prob: Problem, dom: Domain, params: PenaltyParams,
     G[1:] += fvsum
     G[:-1] -= fvsum
     # penalty terms (subgradient selection on the boundary band)
-    G += (w / params.epsilon)[:, None] * dom.distance_grad_many(X)
-    G[-1] += dom.distance_grad_many(X[-1:])[0] / params.delta
+    dgrad = _distance_grad(dom, geo)
+    G += (w / params.epsilon)[:, None] * dgrad
+    G[-1] += dgrad[-1] / params.delta
     G[-1] += prob.Dg(X[-1:])[0]
-    return cost, G
+    return cost, G, geo
 
 
 def _stationarity(dom: Domain, params: PenaltyParams, gamma: Trajectory,
-                  G: np.ndarray) -> float:
+                  G: np.ndarray, geo: BoundaryEval) -> float:
     """Minimal-norm element of the discrete subdifferential.
 
     G carries the midpoint selection Db/2 at boundary-band knots; those rows
     admit any coefficient in [0, w/eps] on Db, so the best choice is projected
     out before taking the norm.
     """
-    X = gamma.knots
-    b = dom.b_many(X)
-    band = np.abs(b) <= dom.boundary_tol
+    band = np.abs(geo.b) <= dom.boundary_tol
     R = G.copy()
     if np.any(band):
         w = _trapezoid_weights(gamma.N, gamma.dt)
         cmax = w / params.epsilon
         if band[-1]:
             cmax[-1] += 1.0 / params.delta
-        Db = dom.grad_many(X[band])
+        Db = geo.Db[band]
         half = 0.5 * cmax[band]
         # G used coefficient c/2; admissible shifts are s in [-c/2, +c/2]
         proj = np.einsum("mi,mi->m", R[band], Db)
@@ -205,17 +215,17 @@ def _stationarity(dom: Domain, params: PenaltyParams, gamma: Trajectory,
 
 
 def _snap_to_boundary(dom: Domain, params: PenaltyParams, gamma: Trajectory,
-                      G: np.ndarray, band: float) -> Trajectory:
+                      G: np.ndarray, geo: BoundaryEval,
+                      band: float) -> Trajectory:
     """Move near-boundary knots onto the boundary when the gradient says the
     minimizer sits on the kink of the distance penalty there; the caller
     accepts the result only if the cost does not increase."""
-    X = gamma.knots.copy()
-    b = dom.b_many(X)
+    b = geo.b
     cand = np.abs(b) < band
     cand[0] = False  # the initial knot is pinned
     if not np.any(cand):
         return gamma
-    Db = dom.grad_many(X[cand])
+    Db = geo.Db[cand]
     slope = np.einsum("mi,mi->m", G[cand], Db)
     w = _trapezoid_weights(gamma.N, gamma.dt) / params.epsilon
     w[-1] += 1.0 / params.delta
@@ -227,19 +237,20 @@ def _snap_to_boundary(dom: Domain, params: PenaltyParams, gamma: Trajectory,
     sel = np.where(cand)[0][(lo < 0.0) & (hi > 0.0)]
     if sel.size == 0:
         return gamma
-    X[sel] = dom.project_many(X[sel])
+    X = gamma.knots.copy()
+    X[sel] = geo.P[sel]
     return Trajectory(gamma.t0, gamma.t1, X)
 
 
 def _manifold_polish(prob: Problem, dom: Domain, params: PenaltyParams,
-                     gamma: Trajectory, max_iter: int):
+                     gamma: Trajectory, geo: BoundaryEval, max_iter: int):
     """Finish the minimization with boundary-contact knots constrained to the
     boundary through the smooth projection x = z - b(z) Db(z).
 
     On the contact manifold the distance penalty is constant, so the reduced
     objective is smooth and quasi-Newton convergence is restored.
     """
-    active = np.abs(dom.b_many(gamma.knots)) <= dom.boundary_tol
+    active = np.abs(geo.b) <= dom.boundary_tol
     active[0] = False
     if not np.any(active):
         return gamma
@@ -248,37 +259,28 @@ def _manifold_polish(prob: Problem, dom: Domain, params: PenaltyParams,
     act = active[1:]  # over free knots
 
     def unpack(z):
-        Z = z.reshape(gamma.N, n)
-        X = Z.copy()
-        if np.any(act):
-            za = Z[act]
-            bz = dom.b_many(za)
-            X[act] = za - bz[:, None] * dom.grad_many(za)
-        return Z, X
+        X = z.reshape(gamma.N, n).copy()
+        za = dom.eval(X[act])
+        X[act] = X[act] - za.b[:, None] * za.Db
+        return X, za
 
     def objective(z):
-        Z, X = unpack(z)
+        X, za = unpack(z)
         traj = Trajectory(gamma.t0, gamma.t1, np.vstack([x0, X]))
-        c, G = _cost_and_grad(prob, dom, params, traj)
-        Gf = G[1:]
-        if np.any(act):
-            za = Z[act]
-            bz = dom.b_many(za)
-            Db = dom.grad_many(za)
-            D2b = dom.hess_many(za)
-            # exact Jacobian of the projection map (symmetric)
-            J = (np.eye(n)[None]
-                 - Db[:, :, None] * Db[:, None, :]
-                 - bz[:, None, None] * D2b)
-            Gf = Gf.copy()
-            Gf[act] = np.einsum("mij,mj->mi", J, Gf[act])
+        c, G, _ = _cost_and_grad(prob, dom, params, traj)
+        Gf = G[1:].copy()
+        # exact Jacobian of the projection map (symmetric)
+        J = (np.eye(n)[None]
+             - za.Db[:, :, None] * za.Db[:, None, :]
+             - za.b[:, None, None] * za.D2b)
+        Gf[act] = np.einsum("mij,mj->mi", J, Gf[act])
         return c, Gf.ravel()
 
     res = _scipy_minimize(objective, gamma.knots[1:].ravel(), jac=True,
                           method="L-BFGS-B",
                           options={"maxiter": max_iter, "maxcor": 20,
                                    "ftol": 1e-18, "gtol": 1e-14})
-    _, X = unpack(res.x)
+    X, _ = unpack(res.x)
     return Trajectory(gamma.t0, gamma.t1, np.vstack([x0, X]))
 
 
@@ -303,7 +305,8 @@ def _smooth_grad(prob: Problem, gamma: Trajectory) -> np.ndarray:
 
 
 def _newton_kkt_polish(prob: Problem, dom: Domain, params: PenaltyParams,
-                       gamma: Trajectory, max_newton: int = 8) -> Trajectory:
+                       gamma: Trajectory, geo: BoundaryEval,
+                       max_newton: int = 8) -> Trajectory:
     """Sharpen the minimizer to machine-precision stationarity.
 
     For the quadratic family the discrete action has a constant
@@ -322,7 +325,7 @@ def _newton_kkt_polish(prob: Problem, dom: Domain, params: PenaltyParams,
     if prob.family != "quadratic":
         return gamma
     X = gamma.knots
-    b = dom.b_many(X)
+    b = geo.b
     if np.max(b) > dom.boundary_tol:
         return gamma  # outside knots still carry penalty slope; not at a kink
     N, n = gamma.N, gamma.dim
@@ -349,9 +352,7 @@ def _newton_kkt_polish(prob: Problem, dom: Domain, params: PenaltyParams,
             traj = Trajectory(gamma.t0, gamma.t1, Xp)
             g = _smooth_grad(prob, traj)[1:].ravel()
             if active.size:
-                ba = dom.b_many(Xp[active])
-                Db = dom.grad_many(Xp[active])
-                D2b = dom.hess_many(Xp[active])
+                ba, Db, D2b, _ = dom.eval(Xp[active])
                 rows = np.repeat(np.arange(active.size), n)
                 cols = ((active[:, None] - 1) * n
                         + np.arange(n)[None, :]).ravel()
@@ -390,6 +391,18 @@ def _newton_kkt_polish(prob: Problem, dom: Domain, params: PenaltyParams,
     return gamma
 
 
+def _no_worse(prob: Problem, dom: Domain, params: PenaltyParams, cur: tuple,
+              gamma: Trajectory, rtol: float) -> tuple:
+    """Step from ``cur`` = (trajectory, cost, gradient, geometry) to gamma
+    when its cost is no worse than the current one, up to rtol."""
+    if gamma is cur[0]:
+        return cur
+    cost, G, geo = _cost_and_grad(prob, dom, params, gamma)
+    if cost <= cur[1] + rtol * (1.0 + abs(cur[1])):
+        return gamma, cost, G, geo
+    return cur
+
+
 def minimize_penalized(prob: Problem, dom: Domain, params: PenaltyParams,
                        x0, init: Trajectory | None = None,
                        max_iter: int = 100000) -> Trajectory:
@@ -418,9 +431,10 @@ def minimize_penalized(prob: Problem, dom: Domain, params: PenaltyParams,
     def objective(z):
         traj = Trajectory(gamma.t0, gamma.t1,
                           np.vstack([x0, z.reshape(shape)]))
-        if np.max(dom.b_many(traj.knots)) > leash:
+        geo = dom.eval(traj.knots, hess=False)
+        if np.max(geo.b) > leash:
             raise Runaway("iterates left the tube; epsilon is too large")
-        c, G = _cost_and_grad(prob, dom, params, traj)
+        c, G, _ = _cost_and_grad(prob, dom, params, traj, geo=geo)
         if not np.isfinite(c):
             raise NonFiniteCost(f"penalized cost became {c}")
         return c, G[1:].ravel()
@@ -440,22 +454,16 @@ def minimize_penalized(prob: Problem, dom: Domain, params: PenaltyParams,
         used += max(res.nit, 1)
         z = res.x
         traj = Trajectory(gamma.t0, gamma.t1, np.vstack([x0, z.reshape(shape)]))
-        cost, G = _cost_and_grad(prob, dom, params, traj)
-        snapped = _snap_to_boundary(dom, params, traj, G, snap_band)
-        scost, sG = _cost_and_grad(prob, dom, params, snapped)
-        if scost <= cost + 1e-12 * (1.0 + abs(cost)):
-            traj, cost, G = snapped, scost, sG
-        polished = _manifold_polish(prob, dom, params, traj,
-                                    max_iter - used)
-        pcost, pG = _cost_and_grad(prob, dom, params, polished)
-        if pcost <= cost + 1e-12 * (1.0 + abs(cost)):
-            traj, cost, G = polished, pcost, pG
-        sharp = _newton_kkt_polish(prob, dom, params, traj)
-        scost, sG = _cost_and_grad(prob, dom, params, sharp)
-        if scost <= cost + 1e-10 * (1.0 + abs(cost)):
-            traj, cost, G = sharp, scost, sG
+        cur = (traj, *_cost_and_grad(prob, dom, params, traj))
+        cur = _no_worse(prob, dom, params, cur, _snap_to_boundary(
+            dom, params, cur[0], cur[2], cur[3], snap_band), 1e-12)
+        cur = _no_worse(prob, dom, params, cur, _manifold_polish(
+            prob, dom, params, cur[0], cur[3], max_iter - used), 1e-12)
+        cur = _no_worse(prob, dom, params, cur, _newton_kkt_polish(
+            prob, dom, params, cur[0], cur[3]), 1e-10)
+        traj, cost, G, geo = cur
         z = traj.knots[1:].ravel()
-        stat = _stationarity(dom, params, traj, G)
+        stat = _stationarity(dom, params, traj, G, geo)
         if stat < 1e-8 * (1.0 + abs(cost)):
             return traj
         if used >= max_iter:

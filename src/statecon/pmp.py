@@ -111,7 +111,8 @@ def multiplier_from_residual(prob: Problem, dom: Domain, gamma: Trajectory,
     component orthogonal to Db at each contact knot.
     """
     ham = Hamiltonian(prob)
-    mask = contact_mask(dom, gamma)
+    geo = dom.eval(gamma.knots, hess=False)
+    mask = np.abs(geo.b) <= dom.boundary_tol
     t = gamma.times
     pdot = grid_derivative(p, gamma.dt, mask)
     DxH = ham.DxH_many(t, gamma.knots, p)
@@ -119,7 +120,7 @@ def multiplier_from_residual(prob: Problem, dom: Domain, gamma: Trajectory,
     lam = np.zeros(gamma.N + 1)
     orth = np.zeros(gamma.N + 1)
     if np.any(mask):
-        Db = dom.grad_many(gamma.knots[mask])
+        Db = geo.Db[mask]
         proj = np.einsum("mi,mi->m", defect[mask], Db)
         lam[mask] = proj
         orth[mask] = np.linalg.norm(defect[mask] - proj[:, None] * Db, axis=1)
@@ -133,8 +134,7 @@ def multiplier_from_residual(prob: Problem, dom: Domain, gamma: Trajectory,
             f"multiplier reaches {np.min(clear):.3e}; candidate is not a "
             "constrained minimizer")
     if mask[-1]:
-        Db_T = dom.grad_many(gamma.knots[-1:])[0]
-        nu = float(np.dot(p[-1] - prob.Dg(gamma.knots[-1:])[0], Db_T))
+        nu = float(np.dot(p[-1] - prob.Dg(gamma.knots[-1:])[0], geo.Db[-1]))
     else:
         nu = 0.0
     return lam, nu, orth
@@ -148,11 +148,9 @@ def feedback_lambda_many(ham: Hamiltonian, dom: Domain, t, X, P) -> np.ndarray:
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    b = dom.b_many(X)
+    b, Db, D2b, _ = dom.eval(X)
     if np.any(np.abs(b) >= dom.rho0):
         raise OutsideTube("feedback multiplier needs |b| < rho0")
-    Db = dom.grad_many(X)
-    D2b = dom.hess_many(X)
     d = ham.derivs_many(t, X, P)
     theta = np.einsum("mi,mij,mj->m", Db, d.DppH, Db)
     num = (-np.einsum("mij,mi,mj->m", D2b, d.DpH, d.DpH)
@@ -248,11 +246,12 @@ def check_extremal(prob: Problem, dom: Domain, ex: Extremal,
     ham = Hamiltonian(prob)
     gamma, p = ex.gamma, ex.p
     t = gamma.times
-    mask = contact_mask(dom, gamma)
+    geo = dom.eval(gamma.knots, hess=False)
+    mask = np.abs(geo.b) <= dom.boundary_tol
     tol_ode = C_res / gamma.N
 
     rep = PMPReport()
-    v = knot_velocities(gamma, dom)
+    v = grid_derivative(gamma.knots, gamma.dt, mask)
     res_state = np.linalg.norm(v + ham.DpH_many(t, gamma.knots, p), axis=1)
     rep.residuals["state_ode"] = float(np.max(res_state))
     rep.checks["state_ode"] = rep.residuals["state_ode"] < tol_ode
@@ -260,7 +259,7 @@ def check_extremal(prob: Problem, dom: Domain, ex: Extremal,
     pdot = grid_derivative(p, gamma.dt, mask)
     rhs = ham.DxH_many(t, gamma.knots, p)
     if np.any(mask):
-        rhs[mask] -= ex.lam[mask, None] * dom.grad_many(gamma.knots[mask])
+        rhs[mask] -= ex.lam[mask, None] * geo.Db[mask]
     res_adj = np.linalg.norm(pdot - rhs, axis=1)
     keep = junction_clear_mask(mask)
     rep.residuals["adjoint_ode"] = float(np.max(res_adj[keep]))
@@ -268,8 +267,7 @@ def check_extremal(prob: Problem, dom: Domain, ex: Extremal,
 
     pT_target = prob.Dg(gamma.knots[-1:])[0]
     if mask[-1]:
-        pT_target = pT_target + ex.beta_over_delta * dom.grad_many(
-            gamma.knots[-1:])[0]
+        pT_target = pT_target + ex.beta_over_delta * geo.Db[-1]
     rep.residuals["transversality"] = float(np.linalg.norm(p[-1] - pT_target))
     rep.checks["transversality"] = rep.residuals["transversality"] < 1e-6
 
@@ -294,7 +292,7 @@ def check_extremal(prob: Problem, dom: Domain, ex: Extremal,
         ndg = float(np.max(np.linalg.norm(Dg, axis=1)))
         C1 = (8 * prob.mu + 8 * prob.mu * ndg ** 2 + 2 * C
               + prob.kappa * (prob.horizon + 4 * prob.mu * K))
-        d = np.maximum(dom.b_many(gamma.knots), 0.0)
+        d = np.maximum(geo.b, 0.0)
         lhs = np.sum(p * p, axis=1)
         rhs_b = 4 * prob.mu * (d / ex.params.epsilon
                                + C1 / ex.params.delta ** 2)

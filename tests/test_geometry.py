@@ -95,6 +95,24 @@ class TestProjection:
         r = r / np.linalg.norm(r)
         assert abs(abs(np.dot(n, r)) - 1.0) < 1e-6
 
+    @pytest.mark.parametrize("y", [3.6e-14, 1e-9, 1e-7])
+    def test_ellipse_projection_near_major_axis(self, ellipse, y):
+        # inside the evolute, a hair off the major axis: the nearest point's
+        # minor coordinate a^2 q / (t + a^2) must not lose t + a^2 to
+        # cancellation
+        P = ellipse.project_many(np.array([[0.452139526, y]]))
+        assert abs(ellipse.b_many(P)[0]) <= 1e-12 * ellipse.diameter
+
+    def test_fused_eval_matches_public_methods(self, shapes):
+        for dom in shapes.values():
+            X = tube_points(dom, 200)
+            b, Db, D2b, P = dom.eval(X)
+            assert np.array_equal(b, dom.b_many(X))
+            assert np.array_equal(Db, dom.grad_many(X))
+            assert np.array_equal(D2b, dom.hess_many(X))
+            assert np.array_equal(P, dom.project_many(X))
+            assert dom.eval(X, hess=False).D2b is None
+
 
 class TestSubdifferential:
     def test_three_cases(self, disk):
@@ -161,3 +179,73 @@ def test_disk_projection_is_ray(rho, ang):
     p = dom.project_many(x[None])[0]
     assert np.linalg.norm(p) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(p, x / rho, atol=1e-9)
+
+
+@st.composite
+def ellipse_and_point(draw):
+    """A random axis-aligned ellipse (axis ratio up to 10) and a query point:
+    on a normal line inside the tube or outside it (kind "tube"/"outside",
+    returned with the foot of that normal line), near the evolute cusp on the
+    major axis, or near either axis."""
+    a = draw(st.floats(0.2, 3.0))
+    A = a * draw(st.floats(1.0, 10.0))
+    axes = np.array([a, A] if draw(st.booleans()) else [A, a])
+    center = np.array([draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))])
+    lo, hi = (0, 1) if axes[0] <= axes[1] else (1, 0)
+    rho0 = a * a / A
+    kind = draw(st.sampled_from(["tube", "outside", "cusp", "major", "minor"]))
+    foot = None
+    q = np.zeros(2)
+    if kind in ("tube", "outside"):
+        th = draw(st.floats(0.0, 0.5 * np.pi))
+        foot = axes * np.array([np.cos(th), np.sin(th)])
+        n = foot / axes ** 2
+        n /= np.linalg.norm(n)
+        s = (draw(st.floats(-0.999, 0.999)) * rho0 if kind == "tube"
+             else draw(st.floats(1.0, 20.0)) * rho0)
+        q = foot + s * n
+    else:
+        tiny = draw(st.sampled_from([0.0] + [10.0 ** k for k in range(-16, -1)]))
+        if kind == "cusp":
+            q[hi] = (A * A - a * a) / A * (1.0 + draw(st.floats(-1e-3, 1e-3)))
+            q[lo] = tiny * a
+        elif kind == "major":
+            q[hi] = draw(st.floats(0.0, A + 2.0 * rho0))
+            q[lo] = tiny * a
+        else:
+            q[lo] = draw(st.floats(0.0, a + 2.0 * rho0))
+            q[hi] = tiny * A
+    signs = np.array([draw(st.sampled_from([-1.0, 1.0])) for _ in range(2)])
+    if foot is not None:
+        foot = center + signs * foot
+    return Ellipse(center, axes), center + signs * q, kind, foot
+
+
+@settings(max_examples=300, deadline=None)
+@given(ellipse_and_point())
+def test_ellipse_projection_properties(case):
+    dom, x, kind, foot = case
+    scale = dom.diameter
+    b, Db, D2b, P = dom.eval(x[None])
+    p = P[0]
+    # P lies on the boundary
+    u = (p - dom.center) / dom.axes
+    assert abs(u @ u - 1.0) <= 1e-12
+    # x - P is parallel to the normal at P
+    r = x - p
+    n = dom.grad_many(P)[0]
+    assert abs(r[0] * n[1] - r[1] * n[0]) <= 1e-12 * scale
+    # P is the nearest boundary point (no boundary sample is closer)
+    th = np.linspace(0.0, 2.0 * np.pi, 4001)
+    ring = dom.center + dom.axes * np.stack([np.cos(th), np.sin(th)], axis=1)
+    dist = np.linalg.norm(r)
+    assert dist <= np.min(np.linalg.norm(ring - x, axis=1)) + 1e-12 * scale
+    if kind in ("tube", "outside"):
+        assert abs(dist - abs(b[0])) <= 1e-12 * scale
+        assert np.max(np.abs(p - foot)) <= 1e-10 * scale
+    # the fused evaluation agrees with the separate public methods (D2b is
+    # infinite at a circle's center, the focal point of its boundary)
+    assert np.array_equal(b, dom.b_many(x[None]))
+    assert np.array_equal(Db, dom.grad_many(x[None]))
+    assert np.array_equal(D2b, dom.hess_many(x[None]), equal_nan=True)
+    assert np.array_equal(P, dom.project_many(x[None]))

@@ -318,12 +318,24 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def configure_logging() -> None:
+    """Set the ``statecon`` logger to the level named by CVX_LOG (default
+    WARNING); the root logger's level is left alone."""
+    name = (os.environ.get("CVX_LOG") or "WARNING").upper()
+    level = logging.getLevelName(name)
+    if not isinstance(level, int):
+        raise ConfigError(f"CVX_LOG={os.environ['CVX_LOG']!r} is not a log "
+                          "level (DEBUG, INFO, WARNING, ERROR, CRITICAL)")
+    logging.basicConfig()
+    log.setLevel(level)
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("CVX_LOG", "WARNING").upper())
     args = make_parser().parse_args(argv)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
+        configure_logging()
         cfg = load_config(args.config)
         return COMMANDS[args.command](cfg, out, args)
     except ConfigError as exc:

@@ -175,6 +175,14 @@ class GaussianKernelCoupling:
         return np.einsum("mk,mkn->mn", phi * m.weights,
                          -D / self.scale ** 2)
 
+    def _hess(self, D, wphi):
+        """sum_j wphi_j (D_j D_j^T / s^4 - I / s^2) for the displacement
+        stack D (m, k, n) and weighted bump values wphi (m, k)."""
+        s2 = self.scale ** 2
+        H = np.einsum("mki,mkj->mij", D * wphi[:, :, None], D) / s2 ** 2
+        H -= (wphi.sum(axis=1) / s2)[:, None, None] * np.eye(D.shape[2])
+        return H
+
     def G(self, X, m: DiscreteMeasure):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.terminal_amp == 0.0:
@@ -189,6 +197,11 @@ class GaussianKernelCoupling:
         D = X[:, None, :] - m.points[None, :, :]
         phi = self._phi(D, self.terminal_amp)
         return np.einsum("mk,mkn->mn", phi * m.weights, -D / self.scale ** 2)
+
+    def DxxG(self, X, m: DiscreteMeasure):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        D = X[:, None, :] - m.points[None, :, :]
+        return self._hess(D, self._phi(D, self.terminal_amp) * m.weights)
 
     def to_config(self):
         return {"type": "gaussian-bump", "amp": self.amp,
@@ -237,6 +250,10 @@ def coupled_problem(prob: Problem, dom: Domain, coupling,
         return np.einsum("mk,mkn->mn", phi * eta.weights,
                          -D / coupling.scale ** 2)
 
+    def DxxF_many(t, X):
+        D = X[:, None, :] - Y_at(t)
+        return coupling._hess(D, coupling._phi(D, coupling.amp) * eta.weights)
+
     def f(t, x, v):
         x2 = np.atleast_2d(x)
         t1 = np.broadcast_to(np.asarray(t, dtype=float), (x2.shape[0],))
@@ -247,6 +264,11 @@ def coupled_problem(prob: Problem, dom: Domain, coupling,
         t1 = np.broadcast_to(np.asarray(t, dtype=float), (x2.shape[0],))
         return prob.fx(t, x, v) + DxF_many(t1, x2)
 
+    def fxx(t, x, v):
+        x2 = np.atleast_2d(x)
+        t1 = np.broadcast_to(np.asarray(t, dtype=float), (x2.shape[0],))
+        return prob.fxx(t, x, v) + DxxF_many(t1, x2)
+
     mT = evaluate_flow(eta, [T]).measures[0]
 
     def g(x):
@@ -254,6 +276,9 @@ def coupled_problem(prob: Problem, dom: Domain, coupling,
 
     def Dg(x):
         return prob.Dg(x) + coupling.DxG(np.atleast_2d(x), mT)
+
+    def D2g(x):
+        return prob.D2g(x) + coupling.DxxG(np.atleast_2d(x), mT)
 
     # constants inherited from the base problem plus the coupling's bounds;
     # the flow Lipschitz constant is bounded by transporting each particle
@@ -267,7 +292,9 @@ def coupled_problem(prob: Problem, dom: Domain, coupling,
                    M=M, kappa=kappa, family="coupled",
                    coefficients={"base": prob.family,
                                  "coupling": getattr(coupling, "to_config",
-                                                     lambda: {})()})
+                                                     lambda: {})()},
+                   fxx=None if prob.fxx is None else fxx,
+                   D2g=None if prob.D2g is None else D2g)
 
 
 def best_response(prob: Problem, dom: Domain, coupling,

@@ -42,6 +42,11 @@ def _batch(t, x, v=None):
 # building blocks for the quadratic family
 
 
+def _zero_hess(x):
+    m, n = np.atleast_2d(x).shape
+    return np.zeros((m, n, n))
+
+
 class ZeroPotential:
     time_lipschitz = 0.0
 
@@ -50,6 +55,9 @@ class ZeroPotential:
 
     def grad(self, t, x):
         return np.zeros_like(np.atleast_2d(x))
+
+    def hess(self, t, x):
+        return _zero_hess(x)
 
     def to_config(self):
         return {"type": "zero"}
@@ -70,6 +78,9 @@ class LinearPotential:
         x = np.atleast_2d(x)
         return np.broadcast_to(self.b, x.shape).copy()
 
+    def hess(self, t, x):
+        return _zero_hess(x)
+
     def to_config(self):
         return {"type": "linear", "b": self.b.tolist()}
 
@@ -80,6 +91,9 @@ class ZeroTerminal:
 
     def grad(self, x):
         return np.zeros_like(np.atleast_2d(x))
+
+    def hess(self, x):
+        return _zero_hess(x)
 
     def to_config(self):
         return {"type": "zero"}
@@ -97,6 +111,9 @@ class LinearTerminal:
     def grad(self, x):
         x = np.atleast_2d(x)
         return np.broadcast_to(self.b, x.shape).copy()
+
+    def hess(self, x):
+        return _zero_hess(x)
 
     def to_config(self):
         return {"type": "linear", "b": self.b.tolist()}
@@ -126,7 +143,13 @@ def terminal_from_config(cfg: dict):
 @dataclass
 class Problem:
     """Running cost f with first/second derivatives, terminal cost g, horizon,
-    and declared structural constants (mu, M, kappa)."""
+    and declared structural constants (mu, M, kappa).
+
+    The state Hessians ``fxx`` and ``D2g`` are optional.  When both are
+    given, the discrete action has an exact Hessian and the penalty solver
+    finishes each minimization with Newton steps on its KKT system; when
+    either is None it relies on quasi-Newton iterations alone.
+    """
 
     f: Callable          # (t, x, v) -> (m,)
     fx: Callable         # (t, x, v) -> (m, n)
@@ -142,6 +165,8 @@ class Problem:
     kappa: float
     family: str = "custom"
     coefficients: dict = field(default_factory=dict)
+    fxx: Callable | None = None   # (t, x, v) -> (m, n, n), d2f/dx_i dx_j
+    D2g: Callable | None = None   # (x,) -> (m, n, n)
 
     def __post_init__(self):
         if self.mu < 1:
@@ -162,7 +187,10 @@ def quadratic_problem(dim: int, *, A=None, potential=None, terminal=None,
                       T: float = 1.0, mu: float | None = None,
                       M: float | None = None, kappa: float | None = None,
                       drift: Callable | None = None) -> Problem:
-    """Quadratic-in-velocity problem 1/2 <A v, v> + <c(t), v> + V(t, x)."""
+    """Quadratic-in-velocity problem 1/2 <A v, v> + <c(t), v> + V(t, x).
+
+    ``potential`` provides value(t, x), grad(t, x) and hess(t, x);
+    ``terminal`` provides value(x), grad(x) and hess(x)."""
     A = np.eye(dim) if A is None else np.asarray(A, dtype=float)
     potential = potential or ZeroPotential()
     terminal = terminal or ZeroTerminal()
@@ -200,11 +228,18 @@ def quadratic_problem(dim: int, *, A=None, potential=None, terminal=None,
         t, x, v = _batch(t, x, v)
         return np.zeros((x.shape[0], dim, dim))
 
+    def fxx(t, x, v):
+        t, x, v = _batch(t, x, v)
+        return potential.hess(t, x)
+
     def g(x):
         return terminal.value(np.atleast_2d(x))
 
     def Dg(x):
         return terminal.grad(np.atleast_2d(x))
+
+    def D2g(x):
+        return terminal.hess(np.atleast_2d(x))
 
     if M is None or kappa is None:
         raise ValueError("declare M and kappa explicitly (measured or derived)")
@@ -216,7 +251,8 @@ def quadratic_problem(dim: int, *, A=None, potential=None, terminal=None,
                                  "potential": getattr(potential, "to_config",
                                                       lambda: {})(),
                                  "terminal": getattr(terminal, "to_config",
-                                                     lambda: {})()})
+                                                     lambda: {})()},
+                   fxx=fxx, D2g=D2g)
 
 
 def problem_from_config(cfg: dict, dim: int) -> Problem:

@@ -140,6 +140,72 @@ def _distance_grad(dom: Domain, geo: BoundaryEval) -> np.ndarray:
     return geo.Db * scale[:, None]
 
 
+def _action_grad(prob: Problem, gamma: Trajectory,
+                 terminal: bool = True) -> np.ndarray:
+    """Gradient of the discrete action (running plus terminal cost, no
+    distance penalties) with respect to all knots.  ``terminal=False`` leaves
+    the terminal term to the caller."""
+    X = gamma.knots
+    N, n = gamma.N, gamma.dim
+    dt = gamma.dt
+    tk = gamma.times
+    V = gamma.velocities
+    tl, tr = tk[:-1], tk[1:]
+    xl, xr = X[:-1], X[1:]
+    G = np.zeros((N + 1, n))
+    # state dependence of the running cost
+    G[:-1] += 0.5 * dt * prob.fx(tl, xl, V)
+    G[1:] += 0.5 * dt * prob.fx(tr, xr, V)
+    # velocity dependence: v_i = (x_{i+1} - x_i)/dt couples both interval ends
+    fvsum = 0.5 * (prob.fv(tl, xl, V) + prob.fv(tr, xr, V))
+    G[1:] += fvsum
+    G[:-1] -= fvsum
+    if terminal:
+        G[-1] += prob.Dg(X[-1:])[0]
+    return G
+
+
+def _action_hessian(prob: Problem, gamma: Trajectory,
+                    curv: np.ndarray | None = None) -> sparse.csr_matrix:
+    """Exact Hessian of the discrete action (running plus terminal cost) with
+    respect to the free knots 1..N, as one sparse block-tridiagonal matrix.
+
+    Interval i contributes dt/2 [f(t_i, x_i, v_i) + f(t_{i+1}, x_{i+1}, v_i)]
+    with v_i = (x_{i+1} - x_i)/dt, so its blocks come from fxx, fvx and fvv
+    at both interval ends; D2g adds to the last knot.  ``curv``, when given,
+    holds (N, n, n) blocks added to the diagonal (constraint curvature).
+    """
+    X = gamma.knots
+    N, n = gamma.N, gamma.dim
+    dt = gamma.dt
+    tk = gamma.times
+    V = gamma.velocities
+    tl, tr = tk[:-1], tk[1:]
+    xl, xr = X[:-1], X[1:]
+    K = 0.5 * (prob.fvv(tl, xl, V) + prob.fvv(tr, xr, V)) / dt
+    Bl = prob.fvx(tl, xl, V)  # entry [i, j] = d2f/dv_i dx_j
+    Br = prob.fvx(tr, xr, V)
+    Blt, Brt = Bl.transpose(0, 2, 1), Br.transpose(0, 2, 1)
+    diag = np.zeros((N + 1, n, n))
+    diag[:-1] += K - 0.5 * (Bl + Blt) + 0.5 * dt * prob.fxx(tl, xl, V)
+    diag[1:] += K + 0.5 * (Br + Brt) + 0.5 * dt * prob.fxx(tr, xr, V)
+    diag[-1] += prob.D2g(X[-1:])[0]
+    upper = 0.5 * (Blt - Br) - K  # block (knot i, knot i+1)
+    D, U = diag[1:], upper[1:]
+    if curv is not None:
+        D += curv
+    idx = np.arange(N * n).reshape(N, n)
+    r = np.repeat(idx, n, axis=1)  # row of block entry [a, b] is idx[k, a]
+    c = np.tile(idx, (1, n))       # column is idx[k, b]
+    H = sparse.csr_matrix(
+        (np.concatenate([D.ravel(), U.ravel(), U.ravel()]),
+         (np.concatenate([r.ravel(), r[:-1].ravel(), c[1:].ravel()]),
+          np.concatenate([c.ravel(), c[1:].ravel(), r[:-1].ravel()]))),
+        shape=(N * n, N * n))
+    H.eliminate_zeros()  # the factorization sees only the true pattern
+    return H
+
+
 def _cost_and_grad(prob: Problem, dom: Domain, params: PenaltyParams,
                    gamma: Trajectory, need_grad: bool = True,
                    geo: BoundaryEval | None = None):
@@ -149,15 +215,13 @@ def _cost_and_grad(prob: Problem, dom: Domain, params: PenaltyParams,
     X = gamma.knots
     if geo is None:
         geo = dom.eval(X, hess=False)
-    N, n = gamma.N, gamma.dim
+    N = gamma.N
     dt = gamma.dt
     tk = gamma.times
     V = gamma.velocities
 
-    tl, tr = tk[:-1], tk[1:]
-    xl, xr = X[:-1], X[1:]
-    fl = prob.f(tl, xl, V)
-    fr = prob.f(tr, xr, V)
+    fl = prob.f(tk[:-1], X[:-1], V)
+    fr = prob.f(tk[1:], X[1:], V)
     d = np.maximum(geo.b, 0.0)
     w = _trapezoid_weights(N, dt)
 
@@ -168,23 +232,12 @@ def _cost_and_grad(prob: Problem, dom: Domain, params: PenaltyParams,
     if not need_grad:
         return cost, None, geo
 
-    fvl = prob.fv(tl, xl, V)
-    fvr = prob.fv(tr, xr, V)
-    fxl = prob.fx(tl, xl, V)
-    fxr = prob.fx(tr, xr, V)
-
-    G = np.zeros((N + 1, n))
-    # state dependence of the running cost
-    G[:-1] += 0.5 * dt * fxl
-    G[1:] += 0.5 * dt * fxr
-    # velocity dependence: v_i = (x_{i+1} - x_i)/dt couples both interval ends
-    fvsum = 0.5 * (fvl + fvr)
-    G[1:] += fvsum
-    G[:-1] -= fvsum
+    G = _action_grad(prob, gamma, terminal=False)
     # penalty terms (subgradient selection on the boundary band)
     dgrad = _distance_grad(dom, geo)
     G += (w / params.epsilon)[:, None] * dgrad
     G[-1] += dgrad[-1] / params.delta
+    # terminal term last, the summation order of the last row
     G[-1] += prob.Dg(X[-1:])[0]
     return cost, G, geo
 
@@ -284,64 +337,38 @@ def _manifold_polish(prob: Problem, dom: Domain, params: PenaltyParams,
     return Trajectory(gamma.t0, gamma.t1, np.vstack([x0, X]))
 
 
-def _smooth_grad(prob: Problem, gamma: Trajectory) -> np.ndarray:
-    """Gradient of the discrete action (running plus terminal cost, no
-    distance penalties) with respect to all knots."""
-    X = gamma.knots
-    N, n = gamma.N, gamma.dim
-    dt = gamma.dt
-    tk = gamma.times
-    V = gamma.velocities
-    tl, tr = tk[:-1], tk[1:]
-    xl, xr = X[:-1], X[1:]
-    fvsum = 0.5 * (prob.fv(tl, xl, V) + prob.fv(tr, xr, V))
-    G = np.zeros((N + 1, n))
-    G[:-1] += 0.5 * dt * prob.fx(tl, xl, V)
-    G[1:] += 0.5 * dt * prob.fx(tr, xr, V)
-    G[1:] += fvsum
-    G[:-1] -= fvsum
-    G[-1] += prob.Dg(X[-1:])[0]
-    return G
-
-
 def _newton_kkt_polish(prob: Problem, dom: Domain, params: PenaltyParams,
                        gamma: Trajectory, geo: BoundaryEval,
                        max_newton: int = 8) -> Trajectory:
     """Sharpen the minimizer to machine-precision stationarity.
 
-    For the quadratic family the discrete action has a constant
-    block-tridiagonal Hessian and the only curvature left is the boundary
-    constraint, so a few Newton steps on the KKT system of
+    Near a minimizer the discrete action is smooth with a block-tridiagonal
+    Hessian, and the only other curvature is the boundary constraint, so a
+    few Newton steps on the KKT system of
 
         min action(x)  subject to  b(x_i) = 0 on the contact set
 
-    land on the discrete optimality system exactly. Quasi-Newton output is
-    accurate to ~1e-5 in the knots, which the 1/dt^2 differentiation of the
-    adjoint recovery amplifies; this polish removes that floor. Knots with a
-    multiplier outside the admissible penalty-slope range are released and
-    the step recomputed; if the active set cannot be reconciled the input is
-    returned unchanged.
+    land on the discrete optimality system.  The Hessian is reassembled at
+    every step from fxx, fvx, fvv and D2g (Nocedal & Wright, Numerical
+    Optimization, 2nd ed., ch. 18); problems without fxx or D2g are returned
+    unchanged.  Quasi-Newton output is accurate to ~1e-5 in the knots, which
+    the 1/dt^2 differentiation of the adjoint recovery amplifies; this polish
+    removes that floor.  Knots with a multiplier outside the admissible
+    penalty-slope range are released and the step recomputed; if the active
+    set cannot be reconciled the input is returned unchanged.
     """
-    if prob.family != "quadratic":
+    if prob.fxx is None or prob.D2g is None:
         return gamma
     X = gamma.knots
     b = geo.b
     if np.max(b) > dom.boundary_tol:
         return gamma  # outside knots still carry penalty slope; not at a kink
     N, n = gamma.N, gamma.dim
-    dt = gamma.dt
-    A = np.asarray(prob.coefficients["A"], dtype=float)
     nf = N * n  # free knots 1..N
-
-    # constant Hessian of the action over the free knots
-    diag_scale = sparse.diags(np.r_[np.full(N - 1, 2.0), 1.0])
-    off = sparse.eye(N, N, 1)
-    H = (sparse.kron(diag_scale, A / dt)
-         + sparse.kron(off + off.T, -A / dt)).tocsr()
 
     act_band = max(dom.boundary_tol, 1e-7 * dom.diameter)
     active = np.flatnonzero(np.abs(b[1:]) <= act_band) + 1
-    w = _trapezoid_weights(N, dt)
+    w = _trapezoid_weights(N, gamma.dt)
     mmax = w / params.epsilon
     mmax[-1] += 1.0 / params.delta
 
@@ -350,25 +377,21 @@ def _newton_kkt_polish(prob: Problem, dom: Domain, params: PenaltyParams,
         mults = np.zeros(active.size)
         for _newton in range(max_newton):
             traj = Trajectory(gamma.t0, gamma.t1, Xp)
-            g = _smooth_grad(prob, traj)[1:].ravel()
+            g = _action_grad(prob, traj)[1:].ravel()
             if active.size:
                 ba, Db, D2b, _ = dom.eval(Xp[active])
+                curv = np.zeros((N, n, n))
+                curv[active - 1] = mults[:, None, None] * D2b
+                H = _action_hessian(prob, traj, curv)
                 rows = np.repeat(np.arange(active.size), n)
                 cols = ((active[:, None] - 1) * n
                         + np.arange(n)[None, :]).ravel()
                 C = sparse.csr_matrix((Db.ravel(), (rows, cols)),
                                       shape=(active.size, nf))
-                blocks = cols.reshape(-1, n)
-                curv = sparse.csr_matrix(
-                    (np.einsum("m,mij->mij", mults, D2b).ravel(),
-                     (np.repeat(blocks, n, axis=1).ravel(),
-                      np.tile(blocks, (1, n)).ravel())),
-                    shape=(nf, nf))
-                KKT = sparse.bmat([[H + curv, C.T], [C, None]],
-                                  format="csc")
+                KKT = sparse.bmat([[H, C.T], [C, None]], format="csc")
                 rhs = np.concatenate([-g, -ba])
             else:
-                KKT = sparse.csc_matrix(H)
+                KKT = sparse.csc_matrix(_action_hessian(prob, traj))
                 rhs = -g
             sol = spsolve(KKT, rhs)
             step = sol[:nf].reshape(N, n)

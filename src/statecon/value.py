@@ -12,7 +12,8 @@ import numpy as np
 
 from .geometry import Domain
 from .model import Problem
-from .penalty import Trajectory, delta_choice, epsilon_schedule
+from .penalty import (NonFiniteCost, ScheduleExhausted, Trajectory,
+                      delta_choice, epsilon_schedule)
 
 
 @dataclass
@@ -59,7 +60,9 @@ def compute_value(prob: Problem, dom: Domain, times, points,
             try:
                 gamma, _params = epsilon_schedule(prob, dom, points[j], delta,
                                                   N=N, init=init)
-            except Exception as exc:  # record and move on; grid stays usable
+            except (ScheduleExhausted, NonFiniteCost) as exc:
+                # the solver's own failures: record and move on; the grid
+                # stays usable.  Anything else is a bug and propagates.
                 vg.failures.append((i, j, repr(exc)))
                 warm = None
                 continue

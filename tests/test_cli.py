@@ -1,4 +1,8 @@
 import json
+import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,7 +10,8 @@ import pytest
 from statecon.cli import main
 
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
 
 
 def run(tmp_path, *argv):
@@ -152,3 +157,47 @@ class TestErrors:
                     str(tmp_path / "missing.json"))
         assert rc == 1
         assert "cannot read config" in capsys.readouterr().err
+
+    def test_bad_log_level_is_config_error(self, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.setenv("CVX_LOG", "verbose")
+        rc, _ = run(tmp_path, "geometry-test", "--config",
+                    str(SCENARIOS / "S1.json"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "CVX_LOG" in err and "Traceback" not in err
+
+    def test_log_level_applies_to_package_logger_only(self, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setenv("CVX_LOG", "debug")
+        pkg = logging.getLogger("statecon")
+        root_level, pkg_level = logging.getLogger().level, pkg.level
+        try:
+            rc, _ = run(tmp_path, "geometry-test", "--config",
+                        str(SCENARIOS / "S1.json"))
+            assert rc == 0
+            assert pkg.level == logging.DEBUG
+            assert logging.getLogger().level == root_level
+        finally:
+            pkg.setLevel(pkg_level)
+
+
+class TestDeterminism:
+    def test_outputs_independent_of_blas_threads(self, tmp_path):
+        # two fresh processes, one and two BLAS threads: the solve must
+        # write the same bytes
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+                str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+            subprocess.run([sys.executable, "-m", "statecon.cli", "solve",
+                            "--config", str(SCENARIOS / "S1.json"),
+                            "--grid-n", "128", "--out", str(out)],
+                           env=env, check=True, capture_output=True,
+                           timeout=600)
+            outputs.append([(out / name).read_bytes() for name in
+                            ("trajectory.csv", "pmp_report.json")])
+        assert outputs[0] == outputs[1]

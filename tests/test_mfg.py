@@ -2,13 +2,20 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from dataclasses import replace
+
 from statecon import (Ball, DiscreteMeasure, GaussianKernelCoupling,
-                      TrajectoryMeasure, Trajectory, UnbalancedMeasure,
-                      best_response, constant_measure, evaluate_flow,
+                      LinearPotential, PenaltyParams, TrajectoryMeasure,
+                      Trajectory, UnbalancedMeasure, best_response,
+                      constant_measure, delta_choice, evaluate_flow,
                       fixed_point, kantorovich_d1, lip_flow,
-                      monotonicity_check, quadratic_problem)
+                      minimize_penalized, monotonicity_check,
+                      quadratic_problem)
 from statecon.mfg import (_prune, coupled_problem, equilibrium_residual,
                           flow_speed_bound)
+from statecon.penalty import _action_hessian, _cost_and_grad, _stationarity
+
+from conftest import fd_action_hessian
 
 
 RNG = np.random.default_rng(17)
@@ -216,6 +223,72 @@ class TestCoupledProblem:
         v = RNG.uniform(-1, 1, (3, 2))
         assert np.allclose(single.f(t, x, v), prob.f(t, x, v), atol=1e-14)
         assert single.kappa == 0.0
+
+
+def pulled_crowd_problem(terminal_amp=0.3):
+    """Coupled problem whose minimizer lands on the unit circle and rests
+    there against a crowd of two moving particles."""
+    disk = Ball([0.0, 0.0], 1.0)
+    base = quadratic_problem(2, potential=LinearPotential([-3.0, 0.0]),
+                             T=1.0, M=9.0, kappa=0.0)
+    trajs = [Trajectory(0.0, 1.0, np.linspace(a, b, 33))
+             for a, b in (([0.3, 0.1], [0.6, 0.4]), ([0.5, -0.2], [0.2, -0.6]))]
+    eta = TrajectoryMeasure(trajs, np.array([0.4, 0.6]))
+    c = GaussianKernelCoupling(amp=0.5, scale=0.5, terminal_amp=terminal_amp)
+    return disk, coupled_problem(base, disk, c, eta)
+
+
+class TestCoupledHessian:
+    def test_fxx_matches_finite_differences_of_fx(self):
+        disk, single = pulled_crowd_problem()
+        t = RNG.uniform(0.0, 1.0, 5)
+        x = RNG.uniform(-0.8, 0.8, (5, 2))
+        v = RNG.uniform(-1.0, 1.0, (5, 2))
+        h = 1e-6
+        H = single.fxx(t, x, v)
+        for k in range(2):
+            e = np.zeros(2)
+            e[k] = h
+            fd = (single.fx(t, x + e, v) - single.fx(t, x - e, v)) / (2 * h)
+            assert np.max(np.abs(H[:, :, k] - fd)) < 1e-8
+
+    def test_terminal_hessian_matches_finite_differences_of_Dg(self):
+        disk, single = pulled_crowd_problem()
+        x = RNG.uniform(-0.8, 0.8, (4, 2))
+        h = 1e-6
+        H = single.D2g(x)
+        assert np.max(np.abs(H)) > 0.1  # terminal coupling is active
+        for k in range(2):
+            e = np.zeros(2)
+            e[k] = h
+            fd = (single.Dg(x + e) - single.Dg(x - e)) / (2 * h)
+            assert np.max(np.abs(H[:, :, k] - fd)) < 1e-8
+
+    def test_action_hessian_matches_finite_differences(self):
+        disk, single = pulled_crowd_problem()
+        for _ in range(3):
+            gamma = Trajectory(0.0, 1.0, RNG.uniform(-0.6, 0.6, (13, 2)))
+            H = _action_hessian(single, gamma).toarray()
+            assert np.max(np.abs(H - fd_action_hessian(single, gamma))) < 1e-6
+
+    def test_newton_finish_matches_quasi_newton_result(self):
+        # without fxx the solve is the quasi-Newton-only path; the Newton
+        # finish must land on the same minimizer, to full stationarity
+        disk, single = pulled_crowd_problem()
+        delta, _ = delta_choice(single, disk)
+        params = PenaltyParams(epsilon=0.0625, delta=delta, rho=disk.rho0,
+                               N=32)
+        results = {}
+        for prob in (single, replace(single, fxx=None)):
+            gamma = minimize_penalized(prob, disk, params, np.zeros(2))
+            cost, G, geo = _cost_and_grad(prob, disk, params, gamma)
+            stat = _stationarity(disk, params, gamma, G, geo)
+            assert stat <= 1e-8 * (1.0 + abs(cost))
+            results[prob.fxx is None] = gamma, stat, cost
+        (newton, stat, cost), (quasi, _, _) = results[False], results[True]
+        assert np.sum(np.abs(disk.b_many(newton.knots)) < 1e-9) >= 5
+        assert stat <= 1e-12 * (1.0 + abs(cost))
+        assert np.max(np.abs(newton.knots - quasi.knots)) < 1e-6
 
 
 class TestFixedPoint:

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from statecon import (Ball, LinearPotential, LinearTerminal, PenaltyParams,
-                      Trajectory, delta_choice, energy_bound,
-                      energy_certificate, epsilon_schedule, feasibility_gap,
-                      holder_gap, minimize_penalized, penalized_cost,
-                      quadratic_problem)
+                      Problem, Trajectory, delta_choice, energy_bound,
+                      energy_certificate, epsilon_schedule, extend_data,
+                      feasibility_gap, holder_gap, minimize_penalized,
+                      penalized_cost, quadratic_problem)
+from statecon.penalty import _action_hessian
 
-from conftest import s1_exact
+from conftest import fd_action_hessian, s1_exact
 
 
 def naive_cost(prob, dom, params, gamma):
@@ -99,6 +100,80 @@ class TestPenalizedCost:
             0.5 * gamma.energy(), rel=1e-12)
 
 
+class TestActionHessian:
+    def test_matches_finite_differences_of_gradient(self):
+        rng = np.random.default_rng(23)
+        prob = quadratic_problem(2, A=[[2.0, 0.5], [0.5, 1.0]],
+                                 potential=LinearPotential([1.0, -2.0]),
+                                 terminal=LinearTerminal([0.3, 0.1]),
+                                 T=1.0, M=9.0, kappa=0.0)
+        for _ in range(3):
+            gamma = Trajectory(0.0, 1.0, rng.uniform(-0.6, 0.6, (13, 2)))
+            H = _action_hessian(prob, gamma)
+            assert H.shape == (24, 24)
+            want = fd_action_hessian(prob, gamma)
+            assert np.max(np.abs(H.toarray() - want)) < 1e-6
+
+    def test_mixed_terms_match_finite_differences(self):
+        # f = |v|^2/2 + x0 x1 v0 + x1^2 v1 + |x|^4 / 4 has nonzero fxx and
+        # an unsymmetric fvx, which the quadratic family lacks
+        def f(t, x, v):
+            r2 = np.sum(x * x, axis=1)
+            return (0.5 * np.sum(v * v, axis=1) + x[:, 0] * x[:, 1] * v[:, 0]
+                    + x[:, 1] ** 2 * v[:, 1] + 0.25 * r2 ** 2)
+
+        def fx(t, x, v):
+            r2 = np.sum(x * x, axis=1)
+            return np.stack([x[:, 1] * v[:, 0] + r2 * x[:, 0],
+                             x[:, 0] * v[:, 0] + 2.0 * x[:, 1] * v[:, 1]
+                             + r2 * x[:, 1]], axis=1)
+
+        def fv(t, x, v):
+            return v + np.stack([x[:, 0] * x[:, 1], x[:, 1] ** 2], axis=1)
+
+        def fvv(t, x, v):
+            return np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy()
+
+        def fvx(t, x, v):
+            zero = np.zeros(x.shape[0])
+            return np.stack([np.stack([x[:, 1], x[:, 0]], axis=1),
+                             np.stack([zero, 2.0 * x[:, 1]], axis=1)], axis=1)
+
+        def fxx(t, x, v):
+            r2 = np.sum(x * x, axis=1)
+            off = v[:, 0] + 2.0 * x[:, 0] * x[:, 1]
+            return np.stack([
+                np.stack([r2 + 2.0 * x[:, 0] ** 2, off], axis=1),
+                np.stack([off, 2.0 * v[:, 1] + r2 + 2.0 * x[:, 1] ** 2],
+                         axis=1)], axis=1)
+
+        def zero(x):
+            return np.zeros(np.atleast_2d(x).shape[0])
+
+        def zero_grad(x):
+            return np.zeros_like(np.atleast_2d(x))
+
+        def zero_hess(x):
+            return np.zeros((np.atleast_2d(x).shape[0], 2, 2))
+
+        prob = Problem(f=f, fx=fx, fv=fv, fvv=fvv, fvx=fvx, g=zero,
+                       Dg=zero_grad, horizon=1.0, dim=2, mu=1.0, M=1.0,
+                       kappa=0.0, fxx=fxx, D2g=zero_hess)
+        rng = np.random.default_rng(29)
+        gamma = Trajectory(0.0, 1.0, rng.uniform(-0.6, 0.6, (13, 2)))
+        H = _action_hessian(prob, gamma).toarray()
+        assert np.max(np.abs(H - fd_action_hessian(prob, gamma))) < 1e-6
+
+    def test_block_tridiagonal_and_symmetric(self):
+        prob = quadratic_problem(2, A=[[2.0, 0.5], [0.5, 1.0]], M=1.0,
+                                 kappa=0.0)
+        gamma = Trajectory.constant(0.0, 1.0, np.zeros(2), 16)
+        H = _action_hessian(prob, gamma).toarray()
+        rows, cols = np.nonzero(H)
+        assert np.max(np.abs(rows // 2 - cols // 2)) == 1
+        assert np.array_equal(H, H.T)
+
+
 class TestMinimize:
     def test_interior_problem_linear_solution(self):
         # without an active constraint the minimizer of
@@ -133,6 +208,21 @@ def solved():
     delta, _ = delta_choice(prob, disk)
     gamma, params = epsilon_schedule(prob, disk, np.zeros(2), delta, N=64)
     return prob, disk, gamma, params
+
+
+class TestExtendedProblem:
+    def test_solves_without_state_hessian(self, disk, pull_problem):
+        # the extension has no fxx, so the solve runs on quasi-Newton
+        # iterations alone; inside the closed disk it equals the base data
+        ext = extend_data(pull_problem, disk, sigma=0.9)
+        assert ext.fxx is None
+        delta, _ = delta_choice(pull_problem, disk)
+        gamma, params = epsilon_schedule(ext, disk, np.zeros(2), delta, N=32)
+        base, base_params = epsilon_schedule(pull_problem, disk, np.zeros(2),
+                                             delta, N=32)
+        assert feasibility_gap(disk, gamma) <= 1e-6 * disk.diameter
+        assert params.epsilon == base_params.epsilon
+        assert np.max(np.abs(gamma.knots - base.knots)) < 1e-6
 
 
 class TestSchedule:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,29 @@ class TestComputeValue:
         prob, disk, _, _ = drift_value
         with pytest.raises(ValueError):
             compute_value(prob, disk, [0.0, 1.0], [[1.5, 0.0]], N=32)
+
+
+    def test_solver_failure_is_recorded(self, drift_value):
+        prob, disk, _, _ = drift_value
+
+        def f(t, x, v):
+            return np.full(np.atleast_2d(x).shape[0], np.inf)
+
+        vg = compute_value(replace(prob, f=f), disk, [0.0, 1.0],
+                           [[0.0, 0.0]], N=32)
+        assert len(vg.failures) == 1
+        assert "NonFiniteCost" in vg.failures[0][2]
+        assert np.isnan(vg.values[0, 0])
+
+    def test_programming_error_propagates(self, drift_value):
+        prob, disk, _, _ = drift_value
+
+        def f(t, x, v):
+            raise TypeError("bad running cost")
+
+        with pytest.raises(TypeError, match="bad running cost"):
+            compute_value(replace(prob, f=f), disk, [0.0, 1.0],
+                          [[0.0, 0.0]], N=32)
 
 
 class TestLipschitz:

@@ -293,8 +293,7 @@ def coupled_problem(prob: Problem, dom: Domain, coupling,
                    coefficients={"base": prob.family,
                                  "coupling": getattr(coupling, "to_config",
                                                      lambda: {})()},
-                   fxx=None if prob.fxx is None else fxx,
-                   D2g=None if prob.D2g is None else D2g)
+                   fxx=fxx, D2g=D2g)
 
 
 def best_response(prob: Problem, dom: Domain, coupling,

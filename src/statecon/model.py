@@ -145,10 +145,9 @@ class Problem:
     """Running cost f with first/second derivatives, terminal cost g, horizon,
     and declared structural constants (mu, M, kappa).
 
-    The state Hessians ``fxx`` and ``D2g`` are optional.  When both are
-    given, the discrete action has an exact Hessian and the penalty solver
-    finishes each minimization with Newton steps on its KKT system; when
-    either is None it relies on quasi-Newton iterations alone.
+    The state Hessians ``fxx`` and ``D2g`` are required: with them the
+    discrete action has an exact Hessian, on which the penalty solver
+    finishes every minimization with Newton steps.
     """
 
     f: Callable          # (t, x, v) -> (m,)
@@ -163,10 +162,10 @@ class Problem:
     mu: float
     M: float
     kappa: float
+    fxx: Callable        # (t, x, v) -> (m, n, n), d2f/dx_i dx_j
+    D2g: Callable        # (x,) -> (m, n, n)
     family: str = "custom"
     coefficients: dict = field(default_factory=dict)
-    fxx: Callable | None = None   # (t, x, v) -> (m, n, n), d2f/dx_i dx_j
-    D2g: Callable | None = None   # (x,) -> (m, n, n)
 
     def __post_init__(self):
         if self.mu < 1:
@@ -485,14 +484,16 @@ def energy_bound(prob: Problem, dom: Domain, report: AssumptionReport | None = N
 
 
 def _smoothstep(u):
-    """C^2 quintic step: 0 on (-inf, 1/3], 1 on [2/3, inf)."""
+    """C^2 quintic step S(u), 0 on (-inf, 1/3] and 1 on [2/3, inf), with its
+    first and second derivatives."""
     s = np.clip((np.asarray(u, dtype=float) - 1.0 / 3.0) * 3.0, 0.0, 1.0)
-    return s ** 3 * (10.0 - 15.0 * s + 6.0 * s ** 2)
+    return (s ** 3 * (10.0 - 15.0 * s + 6.0 * s ** 2),
+            3.0 * 30.0 * s ** 2 * (1.0 - s) ** 2,
+            9.0 * 60.0 * s * (1.0 - s) * (1.0 - 2.0 * s))
 
 
-def _smoothstep_d(u):
-    s = np.clip((np.asarray(u, dtype=float) - 1.0 / 3.0) * 3.0, 0.0, 1.0)
-    return 3.0 * 30.0 * s ** 2 * (1.0 - s) ** 2
+def _outer(a, b):
+    return a[:, :, None] * b[:, None, :]
 
 
 def extend_data(prob: Problem, dom: Domain, sigma: float) -> Problem:
@@ -501,59 +502,81 @@ def extend_data(prob: Problem, dom: Domain, sigma: float) -> Problem:
     if not 0 < sigma <= dom.rho0:
         raise SigmaTooLarge(f"sigma must lie in (0, {dom.rho0:g}]")
 
-    def xi_and_dxi(x):
+    def cutoff(x):
+        """xi = S(b/sigma), D xi = S'/sigma Db and
+        D2 xi = S''/sigma^2 Db Db^T + S'/sigma D2b."""
         x = np.atleast_2d(x)
-        b = dom.b_many(x)
-        u = b / sigma
-        xi = _smoothstep(u)
-        band = (u > 1.0 / 3.0) & (u < 2.0 / 3.0)
+        u = dom.b_many(x) / sigma
+        xi, s1, s2 = _smoothstep(u)
+        band = (u > 1.0 / 3.0) & (u < 2.0 / 3.0)  # where S' and S'' live
         dxi = np.zeros_like(x)
+        d2xi = np.zeros((x.shape[0], prob.dim, prob.dim))
         if np.any(band):
-            g = dom.grad_many(x[band])
-            dxi[band] = (_smoothstep_d(u[band]) / sigma)[:, None] * g
-        return xi, dxi
+            _, Db, D2b, _ = dom.eval(x[band])
+            s1, s2 = s1[band] / sigma, s2[band] / sigma ** 2
+            dxi[band] = s1[:, None] * Db
+            d2xi[band] = (s2[:, None, None] * _outer(Db, Db)
+                          + s1[:, None, None] * D2b)
+        return xi, dxi, d2xi
 
     def f(t, x, v):
         t, x, v = _batch(t, x, v)
-        xi, _ = xi_and_dxi(x)
+        xi, _, _ = cutoff(x)
         kin = 0.5 * np.einsum("mi,mi->m", v, v)
         return xi * kin + (1 - xi) * prob.f(t, x, v)
 
     def fv(t, x, v):
         t, x, v = _batch(t, x, v)
-        xi, _ = xi_and_dxi(x)
+        xi, _, _ = cutoff(x)
         return xi[:, None] * v + (1 - xi)[:, None] * prob.fv(t, x, v)
 
     def fvv(t, x, v):
         t, x, v = _batch(t, x, v)
-        xi, _ = xi_and_dxi(x)
+        xi, _, _ = cutoff(x)
         eye = np.eye(prob.dim)
         return (xi[:, None, None] * eye[None]
                 + (1 - xi)[:, None, None] * prob.fvv(t, x, v))
 
     def fvx(t, x, v):
         t, x, v = _batch(t, x, v)
-        xi, dxi = xi_and_dxi(x)
+        xi, dxi, _ = cutoff(x)
         diff = v - prob.fv(t, x, v)
         return (diff[:, :, None] * dxi[:, None, :]
                 + (1 - xi)[:, None, None] * prob.fvx(t, x, v))
 
     def fx(t, x, v):
         t, x, v = _batch(t, x, v)
-        xi, dxi = xi_and_dxi(x)
+        xi, dxi, _ = cutoff(x)
         kin = 0.5 * np.einsum("mi,mi->m", v, v)
         return ((kin - prob.f(t, x, v))[:, None] * dxi
                 + (1 - xi)[:, None] * prob.fx(t, x, v))
 
+    def fxx(t, x, v):
+        t, x, v = _batch(t, x, v)
+        xi, dxi, d2xi = cutoff(x)
+        kin = 0.5 * np.einsum("mi,mi->m", v, v)
+        fxb = prob.fx(t, x, v)
+        return ((kin - prob.f(t, x, v))[:, None, None] * d2xi
+                - _outer(dxi, fxb) - _outer(fxb, dxi)
+                + (1 - xi)[:, None, None] * prob.fxx(t, x, v))
+
     def g(x):
         x = np.atleast_2d(x)
-        xi, _ = xi_and_dxi(x)
+        xi, _, _ = cutoff(x)
         return (1 - xi) * prob.g(x)
 
     def Dg(x):
         x = np.atleast_2d(x)
-        xi, dxi = xi_and_dxi(x)
+        xi, dxi, _ = cutoff(x)
         return -prob.g(x)[:, None] * dxi + (1 - xi)[:, None] * prob.Dg(x)
+
+    def D2g(x):
+        x = np.atleast_2d(x)
+        xi, dxi, d2xi = cutoff(x)
+        Dgb = prob.Dg(x)
+        return (-prob.g(x)[:, None, None] * d2xi
+                - _outer(dxi, Dgb) - _outer(Dgb, dxi)
+                + (1 - xi)[:, None, None] * prob.D2g(x))
 
     # the cutoff derivative enlarges the v = 0 base bound; re-measure it
     rng = np.random.default_rng(6)
@@ -575,4 +598,5 @@ def extend_data(prob: Problem, dom: Domain, sigma: float) -> Problem:
     return Problem(f=f, fx=fx, fv=fv, fvv=fvv, fvx=fvx, g=g, Dg=Dg,
                    horizon=prob.horizon, dim=prob.dim, mu=mu,
                    M=max(M, prob.M), kappa=prob.kappa, family="extended",
-                   coefficients={"base": prob.family, "sigma": sigma})
+                   coefficients={"base": prob.family, "sigma": sigma},
+                   fxx=fxx, D2g=D2g)

@@ -8,7 +8,7 @@ trapezoid rule using the per-interval velocity at both interval ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -132,19 +132,9 @@ def penalized_cost(prob: Problem, dom: Domain, params: PenaltyParams,
     return _cost_and_grad(prob, dom, params, gamma, need_grad=False)[0]
 
 
-def _distance_grad(dom: Domain, geo: BoundaryEval) -> np.ndarray:
-    """Gradient selection of d = max(b, 0): 0 inside, Db outside, and the
-    midpoint Db/2 on the boundary band (fixed tie-break)."""
-    tol = dom.boundary_tol
-    scale = np.where(geo.b > tol, 1.0, np.where(geo.b > -tol, 0.5, 0.0))
-    return geo.Db * scale[:, None]
-
-
-def _action_grad(prob: Problem, gamma: Trajectory,
-                 terminal: bool = True) -> np.ndarray:
+def _action_grad(prob: Problem, gamma: Trajectory) -> np.ndarray:
     """Gradient of the discrete action (running plus terminal cost, no
-    distance penalties) with respect to all knots.  ``terminal=False`` leaves
-    the terminal term to the caller."""
+    distance penalties) with respect to all knots."""
     X = gamma.knots
     N, n = gamma.N, gamma.dim
     dt = gamma.dt
@@ -160,8 +150,7 @@ def _action_grad(prob: Problem, gamma: Trajectory,
     fvsum = 0.5 * (prob.fv(tl, xl, V) + prob.fv(tr, xr, V))
     G[1:] += fvsum
     G[:-1] -= fvsum
-    if terminal:
-        G[-1] += prob.Dg(X[-1:])[0]
+    G[-1] += prob.Dg(X[-1:])[0]
     return G
 
 
@@ -232,13 +221,14 @@ def _cost_and_grad(prob: Problem, dom: Domain, params: PenaltyParams,
     if not need_grad:
         return cost, None, geo
 
-    G = _action_grad(prob, gamma, terminal=False)
-    # penalty terms (subgradient selection on the boundary band)
-    dgrad = _distance_grad(dom, geo)
+    G = _action_grad(prob, gamma)
+    # gradient selection of d = max(b, 0): 0 inside, Db outside, and the
+    # midpoint Db/2 on the boundary band (fixed tie-break)
+    tol = dom.boundary_tol
+    scale = np.where(geo.b > tol, 1.0, np.where(geo.b > -tol, 0.5, 0.0))
+    dgrad = geo.Db * scale[:, None]
     G += (w / params.epsilon)[:, None] * dgrad
     G[-1] += dgrad[-1] / params.delta
-    # terminal term last, the summation order of the last row
-    G[-1] += prob.Dg(X[-1:])[0]
     return cost, G, geo
 
 
@@ -267,174 +257,103 @@ def _stationarity(dom: Domain, params: PenaltyParams, gamma: Trajectory,
     return float(np.linalg.norm(R.ravel(), ord=np.inf))
 
 
-def _snap_to_boundary(dom: Domain, params: PenaltyParams, gamma: Trajectory,
-                      G: np.ndarray, geo: BoundaryEval,
-                      band: float) -> Trajectory:
-    """Move near-boundary knots onto the boundary when the gradient says the
-    minimizer sits on the kink of the distance penalty there; the caller
-    accepts the result only if the cost does not increase."""
-    b = geo.b
-    cand = np.abs(b) < band
-    cand[0] = False  # the initial knot is pinned
-    if not np.any(cand):
-        return gamma
-    Db = geo.Db[cand]
-    slope = np.einsum("mi,mi->m", G[cand], Db)
-    w = _trapezoid_weights(gamma.N, gamma.dt) / params.epsilon
-    w[-1] += 1.0 / params.delta
-    # outside knots already carry the full penalty gradient in G; the kink
-    # test asks whether the outward slope changes sign across b = 0
-    outside = b[cand] > dom.boundary_tol
-    lo = np.where(outside, slope - w[cand], slope)
-    hi = np.where(outside, slope, slope + w[cand])
-    sel = np.where(cand)[0][(lo < 0.0) & (hi > 0.0)]
-    if sel.size == 0:
-        return gamma
-    X = gamma.knots.copy()
-    X[sel] = geo.P[sel]
-    return Trajectory(gamma.t0, gamma.t1, X)
+def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
+                   traj: Trajectory, cost: float) -> Trajectory:
+    """Newton's method on the full penalized problem, from ``traj`` with
+    penalized cost ``cost``.
 
+    Every free knot sits in one of three groups, each smooth:
 
-def _manifold_polish(prob: Problem, dom: Domain, params: PenaltyParams,
-                     gamma: Trajectory, geo: BoundaryEval, max_iter: int):
-    """Finish the minimization with boundary-contact knots constrained to the
-    boundary through the smooth projection x = z - b(z) Db(z).
+    - inside (b < 0): no penalty;
+    - outside (b > 0): the penalty c b with c = w/eps (+1/delta at the last
+      knot), which adds c Db to the gradient and c D2b to its diagonal
+      Hessian block;
+    - boundary: an equality row b = 0 whose multiplier must lie in [0, c].
 
-    On the contact manifold the distance penalty is constant, so the reduced
-    objective is smooth and quasi-Newton convergence is restored.
+    Each step solves the KKT system of the action's exact block-tridiagonal
+    Hessian (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 18).
+    Primal-dual active-set updates move the groups (Hintermueller, Ito &
+    Kunisch, SIAM J. Optim. 13, 2002): a boundary multiplier below 0
+    releases its knot inside, one above c releases it outside, and a knot
+    whose step crosses b = 0 joins the boundary.  Each step backtracks on
+    the penalized cost, which keeps the groups from cycling.  Returns the
+    best point reached; the caller certifies it.
     """
-    active = np.abs(geo.b) <= dom.boundary_tol
-    active[0] = False
-    if not np.any(active):
-        return gamma
-    x0 = gamma.knots[0]
-    n = gamma.dim
-    act = active[1:]  # over free knots
-
-    def unpack(z):
-        X = z.reshape(gamma.N, n).copy()
-        za = dom.eval(X[act])
-        X[act] = X[act] - za.b[:, None] * za.Db
-        return X, za
-
-    def objective(z):
-        X, za = unpack(z)
-        traj = Trajectory(gamma.t0, gamma.t1, np.vstack([x0, X]))
-        c, G, _ = _cost_and_grad(prob, dom, params, traj)
-        Gf = G[1:].copy()
-        # exact Jacobian of the projection map (symmetric)
-        J = (np.eye(n)[None]
-             - za.Db[:, :, None] * za.Db[:, None, :]
-             - za.b[:, None, None] * za.D2b)
-        Gf[act] = np.einsum("mij,mj->mi", J, Gf[act])
-        return c, Gf.ravel()
-
-    res = _scipy_minimize(objective, gamma.knots[1:].ravel(), jac=True,
-                          method="L-BFGS-B",
-                          options={"maxiter": max_iter, "maxcor": 20,
-                                   "ftol": 1e-18, "gtol": 1e-14})
-    X, _ = unpack(res.x)
-    return Trajectory(gamma.t0, gamma.t1, np.vstack([x0, X]))
-
-
-def _newton_kkt_polish(prob: Problem, dom: Domain, params: PenaltyParams,
-                       gamma: Trajectory, geo: BoundaryEval,
-                       max_newton: int = 8) -> Trajectory:
-    """Sharpen the minimizer to machine-precision stationarity.
-
-    Near a minimizer the discrete action is smooth with a block-tridiagonal
-    Hessian, and the only other curvature is the boundary constraint, so a
-    few Newton steps on the KKT system of
-
-        min action(x)  subject to  b(x_i) = 0 on the contact set
-
-    land on the discrete optimality system.  The Hessian is reassembled at
-    every step from fxx, fvx, fvv and D2g (Nocedal & Wright, Numerical
-    Optimization, 2nd ed., ch. 18); problems without fxx or D2g are returned
-    unchanged.  Quasi-Newton output is accurate to ~1e-5 in the knots, which
-    the 1/dt^2 differentiation of the adjoint recovery amplifies; this polish
-    removes that floor.  Knots with a multiplier outside the admissible
-    penalty-slope range are released and the step recomputed; if the active
-    set cannot be reconciled the input is returned unchanged.
-    """
-    if prob.fxx is None or prob.D2g is None:
-        return gamma
-    X = gamma.knots
-    b = geo.b
-    if np.max(b) > dom.boundary_tol:
-        return gamma  # outside knots still carry penalty slope; not at a kink
-    N, n = gamma.N, gamma.dim
-    nf = N * n  # free knots 1..N
-
-    act_band = max(dom.boundary_tol, 1e-7 * dom.diameter)
-    active = np.flatnonzero(np.abs(b[1:]) <= act_band) + 1
-    w = _trapezoid_weights(N, gamma.dt)
-    mmax = w / params.epsilon
-    mmax[-1] += 1.0 / params.delta
-
-    Xp = X.copy()
-    for _ in range(4):  # active-set reconciliation loop
-        mults = np.zeros(active.size)
-        for _newton in range(max_newton):
-            traj = Trajectory(gamma.t0, gamma.t1, Xp)
-            g = _action_grad(prob, traj)[1:].ravel()
-            if active.size:
-                ba, Db, D2b, _ = dom.eval(Xp[active])
-                curv = np.zeros((N, n, n))
-                curv[active - 1] = mults[:, None, None] * D2b
-                H = _action_hessian(prob, traj, curv)
-                rows = np.repeat(np.arange(active.size), n)
-                cols = ((active[:, None] - 1) * n
-                        + np.arange(n)[None, :]).ravel()
-                C = sparse.csr_matrix((Db.ravel(), (rows, cols)),
-                                      shape=(active.size, nf))
-                KKT = sparse.bmat([[H, C.T], [C, None]], format="csc")
-                rhs = np.concatenate([-g, -ba])
-            else:
-                KKT = sparse.csc_matrix(_action_hessian(prob, traj))
-                rhs = -g
-            sol = spsolve(KKT, rhs)
-            step = sol[:nf].reshape(N, n)
-            if active.size:
-                mults = sol[nf:]
-            Xp[1:] += step
-            if np.max(np.abs(step)) < 1e-13 * (1.0 + dom.diameter):
+    N, n = traj.N, traj.dim
+    nf = N * n
+    c = _trapezoid_weights(N, traj.dt)[1:] / params.epsilon
+    c[-1] += 1.0 / params.delta
+    geo = dom.eval(traj.knots)
+    # the L-BFGS round leaves contact knots within ~1e-7 diam of b = 0; a
+    # wider band pins interior knots, which are then released one by one
+    band = 1e-5 * dom.diameter
+    b = geo.b[1:]
+    outside = b > band
+    boundary = np.abs(b) <= band
+    mult = np.zeros(N)
+    step = np.zeros((N + 1, n))  # knot 0 is pinned
+    for _ in range(30):
+        Db, D2b = geo.Db[1:], geo.D2b[1:]
+        grad = _action_grad(prob, traj)[1:]
+        while True:  # re-solve until no boundary multiplier releases a knot
+            g = grad.copy()
+            g[outside] += c[outside, None] * Db[outside]
+            slope = np.where(outside, c, np.where(boundary, mult, 0.0))
+            H = _action_hessian(prob, traj, slope[:, None, None] * D2b)
+            act = np.flatnonzero(boundary)
+            cols = (act[:, None] * n + np.arange(n)[None, :]).ravel()
+            C = sparse.csr_matrix((Db[act].ravel(), cols,
+                                   n * np.arange(act.size + 1)),
+                                  shape=(act.size, nf))
+            KKT = sparse.bmat([[H, C.T], [C, None]], format="csc")
+            sol = spsolve(KKT, np.concatenate([-g.ravel(), -b[act]]))
+            mu = sol[nf:]
+            # a multiplier out of [0, c] releases its knot only toward the
+            # side it sits on, which keeps the step a descent direction
+            low = (mu < -1e-10 * c[act]) & (b[act] <= dom.boundary_tol)
+            high = (mu > (1 + 1e-10) * c[act]) & (b[act] >= -dom.boundary_tol)
+            mult[act] = np.clip(mu, 0.0, c[act])
+            if not np.any(low | high):
                 break
-        bad = (np.flatnonzero((mults < -1e-9)
-                              | (mults > mmax[active] + 1e-9))
-               if active.size else np.array([], dtype=int))
-        if bad.size == 0:
-            if active.size:
-                Xp[active] = dom.project_many(Xp[active])
-            return Trajectory(gamma.t0, gamma.t1, Xp)
-        if np.any(mults[bad] > 0):
-            return gamma  # penalty slope cannot hold the boundary here
-        active = np.delete(active, bad)
-        Xp = X.copy()
-    return gamma
-
-
-def _no_worse(prob: Problem, dom: Domain, params: PenaltyParams, cur: tuple,
-              gamma: Trajectory, rtol: float) -> tuple:
-    """Step from ``cur`` = (trajectory, cost, gradient, geometry) to gamma
-    when its cost is no worse than the current one, up to rtol."""
-    if gamma is cur[0]:
-        return cur
-    cost, G, geo = _cost_and_grad(prob, dom, params, gamma)
-    if cost <= cur[1] + rtol * (1.0 + abs(cur[1])):
-        return gamma, cost, G, geo
-    return cur
+            boundary[act[low | high]] = False
+            outside[act[high]] = True
+        step[1:] = sol[:nf].reshape(N, n)
+        alpha = 1.0
+        while alpha >= 1e-10:
+            trial = Trajectory(traj.t0, traj.t1, traj.knots + alpha * step)
+            geo_t = dom.eval(trial.knots)
+            cost_t = _cost_and_grad(prob, dom, params, trial,
+                                    need_grad=False, geo=geo_t)[0]
+            if cost_t <= cost + 1e-14 * (1.0 + abs(cost)):
+                break
+            alpha *= 0.5
+        else:
+            break  # no decrease along the step: keep the best point
+        traj, geo, cost = trial, geo_t, cost_t
+        b = geo.b[1:]
+        crossed = ~boundary & ((outside & (b < 0.0)) | (~outside & (b > 0.0)))
+        boundary |= crossed
+        outside &= ~crossed
+        if np.max(np.abs(alpha * step)) < 1e-13 * (1.0 + dom.diameter):
+            break
+    traj.knots[1:][boundary] = geo.P[1:][boundary]
+    return traj
 
 
 def minimize_penalized(prob: Problem, dom: Domain, params: PenaltyParams,
                        x0, init: Trajectory | None = None,
                        max_iter: int = 100000) -> Trajectory:
-    """Quasi-Newton minimization of the penalized cost over interior knots.
+    """Minimize the penalized cost over the free knots 1..N.
 
-    The objective is smooth away from {b = 0}; near-boundary knots are snapped
-    onto the boundary between solver rounds (accepted only when the cost does
-    not increase), and stationarity is measured by the minimal-norm
-    subgradient, which handles minimizers sitting exactly on the kink.
+    Two stages: one L-BFGS-B round at gtol 1e-6 locates the contact set,
+    then one Newton finish on the full penalized problem (``_newton_finish``)
+    solves the discrete optimality system to machine precision.  The result
+    is certified by the minimal-norm element of the subdifferential: its
+    norm must fall below 1e-8 (1 + |cost|), else MaxIterations is raised.
+
+    Runaway is raised when an accepted L-BFGS-B iterate leaves the tube by a
+    full diameter (trial points of its line searches may go further), and
+    NonFiniteCost when a cost evaluation is not finite.
     """
     x0 = np.asarray(x0, dtype=float)
     if dom.signed_distance(x0) > dom.boundary_tol:
@@ -443,60 +362,38 @@ def minimize_penalized(prob: Problem, dom: Domain, params: PenaltyParams,
         0.0, prob.horizon, x0, params.N)
     if gamma.N != params.N:
         raise ValueError("init grid does not match params.N")
-    gamma = Trajectory(gamma.t0, gamma.t1,
-                       np.vstack([x0, gamma.knots[1:]]))
 
-    n = gamma.dim
-    shape = (params.N, n)
+    def knots(z):
+        return Trajectory(gamma.t0, gamma.t1,
+                          np.vstack([x0, z.reshape(params.N, -1)]))
 
-    leash = params.rho + dom.diameter
+    last = {}
 
     def objective(z):
-        traj = Trajectory(gamma.t0, gamma.t1,
-                          np.vstack([x0, z.reshape(shape)]))
-        geo = dom.eval(traj.knots, hess=False)
-        if np.max(geo.b) > leash:
-            raise Runaway("iterates left the tube; epsilon is too large")
-        c, G, _ = _cost_and_grad(prob, dom, params, traj, geo=geo)
+        c, G, geo = _cost_and_grad(prob, dom, params, knots(z))
         if not np.isfinite(c):
             raise NonFiniteCost(f"penalized cost became {c}")
+        last.update(z=z.copy(), bmax=np.max(geo.b))
         return c, G[1:].ravel()
 
-    z = gamma.knots[1:].ravel()
-    snap_band = 1e-3 * dom.diameter
-    used = 0
-    # early rounds only need to localize the contact set; the boundary snap
-    # and the Newton finish supply the precision
-    gtols = (1e-6, 1e-8, 1e-10, 1e-12, 1e-12, 1e-12)
-    for _round in range(6):
-        res = _scipy_minimize(objective, z, jac=True, method="L-BFGS-B",
-                              options={"maxiter": max_iter - used,
-                                       "maxcor": 20,
-                                       "ftol": 1e-18,
-                                       "gtol": gtols[_round]})
-        used += max(res.nit, 1)
-        z = res.x
-        traj = Trajectory(gamma.t0, gamma.t1, np.vstack([x0, z.reshape(shape)]))
-        cur = (traj, *_cost_and_grad(prob, dom, params, traj))
-        cur = _no_worse(prob, dom, params, cur, _snap_to_boundary(
-            dom, params, cur[0], cur[2], cur[3], snap_band), 1e-12)
-        cur = _no_worse(prob, dom, params, cur, _manifold_polish(
-            prob, dom, params, cur[0], cur[3], max_iter - used), 1e-12)
-        cur = _no_worse(prob, dom, params, cur, _newton_kkt_polish(
-            prob, dom, params, cur[0], cur[3]), 1e-10)
-        traj, cost, G, geo = cur
-        z = traj.knots[1:].ravel()
-        stat = _stationarity(dom, params, traj, G, geo)
-        if stat < 1e-8 * (1.0 + abs(cost)):
-            return traj
-        if used >= max_iter:
-            raise MaxIterations(f"descent budget {max_iter} exhausted "
-                                f"(stationarity {stat:.3e})")
-        snap_band *= 0.1
-    # ran out of polish rounds; accept only if stationarity is reasonable
-    if stat < 1e-6 * (1.0 + abs(cost)):
+    def leash_check(z):
+        # L-BFGS-B reports the last point it evaluated as its new iterate
+        bmax = (last["bmax"] if np.array_equal(z, last["z"])
+                else np.max(dom.eval(knots(z).knots, hess=False).b))
+        if bmax > params.rho + dom.diameter:
+            raise Runaway("iterates left the tube; epsilon is too large")
+
+    res = _scipy_minimize(objective, gamma.knots[1:].ravel(), jac=True,
+                          method="L-BFGS-B", callback=leash_check,
+                          options={"maxiter": max_iter, "maxcor": 20,
+                                   "ftol": 1e-18, "gtol": 1e-6})
+    traj = _newton_finish(prob, dom, params, knots(res.x), res.fun)
+    cost, G, geo = _cost_and_grad(prob, dom, params, traj)
+    stat = _stationarity(dom, params, traj, G, geo)
+    if stat < 1e-8 * (1.0 + abs(cost)):
         return traj
-    raise MaxIterations(f"stationarity stalled at {stat:.3e}")
+    raise MaxIterations(f"stationarity stalled at {stat:.3e} "
+                        f"({res.nit} L-BFGS-B iterations)")
 
 
 def delta_choice(prob: Problem, dom: Domain, samples: int = 2048,

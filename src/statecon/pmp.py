@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Domain, OutsideTube
-from .model import Hamiltonian, Problem
+from .model import (Hamiltonian, Problem, energy_bound,
+                    measure_hamiltonian_constants)
 from .penalty import PenaltyParams, Trajectory
 
 
@@ -168,7 +169,8 @@ def feedback_lambda(ham: Hamiltonian, dom: Domain, t, x, p) -> float:
 class Extremal:
     """Minimizer bundled with its co-state and multipliers.
 
-    lam stores the observable product (multiplier over epsilon); params, when
+    lam stores the observable product (multiplier over epsilon); C is the
+    measured growth constant C(mu, M') of H behind Lstar; params, when
     present, records the penalty run that produced gamma.
     """
 
@@ -178,6 +180,7 @@ class Extremal:
     beta_over_delta: float
     r: np.ndarray
     Lstar: float
+    C: float
     params: PenaltyParams | None = None
 
 
@@ -191,27 +194,31 @@ def hamiltonian_drift(prob: Problem, dom: Domain, gamma: Trajectory,
     return r
 
 
+def _c1(prob: Problem, C: float, Dg: np.ndarray, K: float) -> float:
+    """C1 = 8 mu + 8 mu max|Dg|^2 + 2 C + kappa (T + 4 mu K), with the
+    maximum over the rows of Dg."""
+    ndg = float(np.max(np.linalg.norm(Dg, axis=1)))
+    return (8 * prob.mu + 8 * prob.mu * ndg ** 2 + 2 * C
+            + prob.kappa * (prob.horizon + 4 * prob.mu * K))
+
+
+def _speed_bound(prob: Problem, dom: Domain, C: float, delta: float,
+                 K: float) -> float:
+    Dg = prob.Dg(dom.sample_extended(np.random.default_rng(4), 1024))
+    return C * (2.0 * np.sqrt(prob.mu * _c1(prob, C, Dg, K)) / delta + 1.0)
+
+
 def velocity_bound(prob: Problem, dom: Domain, delta: float, K: float,
                    rng: np.random.Generator | None = None) -> float:
     """L* = C(mu, M') (2 sqrt(mu C1)/delta + 1) with measured constants."""
-    from .model import measure_hamiltonian_constants
-
-    ham = Hamiltonian(prob)
-    Mp, C = measure_hamiltonian_constants(ham, dom, rng=rng)
-    rng2 = np.random.default_rng(4)
-    Dg = prob.Dg(dom.sample_extended(rng2, 1024))
-    ndg = float(np.max(np.linalg.norm(Dg, axis=1)))
-    C1 = (8 * prob.mu + 8 * prob.mu * ndg ** 2 + 2 * C
-          + prob.kappa * (prob.horizon + 4 * prob.mu * K))
-    return C * (2.0 * np.sqrt(prob.mu * C1) / delta + 1.0)
+    _, C = measure_hamiltonian_constants(Hamiltonian(prob), dom, rng=rng)
+    return _speed_bound(prob, dom, C, delta, K)
 
 
 def make_extremal(prob: Problem, dom: Domain, gamma: Trajectory,
                   params: PenaltyParams | None = None,
                   K: float | None = None) -> Extremal:
     """Assemble the full first-order bundle from a certified minimizer."""
-    from .model import energy_bound
-
     p = recover_adjoint(prob, gamma, dom)
     lam, nu, _ = multiplier_from_residual(prob, dom, gamma, p)
     r = hamiltonian_drift(prob, dom, gamma, p,
@@ -219,9 +226,10 @@ def make_extremal(prob: Problem, dom: Domain, gamma: Trajectory,
     if K is None:
         K = energy_bound(prob, dom)
     delta = params.delta if params is not None else 1.0
-    Lstar = velocity_bound(prob, dom, delta, K)
+    _, C = measure_hamiltonian_constants(Hamiltonian(prob), dom)
     return Extremal(gamma=gamma, p=p, lam=lam, beta_over_delta=nu, r=r,
-                    Lstar=Lstar, params=params)
+                    Lstar=_speed_bound(prob, dom, C, delta, K), C=C,
+                    params=params)
 
 
 @dataclass
@@ -241,8 +249,6 @@ def check_extremal(prob: Problem, dom: Domain, ex: Extremal,
     Tolerances for the two ODE residuals scale as C_res / N; transversality is
     held to 1e-6.
     """
-    from .model import energy_bound
-
     ham = Hamiltonian(prob)
     gamma, p = ex.gamma, ex.p
     t = gamma.times
@@ -285,13 +291,7 @@ def check_extremal(prob: Problem, dom: Domain, ex: Extremal,
     rep.checks["speed"] = vmax <= ex.Lstar * (1.0 + 1e-9)
 
     if ex.params is not None:
-        from .model import measure_hamiltonian_constants
-
-        _, C = measure_hamiltonian_constants(ham, dom)
-        Dg = prob.Dg(gamma.knots)
-        ndg = float(np.max(np.linalg.norm(Dg, axis=1)))
-        C1 = (8 * prob.mu + 8 * prob.mu * ndg ** 2 + 2 * C
-              + prob.kappa * (prob.horizon + 4 * prob.mu * K))
+        C1 = _c1(prob, ex.C, prob.Dg(gamma.knots), K)
         d = np.maximum(geo.b, 0.0)
         lhs = np.sum(p * p, axis=1)
         rhs_b = 4 * prob.mu * (d / ex.params.epsilon

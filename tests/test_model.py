@@ -159,6 +159,30 @@ class TestExtension:
             assert ext.fv(t, x, v)[0, k] == pytest.approx(float(fd[0]),
                                                           abs=1e-5)
 
+    def test_state_hessians_match_finite_differences(self, disk):
+        # the collar b in (sigma/3, 2 sigma/3), where D2 xi is nonzero
+        prob = quadratic_problem(2, potential=LinearPotential([1.0, 2.0]),
+                                 terminal=LinearTerminal([0.5, -0.3]),
+                                 M=8.0, kappa=0.0)
+        sigma = 0.9
+        ext = extend_data(prob, disk, sigma=sigma)
+        m = 16
+        ang = RNG.uniform(0.0, 2.0 * np.pi, m)
+        r = 1.0 + RNG.uniform(0.37, 0.57, m) * sigma
+        x = r[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        t = RNG.uniform(0.0, 1.0, m)
+        v = RNG.uniform(-1.0, 1.0, (m, 2))
+        H, Hg = ext.fxx(t, x, v), ext.D2g(x)
+        assert np.max(np.abs(H)) > 1.0  # the cutoff curvature is active
+        h = 1e-6
+        for k in range(2):
+            e = np.zeros(2)
+            e[k] = h
+            fd = (ext.fx(t, x + e, v) - ext.fx(t, x - e, v)) / (2 * h)
+            assert np.max(np.abs(H[:, :, k] - fd)) < 1e-7
+            fd = (ext.Dg(x + e) - ext.Dg(x - e)) / (2 * h)
+            assert np.max(np.abs(Hg[:, :, k] - fd)) < 1e-7
+
     def test_extension_passes_assumptions(self, disk):
         prob = quadratic_problem(2, potential=LinearPotential([1.0, 2.0]),
                                  M=8.0, kappa=0.0)

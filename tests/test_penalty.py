@@ -6,7 +6,8 @@ from statecon import (Ball, LinearPotential, LinearTerminal, PenaltyParams,
                       energy_certificate, epsilon_schedule, extend_data,
                       feasibility_gap, holder_gap, minimize_penalized,
                       penalized_cost, quadratic_problem)
-from statecon.penalty import _action_hessian
+from statecon.penalty import (Runaway, _action_hessian, _cost_and_grad,
+                              _stationarity)
 
 from conftest import fd_action_hessian, s1_exact
 
@@ -192,6 +193,41 @@ class TestMinimize:
         with pytest.raises(ValueError):
             minimize_penalized(pull_problem, disk, params, np.array([2.0, 0.0]))
 
+    def test_certifies_infeasible_level(self, disk, pull_problem):
+        # at eps = 1 the penalty cannot hold the arc on the disk, so the
+        # minimizer leaves it and no knot sits on the kink of the penalty
+        delta, _ = delta_choice(pull_problem, disk)
+        params = PenaltyParams(epsilon=1.0, delta=delta, rho=disk.rho0, N=64)
+        gamma = minimize_penalized(pull_problem, disk, params, np.zeros(2))
+        cost, G, geo = _cost_and_grad(pull_problem, disk, params, gamma)
+        assert np.sum(geo.b > disk.boundary_tol) == 16
+        assert _stationarity(disk, params, gamma, G, geo) <= 1e-12 * (
+            1.0 + abs(cost))
+
+    def test_warm_start_at_stronger_penalty(self, disk, pull_problem):
+        # from the eps = 1 minimizer (68 knots outside) L-BFGS-B stops at
+        # once on the kinks, so the Newton finish alone moves the contact
+        # set; without backtracking its groups cycle
+        delta, _ = delta_choice(pull_problem, disk)
+        gamma = None
+        for eps in (1.0, 0.5):
+            params = PenaltyParams(epsilon=eps, delta=delta, rho=disk.rho0,
+                                   N=256)
+            gamma = minimize_penalized(pull_problem, disk, params,
+                                       np.zeros(2), init=gamma)
+        cost, G, geo = _cost_and_grad(pull_problem, disk, params, gamma)
+        assert _stationarity(disk, params, gamma, G, geo) <= 1e-12 * (
+            1.0 + abs(cost))
+
+    def test_weak_penalty_runs_away(self, disk):
+        # the unconstrained minimizer of this pull ends at x = (10, 0), far
+        # past the leash rho0 + diam = 3, and eps = 100 barely resists it
+        prob = quadratic_problem(2, potential=LinearPotential([-20.0, 0.0]),
+                                 T=1.0, M=400.0, kappa=0.0)
+        params = PenaltyParams(epsilon=100.0, delta=1.0, rho=disk.rho0, N=32)
+        with pytest.raises(Runaway):
+            minimize_penalized(prob, disk, params, np.zeros(2))
+
     def test_init_grid_mismatch_rejected(self, disk, pull_problem):
         params = PenaltyParams(epsilon=0.5, delta=0.5, rho=disk.rho0, N=16)
         init = Trajectory.constant(0.0, 1.0, np.zeros(2), 32)
@@ -212,10 +248,8 @@ def solved():
 
 class TestExtendedProblem:
     def test_solves_without_state_hessian(self, disk, pull_problem):
-        # the extension has no fxx, so the solve runs on quasi-Newton
-        # iterations alone; inside the closed disk it equals the base data
+        # inside the closed disk the extension equals the base data
         ext = extend_data(pull_problem, disk, sigma=0.9)
-        assert ext.fxx is None
         delta, _ = delta_choice(pull_problem, disk)
         gamma, params = epsilon_schedule(ext, disk, np.zeros(2), delta, N=32)
         base, base_params = epsilon_schedule(pull_problem, disk, np.zeros(2),

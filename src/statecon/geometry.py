@@ -204,7 +204,9 @@ class Ellipse(Domain):
     ``_project_folded``): b = +-|x - P|, Db is the unit normal at P, and D2b
     is kappa / (1 + b kappa) times the tangent projector, with kappa the
     boundary curvature at P.  ``eval`` projects a batch once and derives all
-    four from it.
+    four from it.  D2b is inf/NaN, without a warning, at focal points
+    (1 + b kappa = 0, e.g. the evolute cusps); they lie at depth >= rho0, so
+    outside the tube where D2b is used.
     """
 
     def __init__(self, center, semi_axes):
@@ -287,8 +289,9 @@ class Ellipse(Domain):
             tau = np.stack([-Db[:, 1], Db[:, 0]], axis=1)
             cs, sn = Pf[:, 0] / a0, Pf[:, 1] / a1
             kappa = a0 * a1 / (a0 * a0 * sn * sn + a1 * a1 * cs * cs) ** 1.5
-            coef = kappa / (1.0 + b * kappa)
-            H = coef[:, None, None] * tau[:, :, None] * tau[:, None, :]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                coef = kappa / (1.0 + b * kappa)
+                H = coef[:, None, None] * tau[:, :, None] * tau[:, None, :]
         return BoundaryEval(b, Db, H, self.center + Pc)
 
     def bounding_box(self):

@@ -8,6 +8,7 @@ trapezoid rule using the per-interval velocity at both interval ends.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,8 @@ from .geometry import BoundaryEval, Domain
 from .model import Problem
 
 FEASIBILITY_TOL_FACTOR = 1e-6
+
+log = logging.getLogger("statecon")
 
 
 class MaxIterations(RuntimeError):
@@ -298,15 +301,23 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
         while True:  # re-solve until no boundary multiplier releases a knot
             g = grad.copy()
             g[outside] += c[outside, None] * Db[outside]
-            slope = np.where(outside, c, np.where(boundary, mult, 0.0))
-            H = _action_hessian(prob, traj, slope[:, None, None] * D2b)
+            # curvature only where the penalty acts: inside knots may sit on
+            # a focal point, where D2b is inf/NaN
+            curved = outside | boundary
+            curv = np.zeros((N, n, n))
+            curv[curved] = (np.where(outside, c, mult)[curved, None, None]
+                            * D2b[curved])
+            H = _action_hessian(prob, traj, curv)
             act = np.flatnonzero(boundary)
-            cols = (act[:, None] * n + np.arange(n)[None, :]).ravel()
-            C = sparse.csr_matrix((Db[act].ravel(), cols,
-                                   n * np.arange(act.size + 1)),
-                                  shape=(act.size, nf))
-            KKT = sparse.bmat([[H, C.T], [C, None]], format="csc")
-            sol = spsolve(KKT, np.concatenate([-g.ravel(), -b[act]]))
+            if act.size:
+                cols = (act[:, None] * n + np.arange(n)[None, :]).ravel()
+                C = sparse.csr_matrix((Db[act].ravel(), cols,
+                                       n * np.arange(act.size + 1)),
+                                      shape=(act.size, nf))
+                KKT = sparse.bmat([[H, C.T], [C, None]], format="csc")
+                sol = spsolve(KKT, np.concatenate([-g.ravel(), -b[act]]))
+            else:  # no boundary rows: the KKT system is H alone
+                sol = spsolve(H.tocsc(), -g.ravel())
             mu = sol[nf:]
             # a multiplier out of [0, c] releases its knot only toward the
             # side it sits on, which keeps the step a descent direction
@@ -318,6 +329,8 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
             boundary[act[low | high]] = False
             outside[act[high]] = True
         step[1:] = sol[:nf].reshape(N, n)
+        if not np.all(np.isfinite(step)):
+            break  # singular system: as no decrease, keep the best point
         alpha = 1.0
         while alpha >= 1e-10:
             trial = Trajectory(traj.t0, traj.t1, traj.knots + alpha * step)
@@ -331,7 +344,11 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
             break  # no decrease along the step: keep the best point
         traj, geo, cost = trial, geo_t, cost_t
         b = geo.b[1:]
-        crossed = ~boundary & ((outside & (b < 0.0)) | (~outside & (b > 0.0)))
+        # a knot that crossed b = 0, or whose step stopped on the kink of
+        # the penalty, joins the boundary; left out, the kink would cut
+        # every later line search short
+        crossed = ~boundary & ((outside & (b < 0.0)) | (~outside & (b > 0.0))
+                               | (np.abs(b) <= dom.boundary_tol))
         boundary |= crossed
         outside &= ~crossed
         if np.max(np.abs(alpha * step)) < 1e-13 * (1.0 + dom.diameter):
@@ -340,20 +357,39 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
     return traj
 
 
+def _certified_finish(prob: Problem, dom: Domain, params: PenaltyParams,
+                      traj: Trajectory, cost: float):
+    """Newton finish from ``traj``, then the certificate: the minimal-norm
+    element of the subdifferential must fall below 1e-8 (1 + |cost|).
+    Returns the result, its stationarity, whether it certifies and its
+    largest b."""
+    traj = _newton_finish(prob, dom, params, traj, cost)
+    cost, G, geo = _cost_and_grad(prob, dom, params, traj)
+    stat = _stationarity(dom, params, traj, G, geo)
+    return traj, stat, stat < 1e-8 * (1.0 + abs(cost)), float(np.max(geo.b))
+
+
 def minimize_penalized(prob: Problem, dom: Domain, params: PenaltyParams,
                        x0, init: Trajectory | None = None,
                        max_iter: int = 100000) -> Trajectory:
     """Minimize the penalized cost over the free knots 1..N.
 
-    Two stages: one L-BFGS-B round at gtol 1e-6 locates the contact set,
-    then one Newton finish on the full penalized problem (``_newton_finish``)
-    solves the discrete optimality system to machine precision.  The result
-    is certified by the minimal-norm element of the subdifferential: its
-    norm must fall below 1e-8 (1 + |cost|), else MaxIterations is raised.
+    Cold start (no ``init``): one L-BFGS-B round at gtol 1e-6 from the
+    constant trajectory locates the contact set, then one Newton finish on
+    the full penalized problem (``_newton_finish``) solves the discrete
+    optimality system to machine precision.
 
-    Runaway is raised when an accepted L-BFGS-B iterate leaves the tube by a
-    full diameter (trial points of its line searches may go further), and
-    NonFiniteCost when a cost evaluation is not finite.
+    Warm start (``init`` given, e.g. a converged neighbour): the Newton
+    finish runs from ``init`` directly.  If its result does not certify,
+    the solve falls back to the cold path's two stages started from
+    ``init``, and says so in one INFO line on the ``statecon`` logger.
+
+    Either way the result is certified by the minimal-norm element of the
+    subdifferential: its norm must fall below 1e-8 (1 + |cost|), else
+    MaxIterations is raised.  Runaway is raised when an accepted L-BFGS-B
+    iterate or a certified warm Newton result leaves the tube by a full
+    diameter (trial points of the L-BFGS-B line searches may go further),
+    and NonFiniteCost when a cost evaluation is not finite.
     """
     x0 = np.asarray(x0, dtype=float)
     if dom.signed_distance(x0) > dom.boundary_tol:
@@ -362,10 +398,26 @@ def minimize_penalized(prob: Problem, dom: Domain, params: PenaltyParams,
         0.0, prob.horizon, x0, params.N)
     if gamma.N != params.N:
         raise ValueError("init grid does not match params.N")
+    leash = params.rho + dom.diameter
 
     def knots(z):
         return Trajectory(gamma.t0, gamma.t1,
                           np.vstack([x0, z.reshape(params.N, -1)]))
+
+    if init is not None:
+        start = knots(gamma.knots[1:])
+        cost = penalized_cost(prob, dom, params, start)
+        if not np.isfinite(cost):
+            raise NonFiniteCost(f"penalized cost became {cost}")
+        traj, stat, ok, bmax = _certified_finish(prob, dom, params, start,
+                                                 cost)
+        if ok:
+            if bmax > leash:
+                raise Runaway("minimizer left the tube; epsilon is too large")
+            return traj
+        log.info("warm Newton stage stalled at stationarity %.3e "
+                 "(eps=%g, N=%d); running L-BFGS-B", stat, params.epsilon,
+                 params.N)
 
     last = {}
 
@@ -380,17 +432,16 @@ def minimize_penalized(prob: Problem, dom: Domain, params: PenaltyParams,
         # L-BFGS-B reports the last point it evaluated as its new iterate
         bmax = (last["bmax"] if np.array_equal(z, last["z"])
                 else np.max(dom.eval(knots(z).knots, hess=False).b))
-        if bmax > params.rho + dom.diameter:
+        if bmax > leash:
             raise Runaway("iterates left the tube; epsilon is too large")
 
     res = _scipy_minimize(objective, gamma.knots[1:].ravel(), jac=True,
                           method="L-BFGS-B", callback=leash_check,
                           options={"maxiter": max_iter, "maxcor": 20,
                                    "ftol": 1e-18, "gtol": 1e-6})
-    traj = _newton_finish(prob, dom, params, knots(res.x), res.fun)
-    cost, G, geo = _cost_and_grad(prob, dom, params, traj)
-    stat = _stationarity(dom, params, traj, G, geo)
-    if stat < 1e-8 * (1.0 + abs(cost)):
+    traj, stat, ok, _bmax = _certified_finish(prob, dom, params, knots(res.x),
+                                              res.fun)
+    if ok:
         return traj
     raise MaxIterations(f"stationarity stalled at {stat:.3e} "
                         f"({res.nit} L-BFGS-B iterations)")

@@ -5,8 +5,8 @@ from scipy.optimize import linear_sum_assignment
 from statecon import (Ball, DiscreteMeasure, GaussianKernelCoupling,
                       LinearPotential, PenaltyParams, TrajectoryMeasure,
                       Trajectory, UnbalancedMeasure, best_response,
-                      constant_measure, delta_choice, evaluate_flow,
-                      fixed_point, kantorovich_d1, lip_flow,
+                      constant_measure, delta_choice, epsilon_schedule,
+                      evaluate_flow, fixed_point, kantorovich_d1, lip_flow,
                       minimize_penalized, monotonicity_check,
                       quadratic_problem)
 from statecon.mfg import (_prune, coupled_problem, equilibrium_residual,
@@ -299,6 +299,32 @@ class TestCoupledHessian:
         assert _stationarity(disk, params, gamma, G, geo) <= 1e-8 * (
             1.0 + abs(cost))
         assert np.max(geo.b) <= 1e-6 * disk.diameter
+
+
+    def test_knot_stopping_on_the_kink_joins_the_boundary(self,
+                                                          lbfgs_calls):
+        # a mild-solution node of the S4 crowd (start x0, sub-horizon
+        # [0.5, 1], N=32) against one particle resting at the centre: at
+        # eps = 0.5 the last knot's backtracked step stops at b = -8e-14;
+        # unless it joins the boundary group, every later line search is
+        # cut short at the kink and the level stalls at 1.6e-3
+        disk = Ball([0.0, 0.0], 1.0)
+        base = quadratic_problem(2, M=1.0, kappa=0.0)
+        eta = constant_measure([[0.0, 0.0]], [1.0], T=1.0, N=32)
+        single = coupled_problem(base, disk,
+                                 GaussianKernelCoupling(amp=2.0, scale=0.5),
+                                 eta)
+        x0 = np.array([-0.5693826, -0.67957593])
+        delta, _ = delta_choice(single, disk)
+        gamma, params = epsilon_schedule(
+            single, disk, x0, delta, N=32,
+            init=Trajectory.constant(0.5, 1.0, x0, 32))
+        assert params.epsilon == 0.5
+        assert lbfgs_calls[0] == 0
+        cost, G, geo = _cost_and_grad(single, disk, params, gamma)
+        assert _stationarity(disk, params, gamma, G, geo) <= 1e-8 * (
+            1.0 + abs(cost))
+        assert abs(geo.b[-1]) <= disk.boundary_tol
 
 
 class TestFixedPoint:

@@ -1,11 +1,15 @@
+import logging
+
 import numpy as np
 import pytest
 
-from statecon import (Ball, LinearPotential, LinearTerminal, PenaltyParams,
-                      Problem, Trajectory, delta_choice, energy_bound,
+from statecon import (Ball, Ellipse, LinearPotential, LinearTerminal,
+                      PenaltyParams, Problem, Trajectory, delta_choice,
+                      energy_bound,
                       energy_certificate, epsilon_schedule, extend_data,
                       feasibility_gap, holder_gap, minimize_penalized,
                       penalized_cost, quadratic_problem)
+from statecon import penalty
 from statecon.penalty import (Runaway, _action_hessian, _cost_and_grad,
                               _stationarity)
 
@@ -228,6 +232,73 @@ class TestMinimize:
         with pytest.raises(Runaway):
             minimize_penalized(prob, disk, params, np.zeros(2))
 
+    def test_warm_newton_past_the_leash_runs_away(self, disk, lbfgs_calls):
+        # the same pull from a constant init: the Newton stage certifies the
+        # penalized minimizer near x = (10, 0), and the leash rejects it
+        prob = quadratic_problem(2, potential=LinearPotential([-20.0, 0.0]),
+                                 T=1.0, M=400.0, kappa=0.0)
+        params = PenaltyParams(epsilon=100.0, delta=1.0, rho=disk.rho0, N=32)
+        init = Trajectory.constant(0.0, 1.0, np.zeros(2), 32)
+        with pytest.raises(Runaway):
+            minimize_penalized(prob, disk, params, np.zeros(2), init=init)
+        assert lbfgs_calls[0] == 0
+
+    def test_warm_start_at_ellipse_cusp(self, lbfgs_calls):
+        # every free knot starts on the evolute cusp (1.5, 0) of the S3
+        # ellipse, a focal point where D2b is inf/NaN; the Newton stage must
+        # leave it without a non-finite step
+        dom = Ellipse([0.0, 0.0], [2.0, 1.0])
+        prob = quadratic_problem(2, potential=LinearPotential([-1.5, -3.0]),
+                                 T=1.0, M=12.0, kappa=0.0)
+        assert not np.all(np.isfinite(dom.eval([[1.5, 0.0]]).D2b))
+        params = PenaltyParams(epsilon=0.25, delta=1.0, rho=dom.rho0, N=32)
+        x0 = np.array([1.5, 0.0])
+        knots = []
+        for y in (0.0, 1e-9):
+            init = Trajectory.constant(0.0, 1.0, [1.5, y], 32)
+            gamma = minimize_penalized(prob, dom, params, x0, init=init)
+            cost, G, geo = _cost_and_grad(prob, dom, params, gamma)
+            assert _stationarity(dom, params, gamma, G, geo) <= 1e-8 * (
+                1.0 + abs(cost))
+            assert np.sum(np.abs(geo.b) <= dom.boundary_tol) > 0
+            knots.append(gamma.knots)
+        assert lbfgs_calls[0] == 0
+        assert np.max(np.abs(knots[0] - knots[1])) < 1e-6
+
+    def test_uncertified_warm_stage_falls_back(self, disk, pull_problem,
+                                               monkeypatch, caplog,
+                                               lbfgs_calls):
+        # a Newton stage that does not move leaves the constant init
+        # uncertified; the L-BFGS-B round and a second finish take over
+        finish = penalty._newton_finish
+        stalls = [1]
+
+        def stall_once(prob, dom, params, traj, cost):
+            if stalls[0]:
+                stalls[0] -= 1
+                return traj
+            return finish(prob, dom, params, traj, cost)
+
+        monkeypatch.setattr(penalty, "_newton_finish", stall_once)
+        params = PenaltyParams(epsilon=0.5, delta=0.5, rho=disk.rho0, N=32)
+        init = Trajectory.constant(0.0, 1.0, np.zeros(2), 32)
+        with caplog.at_level(logging.INFO, logger="statecon"):
+            gamma = minimize_penalized(pull_problem, disk, params,
+                                       np.zeros(2), init=init)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "statecon" and r.levelno == logging.INFO]
+        assert len(lines) == 1
+        assert "eps=0.5" in lines[0] and "N=32" in lines[0]
+        assert "stationarity" in lines[0]
+        assert lbfgs_calls[0] == 1
+        cost, G, geo = _cost_and_grad(pull_problem, disk, params, gamma)
+        assert _stationarity(disk, params, gamma, G, geo) <= 1e-8 * (
+            1.0 + abs(cost))
+        monkeypatch.setattr(penalty, "_newton_finish", finish)
+        direct = minimize_penalized(pull_problem, disk, params, np.zeros(2),
+                                    init=init)
+        assert np.max(np.abs(gamma.knots - direct.knots)) < 1e-8
+
     def test_init_grid_mismatch_rejected(self, disk, pull_problem):
         params = PenaltyParams(epsilon=0.5, delta=0.5, rho=disk.rho0, N=16)
         init = Trajectory.constant(0.0, 1.0, np.zeros(2), 32)
@@ -266,6 +337,16 @@ class TestSchedule:
         # carries an O(dt^2) junction error
         tol = 10.0 * gamma.dt ** 2
         assert np.max(np.abs(gamma.knots - s1_exact(gamma.times))) < tol
+
+    def test_only_the_cold_first_level_runs_lbfgs(self, disk, pull_problem,
+                                                   lbfgs_calls):
+        # every later level is warm-started from the one before it, and the
+        # Newton stage alone certifies it
+        delta, _ = delta_choice(pull_problem, disk)
+        _gamma, params = epsilon_schedule(pull_problem, disk, np.zeros(2),
+                                          delta, N=64)
+        assert params.epsilon < 1.0  # the ladder took more than one level
+        assert lbfgs_calls[0] == 1
 
     def test_feasible(self, solved):
         prob, disk, gamma, params = solved

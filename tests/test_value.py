@@ -35,6 +35,18 @@ class TestComputeValue:
         assert vg.failures == []
         assert np.all(np.isfinite(vg.values))
 
+    def test_newton_alone_certifies_every_node(self, drift_value,
+                                               lbfgs_calls):
+        # every node is warm-started (constant, then along the time axis),
+        # so no solve needs an L-BFGS-B round; (0.8, 0) drifts into the
+        # boundary and rests on it
+        prob, disk, _, _ = drift_value
+        vg = compute_value(prob, disk, [0.0, 0.5, 1.0],
+                           [[0.0, 0.0], [-0.3, 0.2], [0.8, 0.0]], N=32)
+        assert vg.failures == []
+        assert np.max(disk.b_many(vg.trajectories[(0, 2)].knots)) > -1e-9
+        assert lbfgs_calls[0] == 0
+
     def test_terminal_slice_is_terminal_cost(self, drift_value):
         prob, _, _, vg = drift_value
         assert np.allclose(vg.values[-1], prob.g(vg.points), atol=1e-14)

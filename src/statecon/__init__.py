@@ -7,7 +7,7 @@ from .geometry import (Ball, Domain, Ellipse, OutsideTube, SmoothedBox,
 from .model import (AssumptionReport, Hamiltonian, LinearPotential,
                     LinearTerminal, NewtonDiverged, Problem, SigmaTooLarge,
                     ZeroPotential, ZeroTerminal, check_assumptions,
-                    energy_bound, extend_data, hamiltonian_derivs, legendre,
+                    energy_bound, extend_data, legendre,
                     problem_from_config, quadratic_problem)
 from .penalty import (MaxIterations, NonFiniteCost, PenaltyParams,
                       ScheduleExhausted, Trajectory, delta_choice,
@@ -33,7 +33,7 @@ __all__ = [
     "AssumptionReport", "Hamiltonian", "LinearPotential", "LinearTerminal",
     "NewtonDiverged", "Problem", "SigmaTooLarge", "ZeroPotential",
     "ZeroTerminal", "check_assumptions", "energy_bound", "extend_data",
-    "hamiltonian_derivs", "legendre", "problem_from_config",
+    "legendre", "problem_from_config",
     "quadratic_problem",
     "MaxIterations", "NonFiniteCost", "PenaltyParams", "ScheduleExhausted",
     "Trajectory", "delta_choice", "energy_certificate", "epsilon_schedule",

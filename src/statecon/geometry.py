@@ -163,6 +163,13 @@ class Domain:
 
 
 class Ball(Domain):
+    """Ball of the given centre and radius: b = |x - c| - radius, Db the
+    radial unit vector and D2b = (I - Db Db^T) / |x - c|.  At the centre,
+    where every boundary point is nearest, Db is the first unit axis and P
+    the boundary point along it; D2b there is inf/NaN, without a warning.
+    The centre lies at depth rho0, outside the tube where D2b is used.
+    """
+
     def __init__(self, center, radius: float):
         center = np.asarray(center, dtype=float)
         if center.ndim != 1 or center.size not in (1, 2, 3):
@@ -180,12 +187,15 @@ class Ball(Domain):
         q = X - self.center
         r = np.linalg.norm(q, axis=1)
         b = r - self.radius
-        r = np.where(r == 0.0, 1.0, r)
-        n = q / r[:, None]
+        centre = r == 0.0
+        n = q / np.where(centre, 1.0, r)[:, None]
+        n[centre, 0] = 1.0
         H = None
         if hess:
             eye = np.eye(self.dim)
-            H = (eye[None, :, :] - n[:, :, None] * n[:, None, :]) / r[:, None, None]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                H = ((eye[None, :, :] - n[:, :, None] * n[:, None, :])
+                     / r[:, None, None])
         return BoundaryEval(b, n, H, self.center + self.radius * n)
 
     def bounding_box(self):

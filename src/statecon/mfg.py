@@ -107,21 +107,12 @@ def kantorovich_d1(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
     ka, kb = a.points.shape[0], b.points.shape[0]
     cost = np.linalg.norm(a.points[:, None, :] - b.points[None, :, :],
                           axis=2).ravel()
-    # row sums = a.weights, column sums = b.weights (one row dropped:
-    # the constraints are linearly dependent)
-    rows = []
-    rhs = []
-    for i in range(ka):
-        r = np.zeros((ka, kb))
-        r[i, :] = 1.0
-        rows.append(r.ravel())
-        rhs.append(a.weights[i])
-    for j in range(kb - 1):
-        c = np.zeros((ka, kb))
-        c[:, j] = 1.0
-        rows.append(c.ravel())
-        rhs.append(b.weights[j])
-    res = linprog(cost, A_eq=np.array(rows), b_eq=np.array(rhs),
+    # row sums = a.weights, column sums = b.weights (the last column sum is
+    # dropped: the constraints are linearly dependent)
+    A_eq = np.vstack([np.kron(np.eye(ka), np.ones(kb)),
+                      np.kron(np.ones(ka), np.eye(kb))[:kb - 1]])
+    b_eq = np.concatenate([a.weights, b.weights[:kb - 1]])
+    res = linprog(cost, A_eq=A_eq, b_eq=b_eq,
                   bounds=(0, None), method="highs")
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")

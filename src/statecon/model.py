@@ -4,7 +4,7 @@ dual Hamiltonian.
 All evaluators are batched: ``t`` has shape (m,), ``x`` and ``v`` shape (m, n);
 scalars are broadcast.  Built-in problems are quadratic in the velocity,
 
-    f(t, x, v) = 1/2 <A v, v> + <c(t), v> + V(t, x),
+    f(t, x, v) = 1/2 <A v, v> + V(t, x),
 
 which keeps every second derivative exact and the conjugate Newton solve a
 single step.
@@ -48,8 +48,6 @@ def _zero_hess(x):
 
 
 class ZeroPotential:
-    time_lipschitz = 0.0
-
     def value(self, t, x):
         return np.zeros(np.atleast_2d(x).shape[0])
 
@@ -65,8 +63,6 @@ class ZeroPotential:
 
 class LinearPotential:
     """V(t, x) = <b, x> (a constant spatial pull)."""
-
-    time_lipschitz = 0.0
 
     def __init__(self, b):
         self.b = np.asarray(b, dtype=float)
@@ -184,9 +180,9 @@ class Problem:
 
 def quadratic_problem(dim: int, *, A=None, potential=None, terminal=None,
                       T: float = 1.0, mu: float | None = None,
-                      M: float | None = None, kappa: float | None = None,
-                      drift: Callable | None = None) -> Problem:
-    """Quadratic-in-velocity problem 1/2 <A v, v> + <c(t), v> + V(t, x).
+                      M: float | None = None,
+                      kappa: float | None = None) -> Problem:
+    """Quadratic-in-velocity problem 1/2 <A v, v> + V(t, x).
 
     ``potential`` provides value(t, x), grad(t, x) and hess(t, x);
     ``terminal`` provides value(x), grad(x) and hess(x)."""
@@ -200,16 +196,10 @@ def quadratic_problem(dim: int, *, A=None, potential=None, terminal=None,
     if mu is None:
         mu = max(1.0, eigs[-1], 1.0 / eigs[0])
 
-    def c_of(t):
-        if drift is None:
-            return np.zeros((np.size(t), dim))
-        return np.atleast_2d(np.asarray([drift(ti) for ti in np.atleast_1d(t)],
-                                        dtype=float))
-
     def f(t, x, v):
         t, x, v = _batch(t, x, v)
         quad = 0.5 * np.einsum("mi,ij,mj->m", v, A, v)
-        return quad + np.einsum("mi,mi->m", c_of(t), v) + potential.value(t, x)
+        return quad + potential.value(t, x)
 
     def fx(t, x, v):
         t, x, v = _batch(t, x, v)
@@ -217,7 +207,7 @@ def quadratic_problem(dim: int, *, A=None, potential=None, terminal=None,
 
     def fv(t, x, v):
         t, x, v = _batch(t, x, v)
-        return v @ A.T + c_of(t)
+        return v @ A.T
 
     def fvv(t, x, v):
         t, x, v = _batch(t, x, v)
@@ -287,19 +277,16 @@ class Hamiltonian:
     gamma' = -DpH.
     """
 
-    def __init__(self, prob: Problem, newton_tol: float = 1e-12,
-                 max_newton: int = 50):
+    def __init__(self, prob: Problem):
         self.prob = prob
-        self.newton_tol = newton_tol
-        self.max_newton = max_newton
 
     def legendre_many(self, t, x, p):
         """Batched conjugate: returns (H values (m,), maximizers v* (m, n))."""
         t, x, p = _batch(t, x, p)
         v = -p.copy()  # exact for f = |v|^2/2; good start in general
-        for _ in range(self.max_newton):
+        for _ in range(50):
             r = p + self.prob.fv(t, x, v)
-            if np.max(np.linalg.norm(r, axis=1)) < self.newton_tol:
+            if np.max(np.linalg.norm(r, axis=1)) < 1e-12:
                 break
             step = np.linalg.solve(self.prob.fvv(t, x, v), r[:, :, None])[:, :, 0]
             v = v - step
@@ -327,32 +314,31 @@ class Hamiltonian:
         return -self.prob.fx(t, x, v)
 
     def derivs_many(self, t, x, p) -> HamiltonianDerivs:
+        """All first derivatives of H and the second derivatives in p, from
+        one conjugate solve.
+
+        The p-derivatives come from implicit differentiation of
+        p + fv(t, x, v*) = 0: DppH = fvv^-1, DpxH = fvv^-1 fvx and
+        DptH = fvv^-1 d_t fv, all at (t, x, v*).  d_t fv is a central
+        difference in t at fixed (x, v*); it is exactly zero when fv does not
+        depend on t.  DptH enters the boundary feedback multiplier with a
+        plus sign (see ``pmp.feedback_lambda_many``).
+        """
         t, x, p = _batch(t, x, p)
         _, v = self.legendre_many(t, x, p)
-        DpH = -v
-        DxH = -self.prob.fx(t, x, v)
-        fvv = self.prob.fvv(t, x, v)
-        DppH = np.linalg.inv(fvv)
-        # implicit differentiation of p + fv(t, x, v*) = 0
-        DpxH = np.linalg.solve(fvv, self.prob.fvx(t, x, v))
-        h = 1e-6 * max(1.0, self.prob.horizon)
-        DptH = (self.DpH_many(t + h, x, p) - self.DpH_many(t - h, x, p)) / (2 * h)
-        return HamiltonianDerivs(DxH=DxH, DpH=DpH, DppH=DppH, DpxH=DpxH,
-                                 DptH=DptH)
-
-    def derivs(self, t, x, p) -> HamiltonianDerivs:
-        d = self.derivs_many(t, x, p)
-        return HamiltonianDerivs(DxH=d.DxH[0], DpH=d.DpH[0], DppH=d.DppH[0],
-                                 DpxH=d.DpxH[0], DptH=d.DptH[0])
+        prob = self.prob
+        fvv = prob.fvv(t, x, v)
+        h = 1e-6 * max(1.0, prob.horizon)
+        fvt = (prob.fv(t + h, x, v) - prob.fv(t - h, x, v)) / (2 * h)
+        return HamiltonianDerivs(
+            DxH=-prob.fx(t, x, v), DpH=-v, DppH=np.linalg.inv(fvv),
+            DpxH=np.linalg.solve(fvv, prob.fvx(t, x, v)),
+            DptH=np.linalg.solve(fvv, fvt[:, :, None])[:, :, 0])
 
 
 def legendre(prob: Problem, t, x, p):
     """Conjugate value and maximizer at a single point."""
     return Hamiltonian(prob).legendre(t, x, p)
-
-
-def hamiltonian_derivs(ham: Hamiltonian, t, x, p) -> HamiltonianDerivs:
-    return ham.derivs(t, x, p)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,10 @@ from .geometry import BoundaryEval, Domain
 from .model import Problem
 
 FEASIBILITY_TOL_FACTOR = 1e-6
+# halvings of epsilon before the schedule gives up
+MAX_HALVINGS = 40
+# iteration cap of the L-BFGS-B round
+LBFGS_MAX_ITER = 100000
 
 log = logging.getLogger("statecon")
 
@@ -370,8 +374,7 @@ def _certified_finish(prob: Problem, dom: Domain, params: PenaltyParams,
 
 
 def minimize_penalized(prob: Problem, dom: Domain, params: PenaltyParams,
-                       x0, init: Trajectory | None = None,
-                       max_iter: int = 100000) -> Trajectory:
+                       x0, init: Trajectory | None = None) -> Trajectory:
     """Minimize the penalized cost over the free knots 1..N.
 
     Cold start (no ``init``): one L-BFGS-B round at gtol 1e-6 from the
@@ -437,7 +440,7 @@ def minimize_penalized(prob: Problem, dom: Domain, params: PenaltyParams,
 
     res = _scipy_minimize(objective, gamma.knots[1:].ravel(), jac=True,
                           method="L-BFGS-B", callback=leash_check,
-                          options={"maxiter": max_iter, "maxcor": 20,
+                          options={"maxiter": LBFGS_MAX_ITER, "maxcor": 20,
                                    "ftol": 1e-18, "gtol": 1e-6})
     traj, stat, ok, _bmax = _certified_finish(prob, dom, params, knots(res.x),
                                               res.fun)
@@ -474,9 +477,7 @@ def feasibility_gap(dom: Domain, gamma: Trajectory) -> float:
 
 
 def epsilon_schedule(prob: Problem, dom: Domain, x0, delta: float,
-                     N: int = 256, rho: float | None = None,
-                     max_halvings: int = 40,
-                     init: Trajectory | None = None,
+                     N: int = 256, init: Trajectory | None = None,
                      eps0: float = 1.0):
     """Halve epsilon from eps0 until the penalized minimizer is feasible to
     tau_feas = 1e-6 diam, warm-starting from the previous minimizer.
@@ -486,11 +487,10 @@ def epsilon_schedule(prob: Problem, dom: Domain, x0, delta: float,
     epsilon as eps0 to skip the weak-penalty levels it already went through.
     """
     tau = FEASIBILITY_TOL_FACTOR * dom.diameter
-    rho = rho if rho is not None else dom.rho0
     eps = float(eps0)
     gamma = init
-    for _ in range(max_halvings + 1):
-        params = PenaltyParams(epsilon=eps, delta=delta, rho=rho, N=N)
+    for _ in range(MAX_HALVINGS + 1):
+        params = PenaltyParams(epsilon=eps, delta=delta, rho=dom.rho0, N=N)
         try:
             gamma = minimize_penalized(prob, dom, params, x0, init=gamma)
         except (Runaway, MaxIterations):
@@ -503,7 +503,7 @@ def epsilon_schedule(prob: Problem, dom: Domain, x0, delta: float,
         eps *= 0.5
     gap = feasibility_gap(dom, gamma) if gamma is not None else float("inf")
     raise ScheduleExhausted(
-        f"feasibility {gap:.3e} > {tau:.3e} after {max_halvings} halvings; "
+        f"feasibility {gap:.3e} > {tau:.3e} after {MAX_HALVINGS} halvings; "
         "check assumptions or refine the grid")
 
 

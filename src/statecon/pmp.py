@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Domain, OutsideTube
-from .model import (Hamiltonian, Problem, energy_bound,
+from .geometry import BOUNDARY_TOL_FACTOR, Domain, OutsideTube
+from .model import (Hamiltonian, HamiltonianDerivs, Problem, energy_bound,
                     measure_hamiltonian_constants)
 from .penalty import PenaltyParams, Trajectory
 
@@ -90,17 +90,13 @@ def grid_derivative(Y: np.ndarray, dt: float,
     return D
 
 
-def knot_velocities(gamma: Trajectory, dom: Domain | None = None) -> np.ndarray:
-    mask = None if dom is None else contact_mask(dom, gamma)
-    return grid_derivative(gamma.knots, gamma.dt, mask)
-
-
 def recover_adjoint(prob: Problem, gamma: Trajectory,
                     dom: Domain | None = None) -> np.ndarray:
-    """Co-state from duality: p(t) = -D_v f(t, gamma(t), gamma'(t))."""
-    v = knot_velocities(gamma, dom)
-    t = gamma.times
-    return -prob.fv(t, gamma.knots, v)
+    """Co-state from duality: p(t) = -D_v f(t, gamma(t), gamma'(t)); with
+    ``dom``, gamma' is differenced within contact runs only."""
+    mask = None if dom is None else contact_mask(dom, gamma)
+    v = grid_derivative(gamma.knots, gamma.dt, mask)
+    return -prob.fv(gamma.times, gamma.knots, v)
 
 
 def multiplier_from_residual(prob: Problem, dom: Domain, gamma: Trajectory,
@@ -141,24 +137,36 @@ def multiplier_from_residual(prob: Problem, dom: Domain, gamma: Trajectory,
     return lam, nu, orth
 
 
-def feedback_lambda_many(ham: Hamiltonian, dom: Domain, t, X, P) -> np.ndarray:
-    """Explicit boundary feedback multiplier.
-
-    Derived from d^2/dt^2 [b(gamma)] = 0 along sliding arcs; note the
-    time-mixed term enters with a plus sign.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    b, Db, D2b, _ = dom.eval(X)
-    if np.any(np.abs(b) >= dom.rho0):
-        raise OutsideTube("feedback multiplier needs |b| < rho0")
-    d = ham.derivs_many(t, X, P)
+def _feedback(Db: np.ndarray, D2b: np.ndarray,
+              d: HamiltonianDerivs) -> np.ndarray:
+    """The feedback formula of ``feedback_lambda_many`` from geometry and
+    Hamiltonian derivatives already evaluated at the same points."""
     theta = np.einsum("mi,mij,mj->m", Db, d.DppH, Db)
     num = (-np.einsum("mij,mi,mj->m", D2b, d.DpH, d.DpH)
            + np.einsum("mi,mi->m", Db, d.DptH)
            - np.einsum("mi,mij,mj->m", Db, d.DpxH, d.DpH)
            + np.einsum("mi,mij,mj->m", Db, d.DppH, d.DxH))
     return num / theta
+
+
+def feedback_lambda_many(ham: Hamiltonian, dom: Domain, t, X, P) -> np.ndarray:
+    """Explicit boundary feedback multiplier.
+
+    Derived from d^2/dt^2 [b(gamma)] = 0 along sliding arcs of
+    gamma' = -DpH, p' = DxH - lam Db:
+
+        lam = (-D2b[DpH, DpH] + <Db, DptH> - <Db, DpxH DpH>
+               + <Db, DppH DxH>) / <Db, DppH Db>,
+
+    with DptH = fvv^-1 d_t fv at (t, x, v*) (``Hamiltonian.derivs_many``).
+    The time-mixed term enters with a plus sign.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    b, Db, D2b, _ = dom.eval(X)
+    if np.any(np.abs(b) >= dom.rho0):
+        raise OutsideTube("feedback multiplier needs |b| < rho0")
+    return _feedback(Db, D2b, ham.derivs_many(t, X, P))
 
 
 def feedback_lambda(ham: Hamiltonian, dom: Domain, t, x, p) -> float:
@@ -170,7 +178,8 @@ class Extremal:
     """Minimizer bundled with its co-state and multipliers.
 
     lam stores the observable product (multiplier over epsilon); C is the
-    measured growth constant C(mu, M') of H behind Lstar; params, when
+    measured growth constant C(mu, M') of H behind Lstar; K is the energy
+    budget behind Lstar and the Hamiltonian-drift bound; params, when
     present, records the penalty run that produced gamma.
     """
 
@@ -181,6 +190,7 @@ class Extremal:
     r: np.ndarray
     Lstar: float
     C: float
+    K: float
     params: PenaltyParams | None = None
 
 
@@ -216,19 +226,17 @@ def velocity_bound(prob: Problem, dom: Domain, delta: float, K: float,
 
 
 def make_extremal(prob: Problem, dom: Domain, gamma: Trajectory,
-                  params: PenaltyParams | None = None,
-                  K: float | None = None) -> Extremal:
+                  params: PenaltyParams | None = None) -> Extremal:
     """Assemble the full first-order bundle from a certified minimizer."""
     p = recover_adjoint(prob, gamma, dom)
     lam, nu, _ = multiplier_from_residual(prob, dom, gamma, p)
     r = hamiltonian_drift(prob, dom, gamma, p,
                           params.epsilon if params is not None else None)
-    if K is None:
-        K = energy_bound(prob, dom)
+    K = energy_bound(prob, dom)
     delta = params.delta if params is not None else 1.0
     _, C = measure_hamiltonian_constants(Hamiltonian(prob), dom)
     return Extremal(gamma=gamma, p=p, lam=lam, beta_over_delta=nu, r=r,
-                    Lstar=_speed_bound(prob, dom, C, delta, K), C=C,
+                    Lstar=_speed_bound(prob, dom, C, delta, K), C=C, K=K,
                     params=params)
 
 
@@ -242,28 +250,28 @@ class PMPReport:
         return all(self.checks.values())
 
 
-def check_extremal(prob: Problem, dom: Domain, ex: Extremal,
-                   C_res: float = 1.0, K: float | None = None) -> PMPReport:
+def check_extremal(prob: Problem, dom: Domain, ex: Extremal) -> PMPReport:
     """Residual report for the full first-order system.
 
-    Tolerances for the two ODE residuals scale as C_res / N; transversality is
+    Tolerances for the two ODE residuals scale as 1 / N; transversality is
     held to 1e-6.
     """
-    ham = Hamiltonian(prob)
     gamma, p = ex.gamma, ex.p
     t = gamma.times
     geo = dom.eval(gamma.knots, hess=False)
     mask = np.abs(geo.b) <= dom.boundary_tol
-    tol_ode = C_res / gamma.N
+    tol_ode = 1.0 / gamma.N
+    # DpH = -v* and DxH = -fx(t, gamma, v*)
+    _, vstar = Hamiltonian(prob).legendre_many(t, gamma.knots, p)
 
     rep = PMPReport()
     v = grid_derivative(gamma.knots, gamma.dt, mask)
-    res_state = np.linalg.norm(v + ham.DpH_many(t, gamma.knots, p), axis=1)
+    res_state = np.linalg.norm(v - vstar, axis=1)
     rep.residuals["state_ode"] = float(np.max(res_state))
     rep.checks["state_ode"] = rep.residuals["state_ode"] < tol_ode
 
     pdot = grid_derivative(p, gamma.dt, mask)
-    rhs = ham.DxH_many(t, gamma.knots, p)
+    rhs = -prob.fx(t, gamma.knots, vstar)
     if np.any(mask):
         rhs[mask] -= ex.lam[mask, None] * geo.Db[mask]
     res_adj = np.linalg.norm(pdot - rhs, axis=1)
@@ -277,11 +285,9 @@ def check_extremal(prob: Problem, dom: Domain, ex: Extremal,
     rep.residuals["transversality"] = float(np.linalg.norm(p[-1] - pT_target))
     rep.checks["transversality"] = rep.residuals["transversality"] < 1e-6
 
-    if K is None:
-        K = energy_bound(prob, dom)
     rdot = grid_derivative(ex.r, gamma.dt, mask)
     drift = float(np.sum(np.abs(rdot[keep])) * gamma.dt)
-    bound = prob.kappa * (prob.horizon + 4 * prob.mu * K)
+    bound = prob.kappa * (prob.horizon + 4 * prob.mu * ex.K)
     rep.residuals["hamiltonian_drift"] = drift
     rep.checks["hamiltonian_drift"] = drift <= bound + 1e-6 * (
         1.0 + abs(ex.r[0]))
@@ -291,7 +297,7 @@ def check_extremal(prob: Problem, dom: Domain, ex: Extremal,
     rep.checks["speed"] = vmax <= ex.Lstar * (1.0 + 1e-9)
 
     if ex.params is not None:
-        C1 = _c1(prob, ex.C, prob.Dg(gamma.knots), K)
+        C1 = _c1(prob, ex.C, prob.Dg(gamma.knots), ex.K)
         d = np.maximum(geo.b, 0.0)
         lhs = np.sum(p * p, axis=1)
         rhs_b = 4 * prob.mu * (d / ex.params.epsilon
@@ -304,15 +310,16 @@ def check_extremal(prob: Problem, dom: Domain, ex: Extremal,
 
 
 def shoot(ham: Hamiltonian, dom: Domain, x0, p0, T: float | None = None,
-          N: int = 1024, feedback_on: bool = True,
-          contact_band: float | None = None):
+          N: int = 1024, feedback_on: bool = True):
     """RK4 integration of the coupled state/co-state system.
 
     The boundary feedback term is applied only when the state touches the
     boundary with outward-pointing drift; grazing interior passes are left
-    alone.  The activation band scales with dt^2 because arcs that settle
-    onto the boundary penetrate by the integrator's local error before the
-    contact condition can fire.  Returns the trajectory and co-state samples.
+    alone.  The activation band, diameter * max(1e-9, dt^2), scales with
+    dt^2 because arcs that settle onto the boundary penetrate by the
+    integrator's local error before the contact condition can fire.  Each
+    stage evaluates the geometry and the Hamiltonian once.  Returns the
+    trajectory and co-state samples.
     """
     T = ham.prob.horizon if T is None else T
     x0 = np.asarray(x0, dtype=float)
@@ -322,13 +329,11 @@ def shoot(ham: Hamiltonian, dom: Domain, x0, p0, T: float | None = None,
     X = np.empty((N + 1, n))
     P = np.empty((N + 1, n))
     X[0], P[0] = x0, p0
-    if contact_band is None:
-        from .geometry import BOUNDARY_TOL_FACTOR
-        contact_band = dom.diameter * max(BOUNDARY_TOL_FACTOR, dt * dt)
-    tol = contact_band
+    tol = dom.diameter * max(BOUNDARY_TOL_FACTOR, dt * dt)
 
     def rhs(t, x, p):
-        b = float(dom.b_many(x[None])[0])
+        geo = dom.eval(x[None])
+        b = float(geo.b[0])
         if b >= dom.rho0:
             raise LeftTube(f"state at signed distance {b:g} left the tube")
         d = ham.derivs_many(np.array([t]), x[None], p[None])
@@ -336,11 +341,11 @@ def shoot(ham: Hamiltonian, dom: Domain, x0, p0, T: float | None = None,
         pdot = d.DxH[0]
         active = False
         if feedback_on and b >= -tol:
-            Db = dom.grad_many(x[None])[0]
+            Db = geo.Db[0]
             # the small negative allowance keeps sliding arcs engaged through
             # the integrator's inward jitter without catching real detachment
             if np.dot(Db, xdot) >= -np.linalg.norm(xdot) * dt:
-                lam = feedback_lambda(ham, dom, t, x, p)
+                lam = float(_feedback(geo.Db, geo.D2b, d)[0])
                 pdot = pdot - lam * Db
                 active = True
         return xdot, pdot, active
@@ -356,9 +361,9 @@ def shoot(ham: Hamiltonian, dom: Domain, x0, p0, T: float | None = None,
         P[i + 1] = p + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
         if active:
             # contact steps may not drift outward: retract onto the boundary
-            b1 = float(dom.b_many(X[i + 1][None])[0])
-            if 0.0 < b1 < 0.5 * dom.rho0:
-                X[i + 1] = dom.project_many(X[i + 1][None])[0]
+            geo = dom.eval(X[i + 1][None], hess=False)
+            if 0.0 < geo.b[0] < 0.5 * dom.rho0:
+                X[i + 1] = geo.P[0]
     return Trajectory(0.0, T, X), P
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from statecon import (Ball, Ellipse, LinearPotential, SmoothedBox, Trajectory,
-                      quadratic_problem)
+from statecon import (Ball, Ellipse, LinearPotential, Problem, SmoothedBox,
+                      Trajectory, quadratic_problem)
 from statecon import penalty
 from statecon.penalty import _action_grad
 
@@ -47,6 +47,56 @@ def lbfgs_calls(monkeypatch):
 
     monkeypatch.setattr(penalty, "_scipy_minimize", counted)
     return calls
+
+
+def drifting_problem():
+    """Time-dependent problem f = |v|^2/2 + <c(t), v> + <a, x> with
+    c(t) = 2 (sin 3t, cos 3t) and a = (-1.5, -3): v* = -p - c(t), so
+    DptH = c'(t).  Returns the problem and c'."""
+    a = np.array([-1.5, -3.0])
+
+    def c(t):
+        return 2.0 * np.stack([np.sin(3.0 * t), np.cos(3.0 * t)], axis=-1)
+
+    def dc(t):
+        return 6.0 * np.stack([np.cos(3.0 * t), -np.sin(3.0 * t)], axis=-1)
+
+    def batch(t, x):
+        x = np.atleast_2d(x)
+        return np.broadcast_to(np.asarray(t, dtype=float), x.shape[:1]), x
+
+    def f(t, x, v):
+        t, x = batch(t, x)
+        v = np.atleast_2d(v)
+        return (0.5 * np.sum(v * v, axis=1) + np.sum(c(t) * v, axis=1)
+                + x @ a)
+
+    def fx(t, x, v):
+        return np.broadcast_to(a, np.atleast_2d(x).shape).copy()
+
+    def fv(t, x, v):
+        t, x = batch(t, x)
+        return np.atleast_2d(v) + c(t)
+
+    def fvv(t, x, v):
+        return np.tile(np.eye(2), (np.atleast_2d(x).shape[0], 1, 1))
+
+    def zero2(t, x, v):
+        return np.zeros((np.atleast_2d(x).shape[0], 2, 2))
+
+    def g(x):
+        return np.zeros(np.atleast_2d(x).shape[0])
+
+    def Dg(x):
+        return np.zeros_like(np.atleast_2d(x))
+
+    def D2g(x):
+        return np.zeros((np.atleast_2d(x).shape[0], 2, 2))
+
+    prob = Problem(f=f, fx=fx, fv=fv, fvv=fvv, fvx=zero2, g=g, Dg=Dg,
+                   horizon=1.0, dim=2, mu=1.0, M=20.0, kappa=6.0,
+                   fxx=zero2, D2g=D2g)
+    return prob, dc
 
 
 def s1_exact(t):

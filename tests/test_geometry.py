@@ -152,6 +152,14 @@ class TestErrors:
         g = disk.grad_many(np.array([[0.0, 0.0]]))[0]
         assert np.isfinite(g).all()
 
+    def test_ball_centre_selection(self):
+        ball = Ball([1.0, -2.0], 0.5)
+        e = ball.eval(np.array([[1.0, -2.0], [1.2, -2.0]]))
+        assert np.linalg.norm(e.Db[0]) == pytest.approx(1.0)
+        assert ball.b_many(e.P[:1])[0] == pytest.approx(0.0, abs=1e-15)
+        assert not np.isfinite(e.D2b[0]).all()
+        assert np.isfinite(e.D2b[1]).all()
+
     def test_bad_shapes_rejected(self):
         with pytest.raises(ValueError):
             Ball([0.0, 0.0], -1.0)

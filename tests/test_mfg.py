@@ -9,6 +9,7 @@ from statecon import (Ball, DiscreteMeasure, GaussianKernelCoupling,
                       evaluate_flow, fixed_point, kantorovich_d1, lip_flow,
                       minimize_penalized, monotonicity_check,
                       quadratic_problem)
+from statecon import mfg
 from statecon.mfg import (_prune, coupled_problem, equilibrium_residual,
                           flow_speed_bound)
 from statecon.penalty import _action_hessian, _cost_and_grad, _stationarity
@@ -75,6 +76,33 @@ class TestKantorovich:
             got = kantorovich_d1(a, b)
             want = d1_assignment_oracle(a, b, q=int(wa.sum() * wb.sum()))
             assert got == pytest.approx(want, abs=1e-9)
+
+    def test_constraints_match_row_loops(self, monkeypatch):
+        # reference: one row per source, then one per target but the last
+        def loop_rows(ka, kb):
+            rows = []
+            for i in range(ka):
+                r = np.zeros((ka, kb))
+                r[i, :] = 1.0
+                rows.append(r.ravel())
+            for j in range(kb - 1):
+                c = np.zeros((ka, kb))
+                c[:, j] = 1.0
+                rows.append(c.ravel())
+            return np.array(rows)
+
+        seen = []
+        linprog = mfg.linprog
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["A_eq"])
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(mfg, "linprog", recording)
+        rng = np.random.default_rng(4)
+        for ka, kb in ((1, 1), (3, 5), (8, 8), (13, 7)):
+            kantorovich_d1(random_measure(ka, rng), random_measure(kb, rng))
+            assert np.array_equal(seen[-1], loop_rows(ka, kb))
 
     def test_metric_axioms(self):
         ms = [random_measure(3, RNG) for _ in range(3)]

@@ -5,6 +5,8 @@ from statecon import (Ball, Hamiltonian, LinearPotential, LinearTerminal,
                       SigmaTooLarge, check_assumptions, energy_bound,
                       extend_data, legendre, quadratic_problem)
 
+from conftest import drifting_problem
+
 
 RNG = np.random.default_rng(5)
 
@@ -87,6 +89,19 @@ class TestLegendre:
         assert np.allclose(d.DppH, np.linalg.inv(A), atol=1e-8)
         assert np.allclose(d.DpxH, 0.0, atol=1e-8)
         assert np.allclose(d.DptH, 0.0, atol=1e-8)
+
+    def test_time_derivative_by_implicit_differentiation(self):
+        prob, dc = drifting_problem()
+        ham = Hamiltonian(prob)
+        rng = np.random.default_rng(12)
+        t = rng.uniform(0.0, 1.0, 20)
+        x = rng.uniform(-1.0, 1.0, (20, 2))
+        p = rng.uniform(-2.0, 2.0, (20, 2))
+        d = ham.derivs_many(t, x, p)
+        assert np.max(np.abs(d.DptH - dc(t))) < 1e-8
+        h = 1e-6
+        fd = (ham.DpH_many(t + h, x, p) - ham.DpH_many(t - h, x, p)) / (2 * h)
+        assert np.max(np.abs(d.DptH - fd)) < 1e-8
 
 
 class TestProblemConstruction:

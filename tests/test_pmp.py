@@ -10,7 +10,7 @@ from statecon import (Ball, Ellipse, Hamiltonian, LinearPotential,
                       recover_adjoint, shoot, velocity_bound)
 from statecon.pmp import grid_derivative, junction_clear_mask
 
-from conftest import s1_exact
+from conftest import drifting_problem, s1_exact
 
 
 TSTAR = np.sqrt(2.0 / 3.0)
@@ -33,9 +33,9 @@ def lambda_oracle(ham, dom, t, x, p, h=1e-4):
 
     vanishes.  The second derivative is linear in lam, so two probes and a
     secant step give the root; b is differentiated by central differences
-    along short RK4 orbits."""
-    def rhs(lam, y):
-        d = ham.derivs_many(t, y[None, :2], y[None, 2:])
+    along short RK4 orbits, which advance t with the state."""
+    def rhs(lam, s, y):
+        d = ham.derivs_many(s, y[None, :2], y[None, 2:])
         xd = -d.DpH[0]
         pd = d.DxH[0] - lam * dom.grad_many(y[None, :2])[0]
         return np.concatenate([xd, pd])
@@ -44,11 +44,12 @@ def lambda_oracle(ham, dom, t, x, p, h=1e-4):
         bs = {}
         for sgn in (1.0, -1.0):
             y = np.concatenate([x, p])
-            k1 = rhs(lam, y)
-            k2 = rhs(lam, y + 0.5 * sgn * h * k1)
-            k3 = rhs(lam, y + 0.5 * sgn * h * k2)
-            k4 = rhs(lam, y + sgn * h * k3)
-            y = y + sgn * h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+            step = sgn * h
+            k1 = rhs(lam, t, y)
+            k2 = rhs(lam, t + 0.5 * step, y + 0.5 * step * k1)
+            k3 = rhs(lam, t + 0.5 * step, y + 0.5 * step * k2)
+            k4 = rhs(lam, t + step, y + step * k3)
+            y = y + step * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
             bs[sgn] = float(dom.b_many(y[None, :2])[0])
         b0 = float(dom.b_many(x[None])[0])
         return (bs[1.0] - 2.0 * b0 + bs[-1.0]) / h ** 2
@@ -160,6 +161,22 @@ class TestFeedbackLambda:
             p = rng.uniform(-1.0, 1.0, 2)
             got = feedback_lambda(ham, dom, 0.3, x, p)
             want = lambda_oracle(ham, dom, 0.3, x, p)
+            assert got == pytest.approx(want, rel=1e-5, abs=1e-6)
+
+    def test_time_mixed_term_matches_oracle(self):
+        # the drift c(t) makes DptH = c'(t) nonzero, so the <Db, DptH> term
+        # of the formula counts
+        dom = Ellipse([0.0, 0.0], [2.0, 1.0])
+        prob, _ = drifting_problem()
+        ham = Hamiltonian(prob)
+        rng = np.random.default_rng(9)
+        for _ in range(6):
+            t = rng.uniform(0.0, 1.0)
+            ang = rng.uniform(0.1, np.pi / 2 - 0.1)
+            x = np.array([2.0 * np.cos(ang), np.sin(ang)])
+            p = rng.uniform(-1.0, 1.0, 2)
+            got = feedback_lambda(ham, dom, t, x, p)
+            want = lambda_oracle(ham, dom, t, x, p)
             assert got == pytest.approx(want, rel=1e-5, abs=1e-6)
 
 

@@ -8,6 +8,7 @@ recomputed optimum, and the mild-solution value function is Lipschitz.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -15,7 +16,8 @@ from statecon import (Domain, GaussianKernelCoupling, constant_measure,
                       evaluate_flow, fixed_point, lip_flow, mild_solution,
                       lipschitz_report, problem_from_config)
 
-cfg = json.load(open("scenarios/S4.json"))
+cfg = json.loads((Path(__file__).resolve().parents[1] / "scenarios"
+                  / "S4.json").read_text())
 dom = Domain.from_config(cfg["domain"])
 prob = problem_from_config(cfg["problem"], dom.dim)
 mc = cfg["mfg"]

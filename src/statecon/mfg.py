@@ -8,7 +8,8 @@ marginal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import logging
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -16,6 +17,8 @@ from scipy.optimize import linprog
 from .geometry import Domain
 from .model import Problem
 from .penalty import Trajectory, delta_choice, epsilon_schedule
+
+log = logging.getLogger("statecon")
 
 
 class UnbalancedMeasure(ValueError):
@@ -46,6 +49,11 @@ class DiscreteMeasure:
         return float(np.sum(self.weights))
 
 
+def _start_key(x0) -> tuple:
+    """Starts that agree to 12 decimals are one start."""
+    return tuple(np.round(x0, 12))
+
+
 @dataclass
 class TrajectoryMeasure:
     trajectories: list            # of Trajectory
@@ -60,11 +68,11 @@ class TrajectoryMeasure:
 
     def initial_measure(self) -> DiscreteMeasure:
         """Time-zero marginal with aggregated weights per distinct start."""
-        starts = np.array([tr.knots[0] for tr in self.trajectories])
         keys = {}
         pts, wts = [], []
-        for s, w in zip(starts, self.weights):
-            k = tuple(np.round(s, 12))
+        for tr, w in zip(self.trajectories, self.weights):
+            s = tr.knots[0]
+            k = _start_key(s)
             if k in keys:
                 wts[keys[k]] += w
             else:
@@ -119,15 +127,54 @@ def kantorovich_d1(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
     return float(res.fun)
 
 
+def _particle_speeds(pos: np.ndarray, weights: np.ndarray,
+                     times: np.ndarray) -> np.ndarray:
+    """Per step between slices, the mean particle speed: moving each
+    particle along itself is a transport plan, so this bounds
+    d1(m_i, m_{i+1}) / (t_{i+1} - t_i).  pos is (len(times), k, n)."""
+    step = np.linalg.norm(np.diff(pos, axis=0), axis=2) @ weights
+    return step / np.diff(times)
+
+
+def _max_by_bounds(bounds: np.ndarray, value) -> tuple[float, int]:
+    """max_i value(i), given upper bounds value(i) <= bounds[i].
+
+    Evaluates value in order of decreasing bound and stops once the next
+    bound is <= the running maximum: no value left can exceed it, so the
+    result is the same float as the maximum over every index.  Returns the
+    maximum and the number of evaluations.
+    """
+    worst, solved = -np.inf, 0
+    for i in np.argsort(-bounds, kind="stable"):
+        if solved and bounds[i] <= worst:
+            break
+        worst = max(worst, value(i))
+        solved += 1
+    return worst, solved
+
+
 def lip_flow(flow: MeasureFlow) -> float:
+    """max_i d1(m_i, m_{i+1}) / (t_{i+1} - t_i) over consecutive slices.
+
+    When every slice carries the same weights in the same particle order
+    (as ``evaluate_flow`` builds them), moving each particle along itself is
+    a transport plan, so its cost bounds d1 from above; transport LPs are
+    then solved in order of decreasing bound and stop once no bound left
+    can beat the running maximum (``_max_by_bounds``).  The result equals
+    the maximum over every slice.  Otherwise every LP is solved.
+    """
     if flow.times.size < 2:
         raise ValueError("need at least 2 time slices")
-    worst = 0.0
-    for i in range(flow.times.size - 1):
-        dt = flow.times[i + 1] - flow.times[i]
-        worst = max(worst, kantorovich_d1(flow.measures[i],
-                                          flow.measures[i + 1]) / dt)
-    return worst
+    dt = np.diff(flow.times)
+    w = flow.measures[0].weights
+    if all(np.array_equal(m.weights, w) for m in flow.measures):
+        bounds = _particle_speeds(np.stack([m.points for m in flow.measures]),
+                                  w, flow.times)
+    else:
+        bounds = np.full(dt.size, np.inf)
+    worst, _ = _max_by_bounds(bounds, lambda i: kantorovich_d1(
+        flow.measures[i], flow.measures[i + 1]) / dt[i])
+    return max(0.0, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +257,8 @@ def flow_speed_bound(eta: TrajectoryMeasure, times) -> float:
     """Upper bound on the flow's d1 Lipschitz constant via the particle
     coupling: the average particle displacement dominates the transport cost."""
     times = np.asarray(times, dtype=float)
-    pos = eta.positions_at(times)           # (nt, k, n)
-    step = np.linalg.norm(np.diff(pos, axis=0), axis=2) @ eta.weights
-    return float(np.max(step / np.diff(times)))
+    return float(np.max(_particle_speeds(eta.positions_at(times),
+                                         eta.weights, times)))
 
 
 def coupled_problem(prob: Problem, dom: Domain, coupling,
@@ -291,17 +337,29 @@ def best_response(prob: Problem, dom: Domain, coupling,
                   eta: TrajectoryMeasure, N: int = 64,
                   warm: dict | None = None) -> TrajectoryMeasure:
     """One constrained solve per distinct start against the frozen flow of
-    eta; the optimal trajectory carries that start's full initial weight."""
+    eta; the optimal trajectory carries that start's full initial weight.
+
+    Every solve runs the warm Newton path of ``minimize_penalized``, from
+    the constant trajectory at the start unless ``warm`` holds an earlier
+    result for it; L-BFGS-B runs only as that path's logged fallback.
+    ``warm`` maps each start, as a tuple rounded to 12 decimals, to the
+    (trajectory, epsilon) of a certified solve.  The epsilon schedule then starts at that epsilon: the
+    penalty is exact, so the minimizer is the same at every level below the
+    threshold and the weaker levels need not be walked again.  Each new
+    result is written back into ``warm``.
+    """
     single = coupled_problem(prob, dom, coupling, eta)
     m0 = eta.initial_measure()
     delta, _ = delta_choice(single, dom)
+    warm = {} if warm is None else warm
     trajs = []
     for x0 in m0.points:
-        init = None
-        if warm is not None:
-            init = warm.get(tuple(np.round(x0, 12)))
-        gamma, _params = epsilon_schedule(single, dom, x0, delta, N=N,
-                                          init=init)
+        key = _start_key(x0)
+        init, eps0 = warm.get(key) or (
+            Trajectory.constant(0.0, prob.horizon, x0, N), 1.0)
+        gamma, params = epsilon_schedule(single, dom, x0, delta, N=N,
+                                         init=init, eps0=eps0)
+        warm[key] = (gamma, params.epsilon)
         trajs.append(gamma)
     return TrajectoryMeasure(trajs, m0.weights)
 
@@ -322,12 +380,47 @@ def _prune(eta: TrajectoryMeasure, tol: float = 1e-8) -> TrajectoryMeasure:
     return TrajectoryMeasure(kept, np.array(weights))
 
 
+def _coupling_cost(eta: TrajectoryMeasure, br: TrajectoryMeasure,
+                   pos_a: np.ndarray, pos_b: np.ndarray) -> np.ndarray:
+    """Per slice, the cost of moving each particle of eta onto br's particle
+    from the same start: an upper bound on d1 when br carries one particle
+    per start of eta with that start's full weight (as ``best_response``
+    returns it), and inf on every slice otherwise."""
+    index = {_start_key(tr.knots[0]): i
+             for i, tr in enumerate(br.trajectories)}
+    own = [index.get(_start_key(tr.knots[0])) for tr in eta.trajectories]
+    if len(index) == len(br.trajectories) and None not in own:
+        own = np.array(own)
+        mass = np.bincount(own, eta.weights, minlength=len(index))
+        if np.array_equal(mass, br.weights):
+            return np.linalg.norm(pos_a - pos_b[:, own], axis=2) @ eta.weights
+    return np.full(pos_a.shape[0], np.inf)
+
+
+def _residual(eta: TrajectoryMeasure, br: TrajectoryMeasure,
+              times) -> tuple[float, int]:
+    """``equilibrium_residual`` and the number of transport LPs it solved."""
+    times = np.asarray(times, dtype=float)
+    pos_a, pos_b = eta.positions_at(times), br.positions_at(times)
+    return _max_by_bounds(
+        _coupling_cost(eta, br, pos_a, pos_b),
+        lambda i: kantorovich_d1(DiscreteMeasure(pos_a[i], eta.weights),
+                                 DiscreteMeasure(pos_b[i], br.weights)))
+
+
 def equilibrium_residual(eta: TrajectoryMeasure, br: TrajectoryMeasure,
                          times) -> float:
-    fa = evaluate_flow(eta, times)
-    fb = evaluate_flow(br, times)
-    return max(kantorovich_d1(ma, mb)
-               for ma, mb in zip(fa.measures, fb.measures))
+    """max over the time slices of d1(eta_t, br_t).
+
+    When br is a best response to eta (one particle per start, carrying the
+    start's weight), coupling each particle of eta with the best response
+    from its own start is a transport plan, so its cost bounds each slice's
+    d1 without an LP.  The exact LPs are solved in order of decreasing
+    bound, stopping once no bound left can beat the running maximum; the
+    result is the same float as the maximum over every slice.  For any other
+    pair every slice's LP is solved.
+    """
+    return _residual(eta, br, times)[0]
 
 
 def fixed_point(prob: Problem, dom: Domain, coupling,
@@ -335,7 +428,11 @@ def fixed_point(prob: Problem, dom: Domain, coupling,
                 tol: float = 1e-3, max_iter: int = 50, N: int = 64,
                 n_times: int = 17):
     """Damped best-response iteration on the convex set of measures with the
-    given initial marginal; stops at flow residual <= tol."""
+    given initial marginal; stops at flow residual <= tol.
+
+    Logs one INFO line per iteration on the ``statecon`` logger: the
+    residual, the support size of the iterate and the transport LPs solved
+    out of the time slices."""
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     times = np.linspace(0.0, prob.horizon, n_times)
@@ -343,11 +440,12 @@ def fixed_point(prob: Problem, dom: Domain, coupling,
     history = []
     warm: dict = {}
     polished = False
-    for _ in range(max_iter):
+    for it in range(max_iter):
         br = best_response(prob, dom, coupling, eta, N=N, warm=warm)
-        warm = {tuple(np.round(tr.knots[0], 12)): tr
-                for tr in br.trajectories}
-        res = equilibrium_residual(eta, br, times)
+        res, lps = _residual(eta, br, times)
+        log.info("mfg iteration %d: residual %.3e, support %d, "
+                 "%d of %d transport LPs", it, res, len(eta.trajectories),
+                 lps, n_times)
         history.append(res)
         if res <= tol:
             if polished:

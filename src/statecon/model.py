@@ -438,11 +438,10 @@ def measure_hamiltonian_constants(ham: Hamiltonian, dom: Domain,
     prob = ham.prob
     t = rng.uniform(0.0, prob.horizon, samples)
     x = dom.sample_extended(rng, samples)
-    p0 = np.zeros((samples, prob.dim))
-    H0 = ham.value_many(t, x, p0)
-    d0 = ham.derivs_many(t, x, p0)
-    Mp = float(np.max(np.abs(H0) + np.linalg.norm(d0.DxH, axis=1)
-                      + np.linalg.norm(d0.DpH, axis=1)))
+    # one conjugate solve at p = 0: DxH = -fx(t, x, v*) and DpH = -v*
+    H0, v0 = ham.legendre_many(t, x, np.zeros((samples, prob.dim)))
+    Mp = float(np.max(np.abs(H0) + np.linalg.norm(prob.fx(t, x, v0), axis=1)
+                      + np.linalg.norm(v0, axis=1)))
     p = rng.normal(0.0, 3.0, (samples, prob.dim))
     d = ham.derivs_many(t, x, p)
     pn = np.linalg.norm(p, axis=1)

@@ -1,23 +1,29 @@
+import json
+import logging
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from statecon import (Ball, DiscreteMeasure, GaussianKernelCoupling,
-                      LinearPotential, PenaltyParams, TrajectoryMeasure,
-                      Trajectory, UnbalancedMeasure, best_response,
-                      constant_measure, delta_choice, epsilon_schedule,
-                      evaluate_flow, fixed_point, kantorovich_d1, lip_flow,
-                      minimize_penalized, monotonicity_check,
+from statecon import (Ball, DiscreteMeasure, Domain, GaussianKernelCoupling,
+                      LinearPotential, MeasureFlow, PenaltyParams,
+                      TrajectoryMeasure, Trajectory, UnbalancedMeasure,
+                      best_response, constant_measure, delta_choice,
+                      epsilon_schedule, evaluate_flow, fixed_point,
+                      kantorovich_d1, lip_flow, minimize_penalized,
+                      monotonicity_check, problem_from_config,
                       quadratic_problem)
-from statecon import mfg
-from statecon.mfg import (_prune, coupled_problem, equilibrium_residual,
-                          flow_speed_bound)
+from statecon import mfg, penalty
+from statecon.mfg import (_coupling_cost, _prune, coupled_problem,
+                          equilibrium_residual, flow_speed_bound)
 from statecon.penalty import _action_hessian, _cost_and_grad, _stationarity
 
 from conftest import fd_action_hessian
 
 
 RNG = np.random.default_rng(17)
+S4 = Path(__file__).resolve().parents[1] / "scenarios" / "S4.json"
 
 
 def d1_quantile_oracle(a, b):
@@ -405,6 +411,54 @@ class TestFixedPoint:
         with pytest.raises(ValueError):
             fixed_point(prob, disk, c, eta0, alpha=0.0)
 
+    def test_one_info_line_per_iteration(self, caplog):
+        disk = Ball([0.0, 0.0], 1.0)
+        prob = quadratic_problem(2, M=1.0, kappa=0.0)
+        c = GaussianKernelCoupling(amp=0.4, scale=0.5)
+        pts = np.array([[0.05, 0.0], [-0.05, 0.05]])
+        eta0 = constant_measure(pts, np.full(2, 0.5), T=1.0, N=16)
+        with caplog.at_level(logging.INFO, logger="statecon"):
+            _, history = fixed_point(prob, disk, c, eta0, tol=1e-3, N=16,
+                                     n_times=5)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("mfg iteration")]
+        assert len(lines) == len(history) >= 2
+        assert lines[0] == (f"mfg iteration 0: residual {history[0]:.3e}, "
+                            f"support 2, 1 of 5 transport LPs")
+
+
+def s4_game(N=32):
+    """S4's domain, problem, coupling and stay-put measure at grid N."""
+    cfg = json.loads(S4.read_text())
+    dom = Domain.from_config(cfg["domain"])
+    prob = problem_from_config(cfg["problem"], dom.dim)
+    mc = cfg["mfg"]
+    eta0 = constant_measure(np.asarray(mc["m0"]["points"]),
+                            np.asarray(mc["m0"]["weights"]), prob.horizon,
+                            N=N)
+    return dom, prob, GaussianKernelCoupling.from_config(mc["coupling"]), eta0
+
+
+def damped(eta, br, alpha=0.5):
+    """The fixed-point iteration's next iterate."""
+    return _prune(TrajectoryMeasure(
+        list(eta.trajectories) + list(br.trajectories),
+        np.concatenate([(1.0 - alpha) * eta.weights, alpha * br.weights])))
+
+
+def counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls; read
+    ``calls[0]``."""
+    calls = [0]
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
 
 class TestBestResponse:
     def test_free_particles_stay_put(self):
@@ -414,3 +468,201 @@ class TestBestResponse:
         eta = constant_measure([[0.3, -0.2]], [1.0], T=1.0, N=32)
         br = best_response(prob, disk, c, eta, N=32)
         assert np.max(np.abs(br.trajectories[0].knots - [0.3, -0.2])) < 1e-8
+
+    def test_constant_starts_need_no_lbfgs(self, lbfgs_calls):
+        # no warm trajectory: every start's first level is a Newton solve
+        # from the constant trajectory
+        dom, prob, coupling, eta = s4_game()
+        br = best_response(prob, dom, coupling, eta, N=32, warm=None)
+        assert lbfgs_calls[0] == 0
+        assert len(br.trajectories) == 8
+        assert np.array_equal(br.weights, eta.weights)
+        for tr, x0 in zip(br.trajectories, eta.initial_measure().points):
+            assert np.array_equal(tr.knots[0], x0)
+            assert np.max(dom.b_many(tr.knots)) <= 1e-6 * dom.diameter
+
+    def test_warm_epsilon_skips_the_weak_levels(self, monkeypatch,
+                                                lbfgs_calls):
+        # a crowd pulled onto the unit circle: each start certifies at
+        # eps = 1/8, four levels down from eps = 1
+        disk = Ball([0.0, 0.0], 1.0)
+        base = quadratic_problem(2, potential=LinearPotential([-6.0, 0.0]),
+                                 T=1.0, M=36.0, kappa=0.0)
+        c = GaussianKernelCoupling(amp=0.5, scale=0.5)
+        eta = constant_measure([[0.3, 0.1], [0.5, -0.2]], [0.4, 0.6],
+                               T=1.0, N=32)
+        solves = counted(monkeypatch, penalty, "minimize_penalized")
+        warm = {}
+        br = best_response(base, disk, c, eta, N=32, warm=warm)
+        first = solves[0]
+        assert [eps for _, eps in warm.values()] == [0.125, 0.125]
+        assert all(np.max(disk.b_many(tr.knots)) > -1e-9
+                   for tr in br.trajectories)  # both reach the boundary
+        eta = damped(eta, br)
+        forgetful = {key: (tr, 1.0) for key, (tr, _) in warm.items()}
+        lbfgs_calls[0] = solves[0] = 0
+        again = best_response(base, disk, c, eta, N=32, warm=warm)
+        assert solves[0] == 2 < first
+        assert lbfgs_calls[0] == 0
+        # the same trajectories without their epsilon walk the whole ladder
+        # and land on the same minimizers: the penalty is exact
+        solves[0] = 0
+        slow = best_response(base, disk, c, eta, N=32, warm=forgetful)
+        assert solves[0] > 2
+        for a, b in zip(again.trajectories, slow.trajectories):
+            assert np.max(np.abs(a.knots - b.knots)) < 1e-8
+
+
+def residual_all_slices(eta, br, times):
+    """``equilibrium_residual`` with one transport LP per slice (the
+    reference)."""
+    fa, fb = evaluate_flow(eta, times), evaluate_flow(br, times)
+    return max(kantorovich_d1(ma, mb)
+               for ma, mb in zip(fa.measures, fb.measures))
+
+
+def lip_all_slices(flow):
+    """``lip_flow`` with one transport LP per pair of slices (the
+    reference)."""
+    worst = 0.0
+    for i in range(flow.times.size - 1):
+        dt = flow.times[i + 1] - flow.times[i]
+        worst = max(worst, kantorovich_d1(flow.measures[i],
+                                          flow.measures[i + 1]) / dt)
+    return worst
+
+
+def wandering_pair(rng, n_starts, n_particles, step, N=16):
+    """A measure of random walks from n_starts starts (each used at least
+    once) and one shaped like its best response: one random walk per start,
+    carrying that start's full weight.  Large steps make particles cross,
+    which leaves coupling by start far from optimal."""
+    starts = rng.uniform(-0.5, 0.5, (n_starts, 2))
+
+    def walk(x0):
+        steps = np.cumsum(rng.normal(0.0, step, (N + 1, 2)), axis=0)
+        return Trajectory(0.0, 1.0, x0 + (steps - steps[0]))
+
+    which = np.concatenate([np.arange(n_starts),
+                            rng.integers(0, n_starts, n_particles - n_starts)])
+    w = rng.uniform(0.2, 1.0, n_particles)
+    eta = TrajectoryMeasure([walk(starts[j]) for j in which], w / w.sum())
+    m0 = eta.initial_measure()
+    return eta, TrajectoryMeasure([walk(x0) for x0 in m0.points], m0.weights)
+
+
+def slice_d1(eta, br, times):
+    fa, fb = evaluate_flow(eta, times), evaluate_flow(br, times)
+    return np.array([kantorovich_d1(ma, mb)
+                     for ma, mb in zip(fa.measures, fb.measures)])
+
+
+@pytest.fixture(scope="module")
+def s4_iterate():
+    """S4's second fixed-point iterate at N = 32 (16 particles) and its best
+    response."""
+    dom, prob, coupling, eta = s4_game()
+    warm = {}
+    eta = damped(eta, best_response(prob, dom, coupling, eta, N=32,
+                                    warm=warm))
+    return eta, best_response(prob, dom, coupling, eta, N=32, warm=warm)
+
+
+class TestTransportBounds:
+    TIMES = np.linspace(0.0, 1.0, 17)
+
+    def test_residual_equals_all_slices_on_random_pairs(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        lps = counted(monkeypatch, mfg, "linprog")
+        loose = skipped = 0
+        for n_starts, n_particles in ((1, 1), (2, 5), (4, 4), (5, 12),
+                                      (8, 20)):
+            for step in (0.02, 0.3):
+                eta, br = wandering_pair(rng, n_starts, n_particles, step)
+                lps[0] = 0
+                got = equilibrium_residual(eta, br, self.TIMES)
+                skipped += self.TIMES.size - lps[0]
+                assert got == residual_all_slices(eta, br, self.TIMES)
+                bound = _coupling_cost(eta, br, eta.positions_at(self.TIMES),
+                                       br.positions_at(self.TIMES))
+                d1 = slice_d1(eta, br, self.TIMES)
+                # an optimal plan costs at most the coupling, up to the
+                # rounding of the LP's own sum
+                assert np.all(bound >= d1 - 1e-12)
+                loose += int(np.sum(bound > d1 + 1e-2))
+        assert loose > 0 and skipped > 0
+
+    def test_other_pairs_solve_every_slice(self, monkeypatch):
+        # br with two particles per start is no best response: coupling by
+        # start is not a transport plan, so no slice may be skipped
+        rng = np.random.default_rng(9)
+        eta, _ = wandering_pair(rng, 3, 6, 0.3)
+        other, _ = wandering_pair(rng, 3, 6, 0.3)
+        other = TrajectoryMeasure(
+            [Trajectory(0.0, 1.0, o.knots - o.knots[0] + e.knots[0])
+             for o, e in zip(other.trajectories, eta.trajectories)],
+            eta.weights)
+        assert np.all(np.isinf(_coupling_cost(
+            eta, other, eta.positions_at(self.TIMES),
+            other.positions_at(self.TIMES))))
+        lps = counted(monkeypatch, mfg, "linprog")
+        got = equilibrium_residual(eta, other, self.TIMES)
+        assert lps[0] == self.TIMES.size
+        assert got == residual_all_slices(eta, other, self.TIMES)
+        # one particle per start, but not with the start's full weight
+        eta, br = wandering_pair(rng, 2, 4, 0.3)
+        br.weights = br.weights[::-1].copy()
+        assert not np.array_equal(br.weights, br.weights[::-1])
+        pos_a, pos_b = (eta.positions_at(self.TIMES),
+                        br.positions_at(self.TIMES))
+        assert np.all(np.isinf(_coupling_cost(eta, br, pos_a, pos_b)))
+        lps[0] = 0
+        got = equilibrium_residual(eta, br, self.TIMES)
+        assert lps[0] == self.TIMES.size
+        assert got == residual_all_slices(eta, br, self.TIMES)
+
+    def test_s4_iterate_skips_slices(self, s4_iterate, monkeypatch):
+        eta, br = s4_iterate
+        assert len(eta.trajectories) == 16
+        bound = _coupling_cost(eta, br, eta.positions_at(self.TIMES),
+                               br.positions_at(self.TIMES))
+        assert np.all(bound >= slice_d1(eta, br, self.TIMES) - 1e-12)
+        want = residual_all_slices(eta, br, self.TIMES)
+        flow = evaluate_flow(eta, np.linspace(0.0, 1.0, 9))
+        want_lip = lip_all_slices(flow)
+        lps = counted(monkeypatch, mfg, "linprog")
+        assert equilibrium_residual(eta, br, self.TIMES) == want
+        assert lps[0] < self.TIMES.size
+        lps[0] = 0
+        assert lip_flow(flow) == want_lip
+        assert lps[0] < 8
+
+    def test_lip_flow_equals_all_slices(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        lps = counted(monkeypatch, mfg, "linprog")
+        for n_particles, step in ((1, 0.1), (4, 0.02), (6, 0.3), (12, 0.3)):
+            eta, _ = wandering_pair(rng, 3 if n_particles > 3 else 1,
+                                    n_particles, step)
+            times = np.sort(rng.uniform(0.0, 1.0, 9))
+            flow = evaluate_flow(eta, times)
+            assert lip_flow(flow) == lip_all_slices(flow)
+            # the particle coupling bounds every step's d1
+            speed = np.linalg.norm(np.diff(eta.positions_at(times), axis=0),
+                                   axis=2) @ eta.weights
+            for i in range(times.size - 1):
+                d1 = kantorovich_d1(flow.measures[i], flow.measures[i + 1])
+                assert speed[i] >= d1 - 1e-12
+        # the last slice moves mass between resting points: index by index
+        # nothing moves, yet d1 is the largest there, so every LP is solved
+        a, b = [0.0, 0.0], [0.5, 0.0]
+        times = np.linspace(0.0, 1.0, 4)
+        flow = MeasureFlow(times, [
+            DiscreteMeasure([a, b], [0.9, 0.1]),
+            DiscreteMeasure([a, b], [0.9, 0.1]),
+            DiscreteMeasure([[0.1, 0.0], b], [0.9, 0.1]),
+            DiscreteMeasure([[0.1, 0.0], b], [0.1, 0.9])])
+        want = lip_all_slices(flow)
+        assert want == pytest.approx(0.8 * 0.4 * 3.0)
+        lps[0] = 0
+        assert lip_flow(flow) == want
+        assert lps[0] == times.size - 1

@@ -5,6 +5,8 @@ from statecon import (Ball, Hamiltonian, LinearPotential, LinearTerminal,
                       SigmaTooLarge, check_assumptions, energy_bound,
                       extend_data, legendre, quadratic_problem)
 
+from statecon.model import measure_hamiltonian_constants
+
 from conftest import drifting_problem
 
 
@@ -134,6 +136,36 @@ class TestAssumptions:
                                  M=1.0, kappa=0.0)
         rep = check_assumptions(prob, disk, rng=np.random.default_rng(0))
         assert not rep.checks["base_bound"].passed
+
+    def test_constants_solve_once_at_zero(self, disk, pull_problem,
+                                          monkeypatch):
+        # reference: H and its first derivatives at p = 0 from two solves
+        def two_solves(ham, samples=200):
+            rng = np.random.default_rng(1)
+            t = rng.uniform(0.0, ham.prob.horizon, samples)
+            x = disk.sample_extended(rng, samples)
+            p0 = np.zeros((samples, 2))
+            d0 = ham.derivs_many(t, x, p0)
+            return float(np.max(np.abs(ham.value_many(t, x, p0))
+                                + np.linalg.norm(d0.DxH, axis=1)
+                                + np.linalg.norm(d0.DpH, axis=1)))
+
+        legendre_many = Hamiltonian.legendre_many
+        zero = []
+
+        def counted(self, t, x, p):
+            zero.append(not np.any(p))
+            return legendre_many(self, t, x, p)
+
+        for prob in (pull_problem, drifting_problem()[0]):
+            ham = Hamiltonian(prob)
+            want = two_solves(ham)
+            monkeypatch.setattr(Hamiltonian, "legendre_many", counted)
+            zero.clear()
+            Mp, _ = measure_hamiltonian_constants(ham, disk, samples=200)
+            monkeypatch.undo()
+            assert zero == [True, False]
+            assert Mp == want
 
     def test_energy_budget_positive(self, disk, pull_problem):
         K = energy_bound(pull_problem, disk)

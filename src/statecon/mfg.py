@@ -3,7 +3,7 @@
 A population is a weighted list of trajectories; its time-t marginal couples
 back into each agent's running cost.  Equilibria are found by a damped
 best-response iteration over the convex set of measures sharing the initial
-marginal.
+marginal, started from a critical point of the game's potential.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ from scipy.optimize import linprog
 
 from .geometry import Domain
 from .model import Problem
-from .penalty import Trajectory, delta_choice, epsilon_schedule
+from .penalty import (PenaltyParams, Trajectory, _block_diag, _certificate,
+                      _newton_finish, delta_choice, epsilon_schedule,
+                      penalized_cost)
 
 log = logging.getLogger("statecon")
 
@@ -65,6 +67,16 @@ class TrajectoryMeasure:
             raise ValueError("weights must sum to 1")
         if len(self.trajectories) != self.weights.size:
             raise ValueError("one weight per trajectory required")
+        # every particle on one grid: one trajectory with knots
+        # (x_1, ..., x_k), interpolated once per call of positions_at (the
+        # measure is not changed after construction)
+        first = self.trajectories[0]
+        self._stacked = None
+        if all((tr.t0, tr.t1, tr.knots.shape)
+               == (first.t0, first.t1, first.knots.shape)
+               for tr in self.trajectories):
+            self._stacked = Trajectory(first.t0, first.t1, np.hstack(
+                [tr.knots for tr in self.trajectories]))
 
     def initial_measure(self) -> DiscreteMeasure:
         """Time-zero marginal with aggregated weights per distinct start."""
@@ -82,9 +94,13 @@ class TrajectoryMeasure:
         return DiscreteMeasure(np.array(pts), np.array(wts))
 
     def positions_at(self, t) -> np.ndarray:
-        """Stacked particle positions, shape (len(t), k, n)."""
+        """Stacked particle positions, shape (len(t), k, n): one
+        interpolation of the stacked knots when every particle shares one
+        grid (the same floats as ``Trajectory.at``), else one per particle."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.stack([tr.at(t) for tr in self.trajectories], axis=1)
+        if self._stacked is None:
+            return np.stack([tr.at(t) for tr in self.trajectories], axis=1)
+        return self._stacked.at(t).reshape(t.size, len(self.trajectories), -1)
 
 
 @dataclass
@@ -265,17 +281,9 @@ def coupled_problem(prob: Problem, dom: Domain, coupling,
                     eta: TrajectoryMeasure) -> Problem:
     """Single-agent problem against the frozen population flow of eta."""
     T = prob.horizon
-    cache: dict = {}
 
     def Y_at(t):
-        # solver grids repeat the same few time vectors thousands of times
-        key = t.tobytes()
-        hit = cache.get(key)
-        if hit is None:
-            if len(cache) > 64:
-                cache.clear()
-            hit = cache[key] = eta.positions_at(np.clip(t, 0.0, T))
-        return hit
+        return eta.positions_at(np.clip(t, 0.0, T))
 
     def F_many(t, X):
         D = X[:, None, :] - Y_at(t)
@@ -364,6 +372,132 @@ def best_response(prob: Problem, dom: Domain, coupling,
     return TrajectoryMeasure(trajs, m0.weights)
 
 
+def potential_problem(prob: Problem, coupling, weights) -> Problem:
+    """The potential of the game as one problem on the stacked state
+    X = (x_1, ..., x_k) of k agents with weights w:
+
+        f(t, X, V) = sum_i w_i f(t, x_i, v_i)
+                     + 1/2 sum_ij w_i w_j phi(x_i - x_j),
+        g(X) = sum_i w_i g(x_i) + 1/2 sum_ij w_i w_j phi_T(x_i - x_j),
+
+    phi and phi_T the coupling's running and terminal bumps.  The kernels
+    are even, so agent i's block of the gradient is w_i times its own
+    first-order condition against the flow of all k agents, and the block
+    (i, j) of the state Hessian gains -w_i w_j D2phi(x_i - x_j) (Benamou,
+    Carlier & Santambrogio, "Variational Mean Field Games", 2017).
+    """
+    w = np.asarray(weights, dtype=float)
+    k, n = w.size, prob.dim
+    s2 = coupling.scale ** 2
+    diag = np.arange(k)
+
+    def agents(fn, t, X, V):
+        # fn on each agent's own batch, times its weight: (m, k, ...)
+        X = np.atleast_2d(X)
+        m = X.shape[0]
+        t = np.repeat(np.broadcast_to(np.asarray(t, dtype=float), (m,)), k)
+        out = fn(t, X.reshape(m * k, n), np.atleast_2d(V).reshape(m * k, n))
+        out = out.reshape(m, k, *out.shape[1:])
+        return out * w.reshape((1, k) + (1,) * (out.ndim - 2))
+
+    def pairs(X, amp):
+        # displacements x_i - x_j (m, k, k, n) and w_i w_j phi(x_i - x_j)
+        Xs = np.atleast_2d(X).reshape(-1, k, n)
+        D = Xs[:, :, None] - Xs[:, None]
+        phi = coupling._phi(D.reshape(-1, k, n), amp).reshape(D.shape[:3])
+        return D, phi * np.outer(w, w)
+
+    def pair_grad(X, amp):
+        D, wphi = pairs(X, amp)
+        return -np.einsum("mij,mijn->min", wphi, D).reshape(-1, k * n) / s2
+
+    def pair_hess(X, amp):
+        D, wphi = pairs(X, amp)
+        P = (np.einsum("mij,mija,mijb->mijab", wphi, D, D) / s2 ** 2
+             - wphi[..., None, None] * np.eye(n) / s2)
+        H = -P.transpose(0, 1, 3, 2, 4)
+        H[:, diag, :, diag, :] += P.sum(axis=2).transpose(1, 0, 2, 3)
+        return H.reshape(-1, k * n, k * n)
+
+    def terminal(fn):
+        return lambda t, x, v: fn(x)
+
+    def f(t, X, V):
+        return (agents(prob.f, t, X, V).sum(axis=1)
+                + 0.5 * pairs(X, coupling.amp)[1].sum(axis=(1, 2)))
+
+    def fx(t, X, V):
+        return (agents(prob.fx, t, X, V).reshape(-1, k * n)
+                + pair_grad(X, coupling.amp))
+
+    def fv(t, X, V):
+        return agents(prob.fv, t, X, V).reshape(-1, k * n)
+
+    def fvv(t, X, V):
+        return _block_diag(agents(prob.fvv, t, X, V))
+
+    def fvx(t, X, V):
+        return _block_diag(agents(prob.fvx, t, X, V))
+
+    def fxx(t, X, V):
+        return (_block_diag(agents(prob.fxx, t, X, V))
+                + pair_hess(X, coupling.amp))
+
+    def g(X):
+        return (agents(terminal(prob.g), 0.0, X, X).sum(axis=1)
+                + 0.5 * pairs(X, coupling.terminal_amp)[1].sum(axis=(1, 2)))
+
+    def Dg(X):
+        return (agents(terminal(prob.Dg), 0.0, X, X).reshape(-1, k * n)
+                + pair_grad(X, coupling.terminal_amp))
+
+    def D2g(X):
+        return (_block_diag(agents(terminal(prob.D2g), 0.0, X, X))
+                + pair_hess(X, coupling.terminal_amp))
+
+    return Problem(f=f, fx=fx, fv=fv, fvv=fvv, fvx=fvx, g=g, Dg=Dg,
+                   horizon=prob.horizon, dim=k * n, mu=prob.mu, M=prob.M,
+                   kappa=prob.kappa, family="potential", fxx=fxx, D2g=D2g)
+
+
+def joint_equilibrium(prob: Problem, dom: Domain, coupling,
+                      eta0: TrajectoryMeasure, N: int = 64):
+    """A critical point of the game's potential with one trajectory per
+    distinct start of eta0, by one Newton solve.
+
+    ``penalty._newton_finish`` runs on ``potential_problem`` with knots
+    (x_1, ..., x_k), penalty weights w_i c per agent and knot, epsilon = 1
+    and the delta ``best_response`` uses against eta0.  It starts from the
+    weighted mean of eta0's trajectories from each start (the stay-put
+    trajectory for a stay-put eta0).  Returns the measure, its stationarity,
+    whether it passes the certificate of ``penalty._certified_finish`` and
+    the Newton steps taken.
+    """
+    m0 = eta0.initial_measure()
+    k, n, T = m0.weights.size, dom.dim, prob.horizon
+    keys = [_start_key(x) for x in m0.points]
+    own = np.array([keys.index(_start_key(tr.knots[0]))
+                    for tr in eta0.trajectories])
+    share = np.zeros((k, own.size))
+    share[own, np.arange(own.size)] = eta0.weights / m0.weights[own]
+    X = np.einsum("kp,tpn->tkn", share,
+                  eta0.positions_at(np.linspace(0.0, T, N + 1)))
+    X[0] = m0.points
+    joint = potential_problem(prob, coupling, m0.weights)
+    delta, _ = delta_choice(coupled_problem(prob, dom, coupling, eta0), dom)
+    params = PenaltyParams(epsilon=1.0, delta=delta, rho=dom.rho0, N=N,
+                           weights=m0.weights)
+    start = Trajectory(0.0, T, X.reshape(N + 1, k * n))
+    stats: dict = {}
+    traj = _newton_finish(joint, dom, params, start,
+                          penalized_cost(joint, dom, params, start), stats)
+    stat, ok, _ = _certificate(joint, dom, params, traj)
+    X = traj.knots.reshape(N + 1, k, n)
+    eta = TrajectoryMeasure([Trajectory(0.0, T, X[:, j].copy())
+                             for j in range(k)], m0.weights)
+    return eta, stat, ok, stats["newton_steps"]
+
+
 def _prune(eta: TrajectoryMeasure, tol: float = 1e-8) -> TrajectoryMeasure:
     """Merge particles whose trajectories coincide to within tol in sup norm."""
     kept: list = []
@@ -430,13 +564,26 @@ def fixed_point(prob: Problem, dom: Domain, coupling,
     """Damped best-response iteration on the convex set of measures with the
     given initial marginal; stops at flow residual <= tol.
 
-    Logs one INFO line per iteration on the ``statecon`` logger: the
-    residual, the support size of the iterate and the transport LPs solved
-    out of the time slices."""
+    The iteration starts from the critical point of the game's potential
+    that ``joint_equilibrium`` finds from eta0, if that point passes the
+    stationarity certificate, and from eta0 otherwise.  Either way iteration
+    0 is a best-response round from the constant trajectories against the
+    starting measure, whose residual certifies it; with a certified
+    critical point that is an equilibrium, the loop returns after one more
+    round.  ``alpha`` and ``max_iter`` damp and cap the rounds as without
+    the joint solve.
+
+    Logs on the ``statecon`` logger one INFO line for the joint solve (its
+    Newton steps, stationarity and whether its result seeds the loop) and
+    one per iteration: the residual, the support size of the iterate and
+    the transport LPs solved out of the time slices."""
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     times = np.linspace(0.0, prob.horizon, n_times)
-    eta = eta0
+    seed, stat, ok, steps = joint_equilibrium(prob, dom, coupling, eta0, N=N)
+    log.info("mfg joint Newton: %d steps, stationarity %.3e, %s", steps,
+             stat, "seed used" if ok else "seed rejected, starting from eta0")
+    eta = seed if ok else eta0
     history = []
     warm: dict = {}
     polished = False

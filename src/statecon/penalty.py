@@ -9,7 +9,7 @@ trapezoid rule using the per-interval velocity at both interval ends.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -112,12 +112,20 @@ class Trajectory:
 
 @dataclass
 class PenaltyParams:
+    """Penalty weights 1/epsilon along the arc and 1/delta at the end, the
+    tube radius rho and the grid size N.  ``weights`` scales the penalty of
+    each of the k points that every knot carries: one point for a single
+    agent, one per agent for the stacked state of ``mfg.joint_equilibrium``,
+    whose knots are (x_1, ..., x_k)."""
+
     epsilon: float
     delta: float
     rho: float
     N: int
+    weights: np.ndarray = field(default_factory=lambda: np.ones(1))
 
     def __post_init__(self):
+        self.weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if not 0 < self.delta <= 1:
@@ -206,11 +214,12 @@ def _cost_and_grad(prob: Problem, dom: Domain, params: PenaltyParams,
                    gamma: Trajectory, need_grad: bool = True,
                    geo: BoundaryEval | None = None):
     """Discrete cost, its gradient with respect to knots 1..N (knot 0 is the
-    pinned initial state) and the first-order geometry of the knots, which
-    the caller may pass in as ``geo`` when it already has it."""
+    pinned initial state) and the first-order geometry of the knots' points
+    (k per knot, in knot order), which the caller may pass in as ``geo``
+    when it already has it."""
     X = gamma.knots
     if geo is None:
-        geo = dom.eval(X, hess=False)
+        geo = dom.eval(X.reshape(-1, dom.dim), hess=False)
     N = gamma.N
     dt = gamma.dt
     tk = gamma.times
@@ -218,7 +227,8 @@ def _cost_and_grad(prob: Problem, dom: Domain, params: PenaltyParams,
 
     fl = prob.f(tk[:-1], X[:-1], V)
     fr = prob.f(tk[1:], X[1:], V)
-    d = np.maximum(geo.b, 0.0)
+    # per knot, the penalty-weighted distance of its points
+    d = np.maximum(geo.b, 0.0).reshape(N + 1, -1) @ params.weights
     w = _trapezoid_weights(N, dt)
 
     cost = (0.5 * dt * np.sum(fl + fr)
@@ -233,7 +243,8 @@ def _cost_and_grad(prob: Problem, dom: Domain, params: PenaltyParams,
     # midpoint Db/2 on the boundary band (fixed tie-break)
     tol = dom.boundary_tol
     scale = np.where(geo.b > tol, 1.0, np.where(geo.b > -tol, 0.5, 0.0))
-    dgrad = geo.Db * scale[:, None]
+    scale *= np.tile(params.weights, N + 1)
+    dgrad = (geo.Db * scale[:, None]).reshape(N + 1, -1)
     G += (w / params.epsilon)[:, None] * dgrad
     G[-1] += dgrad[-1] / params.delta
     return cost, G, geo
@@ -243,75 +254,92 @@ def _stationarity(dom: Domain, params: PenaltyParams, gamma: Trajectory,
                   G: np.ndarray, geo: BoundaryEval) -> float:
     """Minimal-norm element of the discrete subdifferential.
 
-    G carries the midpoint selection Db/2 at boundary-band knots; those rows
-    admit any coefficient in [0, w/eps] on Db, so the best choice is projected
-    out before taking the norm.
+    G carries the midpoint selection Db/2 at boundary-band points; those rows
+    admit any coefficient in [0, c] on Db, c = w/eps (+1/delta at the last
+    knot) times the point's weight, so the best choice is projected out
+    before taking the norm.
     """
     band = np.abs(geo.b) <= dom.boundary_tol
-    R = G.copy()
+    R = G.reshape(-1, dom.dim).copy()  # one row per point
     if np.any(band):
-        w = _trapezoid_weights(gamma.N, gamma.dt)
-        cmax = w / params.epsilon
-        if band[-1]:
-            cmax[-1] += 1.0 / params.delta
+        cmax = _trapezoid_weights(gamma.N, gamma.dt) / params.epsilon
+        cmax[-1] += 1.0 / params.delta
+        cmax = np.outer(cmax, params.weights).ravel()
         Db = geo.Db[band]
         half = 0.5 * cmax[band]
         # G used coefficient c/2; admissible shifts are s in [-c/2, +c/2]
         proj = np.einsum("mi,mi->m", R[band], Db)
         shift = np.clip(-proj, -half, half)
         R[band] += shift[:, None] * Db
-    R[0] = 0.0  # pinned knot
+    R[:params.weights.size] = 0.0  # pinned knot
     return float(np.linalg.norm(R.ravel(), ord=np.inf))
 
 
+def _block_diag(A: np.ndarray) -> np.ndarray:
+    """(m, k, n, n) blocks as m block-diagonal (k n, k n) matrices."""
+    m, k, n, _ = A.shape
+    out = np.zeros((m, k, n, k, n))
+    i = np.arange(k)
+    out[:, i, :, i, :] = A.transpose(1, 0, 2, 3)
+    return out.reshape(m, k * n, k * n)
+
+
 def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
-                   traj: Trajectory, cost: float) -> Trajectory:
+                   traj: Trajectory, cost: float,
+                   stats: dict | None = None) -> Trajectory:
     """Newton's method on the full penalized problem, from ``traj`` with
     penalized cost ``cost``.
 
-    Every free knot sits in one of three groups, each smooth:
+    Each knot carries k = ``params.weights.size`` points (one per agent of a
+    joint solve, else one).  Every free point sits in one of three groups,
+    each smooth:
 
     - inside (b < 0): no penalty;
     - outside (b > 0): the penalty c b with c = w/eps (+1/delta at the last
-      knot), which adds c Db to the gradient and c D2b to its diagonal
-      Hessian block;
+      knot) times the point's weight, which adds c Db to the gradient and
+      c D2b to its diagonal Hessian block;
     - boundary: an equality row b = 0 whose multiplier must lie in [0, c].
 
     Each step solves the KKT system of the action's exact block-tridiagonal
-    Hessian (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 18).
+    Hessian, with (k n)-blocks in knot order (Nocedal & Wright, Numerical
+    Optimization, 2nd ed., ch. 18).
     Primal-dual active-set updates move the groups (Hintermueller, Ito &
     Kunisch, SIAM J. Optim. 13, 2002): a boundary multiplier below 0
-    releases its knot inside, one above c releases it outside, and a knot
+    releases its point inside, one above c releases it outside, and a point
     whose step crosses b = 0 joins the boundary.  Each step backtracks on
     the penalized cost, which keeps the groups from cycling.  Returns the
-    best point reached; the caller certifies it.
+    best trajectory reached, and records the accepted steps under
+    ``"newton_steps"`` in ``stats`` when given; the caller certifies it.
     """
-    N, n = traj.N, traj.dim
-    nf = N * n
+    N, n, k = traj.N, dom.dim, params.weights.size
+    nf = N * k * n
     c = _trapezoid_weights(N, traj.dt)[1:] / params.epsilon
     c[-1] += 1.0 / params.delta
-    geo = dom.eval(traj.knots)
+    c = np.outer(c, params.weights).ravel()  # per free point
+    geo = dom.eval(traj.knots.reshape(-1, n))
     # the L-BFGS round leaves contact knots within ~1e-7 diam of b = 0; a
     # wider band pins interior knots, which are then released one by one
     band = 1e-5 * dom.diameter
-    b = geo.b[1:]
+    b = geo.b[k:]
     outside = b > band
     boundary = np.abs(b) <= band
-    mult = np.zeros(N)
-    step = np.zeros((N + 1, n))  # knot 0 is pinned
+    mult = np.zeros(N * k)
+    step = np.zeros_like(traj.knots)  # knot 0 is pinned
+    steps = 0
     for _ in range(30):
-        Db, D2b = geo.Db[1:], geo.D2b[1:]
-        grad = _action_grad(prob, traj)[1:]
-        while True:  # re-solve until no boundary multiplier releases a knot
+        Db, D2b = geo.Db[k:], geo.D2b[k:]
+        grad = _action_grad(prob, traj)[1:].reshape(-1, n)
+        while True:  # re-solve until no boundary multiplier releases a point
             g = grad.copy()
             g[outside] += c[outside, None] * Db[outside]
             # curvature only where the penalty acts: inside knots may sit on
             # a focal point, where D2b is inf/NaN
             curved = outside | boundary
-            curv = np.zeros((N, n, n))
+            curv = np.zeros((N * k, n, n))
             curv[curved] = (np.where(outside, c, mult)[curved, None, None]
                             * D2b[curved])
-            H = _action_hessian(prob, traj, curv)
+            H = _action_hessian(prob, traj,
+                                _block_diag(curv.reshape(N, k, n, n)))
             act = np.flatnonzero(boundary)
             if act.size:
                 cols = (act[:, None] * n + np.arange(n)[None, :]).ravel()
@@ -323,7 +351,7 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
             else:  # no boundary rows: the KKT system is H alone
                 sol = spsolve(H.tocsc(), -g.ravel())
             mu = sol[nf:]
-            # a multiplier out of [0, c] releases its knot only toward the
+            # a multiplier out of [0, c] releases its point only toward the
             # side it sits on, which keeps the step a descent direction
             low = (mu < -1e-10 * c[act]) & (b[act] <= dom.boundary_tol)
             high = (mu > (1 + 1e-10) * c[act]) & (b[act] >= -dom.boundary_tol)
@@ -332,13 +360,13 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
                 break
             boundary[act[low | high]] = False
             outside[act[high]] = True
-        step[1:] = sol[:nf].reshape(N, n)
+        step[1:] = sol[:nf].reshape(N, -1)
         if not np.all(np.isfinite(step)):
             break  # singular system: as no decrease, keep the best point
         alpha = 1.0
         while alpha >= 1e-10:
             trial = Trajectory(traj.t0, traj.t1, traj.knots + alpha * step)
-            geo_t = dom.eval(trial.knots)
+            geo_t = dom.eval(trial.knots.reshape(-1, n))
             cost_t = _cost_and_grad(prob, dom, params, trial,
                                     need_grad=False, geo=geo_t)[0]
             if cost_t <= cost + 1e-14 * (1.0 + abs(cost)):
@@ -347,8 +375,9 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
         else:
             break  # no decrease along the step: keep the best point
         traj, geo, cost = trial, geo_t, cost_t
-        b = geo.b[1:]
-        # a knot that crossed b = 0, or whose step stopped on the kink of
+        steps += 1
+        b = geo.b[k:]
+        # a point that crossed b = 0, or whose step stopped on the kink of
         # the penalty, joins the boundary; left out, the kink would cut
         # every later line search short
         crossed = ~boundary & ((outside & (b < 0.0)) | (~outside & (b > 0.0))
@@ -357,20 +386,29 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
         outside &= ~crossed
         if np.max(np.abs(alpha * step)) < 1e-13 * (1.0 + dom.diameter):
             break
-    traj.knots[1:][boundary] = geo.P[1:][boundary]
+    traj.knots[1:] = np.where(boundary[:, None], geo.P[k:],
+                              traj.knots[1:].reshape(-1, n)).reshape(N, -1)
+    if stats is not None:
+        stats["newton_steps"] = steps
     return traj
+
+
+def _certificate(prob: Problem, dom: Domain, params: PenaltyParams,
+                 traj: Trajectory):
+    """The certificate of a penalized minimizer: the minimal-norm element of
+    the subdifferential must fall below 1e-8 (1 + |cost|).  Returns that
+    norm, whether it certifies and the largest b."""
+    cost, G, geo = _cost_and_grad(prob, dom, params, traj)
+    stat = _stationarity(dom, params, traj, G, geo)
+    return stat, stat < 1e-8 * (1.0 + abs(cost)), float(np.max(geo.b))
 
 
 def _certified_finish(prob: Problem, dom: Domain, params: PenaltyParams,
                       traj: Trajectory, cost: float):
-    """Newton finish from ``traj``, then the certificate: the minimal-norm
-    element of the subdifferential must fall below 1e-8 (1 + |cost|).
-    Returns the result, its stationarity, whether it certifies and its
-    largest b."""
+    """Newton finish from ``traj``, then ``_certificate``.  Returns the
+    result, its stationarity, whether it certifies and its largest b."""
     traj = _newton_finish(prob, dom, params, traj, cost)
-    cost, G, geo = _cost_and_grad(prob, dom, params, traj)
-    stat = _stationarity(dom, params, traj, G, geo)
-    return traj, stat, stat < 1e-8 * (1.0 + abs(cost)), float(np.max(geo.b))
+    return (traj, *_certificate(prob, dom, params, traj))
 
 
 def minimize_penalized(prob: Problem, dom: Domain, params: PenaltyParams,

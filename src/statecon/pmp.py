@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import BOUNDARY_TOL_FACTOR, Domain, OutsideTube
+from .geometry import BOUNDARY_TOL_FACTOR, BoundaryEval, Domain, OutsideTube
 from .model import (Hamiltonian, HamiltonianDerivs, Problem, energy_bound,
                     measure_hamiltonian_constants)
 from .penalty import PenaltyParams, Trajectory
@@ -31,10 +31,13 @@ MULTIPLIER_TOL_FACTOR = 1e-4
 
 
 def contact_mask(dom: Domain, gamma: Trajectory,
-                 tol: float | None = None) -> np.ndarray:
-    """Knots lying on the boundary (within tolerance)."""
+                 tol: float | None = None,
+                 geo: BoundaryEval | None = None) -> np.ndarray:
+    """Knots lying on the boundary (within tolerance); ``geo``, when given,
+    is the geometry of the knots, evaluated already."""
     tol = dom.boundary_tol if tol is None else tol
-    return np.abs(dom.b_many(gamma.knots)) <= tol
+    b = dom.b_many(gamma.knots) if geo is None else geo.b
+    return np.abs(b) <= tol
 
 
 def _runs(mask: np.ndarray):
@@ -91,24 +94,28 @@ def grid_derivative(Y: np.ndarray, dt: float,
 
 
 def recover_adjoint(prob: Problem, gamma: Trajectory,
-                    dom: Domain | None = None) -> np.ndarray:
+                    dom: Domain | None = None,
+                    geo: BoundaryEval | None = None) -> np.ndarray:
     """Co-state from duality: p(t) = -D_v f(t, gamma(t), gamma'(t)); with
-    ``dom``, gamma' is differenced within contact runs only."""
-    mask = None if dom is None else contact_mask(dom, gamma)
+    ``dom``, gamma' is differenced within contact runs only (``geo`` as in
+    ``contact_mask``)."""
+    mask = None if dom is None else contact_mask(dom, gamma, geo=geo)
     v = grid_derivative(gamma.knots, gamma.dt, mask)
     return -prob.fv(gamma.times, gamma.knots, v)
 
 
 def multiplier_from_residual(prob: Problem, dom: Domain, gamma: Trajectory,
-                             p: np.ndarray):
+                             p: np.ndarray, geo: BoundaryEval | None = None):
     """Constraint multiplier from the adjoint-equation defect.
 
     Returns (lam, nu, orth) where lam is the per-knot multiplier (zero off
     contact), nu the terminal multiplier, and orth the norm of the defect
-    component orthogonal to Db at each contact knot.
+    component orthogonal to Db at each contact knot.  ``geo``, when given,
+    is the geometry of the knots, evaluated already.
     """
     ham = Hamiltonian(prob)
-    geo = dom.eval(gamma.knots, hess=False)
+    if geo is None:
+        geo = dom.eval(gamma.knots, hess=False)
     mask = np.abs(geo.b) <= dom.boundary_tol
     t = gamma.times
     pdot = grid_derivative(p, gamma.dt, mask)
@@ -195,12 +202,15 @@ class Extremal:
 
 
 def hamiltonian_drift(prob: Problem, dom: Domain, gamma: Trajectory,
-                      p: np.ndarray, epsilon: float | None = None) -> np.ndarray:
-    """r(t) = H(t, gamma, p), minus the penalty well d/eps while penalized."""
+                      p: np.ndarray, epsilon: float | None = None,
+                      geo: BoundaryEval | None = None) -> np.ndarray:
+    """r(t) = H(t, gamma, p), minus the penalty well d/eps while penalized
+    (``geo`` as in ``contact_mask``)."""
     ham = Hamiltonian(prob)
     r = ham.value_many(gamma.times, gamma.knots, p)
     if epsilon is not None:
-        r = r - np.maximum(dom.b_many(gamma.knots), 0.0) / epsilon
+        b = dom.b_many(gamma.knots) if geo is None else geo.b
+        r = r - np.maximum(b, 0.0) / epsilon
     return r
 
 
@@ -227,11 +237,14 @@ def velocity_bound(prob: Problem, dom: Domain, delta: float, K: float,
 
 def make_extremal(prob: Problem, dom: Domain, gamma: Trajectory,
                   params: PenaltyParams | None = None) -> Extremal:
-    """Assemble the full first-order bundle from a certified minimizer."""
-    p = recover_adjoint(prob, gamma, dom)
-    lam, nu, _ = multiplier_from_residual(prob, dom, gamma, p)
+    """Assemble the full first-order bundle from a certified minimizer; its
+    knots are evaluated once."""
+    geo = dom.eval(gamma.knots, hess=False)
+    p = recover_adjoint(prob, gamma, dom, geo=geo)
+    lam, nu, _ = multiplier_from_residual(prob, dom, gamma, p, geo=geo)
     r = hamiltonian_drift(prob, dom, gamma, p,
-                          params.epsilon if params is not None else None)
+                          params.epsilon if params is not None else None,
+                          geo=geo)
     K = energy_bound(prob, dom)
     delta = params.delta if params is not None else 1.0
     _, C = measure_hamiltonian_constants(Hamiltonian(prob), dom)

@@ -22,6 +22,7 @@ class ValueGrid:
     points: np.ndarray                # (np, n), all in the closed domain
     values: np.ndarray                # (nt, np); NaN marks a failed node
     trajectories: dict = field(default_factory=dict)   # (i, j) -> Trajectory
+    epsilons: dict = field(default_factory=dict)       # (i, j) -> certified eps
     failures: list = field(default_factory=list)       # (i, j, message)
 
 
@@ -33,8 +34,10 @@ def _resample(traj: Trajectory, t0: float, t1: float, N: int) -> Trajectory:
 
 def compute_value(prob: Problem, dom: Domain, times, points,
                   N: int = 32) -> ValueGrid:
-    """Per-node constrained solves, warm-started along the time axis
-    (the solution at t_{i+1} seeds the longer solve at t_i)."""
+    """Per-node constrained solves, warm-started along the time axis: the
+    solution at t_{i+1} seeds the longer solve at t_i, whose epsilon
+    schedule starts at the epsilon that solution certified at (the penalty
+    is exact, so the weaker levels need not be walked again)."""
     times = np.asarray(times, dtype=float)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     T = prob.horizon
@@ -51,24 +54,25 @@ def compute_value(prob: Problem, dom: Domain, times, points,
 
     delta, _ = delta_choice(prob, dom)
     for j in range(npt):
-        warm = None
+        warm, eps0 = None, 1.0
         for i in range(nt - 2, -1, -1):
             t0 = times[i]
             init = (Trajectory.constant(t0, T, points[j], N) if warm is None
                     else _resample(warm, t0, T, N))
             init = Trajectory(t0, T, np.vstack([points[j], init.knots[1:]]))
             try:
-                gamma, _params = epsilon_schedule(prob, dom, points[j], delta,
-                                                  N=N, init=init)
+                gamma, params = epsilon_schedule(prob, dom, points[j], delta,
+                                                 N=N, init=init, eps0=eps0)
             except (ScheduleExhausted, NonFiniteCost) as exc:
                 # the solver's own failures: record and move on; the grid
                 # stays usable.  Anything else is a bug and propagates.
                 vg.failures.append((i, j, repr(exc)))
-                warm = None
+                warm, eps0 = None, 1.0
                 continue
             values[i, j] = running_cost(prob, gamma) + float(
                 prob.g(gamma.knots[-1:]).item())
             vg.trajectories[(i, j)] = gamma
+            vg.epsilons[(i, j)] = eps0 = params.epsilon
             warm = gamma
     return vg
 
@@ -111,7 +115,8 @@ def dpp_check(prob: Problem, dom: Domain, vg: ValueGrid, samples: int = 10,
               rng: np.random.Generator | None = None, N: int = 32) -> float:
     """Worst gap in the two-stage decomposition of the value along computed
     optimal arcs: cost to an intermediate time plus a fresh solve from there
-    should reproduce the node value."""
+    should reproduce the node value.  Each tail solve starts from the node's
+    arc and at the epsilon the node certified at."""
     rng = rng or np.random.default_rng(5)
     keys = [k for k in vg.trajectories if np.isfinite(vg.values[k])]
     if not keys:
@@ -132,7 +137,8 @@ def dpp_check(prob: Problem, dom: Domain, vg: ValueGrid, samples: int = 10,
                           np.vstack([x_mid, _resample(
                               gamma, t_mid, prob.horizon, N).knots[1:]]))
         tail_traj, _ = epsilon_schedule(prob, dom, x_mid, delta, N=N,
-                                        init=init)
+                                        init=init,
+                                        eps0=vg.epsilons.get((i, j), 1.0))
         tail = running_cost(prob, tail_traj) + float(
             prob.g(tail_traj.knots[-1:]).item())
         worst = max(worst, abs(vg.values[i, j] - (head + tail)))

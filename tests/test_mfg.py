@@ -16,6 +16,7 @@ from statecon import (Ball, DiscreteMeasure, Domain, GaussianKernelCoupling,
                       quadratic_problem)
 from statecon import mfg, penalty
 from statecon.mfg import (_coupling_cost, _prune, coupled_problem,
+                          potential_problem,
                           equilibrium_residual, flow_speed_bound)
 from statecon.penalty import _action_hessian, _cost_and_grad, _stationarity
 
@@ -145,6 +146,19 @@ class TestMeasures:
         tr = Trajectory.constant(0.0, 1.0, np.zeros(2), 16)
         with pytest.raises(ValueError):
             TrajectoryMeasure([tr], np.array([0.7]))
+
+    def test_positions_at_matches_each_trajectory(self):
+        # one stacked interpolation on a shared grid, one per particle
+        # otherwise; the same floats as Trajectory.at either way
+        rng = np.random.default_rng(12)
+        t = np.concatenate([rng.uniform(-0.1, 1.1, 20),
+                            np.linspace(0.0, 1.0, 17)])
+        for grids in ((16, 16, 16), (16, 32, 16)):
+            eta = TrajectoryMeasure(
+                [Trajectory(0.0, 1.0, rng.normal(size=(n + 1, 2)))
+                 for n in grids], np.full(3, 1.0 / 3.0))
+            want = np.stack([tr.at(t) for tr in eta.trajectories], axis=1)
+            assert np.array_equal(eta.positions_at(t), want)
 
     def test_initial_measure_aggregates_duplicates(self):
         t1 = Trajectory.constant(0.0, 1.0, np.array([0.1, 0.2]), 16)
@@ -666,3 +680,93 @@ class TestTransportBounds:
         lps[0] = 0
         assert lip_flow(flow) == want
         assert lps[0] == times.size - 1
+
+
+class TestJointEquilibrium:
+    """The potential of the crowd game on the stacked state of k agents."""
+
+    W = np.array([0.2, 0.3, 0.5])
+
+    def stacked(self, N):
+        # three agents pulled toward the unit circle; some knots outside,
+        # one on the boundary band
+        rng = np.random.default_rng(11)
+        X = rng.uniform(-1.1, 1.1, (N + 1, 3, 2))
+        X[3, 1] /= np.linalg.norm(X[3, 1])
+        base = quadratic_problem(2, potential=LinearPotential([-3.0, 0.0]),
+                                 T=1.0, M=9.0, kappa=0.0)
+        c = GaussianKernelCoupling(amp=0.5, scale=0.5, terminal_amp=0.3)
+        return base, c, X
+
+    def test_gradient_is_weighted_own_gradient(self):
+        disk = Ball([0.0, 0.0], 1.0)
+        N = 16
+        base, c, X = self.stacked(N)
+        eta = TrajectoryMeasure([Trajectory(0.0, 1.0, X[:, i].copy())
+                                 for i in range(3)], self.W)
+        single = coupled_problem(base, disk, c, eta)
+        params = PenaltyParams(epsilon=0.5, delta=0.5, rho=disk.rho0, N=N)
+        joint = PenaltyParams(epsilon=0.5, delta=0.5, rho=disk.rho0, N=N,
+                              weights=self.W)
+        G = _cost_and_grad(potential_problem(base, c, self.W), disk, joint,
+                           Trajectory(0.0, 1.0, X.reshape(N + 1, 6)))[1]
+        G = G.reshape(N + 1, 3, 2)
+        for i in range(3):
+            own = _cost_and_grad(single, disk, params,
+                                 Trajectory(0.0, 1.0, X[:, i]))[1]
+            want = self.W[i] * own
+            assert np.max(np.abs(G[:, i] - want)) <= 1e-12 * np.max(
+                np.abs(want))
+
+    def test_action_hessian_matches_finite_differences(self):
+        # the cross-agent blocks -w_i w_j D2phi(x_i - x_j) included
+        N = 8
+        base, c, X = self.stacked(N)
+        joint = potential_problem(base, c, self.W)
+        gamma = Trajectory(0.0, 1.0, X.reshape(N + 1, 6))
+        H = _action_hessian(joint, gamma).toarray()
+        assert np.max(np.abs(H - fd_action_hessian(joint, gamma))) < 1e-6
+
+    def test_s4_seed_certifies_in_two_rounds(self, monkeypatch):
+        dom, prob, coupling, eta0 = s4_game()
+        times = np.linspace(0.0, 1.0, 17)
+        tol = 1e-3
+        solves = counted(monkeypatch, mfg, "epsilon_schedule")
+        lps = counted(monkeypatch, mfg, "linprog")
+        eta, history = fixed_point(prob, dom, coupling, eta0, tol=tol, N=32)
+        assert len(history) <= 2 and history[-1] <= tol
+        assert solves[0] <= 16 and lps[0] <= 20
+        # the damped iteration from the stay-put measure to the same tol
+        warm = {}
+        ref = eta0
+        br = best_response(prob, dom, coupling, ref, N=32, warm=warm)
+        while equilibrium_residual(ref, br, times) > tol:
+            ref = damped(ref, br)
+            br = best_response(prob, dom, coupling, ref, N=32, warm=warm)
+        assert np.max(slice_d1(eta, br, times)) <= tol
+
+    def test_rejected_seed_starts_from_eta0(self, monkeypatch, caplog):
+        # a joint solve that does not move leaves the crowd's stay-put
+        # start, which is not stationary: the loop starts from eta0
+        disk = Ball([0.0, 0.0], 1.0)
+        prob = quadratic_problem(2, M=1.0, kappa=0.0)
+        c = GaussianKernelCoupling(amp=0.4, scale=0.5)
+        eta0 = constant_measure([[0.05, 0.0], [-0.05, 0.05]], np.full(2, 0.5),
+                                T=1.0, N=16)
+
+        def stay(prob, dom, params, traj, cost, stats):
+            stats["newton_steps"] = 0
+            return traj
+
+        monkeypatch.setattr(mfg, "_newton_finish", stay)
+        with caplog.at_level(logging.INFO, logger="statecon"):
+            _, history = fixed_point(prob, disk, c, eta0, tol=1e-3, N=16,
+                                     n_times=5)
+        lines = [r.getMessage() for r in caplog.records]
+        assert lines[0].startswith("mfg joint Newton: 0 steps, stationarity ")
+        assert lines[0].endswith(", seed rejected, starting from eta0")
+        assert sum("seed" in line for line in lines) == 1
+        first = best_response(prob, disk, c, eta0, N=16)
+        assert history[0] == equilibrium_residual(eta0, first,
+                                                  np.linspace(0, 1, 5))
+        assert history[-1] <= 1e-3

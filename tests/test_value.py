@@ -5,6 +5,7 @@ import pytest
 
 from statecon import (Ball, LinearTerminal, Trajectory, compute_value,
                       dpp_check, lipschitz_report, quadratic_problem)
+from statecon import value
 from statecon.value import running_cost
 
 
@@ -123,6 +124,41 @@ class TestDPP:
         gap = dpp_check(prob, disk, vg, samples=4,
                         rng=np.random.default_rng(1))
         assert gap < 1e-8
+
+
+class TestEpsilonReuse:
+    def test_each_solve_starts_at_its_neighbours_epsilon(
+            self, disk, pull_problem, monkeypatch):
+        # the pull problem's nodes certify below eps = 1; each longer solve
+        # starts at the epsilon of the node that seeds it, and each DPP tail
+        # at the epsilon of its node
+        calls = []
+        schedule = value.epsilon_schedule
+
+        def recording(*args, **kwargs):
+            gamma, params = schedule(*args, **kwargs)
+            calls.append((kwargs["eps0"], params.epsilon))
+            return gamma, params
+
+        monkeypatch.setattr(value, "epsilon_schedule", recording)
+        times = [0.0, 0.25, 0.5, 1.0]
+        points = [[0.0, 0.0], [0.5, 0.0]]
+        vg = value.compute_value(pull_problem, disk, times, points, N=32)
+        assert vg.failures == [] and len(calls) == 6
+        for j in range(2):  # solves run from t = 0.5 back to t = 0
+            (a0, a), (b0, b), (c0, c) = calls[3 * j:3 * j + 3]
+            assert (a0, b0, c0) == (1.0, a, b)
+            assert [vg.epsilons[(i, j)] for i in (1, 0)] == [b, c]
+        assert min(eps for _, eps in calls) < 1.0
+        calls.clear()
+        value.dpp_check(pull_problem, disk, vg, samples=6, N=32)
+        assert sorted(eps0 for eps0, _ in calls) == sorted(
+            vg.epsilons.values())
+        # the penalty is exact: the ladder from eps = 1 finds the same values
+        monkeypatch.setattr(value, "epsilon_schedule",
+                            lambda *a, eps0, **kw: schedule(*a, **kw))
+        again = value.compute_value(pull_problem, disk, times, points, N=32)
+        assert np.max(np.abs(again.values - vg.values)) < 1e-8
 
 
 class TestRunningCost:

@@ -16,11 +16,17 @@ from scipy.optimize import linprog
 
 from .geometry import Domain
 from .model import Problem
-from .penalty import (PenaltyParams, Trajectory, _block_diag, _certificate,
-                      _newton_finish, delta_choice, epsilon_schedule,
-                      penalized_cost)
+from .penalty import (FEASIBILITY_TOL_FACTOR, MAX_HALVINGS, PenaltyParams,
+                      Trajectory, _block_diag, _certificate, _newton_finish,
+                      delta_choice, epsilon_schedule, penalized_cost)
 
 log = logging.getLogger("statecon")
+
+# The joint solve's Hessian couples every pair of agents, so its (k n)-blocks
+# are dense: it runs only while one (N + 1, k n, k n) array of them holds at
+# most this many entries (1 MB), e.g. k <= 22 starts in the plane at N = 64.
+# Its peak memory is about 25 such arrays.
+JOINT_MAX_BLOCK_ENTRIES = 2 ** 17
 
 
 class UnbalancedMeasure(ValueError):
@@ -462,16 +468,21 @@ def potential_problem(prob: Problem, coupling, weights) -> Problem:
 
 def joint_equilibrium(prob: Problem, dom: Domain, coupling,
                       eta0: TrajectoryMeasure, N: int = 64):
-    """A critical point of the game's potential with one trajectory per
-    distinct start of eta0, by one Newton solve.
+    """A constrained critical point of the game's potential with one
+    trajectory per distinct start of eta0, by Newton solves.
 
     ``penalty._newton_finish`` runs on ``potential_problem`` with knots
-    (x_1, ..., x_k), penalty weights w_i c per agent and knot, epsilon = 1
-    and the delta ``best_response`` uses against eta0.  It starts from the
-    weighted mean of eta0's trajectories from each start (the stay-put
-    trajectory for a stay-put eta0).  Returns the measure, its stationarity,
-    whether it passes the certificate of ``penalty._certified_finish`` and
-    the Newton steps taken.
+    (x_1, ..., x_k), penalty weights w_i c per agent and knot and the delta
+    ``best_response`` uses against eta0.  It starts from the weighted mean
+    of eta0's trajectories from each start (the stay-put trajectory for a
+    stay-put eta0) at epsilon = 1 / max(1, M): the penalty's pull back then
+    matches the declared bound M on the running cost's state gradient, the
+    force that drives a crowd out.  Until the result certifies and lies in
+    the domain to the tolerance of ``epsilon_schedule``, epsilon is halved
+    and the solve resumes from that result; it gives up at the second
+    level whose result does not certify.  Returns the measure, its
+    stationarity, whether it is certified and feasible, and the Newton
+    steps taken over all levels.
     """
     m0 = eta0.initial_measure()
     k, n, T = m0.weights.size, dom.dim, prob.horizon
@@ -485,17 +496,25 @@ def joint_equilibrium(prob: Problem, dom: Domain, coupling,
     X[0] = m0.points
     joint = potential_problem(prob, coupling, m0.weights)
     delta, _ = delta_choice(coupled_problem(prob, dom, coupling, eta0), dom)
-    params = PenaltyParams(epsilon=1.0, delta=delta, rho=dom.rho0, N=N,
-                           weights=m0.weights)
-    start = Trajectory(0.0, T, X.reshape(N + 1, k * n))
-    stats: dict = {}
-    traj = _newton_finish(joint, dom, params, start,
-                          penalized_cost(joint, dom, params, start), stats)
-    stat, ok, _ = _certificate(joint, dom, params, traj)
+    tau = FEASIBILITY_TOL_FACTOR * dom.diameter
+    eps = 1.0 / max(1.0, prob.M)
+    traj = Trajectory(0.0, T, X.reshape(N + 1, k * n))
+    steps = misses = 0
+    for _ in range(MAX_HALVINGS + 1):
+        params = PenaltyParams(epsilon=eps, delta=delta, rho=dom.rho0, N=N,
+                               weights=m0.weights)
+        traj, taken = _newton_finish(joint, dom, params, traj,
+                                     penalized_cost(joint, dom, params, traj))
+        steps += taken
+        stat, ok, bmax = _certificate(joint, dom, params, traj)
+        misses += not ok
+        if (ok and bmax <= tau) or misses == 2:
+            break
+        eps *= 0.5
     X = traj.knots.reshape(N + 1, k, n)
     eta = TrajectoryMeasure([Trajectory(0.0, T, X[:, j].copy())
                              for j in range(k)], m0.weights)
-    return eta, stat, ok, stats["newton_steps"]
+    return eta, stat, ok and bmax <= tau, steps
 
 
 def _prune(eta: TrajectoryMeasure, tol: float = 1e-8) -> TrajectoryMeasure:
@@ -566,7 +585,9 @@ def fixed_point(prob: Problem, dom: Domain, coupling,
 
     The iteration starts from the critical point of the game's potential
     that ``joint_equilibrium`` finds from eta0, if that point passes the
-    stationarity certificate, and from eta0 otherwise.  Either way iteration
+    stationarity certificate and lies in the domain, and from eta0
+    otherwise; a crowd whose joint Hessian blocks exceed
+    ``JOINT_MAX_BLOCK_ENTRIES`` skips the joint solve.  Either way iteration
     0 is a best-response round from the constant trajectories against the
     starting measure, whose residual certifies it; with a certified
     critical point that is an equilibrium, the loop returns after one more
@@ -574,16 +595,25 @@ def fixed_point(prob: Problem, dom: Domain, coupling,
     the joint solve.
 
     Logs on the ``statecon`` logger one INFO line for the joint solve (its
-    Newton steps, stationarity and whether its result seeds the loop) and
+    Newton steps, stationarity and whether its result seeds the loop, or
+    that it was skipped) and
     one per iteration: the residual, the support size of the iterate and
     the transport LPs solved out of the time slices."""
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     times = np.linspace(0.0, prob.horizon, n_times)
-    seed, stat, ok, steps = joint_equilibrium(prob, dom, coupling, eta0, N=N)
-    log.info("mfg joint Newton: %d steps, stationarity %.3e, %s", steps,
-             stat, "seed used" if ok else "seed rejected, starting from eta0")
-    eta = seed if ok else eta0
+    size = eta0.initial_measure().weights.size * dom.dim
+    if (N + 1) * size ** 2 > JOINT_MAX_BLOCK_ENTRIES:
+        log.info("mfg joint Newton skipped: stacked state of dimension %d "
+                 "at N=%d, starting from eta0", size, N)
+        eta = eta0
+    else:
+        seed, stat, ok, steps = joint_equilibrium(prob, dom, coupling, eta0,
+                                                  N=N)
+        log.info("mfg joint Newton: %d steps, stationarity %.3e, %s", steps,
+                 stat, "seed used" if ok
+                 else "seed rejected, starting from eta0")
+        eta = seed if ok else eta0
     history = []
     warm: dict = {}
     polished = False

@@ -116,7 +116,9 @@ class PenaltyParams:
     tube radius rho and the grid size N.  ``weights`` scales the penalty of
     each of the k points that every knot carries: one point for a single
     agent, one per agent for the stacked state of ``mfg.joint_equilibrium``,
-    whose knots are (x_1, ..., x_k)."""
+    whose knots are (x_1, ..., x_k).  Only the Newton finish and its
+    certificate take k > 1; ``minimize_penalized`` and the schedules solve
+    one point per knot."""
 
     epsilon: float
     delta: float
@@ -285,8 +287,7 @@ def _block_diag(A: np.ndarray) -> np.ndarray:
 
 
 def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
-                   traj: Trajectory, cost: float,
-                   stats: dict | None = None) -> Trajectory:
+                   traj: Trajectory, cost: float) -> tuple[Trajectory, int]:
     """Newton's method on the full penalized problem, from ``traj`` with
     penalized cost ``cost``.
 
@@ -308,8 +309,8 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
     releases its point inside, one above c releases it outside, and a point
     whose step crosses b = 0 joins the boundary.  Each step backtracks on
     the penalized cost, which keeps the groups from cycling.  Returns the
-    best trajectory reached, and records the accepted steps under
-    ``"newton_steps"`` in ``stats`` when given; the caller certifies it.
+    best trajectory reached and the number of accepted steps; the caller
+    certifies it.
     """
     N, n, k = traj.N, dom.dim, params.weights.size
     nf = N * k * n
@@ -388,9 +389,7 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
             break
     traj.knots[1:] = np.where(boundary[:, None], geo.P[k:],
                               traj.knots[1:].reshape(-1, n)).reshape(N, -1)
-    if stats is not None:
-        stats["newton_steps"] = steps
-    return traj
+    return traj, steps
 
 
 def _certificate(prob: Problem, dom: Domain, params: PenaltyParams,
@@ -407,7 +406,7 @@ def _certified_finish(prob: Problem, dom: Domain, params: PenaltyParams,
                       traj: Trajectory, cost: float):
     """Newton finish from ``traj``, then ``_certificate``.  Returns the
     result, its stationarity, whether it certifies and its largest b."""
-    traj = _newton_finish(prob, dom, params, traj, cost)
+    traj, _ = _newton_finish(prob, dom, params, traj, cost)
     return (traj, *_certificate(prob, dom, params, traj))
 
 
@@ -433,6 +432,8 @@ def minimize_penalized(prob: Problem, dom: Domain, params: PenaltyParams,
     and NonFiniteCost when a cost evaluation is not finite.
     """
     x0 = np.asarray(x0, dtype=float)
+    if params.weights.size != 1:
+        raise ValueError("minimize_penalized takes one point per knot")
     if dom.signed_distance(x0) > dom.boundary_tol:
         raise ValueError("initial state must lie in the closed domain")
     gamma = init if init is not None else Trajectory.constant(

@@ -754,9 +754,8 @@ class TestJointEquilibrium:
         eta0 = constant_measure([[0.05, 0.0], [-0.05, 0.05]], np.full(2, 0.5),
                                 T=1.0, N=16)
 
-        def stay(prob, dom, params, traj, cost, stats):
-            stats["newton_steps"] = 0
-            return traj
+        def stay(prob, dom, params, traj, cost):
+            return traj, 0
 
         monkeypatch.setattr(mfg, "_newton_finish", stay)
         with caplog.at_level(logging.INFO, logger="statecon"):
@@ -769,4 +768,101 @@ class TestJointEquilibrium:
         first = best_response(prob, disk, c, eta0, N=16)
         assert history[0] == equilibrium_residual(eta0, first,
                                                   np.linspace(0, 1, 5))
+        assert history[-1] <= 1e-3
+
+    @staticmethod
+    def pull_crowd(M):
+        # the crowd of test_warm_epsilon_skips_the_weak_levels: pulled onto
+        # the unit circle, each best response certifies at eps = 1/8
+        disk = Ball([0.0, 0.0], 1.0)
+        prob = quadratic_problem(2, potential=LinearPotential([-6.0, 0.0]),
+                                 T=1.0, M=M, kappa=0.0)
+        c = GaussianKernelCoupling(amp=0.5, scale=0.5)
+        eta0 = constant_measure([[0.3, 0.1], [0.5, -0.2]], [0.4, 0.6],
+                                T=1.0, N=32)
+        return disk, prob, c, eta0
+
+    def test_infeasible_seed_is_rejected(self, monkeypatch, caplog):
+        # declared M = 1, so the joint solve starts at eps = 1, where the
+        # crowd's critical point certifies but lies outside the disk; with
+        # no halving left it must not seed the loop
+        disk, prob, c, eta0 = self.pull_crowd(M=1.0)
+        monkeypatch.setattr(mfg, "MAX_HALVINGS", 0)
+        seed, stat, ok, _ = mfg.joint_equilibrium(prob, disk, c, eta0, N=32)
+        assert stat < 1e-8 and not ok
+        assert max(np.max(disk.b_many(tr.knots))
+                   for tr in seed.trajectories) > 0.01
+        with caplog.at_level(logging.INFO, logger="statecon"):
+            _, history = fixed_point(prob, disk, c, eta0, tol=1e-3, N=32)
+        lines = [r.getMessage() for r in caplog.records
+                 if "seed" in r.getMessage()]
+        assert len(lines) == 1
+        assert lines[0].endswith(", seed rejected, starting from eta0")
+        assert len(history) > 2 and history[-1] <= 1e-3
+
+    def test_halvings_reach_a_feasible_seed(self, monkeypatch, caplog):
+        # the same crowd with the halvings: the seed lies in the disk and
+        # the loop returns in two rounds
+        disk, prob, c, eta0 = self.pull_crowd(M=1.0)
+        levels = counted(monkeypatch, mfg, "_newton_finish")
+        seed, _, ok, _ = mfg.joint_equilibrium(prob, disk, c, eta0, N=32)
+        assert ok and levels[0] > 1
+        assert max(np.max(disk.b_many(tr.knots))
+                   for tr in seed.trajectories) <= 1e-6 * disk.diameter
+        with caplog.at_level(logging.INFO, logger="statecon"):
+            _, history = fixed_point(prob, disk, c, eta0, tol=1e-3, N=32)
+        assert [r.getMessage() for r in caplog.records][0].endswith(
+            ", seed used")
+        assert len(history) <= 2 and history[-1] <= 1e-3
+
+    def test_declared_force_bound_sets_the_first_epsilon(self, monkeypatch):
+        # M = 36 bounds the pull of 6: eps = 1/36 is strong enough, and one
+        # Newton solve gives the feasible seed
+        disk, prob, c, eta0 = self.pull_crowd(M=36.0)
+        levels = counted(monkeypatch, mfg, "_newton_finish")
+        _, _, ok, _ = mfg.joint_equilibrium(prob, disk, c, eta0, N=32)
+        assert ok and levels[0] == 1
+
+    def test_uncertified_level_resumes_at_half_epsilon(self, monkeypatch):
+        # a level that stops uncertified (here: does not move from the
+        # stay-put start) hands its point to the next level at half the
+        # epsilon; the second such level gives up
+        disk, prob, c, eta0 = self.pull_crowd(M=36.0)
+        finish = mfg._newton_finish
+        levels = []
+
+        def stall_first(prob, dom, params, traj, cost):
+            levels.append(params.epsilon)
+            if len(levels) == 1:
+                return traj, 0
+            return finish(prob, dom, params, traj, cost)
+
+        monkeypatch.setattr(mfg, "_newton_finish", stall_first)
+        _, _, ok, _ = mfg.joint_equilibrium(prob, disk, c, eta0, N=32)
+        assert ok and levels == [1 / 36, 1 / 72]
+
+        def stall(prob, dom, params, traj, cost):
+            levels.append(params.epsilon)
+            return traj, 0
+
+        levels.clear()
+        monkeypatch.setattr(mfg, "_newton_finish", stall)
+        _, _, ok, steps = mfg.joint_equilibrium(prob, disk, c, eta0, N=32)
+        assert not ok and steps == 0 and levels == [1 / 36, 1 / 72]
+
+    def test_large_crowd_skips_the_joint_solve(self, monkeypatch, caplog):
+        # two starts in the plane at N = 16: blocks of (17, 4, 4) entries
+        disk = Ball([0.0, 0.0], 1.0)
+        prob = quadratic_problem(2, M=1.0, kappa=0.0)
+        c = GaussianKernelCoupling(amp=0.4, scale=0.5)
+        eta0 = constant_measure([[0.05, 0.0], [-0.05, 0.05]], np.full(2, 0.5),
+                                T=1.0, N=16)
+        monkeypatch.setattr(mfg, "JOINT_MAX_BLOCK_ENTRIES", 17 * 16 - 1)
+        monkeypatch.setattr(mfg, "joint_equilibrium", None)
+        with caplog.at_level(logging.INFO, logger="statecon"):
+            _, history = fixed_point(prob, disk, c, eta0, tol=1e-3, N=16,
+                                     n_times=5)
+        lines = [r.getMessage() for r in caplog.records]
+        assert lines[0] == ("mfg joint Newton skipped: stacked state of "
+                            "dimension 4 at N=16, starting from eta0")
         assert history[-1] <= 1e-3

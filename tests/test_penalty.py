@@ -276,7 +276,7 @@ class TestMinimize:
         def stall_once(prob, dom, params, traj, cost):
             if stalls[0]:
                 stalls[0] -= 1
-                return traj
+                return traj, 0
             return finish(prob, dom, params, traj, cost)
 
         monkeypatch.setattr(penalty, "_newton_finish", stall_once)
@@ -298,6 +298,13 @@ class TestMinimize:
         direct = minimize_penalized(pull_problem, disk, params, np.zeros(2),
                                     init=init)
         assert np.max(np.abs(gamma.knots - direct.knots)) < 1e-8
+
+    def test_several_points_per_knot_rejected(self, disk, pull_problem):
+        # k points per knot are for the joint Newton finish only
+        params = PenaltyParams(epsilon=0.5, delta=0.5, rho=disk.rho0, N=16,
+                               weights=[0.5, 0.5])
+        with pytest.raises(ValueError, match="one point per knot"):
+            minimize_penalized(pull_problem, disk, params, np.zeros(2))
 
     def test_init_grid_mismatch_rejected(self, disk, pull_problem):
         params = PenaltyParams(epsilon=0.5, delta=0.5, rho=disk.rho0, N=16)

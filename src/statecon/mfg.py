@@ -12,7 +12,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .geometry import Domain
 from .model import Problem
@@ -129,20 +128,37 @@ def evaluate_flow(eta: TrajectoryMeasure, times) -> MeasureFlow:
     return MeasureFlow(times=times, measures=measures)
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported when a plan does not certify."""
+    from scipy import optimize
+    return optimize.linprog(*args, **kwargs)
+
+
 def kantorovich_d1(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
-    """Exact 1-Wasserstein distance between discrete measures by LP on the
-    transport polytope."""
+    """Exact 1-Wasserstein distance between discrete measures.
+
+    With equal weight arrays, the plan x_i -> y_i is optimal, and its cost
+    is returned, iff it is c-cyclically monotone (Villani, Optimal
+    Transport: Old and New, Thm 5.10): iff A_ij = c(x_i, y_j) - c(x_i, y_i)
+    has no negative cycle, which Floyd-Warshall decides.  Otherwise d1 is
+    the LP on the transport polytope."""
     if abs(a.mass - b.mass) > 1e-9:
         raise UnbalancedMeasure(f"masses differ: {a.mass} vs {b.mass}")
     ka, kb = a.points.shape[0], b.points.shape[0]
-    cost = np.linalg.norm(a.points[:, None, :] - b.points[None, :, :],
-                          axis=2).ravel()
+    cost = np.linalg.norm(a.points[:, None, :] - b.points[None, :, :], axis=2)
+    if np.array_equal(a.weights, b.weights):
+        plan = np.diagonal(cost)
+        paths = cost - plan[:, None]
+        for p in range(ka):
+            paths = np.minimum(paths, paths[:, p, None] + paths[p])
+        if np.min(np.diagonal(paths)) >= 0.0:
+            return float(plan @ a.weights)
     # row sums = a.weights, column sums = b.weights (the last column sum is
     # dropped: the constraints are linearly dependent)
     A_eq = np.vstack([np.kron(np.eye(ka), np.ones(kb)),
                       np.kron(np.ones(ka), np.eye(kb))[:kb - 1]])
     b_eq = np.concatenate([a.weights, b.weights[:kb - 1]])
-    res = linprog(cost, A_eq=A_eq, b_eq=b_eq,
+    res = linprog(cost.ravel(), A_eq=A_eq, b_eq=b_eq,
                   bounds=(0, None), method="highs")
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
@@ -180,10 +196,10 @@ def lip_flow(flow: MeasureFlow) -> float:
 
     When every slice carries the same weights in the same particle order
     (as ``evaluate_flow`` builds them), moving each particle along itself is
-    a transport plan, so its cost bounds d1 from above; transport LPs are
-    then solved in order of decreasing bound and stop once no bound left
-    can beat the running maximum (``_max_by_bounds``).  The result equals
-    the maximum over every slice.  Otherwise every LP is solved.
+    a transport plan whose cost bounds d1; the exact d1 are evaluated in
+    order of decreasing bound until no bound left can beat the running
+    maximum (``_max_by_bounds``), so the result equals the maximum over
+    every slice.  Otherwise every slice's d1 is evaluated.
     """
     if flow.times.size < 2:
         raise ValueError("need at least 2 time slices")
@@ -288,37 +304,21 @@ def coupled_problem(prob: Problem, dom: Domain, coupling,
     """Single-agent problem against the frozen population flow of eta."""
     T = prob.horizon
 
-    def Y_at(t):
-        return eta.positions_at(np.clip(t, 0.0, T))
+    def against_flow(base, term):
+        # the base problem's term plus the coupling's, a function of the
+        # displacements D from the population at time t and the bumps phi(D)
+        def fn(t, x, v):
+            X = np.atleast_2d(x)
+            t1 = np.broadcast_to(np.asarray(t, dtype=float), (X.shape[0],))
+            D = X[:, None, :] - eta.positions_at(np.clip(t1, 0.0, T))
+            return base(t, x, v) + term(D, coupling._phi(D, coupling.amp))
+        return fn
 
-    def F_many(t, X):
-        D = X[:, None, :] - Y_at(t)
-        return coupling._phi(D, coupling.amp) @ eta.weights
-
-    def DxF_many(t, X):
-        D = X[:, None, :] - Y_at(t)
-        phi = coupling._phi(D, coupling.amp)
-        return np.einsum("mk,mkn->mn", phi * eta.weights,
-                         -D / coupling.scale ** 2)
-
-    def DxxF_many(t, X):
-        D = X[:, None, :] - Y_at(t)
-        return coupling._hess(D, coupling._phi(D, coupling.amp) * eta.weights)
-
-    def f(t, x, v):
-        x2 = np.atleast_2d(x)
-        t1 = np.broadcast_to(np.asarray(t, dtype=float), (x2.shape[0],))
-        return prob.f(t, x, v) + F_many(t1, x2)
-
-    def fx(t, x, v):
-        x2 = np.atleast_2d(x)
-        t1 = np.broadcast_to(np.asarray(t, dtype=float), (x2.shape[0],))
-        return prob.fx(t, x, v) + DxF_many(t1, x2)
-
-    def fxx(t, x, v):
-        x2 = np.atleast_2d(x)
-        t1 = np.broadcast_to(np.asarray(t, dtype=float), (x2.shape[0],))
-        return prob.fxx(t, x, v) + DxxF_many(t1, x2)
+    w, s2 = eta.weights, coupling.scale ** 2
+    f = against_flow(prob.f, lambda D, phi: phi @ w)
+    fx = against_flow(prob.fx, lambda D, phi: np.einsum("mk,mkn->mn", phi * w,
+                                                        -D / s2))
+    fxx = against_flow(prob.fxx, lambda D, phi: coupling._hess(D, phi * w))
 
     mT = evaluate_flow(eta, [T]).measures[0]
 
@@ -552,7 +552,7 @@ def _coupling_cost(eta: TrajectoryMeasure, br: TrajectoryMeasure,
 
 def _residual(eta: TrajectoryMeasure, br: TrajectoryMeasure,
               times) -> tuple[float, int]:
-    """``equilibrium_residual`` and the number of transport LPs it solved."""
+    """``equilibrium_residual`` and the number of exact d1 it evaluated."""
     times = np.asarray(times, dtype=float)
     pos_a, pos_b = eta.positions_at(times), br.positions_at(times)
     return _max_by_bounds(
@@ -567,11 +567,11 @@ def equilibrium_residual(eta: TrajectoryMeasure, br: TrajectoryMeasure,
 
     When br is a best response to eta (one particle per start, carrying the
     start's weight), coupling each particle of eta with the best response
-    from its own start is a transport plan, so its cost bounds each slice's
-    d1 without an LP.  The exact LPs are solved in order of decreasing
-    bound, stopping once no bound left can beat the running maximum; the
-    result is the same float as the maximum over every slice.  For any other
-    pair every slice's LP is solved.
+    from its own start is a transport plan whose cost bounds each slice's
+    d1.  The exact d1 (``kantorovich_d1``) are evaluated in order of
+    decreasing bound, stopping once no bound left can beat the running
+    maximum; the result is the same float as the maximum over every slice.
+    For any other pair every slice's d1 is evaluated.
     """
     return _residual(eta, br, times)[0]
 
@@ -598,7 +598,7 @@ def fixed_point(prob: Problem, dom: Domain, coupling,
     Newton steps, stationarity and whether its result seeds the loop, or
     that it was skipped) and
     one per iteration: the residual, the support size of the iterate and
-    the transport LPs solved out of the time slices."""
+    the exact d1 ("transport LPs") evaluated out of the time slices."""
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     times = np.linspace(0.0, prob.horizon, n_times)

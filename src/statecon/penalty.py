@@ -12,9 +12,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import minimize as _scipy_minimize
-from scipy.sparse.linalg import spsolve
 
 from .geometry import BoundaryEval, Domain
 from .model import Problem
@@ -171,15 +168,15 @@ def _action_grad(prob: Problem, gamma: Trajectory) -> np.ndarray:
     return G
 
 
-def _action_hessian(prob: Problem, gamma: Trajectory,
-                    curv: np.ndarray | None = None) -> sparse.csr_matrix:
+def _action_hessian(prob: Problem, gamma: Trajectory):
     """Exact Hessian of the discrete action (running plus terminal cost) with
-    respect to the free knots 1..N, as one sparse block-tridiagonal matrix.
+    respect to the free knots 1..N, which is block-tridiagonal: returns its
+    (N, m, m) diagonal blocks and its (N - 1, m, m) upper blocks (knot i,
+    knot i + 1), m the knot's dimension.
 
     Interval i contributes dt/2 [f(t_i, x_i, v_i) + f(t_{i+1}, x_{i+1}, v_i)]
     with v_i = (x_{i+1} - x_i)/dt, so its blocks come from fxx, fvx and fvv
-    at both interval ends; D2g adds to the last knot.  ``curv``, when given,
-    holds (N, n, n) blocks added to the diagonal (constraint curvature).
+    at both interval ends; D2g adds to the last knot.
     """
     X = gamma.knots
     N, n = gamma.N, gamma.dim
@@ -197,19 +194,48 @@ def _action_hessian(prob: Problem, gamma: Trajectory,
     diag[1:] += K + 0.5 * (Br + Brt) + 0.5 * dt * prob.fxx(tr, xr, V)
     diag[-1] += prob.D2g(X[-1:])[0]
     upper = 0.5 * (Blt - Br) - K  # block (knot i, knot i+1)
-    D, U = diag[1:], upper[1:]
-    if curv is not None:
-        D += curv
-    idx = np.arange(N * n).reshape(N, n)
-    r = np.repeat(idx, n, axis=1)  # row of block entry [a, b] is idx[k, a]
-    c = np.tile(idx, (1, n))       # column is idx[k, b]
-    H = sparse.csr_matrix(
-        (np.concatenate([D.ravel(), U.ravel(), U.ravel()]),
-         (np.concatenate([r.ravel(), r[:-1].ravel(), c[1:].ravel()]),
-          np.concatenate([c.ravel(), c[1:].ravel(), r[:-1].ravel()]))),
-        shape=(N * n, N * n))
-    H.eliminate_zeros()  # the factorization sees only the true pattern
-    return H
+    return diag[1:], upper[1:]
+
+
+def _tridiag_matvec(D: np.ndarray, U: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """H x for the symmetric block-tridiagonal H with diagonal blocks D and
+    upper blocks U; x is (N, m)."""
+    y = np.einsum("iab,ib->ia", D, x)
+    y[:-1] += np.einsum("iab,ib->ia", U, x[1:])
+    y[1:] += np.einsum("iba,ib->ia", U, x[:-1])
+    return y
+
+
+def _tridiag_solve(D: np.ndarray, U: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Solve H x = r for the symmetric block-tridiagonal H with diagonal
+    blocks D (N, m, m) and upper blocks U (N - 1, m, m); r is (N, m).
+
+    Block cyclic reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7,
+    1970): one batched solve with the even rows' diagonal blocks leaves the
+    odd rows' symmetric block-tridiagonal system of half the size.  A
+    singular pivot raises LinAlgError."""
+    N, m = D.shape[:2]
+    if N == 1:
+        return np.linalg.solve(D, r[:, :, None])[:, :, 0]
+    ne, mo = (N + 1) // 2, N // 2
+    zero = np.zeros_like(D[:1])
+    Up = np.concatenate([zero, U, zero])  # Up[i] is block (i - 1, i)
+    # even row 2j: x_2j = S_r - S_l x_{2j-1} - S_u x_{2j+1}
+    S = np.linalg.solve(D[0::2], np.concatenate(
+        [Up[0:2 * ne:2].transpose(0, 2, 1), Up[1:2 * ne:2],
+         r[0::2, :, None]], axis=2))
+    S = np.concatenate([S, np.zeros_like(S[:1])])  # no row past the end
+    A = Up[1:2 * mo:2].transpose(0, 2, 1) @ S[:mo]  # odd row 2j+1, via x_2j
+    B = Up[2:2 * mo + 1:2] @ S[1:mo + 1]            # and via x_{2j+2}
+    x_odd = _tridiag_solve(D[1::2] - A[:, :, m:2 * m] - B[:, :, :m],
+                           -B[:-1, :, m:2 * m],
+                           r[1::2] - A[:, :, 2 * m] - B[:, :, 2 * m])
+    xp = np.concatenate([zero[:, 0], x_odd, zero[:, 0]])  # xp[j] = x_{2j-1}
+    x = np.empty_like(r)
+    x[0::2] = S[:ne, :, 2 * m] - np.einsum("jab,jb->ja", S[:ne, :, :2 * m],
+                                           np.hstack([xp[:ne], xp[1:ne + 1]]))
+    x[1::2] = x_odd
+    return x
 
 
 def _cost_and_grad(prob: Problem, dom: Domain, params: PenaltyParams,
@@ -286,6 +312,29 @@ def _block_diag(A: np.ndarray) -> np.ndarray:
     return out.reshape(m, k * n, k * n)
 
 
+def _kkt_step(D: np.ndarray, U: np.ndarray, g: np.ndarray, Db: np.ndarray,
+              b: np.ndarray, act: np.ndarray):
+    """Newton step dx and multipliers mu of H dx + C^T mu = -g, C dx = -b_act:
+    H has blocks D, U over knots; g, Db, b are per free point; C has a row
+    Db_p per boundary point p in ``act``.  Each row is eliminated in its own
+    knot block: with u = Db/|Db|, Q = sum u u^T and P = I - Q, dx = y + x_p,
+    x_p = sum -b u/|Db| and (P H P + Q) y = -P (g + H x_p); then
+    mu = -u^T (H dx + g)/|Db|."""
+    N, m = D.shape[:2]
+    n = g.shape[1]
+    s = np.linalg.norm(Db[act], axis=1)
+    nh, xp = np.zeros_like(g), np.zeros_like(g)
+    nh[act] = Db[act] / s[:, None]
+    xp[act] = -(b[act] / s)[:, None] * nh[act]
+    Q = _block_diag(np.einsum("pa,pb->pab", nh, nh).reshape(N, -1, n, n))
+    P = np.eye(m) - Q
+    g, xp = g.reshape(N, m), xp.reshape(N, m)
+    r = -np.einsum("iab,ib->ia", P, g + _tridiag_matvec(D, U, xp))
+    dx = _tridiag_solve(P @ D @ P + Q, P[:-1] @ U @ P[1:], r) + xp
+    res = (_tridiag_matvec(D, U, dx) + g).reshape(-1, n)[act]
+    return dx, -np.einsum("pi,pi->p", nh[act], res) / s
+
+
 def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
                    traj: Trajectory, cost: float) -> tuple[Trajectory, int]:
     """Newton's method on the full penalized problem, from ``traj`` with
@@ -303,7 +352,9 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
 
     Each step solves the KKT system of the action's exact block-tridiagonal
     Hessian, with (k n)-blocks in knot order (Nocedal & Wright, Numerical
-    Optimization, 2nd ed., ch. 18).
+    Optimization, 2nd ed., ch. 18) by ``_kkt_step``; the action's blocks are
+    built once per step, and a multiplier release re-adds only the
+    curvature.  A singular pivot ends the finish as a non-finite step does.
     Primal-dual active-set updates move the groups (Hintermueller, Ito &
     Kunisch, SIAM J. Optim. 13, 2002): a boundary multiplier below 0
     releases its point inside, one above c releases it outside, and a point
@@ -313,7 +364,6 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
     certifies it.
     """
     N, n, k = traj.N, dom.dim, params.weights.size
-    nf = N * k * n
     c = _trapezoid_weights(N, traj.dt)[1:] / params.epsilon
     c[-1] += 1.0 / params.delta
     c = np.outer(c, params.weights).ravel()  # per free point
@@ -330,6 +380,7 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
     for _ in range(30):
         Db, D2b = geo.Db[k:], geo.D2b[k:]
         grad = _action_grad(prob, traj)[1:].reshape(-1, n)
+        H, U = _action_hessian(prob, traj)
         while True:  # re-solve until no boundary multiplier releases a point
             g = grad.copy()
             g[outside] += c[outside, None] * Db[outside]
@@ -339,19 +390,12 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
             curv = np.zeros((N * k, n, n))
             curv[curved] = (np.where(outside, c, mult)[curved, None, None]
                             * D2b[curved])
-            H = _action_hessian(prob, traj,
-                                _block_diag(curv.reshape(N, k, n, n)))
             act = np.flatnonzero(boundary)
-            if act.size:
-                cols = (act[:, None] * n + np.arange(n)[None, :]).ravel()
-                C = sparse.csr_matrix((Db[act].ravel(), cols,
-                                       n * np.arange(act.size + 1)),
-                                      shape=(act.size, nf))
-                KKT = sparse.bmat([[H, C.T], [C, None]], format="csc")
-                sol = spsolve(KKT, np.concatenate([-g.ravel(), -b[act]]))
-            else:  # no boundary rows: the KKT system is H alone
-                sol = spsolve(H.tocsc(), -g.ravel())
-            mu = sol[nf:]
+            try:
+                dx, mu = _kkt_step(H + _block_diag(curv.reshape(N, k, n, n)),
+                                   U, g, Db, b, act)
+            except np.linalg.LinAlgError:  # singular pivot: as a NaN step
+                dx, mu = np.full((N, k * n), np.nan), np.zeros(act.size)
             # a multiplier out of [0, c] releases its point only toward the
             # side it sits on, which keeps the step a descent direction
             low = (mu < -1e-10 * c[act]) & (b[act] <= dom.boundary_tol)
@@ -361,7 +405,7 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
                 break
             boundary[act[low | high]] = False
             outside[act[high]] = True
-        step[1:] = sol[:nf].reshape(N, -1)
+        step[1:] = dx
         if not np.all(np.isfinite(step)):
             break  # singular system: as no decrease, keep the best point
         alpha = 1.0
@@ -408,6 +452,12 @@ def _certified_finish(prob: Problem, dom: Domain, params: PenaltyParams,
     result, its stationarity, whether it certifies and its largest b."""
     traj, _ = _newton_finish(prob, dom, params, traj, cost)
     return (traj, *_certificate(prob, dom, params, traj))
+
+
+def _scipy_minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported when the L-BFGS-B round runs."""
+    from scipy import optimize
+    return optimize.minimize(*args, **kwargs)
 
 
 def minimize_penalized(prob: Problem, dom: Domain, params: PenaltyParams,

@@ -108,6 +108,18 @@ def s1_exact(t):
                     axis=-1)
 
 
+def dense_tridiag(D, U):
+    """The dense symmetric matrix with diagonal blocks D (N, m, m) and upper
+    blocks U (N - 1, m, m), as ``penalty._action_hessian`` returns them."""
+    N, m = D.shape[:2]
+    H = np.zeros((N, m, N, m))
+    i = np.arange(N)
+    H[i, :, i, :] = D
+    H[i[:-1], :, i[1:], :] = U
+    H[i[1:], :, i[:-1], :] = U.transpose(0, 2, 1)
+    return H.reshape(N * m, N * m)
+
+
 def fd_action_hessian(prob, gamma, h=1e-6):
     """Central differences of the discrete action gradient over the free
     knots 1..N, one column per coordinate."""

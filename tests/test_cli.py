@@ -201,3 +201,24 @@ class TestDeterminism:
             outputs.append([(out / name).read_bytes() for name in
                             ("trajectory.csv", "pmp_report.json")])
         assert outputs[0] == outputs[1]
+
+
+class TestImports:
+    def test_mfg_runs_without_scipy(self, tmp_path):
+        # S4 certifies its transport plans and never runs L-BFGS-B, so
+        # neither importing the CLI nor running S4 may load scipy
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        report = ("; print(sorted(m for m in sys.modules"
+                  " if m.split('.')[0] == 'scipy'))")
+        run_s4 = (f"; rc = cli.main(['mfg', '--config', "
+                  f"{str(SCENARIOS / 'S4.json')!r}, '--out', "
+                  f"{str(tmp_path / 's4')!r}]); assert rc == 0")
+        for code in ("import sys; from statecon import cli" + report,
+                     "import sys; from statecon import cli" + run_s4 + report):
+            done = subprocess.run([sys.executable, "-c", code], env=env,
+                                  check=True, capture_output=True, text=True,
+                                  timeout=600)
+            assert done.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "s4" / "flow.csv").exists()

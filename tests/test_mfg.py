@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, linprog
 
 from statecon import (Ball, DiscreteMeasure, Domain, GaussianKernelCoupling,
                       LinearPotential, MeasureFlow, PenaltyParams,
@@ -20,7 +20,7 @@ from statecon.mfg import (_coupling_cost, _prune, coupled_problem,
                           equilibrium_residual, flow_speed_bound)
 from statecon.penalty import _action_hessian, _cost_and_grad, _stationarity
 
-from conftest import fd_action_hessian
+from conftest import dense_tridiag, fd_action_hessian
 
 
 RNG = np.random.default_rng(17)
@@ -108,8 +108,44 @@ class TestKantorovich:
         monkeypatch.setattr(mfg, "linprog", recording)
         rng = np.random.default_rng(4)
         for ka, kb in ((1, 1), (3, 5), (8, 8), (13, 7)):
-            kantorovich_d1(random_measure(ka, rng), random_measure(kb, rng))
+            a, b = random_measure(ka, rng), random_measure(kb, rng)
+            got = kantorovich_d1(a, b)
+            if ka == 1:
+                # one point each: the only plan, with no LP
+                assert not seen
+                assert got == np.linalg.norm(a.points[0] - b.points[0])
+                continue
             assert np.array_equal(seen[-1], loop_rows(ka, kb))
+
+    def test_index_matched_plan_certifies(self, monkeypatch):
+        # each point moves a little way along itself: that plan is optimal,
+        # so no LP is solved and d1 is the plan's cost
+        lps = counted(monkeypatch, mfg, "linprog")
+        rng = np.random.default_rng(6)
+        for k in (2, 5, 8, 16):
+            a = random_measure(k, rng)
+            b = DiscreteMeasure(a.points + 1e-3 * rng.standard_normal((k, 2)),
+                                a.weights)
+            cost = np.linalg.norm(a.points[:, None] - b.points[None], axis=2)
+            ref = linprog(cost.ravel(),
+                          A_eq=np.vstack([np.kron(np.eye(k), np.ones(k)),
+                                          np.kron(np.ones(k), np.eye(k))]),
+                          b_eq=np.concatenate([a.weights, b.weights]),
+                          bounds=(0, None), method="highs")
+            assert abs(kantorovich_d1(a, b) - ref.fun) <= 1e-12
+        assert lps[0] == 0
+
+    def test_crossing_pairs_solve_the_lp(self, monkeypatch):
+        # index by index the points swap places, which the LP undoes
+        lps = counted(monkeypatch, mfg, "linprog")
+        a = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+                            [0.3, 0.3, 0.4])
+        b = DiscreteMeasure([[1.0, 0.0], [0.0, 0.0], [2.5, 0.0]],
+                            [0.3, 0.3, 0.4])
+        assert kantorovich_d1(a, b) == pytest.approx(0.2, abs=1e-12)
+        assert kantorovich_d1(a, b) == pytest.approx(
+            d1_quantile_oracle(a, b), abs=1e-12)
+        assert lps[0] == 2
 
     def test_metric_axioms(self):
         ms = [random_measure(3, RNG) for _ in range(3)]
@@ -314,7 +350,7 @@ class TestCoupledHessian:
         disk, single = pulled_crowd_problem()
         for _ in range(3):
             gamma = Trajectory(0.0, 1.0, RNG.uniform(-0.6, 0.6, (13, 2)))
-            H = _action_hessian(single, gamma).toarray()
+            H = dense_tridiag(*_action_hessian(single, gamma))
             assert np.max(np.abs(H - fd_action_hessian(single, gamma))) < 1e-6
 
     def test_exact_penalty_minimizer_is_independent_of_epsilon(self):
@@ -528,7 +564,7 @@ class TestBestResponse:
 
 
 def residual_all_slices(eta, br, times):
-    """``equilibrium_residual`` with one transport LP per slice (the
+    """``equilibrium_residual`` with one exact d1 per slice (the
     reference)."""
     fa, fb = evaluate_flow(eta, times), evaluate_flow(br, times)
     return max(kantorovich_d1(ma, mb)
@@ -536,7 +572,7 @@ def residual_all_slices(eta, br, times):
 
 
 def lip_all_slices(flow):
-    """``lip_flow`` with one transport LP per pair of slices (the
+    """``lip_flow`` with one exact d1 per pair of slices (the
     reference)."""
     worst = 0.0
     for i in range(flow.times.size - 1):
@@ -587,15 +623,15 @@ class TestTransportBounds:
 
     def test_residual_equals_all_slices_on_random_pairs(self, monkeypatch):
         rng = np.random.default_rng(8)
-        lps = counted(monkeypatch, mfg, "linprog")
+        evals = counted(monkeypatch, mfg, "kantorovich_d1")
         loose = skipped = 0
         for n_starts, n_particles in ((1, 1), (2, 5), (4, 4), (5, 12),
                                       (8, 20)):
             for step in (0.02, 0.3):
                 eta, br = wandering_pair(rng, n_starts, n_particles, step)
-                lps[0] = 0
+                evals[0] = 0
                 got = equilibrium_residual(eta, br, self.TIMES)
-                skipped += self.TIMES.size - lps[0]
+                skipped += self.TIMES.size - evals[0]
                 assert got == residual_all_slices(eta, br, self.TIMES)
                 bound = _coupling_cost(eta, br, eta.positions_at(self.TIMES),
                                        br.positions_at(self.TIMES))
@@ -619,9 +655,9 @@ class TestTransportBounds:
         assert np.all(np.isinf(_coupling_cost(
             eta, other, eta.positions_at(self.TIMES),
             other.positions_at(self.TIMES))))
-        lps = counted(monkeypatch, mfg, "linprog")
+        d1s = counted(monkeypatch, mfg, "kantorovich_d1")
         got = equilibrium_residual(eta, other, self.TIMES)
-        assert lps[0] == self.TIMES.size
+        assert d1s[0] == self.TIMES.size
         assert got == residual_all_slices(eta, other, self.TIMES)
         # one particle per start, but not with the start's full weight
         eta, br = wandering_pair(rng, 2, 4, 0.3)
@@ -630,7 +666,7 @@ class TestTransportBounds:
         pos_a, pos_b = (eta.positions_at(self.TIMES),
                         br.positions_at(self.TIMES))
         assert np.all(np.isinf(_coupling_cost(eta, br, pos_a, pos_b)))
-        lps[0] = 0
+        lps = counted(monkeypatch, mfg, "linprog")
         got = equilibrium_residual(eta, br, self.TIMES)
         assert lps[0] == self.TIMES.size
         assert got == residual_all_slices(eta, br, self.TIMES)
@@ -644,16 +680,15 @@ class TestTransportBounds:
         want = residual_all_slices(eta, br, self.TIMES)
         flow = evaluate_flow(eta, np.linspace(0.0, 1.0, 9))
         want_lip = lip_all_slices(flow)
-        lps = counted(monkeypatch, mfg, "linprog")
+        d1s = counted(monkeypatch, mfg, "kantorovich_d1")
         assert equilibrium_residual(eta, br, self.TIMES) == want
-        assert lps[0] < self.TIMES.size
-        lps[0] = 0
+        assert d1s[0] < self.TIMES.size
+        d1s[0] = 0
         assert lip_flow(flow) == want_lip
-        assert lps[0] < 8
+        assert d1s[0] < 8
 
     def test_lip_flow_equals_all_slices(self, monkeypatch):
         rng = np.random.default_rng(10)
-        lps = counted(monkeypatch, mfg, "linprog")
         for n_particles, step in ((1, 0.1), (4, 0.02), (6, 0.3), (12, 0.3)):
             eta, _ = wandering_pair(rng, 3 if n_particles > 3 else 1,
                                     n_particles, step)
@@ -667,7 +702,8 @@ class TestTransportBounds:
                 d1 = kantorovich_d1(flow.measures[i], flow.measures[i + 1])
                 assert speed[i] >= d1 - 1e-12
         # the last slice moves mass between resting points: index by index
-        # nothing moves, yet d1 is the largest there, so every LP is solved
+        # nothing moves, yet d1 is the largest there, so every slice's d1 is
+        # evaluated
         a, b = [0.0, 0.0], [0.5, 0.0]
         times = np.linspace(0.0, 1.0, 4)
         flow = MeasureFlow(times, [
@@ -677,9 +713,9 @@ class TestTransportBounds:
             DiscreteMeasure([[0.1, 0.0], b], [0.1, 0.9])])
         want = lip_all_slices(flow)
         assert want == pytest.approx(0.8 * 0.4 * 3.0)
-        lps[0] = 0
+        d1s = counted(monkeypatch, mfg, "kantorovich_d1")
         assert lip_flow(flow) == want
-        assert lps[0] == times.size - 1
+        assert d1s[0] == times.size - 1
 
 
 class TestJointEquilibrium:
@@ -724,8 +760,43 @@ class TestJointEquilibrium:
         base, c, X = self.stacked(N)
         joint = potential_problem(base, c, self.W)
         gamma = Trajectory(0.0, 1.0, X.reshape(N + 1, 6))
-        H = _action_hessian(joint, gamma).toarray()
+        H = dense_tridiag(*_action_hessian(joint, gamma))
         assert np.max(np.abs(H - fd_action_hessian(joint, gamma))) < 1e-6
+
+    def test_kkt_step_matches_dense_solve(self, monkeypatch):
+        # the first step of a joint finish, whose start has points outside
+        # and one on the boundary band, against the dense KKT system
+        N = 16
+        base, c, X = self.stacked(N)
+        joint = potential_problem(base, c, self.W)
+        disk = Ball([0.0, 0.0], 1.0)
+        params = PenaltyParams(epsilon=0.5, delta=0.5, rho=disk.rho0, N=N,
+                               weights=self.W)
+        calls = []
+
+        def recording(D, U, g, Db, b, act):
+            out = penalty_kkt(D, U, g, Db, b, act)
+            calls.append(((D, U, g, Db, b, act), out))
+            return out
+
+        penalty_kkt = penalty._kkt_step
+        monkeypatch.setattr(penalty, "_kkt_step", recording)
+        traj = Trajectory(0.0, 1.0, X.reshape(N + 1, 6))
+        penalty._newton_finish(joint, disk, params, traj,
+                               penalty.penalized_cost(joint, disk, params,
+                                                      traj))
+        (D, U, g, Db, b, act), (dx, mu) = calls[0]
+        assert act.size > 0 and np.any(b > 1e-5 * disk.diameter)
+        H = dense_tridiag(D, U)
+        C = np.zeros((act.size, g.size))
+        for row, p in enumerate(act):
+            C[row, 2 * p:2 * p + 2] = Db[p]
+        K = np.block([[H, C.T], [C, np.zeros((act.size, act.size))]])
+        want = np.linalg.solve(K, np.concatenate([-g.ravel(), -b[act]]))
+        assert np.linalg.norm(dx.ravel() - want[:g.size]) <= 1e-12 * (
+            np.linalg.norm(want[:g.size]))
+        assert np.linalg.norm(mu - want[g.size:]) <= 1e-12 * (
+            np.linalg.norm(want[g.size:]))
 
     def test_s4_seed_certifies_in_two_rounds(self, monkeypatch):
         dom, prob, coupling, eta0 = s4_game()

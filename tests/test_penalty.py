@@ -11,9 +11,9 @@ from statecon import (Ball, Ellipse, LinearPotential, LinearTerminal,
                       penalized_cost, quadratic_problem)
 from statecon import penalty
 from statecon.penalty import (Runaway, _action_hessian, _cost_and_grad,
-                              _stationarity)
+                              _newton_finish, _stationarity, _tridiag_solve)
 
-from conftest import fd_action_hessian, s1_exact
+from conftest import dense_tridiag, fd_action_hessian, s1_exact
 
 
 def naive_cost(prob, dom, params, gamma):
@@ -114,10 +114,10 @@ class TestActionHessian:
                                  T=1.0, M=9.0, kappa=0.0)
         for _ in range(3):
             gamma = Trajectory(0.0, 1.0, rng.uniform(-0.6, 0.6, (13, 2)))
-            H = _action_hessian(prob, gamma)
+            H = dense_tridiag(*_action_hessian(prob, gamma))
             assert H.shape == (24, 24)
             want = fd_action_hessian(prob, gamma)
-            assert np.max(np.abs(H.toarray() - want)) < 1e-6
+            assert np.max(np.abs(H - want)) < 1e-6
 
     def test_mixed_terms_match_finite_differences(self):
         # f = |v|^2/2 + x0 x1 v0 + x1^2 v1 + |x|^4 / 4 has nonzero fxx and
@@ -166,17 +166,69 @@ class TestActionHessian:
                        kappa=0.0, fxx=fxx, D2g=zero_hess)
         rng = np.random.default_rng(29)
         gamma = Trajectory(0.0, 1.0, rng.uniform(-0.6, 0.6, (13, 2)))
-        H = _action_hessian(prob, gamma).toarray()
+        H = dense_tridiag(*_action_hessian(prob, gamma))
         assert np.max(np.abs(H - fd_action_hessian(prob, gamma))) < 1e-6
 
     def test_block_tridiagonal_and_symmetric(self):
         prob = quadratic_problem(2, A=[[2.0, 0.5], [0.5, 1.0]], M=1.0,
                                  kappa=0.0)
         gamma = Trajectory.constant(0.0, 1.0, np.zeros(2), 16)
-        H = _action_hessian(prob, gamma).toarray()
+        H = dense_tridiag(*_action_hessian(prob, gamma))
         rows, cols = np.nonzero(H)
         assert np.max(np.abs(rows // 2 - cols // 2)) == 1
         assert np.array_equal(H, H.T)
+
+
+class TestTridiagSolve:
+    @pytest.mark.parametrize("N", [8, 9, 63, 64])
+    @pytest.mark.parametrize("m", [2, 6])
+    @pytest.mark.parametrize("definite", [True, False])
+    def test_matches_dense_solve(self, N, m, definite):
+        rng = np.random.default_rng(100 * N + m)
+        A = rng.standard_normal((N, m, m))
+        D = A + A.transpose(0, 2, 1)
+        # shift each diagonal block's spectrum away from 0, to one side
+        # (positive definite) or to either side (indefinite)
+        lam = np.linalg.eigvalsh(D)
+        side = 1.0 if definite else np.where(rng.random(N) < 0.5, -1.0, 1.0)
+        shift = np.where(side > 0, 3.0 - lam[:, 0], -3.0 - lam[:, -1])
+        D += shift[:, None, None] * np.eye(m)
+        U = 0.5 * rng.standard_normal((N - 1, m, m))
+        r = rng.standard_normal((N, m))
+        H = dense_tridiag(D, U)
+        eigs = np.linalg.eigvalsh(H)
+        assert (eigs[0] > 0) == definite
+        want = np.linalg.solve(H, r.ravel())
+        got = _tridiag_solve(D, U, r).ravel()
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_singular_pivot_stops_the_finish(self, disk):
+        # f = <a, x> has no curvature at all, so every pivot block is zero:
+        # the finish keeps its start and does not raise
+        a = np.array([1.0, -2.0])
+
+        def zero2(t, x, v):
+            return np.zeros((np.atleast_2d(x).shape[0], 2, 2))
+
+        prob = Problem(f=lambda t, x, v: np.atleast_2d(x) @ a,
+                       fx=lambda t, x, v: np.tile(a, (len(np.atleast_2d(x)),
+                                                      1)),
+                       fv=lambda t, x, v: np.zeros_like(np.atleast_2d(v)),
+                       fvv=zero2, fvx=zero2,
+                       g=lambda x: np.zeros(len(np.atleast_2d(x))),
+                       Dg=lambda x: np.zeros_like(np.atleast_2d(x)),
+                       horizon=1.0, dim=2, mu=1.0, M=3.0, kappa=0.0,
+                       fxx=zero2, D2g=lambda x: zero2(0.0, x, x))
+        with pytest.raises(np.linalg.LinAlgError):
+            _tridiag_solve(np.zeros((16, 2, 2)), np.zeros((15, 2, 2)),
+                           np.ones((16, 2)))
+        params = PenaltyParams(epsilon=0.5, delta=0.5, rho=disk.rho0, N=16)
+        start = Trajectory.constant(0.0, 1.0, [0.1, 0.2], 16)
+        traj = Trajectory(0.0, 1.0, start.knots.copy())
+        out, steps = _newton_finish(prob, disk, params, traj,
+                                    penalized_cost(prob, disk, params, traj))
+        assert steps == 0
+        assert np.array_equal(out.knots, start.knots)
 
 
 class TestMinimize:

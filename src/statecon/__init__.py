@@ -6,8 +6,7 @@ from .geometry import (Ball, Domain, Ellipse, OutsideTube, SmoothedBox,
                        SubdiffDescription)
 from .model import (AssumptionReport, Hamiltonian, LinearPotential,
                     LinearTerminal, NewtonDiverged, Problem, SigmaTooLarge,
-                    ZeroPotential, ZeroTerminal, check_assumptions,
-                    energy_bound, extend_data, legendre,
+                    check_assumptions, energy_bound, extend_data, legendre,
                     problem_from_config, quadratic_problem)
 from .penalty import (MaxIterations, NonFiniteCost, PenaltyParams,
                       ScheduleExhausted, Trajectory, delta_choice,
@@ -17,7 +16,7 @@ from .pmp import (Extremal, LeftTube, NegativeMultiplier, PMPReport,
                   check_extremal, contact_mask, feedback_lambda,
                   feedback_lambda_many, hamiltonian_drift, make_extremal,
                   multiplier_from_residual, recover_adjoint, shoot,
-                  solve_constrained, velocity_bound)
+                  velocity_bound)
 from .value import ValueGrid, compute_value, dpp_check, lipschitz_report
 from .mfg import (DiscreteMeasure, GaussianKernelCoupling, MeasureFlow,
                   NoConvergence, TrajectoryMeasure, UnbalancedMeasure,
@@ -31,9 +30,8 @@ __all__ = [
     "Ball", "Domain", "Ellipse", "OutsideTube", "SmoothedBox",
     "SubdiffDescription",
     "AssumptionReport", "Hamiltonian", "LinearPotential", "LinearTerminal",
-    "NewtonDiverged", "Problem", "SigmaTooLarge", "ZeroPotential",
-    "ZeroTerminal", "check_assumptions", "energy_bound", "extend_data",
-    "legendre", "problem_from_config",
+    "NewtonDiverged", "Problem", "SigmaTooLarge", "check_assumptions",
+    "energy_bound", "extend_data", "legendre", "problem_from_config",
     "quadratic_problem",
     "MaxIterations", "NonFiniteCost", "PenaltyParams", "ScheduleExhausted",
     "Trajectory", "delta_choice", "energy_certificate", "epsilon_schedule",
@@ -43,7 +41,6 @@ __all__ = [
     "feedback_lambda_many", "hamiltonian_drift", "make_extremal",
     "multiplier_from_residual", "recover_adjoint", "shoot",
     "velocity_bound",
-    "solve_constrained",
     "ValueGrid", "compute_value", "dpp_check", "lipschitz_report",
     "DiscreteMeasure", "GaussianKernelCoupling", "MeasureFlow",
     "NoConvergence", "TrajectoryMeasure", "UnbalancedMeasure",

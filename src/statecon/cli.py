@@ -45,16 +45,9 @@ def _json_default(o):
 
 
 def write_json(path: Path, obj) -> None:
-    # round-trip through 17-digit strings for stable float text
-    def clean(v):
-        if isinstance(v, dict):
-            return {k: clean(x) for k, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [clean(x) for x in v]
-        if isinstance(v, (float, np.floating)):
-            return float(_fmt(v))
-        return v
-    path.write_text(json.dumps(clean(obj), indent=2, sort_keys=True,
+    # json writes each float as its shortest round-trip repr, which is
+    # stable across runs
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True,
                                default=_json_default) + "\n")
 
 
@@ -124,6 +117,9 @@ def cmd_solve(cfg, out: Path, args) -> int:
     dom = build_domain(cfg)
     prob = build_problem(cfg, dom)
     x0 = np.asarray(cfg.get("x0", [0.0] * dom.dim), dtype=float)
+    if x0.shape != (dom.dim,) or dom.signed_distance(x0) > dom.boundary_tol:
+        raise ConfigError(f"x0 must be a point of the closed {dom.dim}-D "
+                          "domain")
     N = args.grid_n or int(cfg.get("solver", {}).get("N", 256))
     delta, Nm = delta_choice(prob, dom)
     delta = float(cfg.get("solver", {}).get("delta", delta))
@@ -163,35 +159,35 @@ def cmd_pmp_check(cfg, out: Path, args) -> int:
     return 0 if report.all_passed else 2
 
 
-def _value_grid_spec(cfg, dom: Domain, args):
-    vc = cfg.get("value", {})
-    nt = int(vc.get("n_times", 5))
-    nx = args.grid_n or int(vc.get("n_points", 5))
-    T = float(cfg["problem"]["T"])
-    times = np.linspace(0.0, T, nt)
+def _node_grid(dom: Domain, T: float, nt: int, nx: int):
+    """nt times on [0, T] and the nodes of an nx-per-axis grid over the
+    domain's bounding box that lie in the closed domain."""
     lo, hi = dom.bounding_box()
     axes = [np.linspace(lo[k], hi[k], nx) for k in range(dom.dim)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    pts = mesh.reshape(-1, dom.dim)
-    keep = dom.b_many(pts) <= dom.boundary_tol
-    return times, pts[keep]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dom.dim)
+    return np.linspace(0.0, T, nt), pts[dom.b_many(pts) <= dom.boundary_tol]
+
+
+def _write_values(path: Path, vg, points: np.ndarray) -> None:
+    """One row (t, x, u) per time and node of a value grid."""
+    rows = [[t, *x, u] for t, us in zip(vg.times, vg.values)
+            for x, u in zip(points, us)]
+    write_csv(path, ["t"] + [f"x{k+1}" for k in range(points.shape[1])]
+              + ["u"], rows)
 
 
 def cmd_value(cfg, out: Path, args) -> int:
     dom = build_domain(cfg)
     prob = build_problem(cfg, dom)
-    times, points = _value_grid_spec(cfg, dom, args)
-    N = int(cfg.get("value", {}).get("N", 32))
+    vc = cfg.get("value", {})
+    times, points = _node_grid(dom, prob.horizon, int(vc.get("n_times", 5)),
+                               args.grid_n or int(vc.get("n_points", 5)))
+    N = int(vc.get("N", 32))
     vg = compute_value(prob, dom, times, points, N=N)
     Lx, Lt = lipschitz_report(vg)
     gap = dpp_check(prob, dom, vg, samples=5,
                     rng=np.random.default_rng(args.seed), N=N)
-    rows = []
-    for i, t in enumerate(vg.times):
-        for j in range(points.shape[0]):
-            rows.append([t, *points[j], vg.values[i, j]])
-    write_csv(out / "value.csv",
-              ["t"] + [f"x{k+1}" for k in range(dom.dim)] + ["u"], rows)
+    _write_values(out / "value.csv", vg, points)
     write_json(out / "value_report.json",
                {"Lx": Lx, "Lt": Lt, "dpp_gap": gap,
                 "failures": len(vg.failures)})
@@ -207,10 +203,14 @@ def cmd_mfg(cfg, out: Path, args) -> int:
     if mc is None:
         raise ConfigError("config needs an 'mfg' section")
     coupling = GaussianKernelCoupling.from_config(mc.get("coupling", {}))
-    atoms = np.asarray(mc["m0"]["points"], dtype=float)
-    weights = np.asarray(mc["m0"]["weights"], dtype=float)
     N = int(mc.get("N", 64))
-    eta0 = constant_measure(atoms, weights, prob.horizon, N=N)
+    try:
+        atoms = np.asarray(mc["m0"]["points"], dtype=float)
+        if np.any(dom.b_many(atoms) > dom.boundary_tol):
+            raise ValueError("points must lie in the closed domain")
+        eta0 = constant_measure(atoms, mc["m0"]["weights"], prob.horizon, N=N)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad m0 spec: {exc}") from exc
     eta, history = fixed_point(prob, dom, coupling, eta0,
                                alpha=float(mc.get("alpha", 0.5)),
                                tol=float(mc.get("tol", 1e-3)),
@@ -227,20 +227,11 @@ def cmd_mfg(cfg, out: Path, args) -> int:
     write_csv(out / "residuals.csv", ["iter", "residual"],
               [[i, r] for i, r in enumerate(history)])
     vc = mc.get("value", {})
-    nx = int(vc.get("n_points", 5))
-    lo, hi = dom.bounding_box()
-    axes = [np.linspace(lo[k], hi[k], nx) for k in range(dom.dim)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dom.dim)
-    pts = pts[dom.b_many(pts) <= dom.boundary_tol]
-    vt = np.linspace(0.0, prob.horizon, int(vc.get("n_times", 3)))
+    vt, pts = _node_grid(dom, prob.horizon, int(vc.get("n_times", 3)),
+                         int(vc.get("n_points", 5)))
     vg, _flow = mild_solution(prob, dom, coupling, eta, vt, pts,
                               N=int(vc.get("N", 32)))
-    vrows = []
-    for i, t in enumerate(vg.times):
-        for j in range(pts.shape[0]):
-            vrows.append([t, *pts[j], vg.values[i, j]])
-    write_csv(out / "mild_value.csv",
-              ["t"] + [f"x{k+1}" for k in range(dom.dim)] + ["u"], vrows)
+    _write_values(out / "mild_value.csv", vg, pts)
     print(f"mfg: {len(history)} iterations, residual "
           f"{_fmt(history[-1])}, Lip(m)={_fmt(lip_flow(flow))}")
     return 0

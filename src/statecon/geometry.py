@@ -77,25 +77,13 @@ class Domain:
     def signed_distance(self, x) -> float:
         return float(self.eval(x, hess=False).b[0])
 
-    def distance(self, x) -> float:
-        return max(self.signed_distance(x), 0.0)
-
-    def _eval_in_tube(self, x, hess: bool = False) -> BoundaryEval:
-        e = self.eval(x, hess=hess)
+    def grad_b(self, x) -> np.ndarray:
+        e = self.eval(x, hess=False)
         # b is smooth on the whole exterior for convex shapes; only the deep
         # interior (past the cut locus bound rho0) is off limits.
         if e.b[0] <= -self.rho0:
             raise OutsideTube(f"b = {e.b[0]:g} <= -rho0 = {-self.rho0:g}")
-        return e
-
-    def grad_b(self, x) -> np.ndarray:
-        return self._eval_in_tube(x).Db[0]
-
-    def hess_b(self, x) -> np.ndarray:
-        return self._eval_in_tube(x, hess=True).D2b[0]
-
-    def project(self, x) -> np.ndarray:
-        return self._eval_in_tube(x).P[0]
+        return e.Db[0]
 
     def subdiff_distance(self, x) -> SubdiffDescription:
         e = self.eval(x, hess=False)
@@ -108,9 +96,6 @@ class Domain:
         if b < 0.0:
             return SubdiffDescription("interior", np.zeros(self.dim), (0.0, 0.0))
         return SubdiffDescription("outside", e.Db[0], (1.0, 1.0))
-
-    def contains(self, x, tol: float = 0.0) -> bool:
-        return self.signed_distance(x) <= tol
 
     def _sample(self, rng: np.random.Generator, size: int, pad: float,
                 keep) -> np.ndarray:
@@ -142,9 +127,6 @@ class Domain:
         return self._sample(rng, size, self.rho0, lambda b: b < r)
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-    def to_config(self) -> dict:
         raise NotImplementedError
 
     @staticmethod
@@ -200,10 +182,6 @@ class Ball(Domain):
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
-
-    def to_config(self):
-        return {"shape": "ball", "center": self.center.tolist(),
-                "radius": self.radius}
 
 
 class Ellipse(Domain):
@@ -307,10 +285,6 @@ class Ellipse(Domain):
     def bounding_box(self):
         return self.center - self.axes, self.center + self.axes
 
-    def to_config(self):
-        return {"shape": "ellipse", "center": self.center.tolist(),
-                "semi_axes": self.axes.tolist()}
-
 
 class SmoothedBox(Domain):
     """Box with rounded corners (Minkowski dilation of an inner box by a ball
@@ -357,10 +331,6 @@ class SmoothedBox(Domain):
 
     def bounding_box(self):
         return self.center - self.half, self.center + self.half
-
-    def to_config(self):
-        return {"shape": "smoothed-box", "center": self.center.tolist(),
-                "half_widths": self.half.tolist(), "corner_radius": self.r}
 
 
 def fd_grad(dom: Domain, x, h: float = 1e-5) -> np.ndarray:

@@ -68,6 +68,8 @@ class TrajectoryMeasure:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
+        if np.any(self.weights < 0):
+            raise ValueError("weights must be nonnegative")
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
         if len(self.trajectories) != self.weights.size:
@@ -234,50 +236,41 @@ class GaussianKernelCoupling:
         # Lipschitz constants in x and (through duality) in m
         self.kappa = ((amp + terminal_amp) * np.exp(-0.5) / scale)
 
-    def _phi(self, D, amp):
-        # D: (m, k, n) displacement stack
-        r2 = np.sum(D * D, axis=2)
-        return amp * np.exp(-0.5 * r2 / self.scale ** 2)
-
-    def F(self, X, m: DiscreteMeasure):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        D = X[:, None, :] - m.points[None, :, :]
-        return self._phi(D, self.amp) @ m.weights
-
-    def DxF(self, X, m: DiscreteMeasure):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        D = X[:, None, :] - m.points[None, :, :]
-        phi = self._phi(D, self.amp)
-        return np.einsum("mk,mkn->mn", phi * m.weights,
-                         -D / self.scale ** 2)
-
-    def _hess(self, D, wphi):
-        """sum_j wphi_j (D_j D_j^T / s^4 - I / s^2) for the displacement
-        stack D (m, k, n) and weighted bump values wphi (m, k)."""
+    def _bump(self, D, w, amp, order):
+        """sum_j w_j phi(D_j) for the bump phi(d) = amp exp(-|d|^2 / 2 s^2)
+        over the displacement stack D (m, k, n) (order 0), its gradient
+        -sum_j w_j phi(D_j) D_j / s^2 (order 1) or its Hessian
+        sum_j w_j phi(D_j) (D_j D_j^T / s^4 - I / s^2) (order 2)."""
         s2 = self.scale ** 2
+        phi = amp * np.exp(-0.5 * np.sum(D * D, axis=2) / s2)
+        if order == 0:
+            return phi @ w
+        if order == 1:
+            return np.einsum("mk,mkn->mn", phi * w, -D / s2)
+        wphi = phi * w
         H = np.einsum("mki,mkj->mij", D * wphi[:, :, None], D) / s2 ** 2
         H -= (wphi.sum(axis=1) / s2)[:, None, None] * np.eye(D.shape[2])
         return H
 
-    def G(self, X, m: DiscreteMeasure):
+    def _at(self, X, m: DiscreteMeasure, amp, order):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.terminal_amp == 0.0:
-            return np.zeros(X.shape[0])
-        D = X[:, None, :] - m.points[None, :, :]
-        return self._phi(D, self.terminal_amp) @ m.weights
+        return self._bump(X[:, None, :] - m.points[None, :, :], m.weights,
+                          amp, order)
+
+    def F(self, X, m: DiscreteMeasure):
+        return self._at(X, m, self.amp, 0)
+
+    def DxF(self, X, m: DiscreteMeasure):
+        return self._at(X, m, self.amp, 1)
+
+    def G(self, X, m: DiscreteMeasure):
+        return self._at(X, m, self.terminal_amp, 0)
 
     def DxG(self, X, m: DiscreteMeasure):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.terminal_amp == 0.0:
-            return np.zeros_like(X)
-        D = X[:, None, :] - m.points[None, :, :]
-        phi = self._phi(D, self.terminal_amp)
-        return np.einsum("mk,mkn->mn", phi * m.weights, -D / self.scale ** 2)
+        return self._at(X, m, self.terminal_amp, 1)
 
     def DxxG(self, X, m: DiscreteMeasure):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        D = X[:, None, :] - m.points[None, :, :]
-        return self._hess(D, self._phi(D, self.terminal_amp) * m.weights)
+        return self._at(X, m, self.terminal_amp, 2)
 
     def to_config(self):
         return {"type": "gaussian-bump", "amp": self.amp,
@@ -304,32 +297,22 @@ def coupled_problem(prob: Problem, dom: Domain, coupling,
     """Single-agent problem against the frozen population flow of eta."""
     T = prob.horizon
 
-    def against_flow(base, term):
-        # the base problem's term plus the coupling's, a function of the
-        # displacements D from the population at time t and the bumps phi(D)
+    def against_flow(base, order):
+        # the base problem's term plus the coupling's order-th derivative
+        # against the population at time t
         def fn(t, x, v):
             X = np.atleast_2d(x)
             t1 = np.broadcast_to(np.asarray(t, dtype=float), (X.shape[0],))
             D = X[:, None, :] - eta.positions_at(np.clip(t1, 0.0, T))
-            return base(t, x, v) + term(D, coupling._phi(D, coupling.amp))
+            return base(t, x, v) + coupling._bump(D, eta.weights,
+                                                  coupling.amp, order)
         return fn
-
-    w, s2 = eta.weights, coupling.scale ** 2
-    f = against_flow(prob.f, lambda D, phi: phi @ w)
-    fx = against_flow(prob.fx, lambda D, phi: np.einsum("mk,mkn->mn", phi * w,
-                                                        -D / s2))
-    fxx = against_flow(prob.fxx, lambda D, phi: coupling._hess(D, phi * w))
 
     mT = evaluate_flow(eta, [T]).measures[0]
 
-    def g(x):
-        return prob.g(x) + coupling.G(np.atleast_2d(x), mT)
-
-    def Dg(x):
-        return prob.Dg(x) + coupling.DxG(np.atleast_2d(x), mT)
-
-    def D2g(x):
-        return prob.D2g(x) + coupling.DxxG(np.atleast_2d(x), mT)
+    def at_end(base, order):
+        return lambda x: base(x) + coupling._at(x, mT, coupling.terminal_amp,
+                                                order)
 
     # constants inherited from the base problem plus the coupling's bounds;
     # the flow Lipschitz constant is bounded by transporting each particle
@@ -338,13 +321,11 @@ def coupled_problem(prob: Problem, dom: Domain, coupling,
     lipm = flow_speed_bound(eta, grid)
     M = prob.M + coupling.amp + coupling.terminal_amp + coupling.kappa
     kappa = prob.kappa + coupling.kappa * lipm
-    return Problem(f=f, fx=fx, fv=prob.fv, fvv=prob.fvv, fvx=prob.fvx,
-                   g=g, Dg=Dg, horizon=T, dim=prob.dim, mu=prob.mu,
-                   M=M, kappa=kappa, family="coupled",
-                   coefficients={"base": prob.family,
-                                 "coupling": getattr(coupling, "to_config",
-                                                     lambda: {})()},
-                   fxx=fxx, D2g=D2g)
+    return Problem(f=against_flow(prob.f, 0), fx=against_flow(prob.fx, 1),
+                   fv=prob.fv, fvv=prob.fvv, fvx=prob.fvx,
+                   g=at_end(prob.g, 0), Dg=at_end(prob.Dg, 1), horizon=T,
+                   dim=prob.dim, mu=prob.mu, M=M, kappa=kappa,
+                   fxx=against_flow(prob.fxx, 2), D2g=at_end(prob.D2g, 2))
 
 
 def best_response(prob: Problem, dom: Domain, coupling,
@@ -394,7 +375,6 @@ def potential_problem(prob: Problem, coupling, weights) -> Problem:
     """
     w = np.asarray(weights, dtype=float)
     k, n = w.size, prob.dim
-    s2 = coupling.scale ** 2
     diag = np.arange(k)
 
     def agents(fn, t, X, V):
@@ -406,64 +386,43 @@ def potential_problem(prob: Problem, coupling, weights) -> Problem:
         out = out.reshape(m, k, *out.shape[1:])
         return out * w.reshape((1, k) + (1,) * (out.ndim - 2))
 
-    def pairs(X, amp):
-        # displacements x_i - x_j (m, k, k, n) and w_i w_j phi(x_i - x_j)
+    def pair_term(X, amp, order):
+        # 1/2 sum_ij w_i w_j phi(x_i - x_j) (order 0), its gradient (m, k n)
+        # or its Hessian (m, k n, k n), from the bump's derivatives per pair
         Xs = np.atleast_2d(X).reshape(-1, k, n)
-        D = Xs[:, :, None] - Xs[:, None]
-        phi = coupling._phi(D.reshape(-1, k, n), amp).reshape(D.shape[:3])
-        return D, phi * np.outer(w, w)
-
-    def pair_grad(X, amp):
-        D, wphi = pairs(X, amp)
-        return -np.einsum("mij,mijn->min", wphi, D).reshape(-1, k * n) / s2
-
-    def pair_hess(X, amp):
-        D, wphi = pairs(X, amp)
-        P = (np.einsum("mij,mija,mijb->mijab", wphi, D, D) / s2 ** 2
-             - wphi[..., None, None] * np.eye(n) / s2)
+        D = (Xs[:, :, None] - Xs[:, None]).reshape(-1, 1, n)
+        P = coupling._bump(D, np.ones(1), amp, order)
+        P = (P.reshape(-1, k, k, *P.shape[1:])
+             * np.outer(w, w).reshape((k, k) + (1,) * order))
+        if order == 0:
+            return 0.5 * P.sum(axis=(1, 2))
+        if order == 1:
+            return P.sum(axis=2).reshape(-1, k * n)
         H = -P.transpose(0, 1, 3, 2, 4)
         H[:, diag, :, diag, :] += P.sum(axis=2).transpose(1, 0, 2, 3)
         return H.reshape(-1, k * n, k * n)
 
-    def terminal(fn):
-        return lambda t, x, v: fn(x)
+    def joint(fn, order, amp=None):
+        # fn's value (order 0), gradient or Hessian in the stacked state,
+        # plus the pair term of the bump with amplitude amp, if given
+        def out(t, X, V):
+            A = agents(fn, t, X, V)
+            A = (A.sum(axis=1) if order == 0 else A.reshape(-1, k * n)
+                 if order == 1 else _block_diag(A))
+            return A if amp is None else A + pair_term(X, amp, order)
+        return out
 
-    def f(t, X, V):
-        return (agents(prob.f, t, X, V).sum(axis=1)
-                + 0.5 * pairs(X, coupling.amp)[1].sum(axis=(1, 2)))
+    def terminal(fn, order):
+        cost = joint(lambda t, x, v: fn(x), order, coupling.terminal_amp)
+        return lambda X: cost(0.0, X, X)
 
-    def fx(t, X, V):
-        return (agents(prob.fx, t, X, V).reshape(-1, k * n)
-                + pair_grad(X, coupling.amp))
-
-    def fv(t, X, V):
-        return agents(prob.fv, t, X, V).reshape(-1, k * n)
-
-    def fvv(t, X, V):
-        return _block_diag(agents(prob.fvv, t, X, V))
-
-    def fvx(t, X, V):
-        return _block_diag(agents(prob.fvx, t, X, V))
-
-    def fxx(t, X, V):
-        return (_block_diag(agents(prob.fxx, t, X, V))
-                + pair_hess(X, coupling.amp))
-
-    def g(X):
-        return (agents(terminal(prob.g), 0.0, X, X).sum(axis=1)
-                + 0.5 * pairs(X, coupling.terminal_amp)[1].sum(axis=(1, 2)))
-
-    def Dg(X):
-        return (agents(terminal(prob.Dg), 0.0, X, X).reshape(-1, k * n)
-                + pair_grad(X, coupling.terminal_amp))
-
-    def D2g(X):
-        return (_block_diag(agents(terminal(prob.D2g), 0.0, X, X))
-                + pair_hess(X, coupling.terminal_amp))
-
-    return Problem(f=f, fx=fx, fv=fv, fvv=fvv, fvx=fvx, g=g, Dg=Dg,
-                   horizon=prob.horizon, dim=k * n, mu=prob.mu, M=prob.M,
-                   kappa=prob.kappa, family="potential", fxx=fxx, D2g=D2g)
+    amp = coupling.amp
+    return Problem(f=joint(prob.f, 0, amp), fx=joint(prob.fx, 1, amp),
+                   fv=joint(prob.fv, 1), fvv=joint(prob.fvv, 2),
+                   fvx=joint(prob.fvx, 2), g=terminal(prob.g, 0),
+                   Dg=terminal(prob.Dg, 1), horizon=prob.horizon, dim=k * n,
+                   mu=prob.mu, M=prob.M, kappa=prob.kappa,
+                   fxx=joint(prob.fxx, 2, amp), D2g=terminal(prob.D2g, 2))
 
 
 def joint_equilibrium(prob: Problem, dom: Domain, coupling,

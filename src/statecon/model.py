@@ -47,20 +47,6 @@ def _zero_hess(x):
     return np.zeros((m, n, n))
 
 
-class ZeroPotential:
-    def value(self, t, x):
-        return np.zeros(np.atleast_2d(x).shape[0])
-
-    def grad(self, t, x):
-        return np.zeros_like(np.atleast_2d(x))
-
-    def hess(self, t, x):
-        return _zero_hess(x)
-
-    def to_config(self):
-        return {"type": "zero"}
-
-
 class LinearPotential:
     """V(t, x) = <b, x> (a constant spatial pull)."""
 
@@ -76,23 +62,6 @@ class LinearPotential:
 
     def hess(self, t, x):
         return _zero_hess(x)
-
-    def to_config(self):
-        return {"type": "linear", "b": self.b.tolist()}
-
-
-class ZeroTerminal:
-    def value(self, x):
-        return np.zeros(np.atleast_2d(x).shape[0])
-
-    def grad(self, x):
-        return np.zeros_like(np.atleast_2d(x))
-
-    def hess(self, x):
-        return _zero_hess(x)
-
-    def to_config(self):
-        return {"type": "zero"}
 
 
 class LinearTerminal:
@@ -111,26 +80,19 @@ class LinearTerminal:
     def hess(self, x):
         return _zero_hess(x)
 
-    def to_config(self):
-        return {"type": "linear", "b": self.b.tolist()}
 
-
-def potential_from_config(cfg: dict):
-    kind = cfg.get("type", "zero")
+def _linear_from_config(cls, cfg: dict, key: str, dim: int):
+    """``cls`` (``LinearPotential`` or ``LinearTerminal``) from section
+    ``key`` of a problem config; type "zero", the default, is b = 0."""
+    sec = cfg.get(key, {})
+    kind = sec.get("type", "zero")
     if kind == "zero":
-        return ZeroPotential()
+        return cls(np.zeros(dim))
     if kind == "linear":
-        return LinearPotential(cfg["b"])
-    raise ValueError(f"unknown potential type {kind!r}")
-
-
-def terminal_from_config(cfg: dict):
-    kind = cfg.get("type", "zero")
-    if kind == "zero":
-        return ZeroTerminal()
-    if kind == "linear":
-        return LinearTerminal(cfg["b"])
-    raise ValueError(f"unknown terminal type {kind!r}")
+        if np.shape(sec["b"]) != (dim,):
+            raise ValueError(f"{key} b must have {dim} entries")
+        return cls(sec["b"])
+    raise ValueError(f"unknown {key} type {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +122,6 @@ class Problem:
     kappa: float
     fxx: Callable        # (t, x, v) -> (m, n, n), d2f/dx_i dx_j
     D2g: Callable        # (x,) -> (m, n, n)
-    family: str = "custom"
     coefficients: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -170,12 +131,6 @@ class Problem:
             raise ValueError("kappa must be >= 0")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-
-    def to_config(self) -> dict:
-        cfg = {"family": self.family, "T": self.horizon, "mu": self.mu,
-               "M": self.M, "kappa": self.kappa}
-        cfg.update(self.coefficients)
-        return cfg
 
 
 def quadratic_problem(dim: int, *, A=None, potential=None, terminal=None,
@@ -187,8 +142,8 @@ def quadratic_problem(dim: int, *, A=None, potential=None, terminal=None,
     ``potential`` provides value(t, x), grad(t, x) and hess(t, x);
     ``terminal`` provides value(x), grad(x) and hess(x)."""
     A = np.eye(dim) if A is None else np.asarray(A, dtype=float)
-    potential = potential or ZeroPotential()
-    terminal = terminal or ZeroTerminal()
+    potential = potential or LinearPotential(np.zeros(dim))
+    terminal = terminal or LinearTerminal(np.zeros(dim))
 
     eigs = np.linalg.eigvalsh(A)
     if eigs[0] <= 0:
@@ -235,12 +190,7 @@ def quadratic_problem(dim: int, *, A=None, potential=None, terminal=None,
 
     return Problem(f=f, fx=fx, fv=fv, fvv=fvv, fvx=fvx, g=g, Dg=Dg,
                    horizon=T, dim=dim, mu=float(mu), M=float(M),
-                   kappa=float(kappa), family="quadratic",
-                   coefficients={"A": A.tolist(),
-                                 "potential": getattr(potential, "to_config",
-                                                      lambda: {})(),
-                                 "terminal": getattr(terminal, "to_config",
-                                                     lambda: {})()},
+                   kappa=float(kappa), coefficients={"A": A.tolist()},
                    fxx=fxx, D2g=D2g)
 
 
@@ -250,8 +200,8 @@ def problem_from_config(cfg: dict, dim: int) -> Problem:
     A = np.asarray(cfg.get("A", np.eye(dim)), dtype=float)
     return quadratic_problem(
         dim, A=A,
-        potential=potential_from_config(cfg.get("potential", {"type": "zero"})),
-        terminal=terminal_from_config(cfg.get("terminal", {"type": "zero"})),
+        potential=_linear_from_config(LinearPotential, cfg, "potential", dim),
+        terminal=_linear_from_config(LinearTerminal, cfg, "terminal", dim),
         T=float(cfg.get("T", 1.0)),
         mu=float(cfg["mu"]) if "mu" in cfg else None,
         M=float(cfg["M"]), kappa=float(cfg.get("kappa", 0.0)))
@@ -298,20 +248,11 @@ class Hamiltonian:
         H = -np.einsum("mi,mi->m", p, v) - self.prob.f(t, x, v)
         return H, v
 
-    def legendre(self, t, x, p):
-        H, v = self.legendre_many(t, x, p)
-        return float(H[0]), v[0]
-
     def value_many(self, t, x, p):
         return self.legendre_many(t, x, p)[0]
 
     def DpH_many(self, t, x, p):
         return -self.legendre_many(t, x, p)[1]
-
-    def DxH_many(self, t, x, p):
-        t, x, p = _batch(t, x, p)
-        _, v = self.legendre_many(t, x, p)
-        return -self.prob.fx(t, x, v)
 
     def derivs_many(self, t, x, p) -> HamiltonianDerivs:
         """All first derivatives of H and the second derivatives in p, from
@@ -338,7 +279,8 @@ class Hamiltonian:
 
 def legendre(prob: Problem, t, x, p):
     """Conjugate value and maximizer at a single point."""
-    return Hamiltonian(prob).legendre(t, x, p)
+    H, v = Hamiltonian(prob).legendre_many(t, x, p)
+    return float(H[0]), v[0]
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +524,4 @@ def extend_data(prob: Problem, dom: Domain, sigma: float) -> Problem:
 
     return Problem(f=f, fx=fx, fv=fv, fvv=fvv, fvx=fvx, g=g, Dg=Dg,
                    horizon=prob.horizon, dim=prob.dim, mu=mu,
-                   M=max(M, prob.M), kappa=prob.kappa, family="extended",
-                   coefficients={"base": prob.family, "sigma": sigma},
-                   fxx=fxx, D2g=D2g)
+                   M=max(M, prob.M), kappa=prob.kappa, fxx=fxx, D2g=D2g)

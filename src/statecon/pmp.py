@@ -113,14 +113,14 @@ def multiplier_from_residual(prob: Problem, dom: Domain, gamma: Trajectory,
     component orthogonal to Db at each contact knot.  ``geo``, when given,
     is the geometry of the knots, evaluated already.
     """
-    ham = Hamiltonian(prob)
     if geo is None:
         geo = dom.eval(gamma.knots, hess=False)
     mask = np.abs(geo.b) <= dom.boundary_tol
     t = gamma.times
     pdot = grid_derivative(p, gamma.dt, mask)
-    DxH = ham.DxH_many(t, gamma.knots, p)
-    defect = DxH - pdot
+    # DxH = -fx(t, x, v*) at the conjugate maximizer v*
+    _, v = Hamiltonian(prob).legendre_many(t, gamma.knots, p)
+    defect = -prob.fx(t, gamma.knots, v) - pdot
     lam = np.zeros(gamma.N + 1)
     orth = np.zeros(gamma.N + 1)
     if np.any(mask):
@@ -379,13 +379,3 @@ def shoot(ham: Hamiltonian, dom: Domain, x0, p0, T: float | None = None,
                 X[i + 1] = geo.P[0]
     return Trajectory(0.0, T, X), P
 
-
-def solve_constrained(prob: Problem, dom: Domain, x0, N: int = 256,
-                      init: Trajectory | None = None):
-    """Penalty pipeline plus first-order bundle in one call."""
-    from .penalty import delta_choice, epsilon_schedule
-
-    delta, _ = delta_choice(prob, dom)
-    gamma, params = epsilon_schedule(prob, dom, x0, delta, N=N, init=init)
-    ex = make_extremal(prob, dom, gamma, params=params)
-    return ex

@@ -111,6 +111,20 @@ class TestValue:
         assert 0.0 < rep["Lx"] < 10.0
         assert (out / "value.csv").exists()
 
+    def test_horizon_defaults_to_one(self, tmp_path):
+        # the node grid's horizon is the problem's, which defaults T to 1
+        cfg = json.loads((SCENARIOS / "S2.json").read_text())
+        del cfg["problem"]["T"]
+        path = tmp_path / "no_T.json"
+        path.write_text(json.dumps(cfg))
+        values = []
+        for name, config in (("default", path), ("shipped", SCENARIOS / "S2.json")):
+            rc = main(["value", "--config", str(config), "--grid-n", "3",
+                       "--out", str(tmp_path / name)])
+            assert rc == 0
+            values.append((tmp_path / name / "value.csv").read_bytes())
+        assert values[0] == values[1]
+
 
 class TestMFG:
     def test_equilibrium_artifacts(self, tmp_path, mini_mfg_config, capsys):
@@ -183,6 +197,33 @@ class TestErrors:
             pkg.setLevel(pkg_level)
 
 
+def _edit_m0(cfg, **m0):
+    cfg["mfg"]["m0"].update(m0)
+
+
+class TestMalformedScenario:
+    @pytest.mark.parametrize("command, edit", [
+        ("mfg", lambda cfg: cfg["mfg"].pop("m0")),
+        ("mfg", lambda cfg: _edit_m0(cfg, weights=[1.5, -0.5])),
+        ("mfg", lambda cfg: _edit_m0(cfg, weights=[0.5, 0.25])),
+        ("mfg", lambda cfg: _edit_m0(cfg, points=[[0.05, 0.0], [1.5, 0.0]])),
+        ("solve", lambda cfg: cfg.update(x0=[1.5, 0.0])),
+        ("solve", lambda cfg: cfg.update(x0=[0.0, 0.0, 0.0])),
+        ("solve", lambda cfg: cfg["problem"]["potential"].update(b=[1.0])),
+    ], ids=["m0-missing", "negative-weight", "weights-sum", "start-outside",
+            "x0-outside", "x0-dimension", "potential-dimension"])
+    def test_is_config_error(self, tmp_path, mini_config, mini_mfg_config,
+                             capsys, command, edit):
+        path = mini_mfg_config if command == "mfg" else mini_config
+        cfg = json.loads(path.read_text())
+        edit(cfg)
+        path.write_text(json.dumps(cfg))
+        rc, _ = run(tmp_path, command, "--config", str(path))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestDeterminism:
     def test_outputs_independent_of_blas_threads(self, tmp_path):
         # two fresh processes, one and two BLAS threads: the solve must
@@ -201,6 +242,21 @@ class TestDeterminism:
             outputs.append([(out / name).read_bytes() for name in
                             ("trajectory.csv", "pmp_report.json")])
         assert outputs[0] == outputs[1]
+
+
+class TestPackage:
+    def test_all_matches_imports(self):
+        # every name in __all__ resolves, and every public name that
+        # __init__ imports is listed
+        import ast
+        import statecon
+        tree = ast.parse(Path(statecon.__file__).read_text())
+        imported = {alias.asname or alias.name
+                    for node in tree.body if isinstance(node, ast.ImportFrom)
+                    and node.level == 1 for alias in node.names}
+        assert all(hasattr(statecon, name) for name in statecon.__all__)
+        assert {n for n in imported if not n.startswith("_")} \
+            == set(statecon.__all__)
 
 
 class TestImports:

@@ -164,7 +164,8 @@ def _node_grid(dom: Domain, T: float, nt: int, nx: int):
     domain's bounding box that lie in the closed domain."""
     lo, hi = dom.bounding_box()
     axes = [np.linspace(lo[k], hi[k], nx) for k in range(dom.dim)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dom.dim)
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    pts = pts.reshape(-1, dom.dim)
     return np.linspace(0.0, T, nt), pts[dom.b_many(pts) <= dom.boundary_tol]
 
 

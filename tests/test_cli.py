@@ -1,3 +1,4 @@
+import ast
 import json
 import logging
 import os
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import statecon
 from statecon.cli import main
 
 
@@ -118,7 +120,8 @@ class TestValue:
         path = tmp_path / "no_T.json"
         path.write_text(json.dumps(cfg))
         values = []
-        for name, config in (("default", path), ("shipped", SCENARIOS / "S2.json")):
+        for name, config in (("default", path),
+                             ("shipped", SCENARIOS / "S2.json")):
             rc = main(["value", "--config", str(config), "--grid-n", "3",
                        "--out", str(tmp_path / name)])
             assert rc == 0
@@ -248,15 +251,13 @@ class TestPackage:
     def test_all_matches_imports(self):
         # every name in __all__ resolves, and every public name that
         # __init__ imports is listed
-        import ast
-        import statecon
         tree = ast.parse(Path(statecon.__file__).read_text())
         imported = {alias.asname or alias.name
                     for node in tree.body if isinstance(node, ast.ImportFrom)
                     and node.level == 1 for alias in node.names}
+        public = {name for name in imported if not name.startswith("_")}
         assert all(hasattr(statecon, name) for name in statecon.__all__)
-        assert {n for n in imported if not n.startswith("_")} \
-            == set(statecon.__all__)
+        assert public == set(statecon.__all__)
 
 
 class TestImports:

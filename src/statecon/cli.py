@@ -96,6 +96,13 @@ def build_domain(cfg: dict) -> Domain:
         raise ConfigError(f"bad domain spec: {exc}") from exc
 
 
+def _grid_size(value, least: int, key: str) -> int:
+    """``value`` as a grid size, which the solver needs to be >= ``least``."""
+    if int(value) < least:
+        raise ConfigError(f"{key} must be at least {least}, got {value}")
+    return int(value)
+
+
 def build_problem(cfg: dict, dom: Domain):
     pc = cfg.get("problem")
     if pc is None:
@@ -120,7 +127,7 @@ def cmd_solve(cfg, out: Path, args) -> int:
     if x0.shape != (dom.dim,) or dom.signed_distance(x0) > dom.boundary_tol:
         raise ConfigError(f"x0 must be a point of the closed {dom.dim}-D "
                           "domain")
-    N = args.grid_n or int(cfg.get("solver", {}).get("N", 256))
+    N = _grid_size(args.grid_n or cfg.get("solver", {}).get("N", 256), 8, "N")
     delta, Nm = delta_choice(prob, dom)
     delta = float(cfg.get("solver", {}).get("delta", delta))
     gamma, params = epsilon_schedule(prob, dom, x0, delta, N=N)
@@ -181,9 +188,12 @@ def cmd_value(cfg, out: Path, args) -> int:
     dom = build_domain(cfg)
     prob = build_problem(cfg, dom)
     vc = cfg.get("value", {})
-    times, points = _node_grid(dom, prob.horizon, int(vc.get("n_times", 5)),
-                               args.grid_n or int(vc.get("n_points", 5)))
-    N = int(vc.get("N", 32))
+    times, points = _node_grid(
+        dom, prob.horizon, _grid_size(vc.get("n_times", 5), 2, "value.n_times"),
+        _grid_size(args.grid_n or vc.get("n_points", 5), 2, "value.n_points"))
+    if points.shape[0] < 2:
+        raise ConfigError("the value grid needs 2 nodes in the domain")
+    N = _grid_size(vc.get("N", 32), 8, "value.N")
     vg = compute_value(prob, dom, times, points, N=N)
     Lx, Lt = lipschitz_report(vg)
     gap = dpp_check(prob, dom, vg, samples=5,
@@ -204,7 +214,15 @@ def cmd_mfg(cfg, out: Path, args) -> int:
     if mc is None:
         raise ConfigError("config needs an 'mfg' section")
     coupling = GaussianKernelCoupling.from_config(mc.get("coupling", {}))
-    N = int(mc.get("N", 64))
+    N = _grid_size(mc.get("N", 64), 8, "mfg.N")
+    vc = mc.get("value", {})
+    times = np.linspace(0.0, prob.horizon,
+                        _grid_size(mc.get("n_times", 9), 2, "mfg.n_times"))
+    vt, pts = _node_grid(
+        dom, prob.horizon,
+        _grid_size(vc.get("n_times", 3), 2, "mfg.value.n_times"),
+        int(vc.get("n_points", 5)))
+    value_N = _grid_size(vc.get("N", 32), 8, "mfg.value.N")
     try:
         atoms = np.asarray(mc["m0"]["points"], dtype=float)
         if np.any(dom.b_many(atoms) > dom.boundary_tol):
@@ -216,7 +234,6 @@ def cmd_mfg(cfg, out: Path, args) -> int:
                                alpha=float(mc.get("alpha", 0.5)),
                                tol=float(mc.get("tol", 1e-3)),
                                max_iter=int(mc.get("max_iter", 50)), N=N)
-    times = np.linspace(0.0, prob.horizon, int(mc.get("n_times", 9)))
     flow = evaluate_flow(eta, times)
     rows = []
     for i, t in enumerate(times):
@@ -227,11 +244,7 @@ def cmd_mfg(cfg, out: Path, args) -> int:
               ["t"] + [f"x{k+1}" for k in range(dom.dim)] + ["w"], rows)
     write_csv(out / "residuals.csv", ["iter", "residual"],
               [[i, r] for i, r in enumerate(history)])
-    vc = mc.get("value", {})
-    vt, pts = _node_grid(dom, prob.horizon, int(vc.get("n_times", 3)),
-                         int(vc.get("n_points", 5)))
-    vg, _flow = mild_solution(prob, dom, coupling, eta, vt, pts,
-                              N=int(vc.get("N", 32)))
+    vg, _flow = mild_solution(prob, dom, coupling, eta, vt, pts, N=value_N)
     _write_values(out / "mild_value.csv", vg, pts)
     print(f"mfg: {len(history)} iterations, residual "
           f"{_fmt(history[-1])}, Lip(m)={_fmt(lip_flow(flow))}")

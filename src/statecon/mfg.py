@@ -334,12 +334,12 @@ def best_response(prob: Problem, dom: Domain, coupling,
     """One constrained solve per distinct start against the frozen flow of
     eta; the optimal trajectory carries that start's full initial weight.
 
-    Every solve runs the warm Newton path of ``minimize_penalized``, from
-    the constant trajectory at the start unless ``warm`` holds an earlier
-    result for it; L-BFGS-B runs only as that path's logged fallback.
-    ``warm`` maps each start, as a tuple rounded to 12 decimals, to the
-    (trajectory, epsilon) of a certified solve.  The epsilon schedule then starts at that epsilon: the
-    penalty is exact, so the minimizer is the same at every level below the
+    Every solve warm-starts ``minimize_penalized``, so none runs L-BFGS-B:
+    from the constant trajectory at the start, unless ``warm`` holds an
+    earlier result for it.  ``warm`` maps each start, as a tuple
+    rounded to 12 decimals, to the (trajectory, epsilon) of a certified
+    solve.  The epsilon schedule then starts at that epsilon: the penalty
+    is exact, so the minimizer is the same at every level below the
     threshold and the weaker levels need not be walked again.  Each new
     result is written back into ``warm``.
     """

@@ -19,8 +19,6 @@ from .model import Problem
 FEASIBILITY_TOL_FACTOR = 1e-6
 # halvings of epsilon before the schedule gives up
 MAX_HALVINGS = 40
-# iteration cap of the L-BFGS-B round
-LBFGS_MAX_ITER = 100000
 
 log = logging.getLogger("statecon")
 
@@ -139,6 +137,14 @@ def _trapezoid_weights(N: int, dt: float) -> np.ndarray:
     w = np.full(N + 1, dt)
     w[0] = w[-1] = dt / 2.0
     return w
+
+
+def _point_weights(params: PenaltyParams, N: int, dt: float) -> np.ndarray:
+    """Penalty weight of each point, in knot order: the trapezoid weight
+    over eps (+1/delta at the last knot) times the point's weight."""
+    c = _trapezoid_weights(N, dt) / params.epsilon
+    c[-1] += 1.0 / params.delta
+    return np.outer(c, params.weights).ravel()
 
 
 def penalized_cost(prob: Problem, dom: Domain, params: PenaltyParams,
@@ -283,18 +289,14 @@ def _stationarity(dom: Domain, params: PenaltyParams, gamma: Trajectory,
     """Minimal-norm element of the discrete subdifferential.
 
     G carries the midpoint selection Db/2 at boundary-band points; those rows
-    admit any coefficient in [0, c] on Db, c = w/eps (+1/delta at the last
-    knot) times the point's weight, so the best choice is projected out
-    before taking the norm.
+    admit any coefficient in [0, c] on Db, c from ``_point_weights``, so the
+    best choice is projected out before taking the norm.
     """
     band = np.abs(geo.b) <= dom.boundary_tol
     R = G.reshape(-1, dom.dim).copy()  # one row per point
     if np.any(band):
-        cmax = _trapezoid_weights(gamma.N, gamma.dt) / params.epsilon
-        cmax[-1] += 1.0 / params.delta
-        cmax = np.outer(cmax, params.weights).ravel()
         Db = geo.Db[band]
-        half = 0.5 * cmax[band]
+        half = 0.5 * _point_weights(params, gamma.N, gamma.dt)[band]
         # G used coefficient c/2; admissible shifts are s in [-c/2, +c/2]
         proj = np.einsum("mi,mi->m", R[band], Db)
         shift = np.clip(-proj, -half, half)
@@ -345,9 +347,8 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
     each smooth:
 
     - inside (b < 0): no penalty;
-    - outside (b > 0): the penalty c b with c = w/eps (+1/delta at the last
-      knot) times the point's weight, which adds c Db to the gradient and
-      c D2b to its diagonal Hessian block;
+    - outside (b > 0): the penalty c b, c from ``_point_weights``, which
+      adds c Db to the gradient and c D2b to its diagonal Hessian block;
     - boundary: an equality row b = 0 whose multiplier must lie in [0, c].
 
     Each step solves the KKT system of the action's exact block-tridiagonal
@@ -364,9 +365,7 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
     certifies it.
     """
     N, n, k = traj.N, dom.dim, params.weights.size
-    c = _trapezoid_weights(N, traj.dt)[1:] / params.epsilon
-    c[-1] += 1.0 / params.delta
-    c = np.outer(c, params.weights).ravel()  # per free point
+    c = _point_weights(params, N, traj.dt)[k:]  # per free point
     geo = dom.eval(traj.knots.reshape(-1, n))
     # the L-BFGS round leaves contact knots within ~1e-7 diam of b = 0; a
     # wider band pins interior knots, which are then released one by one
@@ -446,14 +445,6 @@ def _certificate(prob: Problem, dom: Domain, params: PenaltyParams,
     return stat, stat < 1e-8 * (1.0 + abs(cost)), float(np.max(geo.b))
 
 
-def _certified_finish(prob: Problem, dom: Domain, params: PenaltyParams,
-                      traj: Trajectory, cost: float):
-    """Newton finish from ``traj``, then ``_certificate``.  Returns the
-    result, its stationarity, whether it certifies and its largest b."""
-    traj, _ = _newton_finish(prob, dom, params, traj, cost)
-    return (traj, *_certificate(prob, dom, params, traj))
-
-
 def _scipy_minimize(*args, **kwargs):
     """``scipy.optimize.minimize``, imported when the L-BFGS-B round runs."""
     from scipy import optimize
@@ -464,22 +455,16 @@ def minimize_penalized(prob: Problem, dom: Domain, params: PenaltyParams,
                        x0, init: Trajectory | None = None) -> Trajectory:
     """Minimize the penalized cost over the free knots 1..N.
 
-    Cold start (no ``init``): one L-BFGS-B round at gtol 1e-6 from the
-    constant trajectory locates the contact set, then one Newton finish on
-    the full penalized problem (``_newton_finish``) solves the discrete
-    optimality system to machine precision.
-
-    Warm start (``init`` given, e.g. a converged neighbour): the Newton
-    finish runs from ``init`` directly.  If its result does not certify,
-    the solve falls back to the cold path's two stages started from
-    ``init``, and says so in one INFO line on the ``statecon`` logger.
-
-    Either way the result is certified by the minimal-norm element of the
-    subdifferential: its norm must fall below 1e-8 (1 + |cost|), else
-    MaxIterations is raised.  Runaway is raised when an accepted L-BFGS-B
-    iterate or a certified warm Newton result leaves the tube by a full
-    diameter (trial points of the L-BFGS-B line searches may go further),
-    and NonFiniteCost when a cost evaluation is not finite.
+    A cold start (no ``init``) runs one L-BFGS-B round at gtol 1e-6 from
+    the constant trajectory to locate the contact set; a warm start takes
+    ``init`` (e.g. a converged neighbour) with knot 0 reset to x0.  Either
+    way one Newton finish (``_newton_finish``) then solves the discrete
+    optimality system to machine precision, and ``_certificate`` must pass,
+    else MaxIterations is raised; ``epsilon_schedule`` answers that by
+    halving epsilon.  Runaway is raised when an accepted L-BFGS-B iterate or
+    the certified result leaves the tube by a full diameter (trial points
+    of the L-BFGS-B line searches may go further), and NonFiniteCost when a
+    cost evaluation is not finite.
     """
     x0 = np.asarray(x0, dtype=float)
     if params.weights.size != 1:
@@ -496,47 +481,40 @@ def minimize_penalized(prob: Problem, dom: Domain, params: PenaltyParams,
         return Trajectory(gamma.t0, gamma.t1,
                           np.vstack([x0, z.reshape(params.N, -1)]))
 
-    if init is not None:
+    if init is None:
+        last = {}
+
+        def objective(z):
+            c, G, geo = _cost_and_grad(prob, dom, params, knots(z))
+            if not np.isfinite(c):
+                raise NonFiniteCost(f"penalized cost became {c}")
+            last.update(z=z.copy(), bmax=np.max(geo.b))
+            return c, G[1:].ravel()
+
+        def leash_check(z):
+            # L-BFGS-B reports the last point it evaluated as its new iterate
+            bmax = (last["bmax"] if np.array_equal(z, last["z"])
+                    else np.max(dom.eval(knots(z).knots, hess=False).b))
+            if bmax > leash:
+                raise Runaway("iterates left the tube; epsilon is too large")
+
+        res = _scipy_minimize(objective, gamma.knots[1:].ravel(), jac=True,
+                              method="L-BFGS-B", callback=leash_check,
+                              options={"maxiter": 100000, "maxcor": 20,
+                                       "ftol": 1e-18, "gtol": 1e-6})
+        start, cost = knots(res.x), res.fun
+    else:
         start = knots(gamma.knots[1:])
         cost = penalized_cost(prob, dom, params, start)
         if not np.isfinite(cost):
             raise NonFiniteCost(f"penalized cost became {cost}")
-        traj, stat, ok, bmax = _certified_finish(prob, dom, params, start,
-                                                 cost)
-        if ok:
-            if bmax > leash:
-                raise Runaway("minimizer left the tube; epsilon is too large")
-            return traj
-        log.info("warm Newton stage stalled at stationarity %.3e "
-                 "(eps=%g, N=%d); running L-BFGS-B", stat, params.epsilon,
-                 params.N)
-
-    last = {}
-
-    def objective(z):
-        c, G, geo = _cost_and_grad(prob, dom, params, knots(z))
-        if not np.isfinite(c):
-            raise NonFiniteCost(f"penalized cost became {c}")
-        last.update(z=z.copy(), bmax=np.max(geo.b))
-        return c, G[1:].ravel()
-
-    def leash_check(z):
-        # L-BFGS-B reports the last point it evaluated as its new iterate
-        bmax = (last["bmax"] if np.array_equal(z, last["z"])
-                else np.max(dom.eval(knots(z).knots, hess=False).b))
-        if bmax > leash:
-            raise Runaway("iterates left the tube; epsilon is too large")
-
-    res = _scipy_minimize(objective, gamma.knots[1:].ravel(), jac=True,
-                          method="L-BFGS-B", callback=leash_check,
-                          options={"maxiter": LBFGS_MAX_ITER, "maxcor": 20,
-                                   "ftol": 1e-18, "gtol": 1e-6})
-    traj, stat, ok, _bmax = _certified_finish(prob, dom, params, knots(res.x),
-                                              res.fun)
-    if ok:
-        return traj
-    raise MaxIterations(f"stationarity stalled at {stat:.3e} "
-                        f"({res.nit} L-BFGS-B iterations)")
+    traj, _ = _newton_finish(prob, dom, params, start, cost)
+    stat, ok, bmax = _certificate(prob, dom, params, traj)
+    if not ok:
+        raise MaxIterations(f"stationarity stalled at {stat:.3e}")
+    if bmax > leash:
+        raise Runaway("minimizer left the tube; epsilon is too large")
+    return traj
 
 
 def delta_choice(prob: Problem, dom: Domain, samples: int = 2048,
@@ -569,7 +547,9 @@ def epsilon_schedule(prob: Problem, dom: Domain, x0, delta: float,
                      N: int = 256, init: Trajectory | None = None,
                      eps0: float = 1.0):
     """Halve epsilon from eps0 until the penalized minimizer is feasible to
-    tau_feas = 1e-6 diam, warm-starting from the previous minimizer.
+    tau_feas = 1e-6 diam, warm-starting from the previous minimizer.  After
+    a level raises Runaway or MaxIterations, the next level restarts from
+    ``init`` and one INFO line on the ``statecon`` logger says why.
 
     The certified trajectory solves the constrained problem; returns it with
     the final parameters.  When refining a converged coarse solution, pass its
@@ -582,8 +562,9 @@ def epsilon_schedule(prob: Problem, dom: Domain, x0, delta: float,
         params = PenaltyParams(epsilon=eps, delta=delta, rho=dom.rho0, N=N)
         try:
             gamma = minimize_penalized(prob, dom, params, x0, init=gamma)
-        except (Runaway, MaxIterations):
-            # penalty too weak at this epsilon; restart from scratch below it
+        except (Runaway, MaxIterations) as exc:
+            log.info("epsilon ladder restart after %s: %s (eps=%g, N=%d)",
+                     type(exc).__name__, exc, eps, N)
             gamma = init
             eps *= 0.5
             continue

@@ -213,15 +213,27 @@ class TestMalformedScenario:
         ("solve", lambda cfg: cfg.update(x0=[1.5, 0.0])),
         ("solve", lambda cfg: cfg.update(x0=[0.0, 0.0, 0.0])),
         ("solve", lambda cfg: cfg["problem"]["potential"].update(b=[1.0])),
+        # grids the solver cannot use, read before any solve
+        ("value", lambda cfg: cfg.update(value={"n_points": 1})),
+        ("value", lambda cfg: cfg.update(value={"n_points": 2})),
+        ("value", lambda cfg: cfg.update(value={"n_times": 1})),
+        ("value", lambda cfg: cfg.update(value={"N": 4})),
+        ("mfg", lambda cfg: cfg["mfg"].update(n_times=1)),
+        ("mfg", lambda cfg: cfg["mfg"]["value"].update(n_times=1)),
+        ("mfg", lambda cfg: cfg["mfg"]["value"].update(N=4)),
+        ("solve --grid-n 4", lambda cfg: None),
     ], ids=["m0-missing", "negative-weight", "weights-sum", "start-outside",
-            "x0-outside", "x0-dimension", "potential-dimension"])
+            "x0-outside", "x0-dimension", "potential-dimension",
+            "value-n_points-1", "value-no-node-inside", "value-n_times-1",
+            "value-N-4", "mfg-n_times-1", "mfg-value-n_times-1",
+            "mfg-value-N-4", "solve-grid-n-4"])
     def test_is_config_error(self, tmp_path, mini_config, mini_mfg_config,
                              capsys, command, edit):
         path = mini_mfg_config if command == "mfg" else mini_config
         cfg = json.loads(path.read_text())
         edit(cfg)
         path.write_text(json.dumps(cfg))
-        rc, _ = run(tmp_path, command, "--config", str(path))
+        rc, _ = run(tmp_path, *command.split(), "--config", str(path))
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err

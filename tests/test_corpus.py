@@ -1,0 +1,99 @@
+"""A seeded slice of the convex problem corpus.
+
+On a convex domain with a convex action the discrete penalized cost is
+convex (b and max(b, 0) are convex, the action is 1/2 v^T A v plus linear
+terms), so the certified minimizer is unique: a cold solve and a warm solve
+from a perturbed copy must agree.  The cases are drawn in order from one
+seeded generator and none is skipped.
+"""
+
+import numpy as np
+import pytest
+
+from statecon import (Ball, Ellipse, LinearPotential, LinearTerminal,
+                      MaxIterations, SmoothedBox, Trajectory, delta_choice,
+                      epsilon_schedule, feasibility_gap,
+                      multiplier_from_residual, quadratic_problem,
+                      recover_adjoint)
+from statecon import penalty
+
+# the cold L-BFGS-B rounds of cases 0 and 6 take most of the run time
+CASES = 8
+# warm stages that raise MaxIterations, by case: the epsilons at which they
+# stall.  Case 6 (a smoothed box, N = 32) is the Newton finish's "no
+# decrease" stall: from the eps = 0.5 minimizer the first step at eps = 0.25
+# finds no decrease at any trial step, and the ladder certifies at 0.125.
+# (Case 0's first, cold level stalls too; the ladder certifies at 0.5.)
+KNOWN_WARM_STALLS = {6: [0.25]}
+
+
+def draw_case(rng, pull=(0.5, 8.0), terminal=(0.0, 3.0), grids=(16, 32)):
+    """One case: a ball, ellipse or smoothed box at the origin; A = L L^T +
+    0.3 I with L standard normal; a linear pull N(0, I) U(pull) and a linear
+    terminal cost N(0, I) U(terminal); T in [0.5, 2]; x0 in the domain."""
+    kind = int(rng.integers(3))
+    if kind == 0:
+        dom = Ball([0.0, 0.0], rng.uniform(0.5, 2.0))
+    elif kind == 1:
+        dom = Ellipse([0.0, 0.0], [rng.uniform(1.0, 3.0),
+                                   rng.uniform(0.4, 1.0)])
+    else:
+        half = rng.uniform(0.5, 1.5, 2)
+        dom = SmoothedBox([0.0, 0.0], half, rng.uniform(0.2, 1.0) * half.min())
+    L = rng.standard_normal((2, 2))
+    b = rng.standard_normal(2) * rng.uniform(*pull)
+    c = rng.standard_normal(2) * rng.uniform(*terminal)
+    prob = quadratic_problem(2, A=L @ L.T + 0.3 * np.eye(2),
+                             potential=LinearPotential(b),
+                             terminal=LinearTerminal(c),
+                             T=rng.uniform(0.5, 2.0),
+                             M=float(np.linalg.norm(b)), kappa=0.0)
+    N = int(rng.choice(grids))
+    return dom, prob, dom.sample_closure(rng, 1)[0], N
+
+
+_rng = np.random.default_rng(1)
+SLICE = [draw_case(_rng) for _ in range(CASES)]
+
+
+@pytest.fixture
+def warm_stalls(monkeypatch):
+    """The epsilons of the warm stages (``init`` given) of the penalty
+    solver that raise MaxIterations, in call order."""
+    stalls = []
+    solve = penalty.minimize_penalized
+
+    def recorded(prob, dom, params, x0, init=None):
+        try:
+            return solve(prob, dom, params, x0, init=init)
+        except MaxIterations:
+            if init is not None:
+                stalls.append(params.epsilon)
+            raise
+
+    monkeypatch.setattr(penalty, "minimize_penalized", recorded)
+    return stalls
+
+
+@pytest.mark.parametrize("case", range(CASES))
+def test_corpus_case(case, warm_stalls):
+    dom, prob, x0, N = SLICE[case]
+    delta, _ = delta_choice(prob, dom)
+    gamma, params = epsilon_schedule(prob, dom, x0, delta, N=N)
+    assert feasibility_gap(dom, gamma) <= 1e-6 * dom.diameter
+
+    # the minimizer is unique: a warm schedule from a perturbed copy, at the
+    # certified epsilon, lands on it again
+    rng = np.random.default_rng(100 + case)
+    knots = gamma.knots.copy()
+    knots[1:] += 0.05 * dom.diameter * rng.standard_normal(knots[1:].shape)
+    warm, warm_params = epsilon_schedule(
+        prob, dom, x0, delta, N=N, init=Trajectory(0.0, prob.horizon, knots),
+        eps0=params.epsilon)
+    assert warm_params.epsilon == params.epsilon
+    assert np.max(np.abs(warm.knots - gamma.knots)) < 1e-8
+
+    # lambda >= 0 away from junctions (NegativeMultiplier otherwise)
+    p = recover_adjoint(prob, gamma, dom)
+    multiplier_from_residual(prob, dom, gamma, p)
+    assert warm_stalls == KNOWN_WARM_STALLS.get(case, [])

@@ -10,8 +10,9 @@ from statecon import (Ball, Ellipse, LinearPotential, LinearTerminal,
                       feasibility_gap, holder_gap, minimize_penalized,
                       penalized_cost, quadratic_problem)
 from statecon import penalty
-from statecon.penalty import (Runaway, _action_hessian, _cost_and_grad,
-                              _newton_finish, _stationarity, _tridiag_solve)
+from statecon.penalty import (MaxIterations, Runaway, _action_hessian,
+                              _cost_and_grad, _newton_finish, _stationarity,
+                              _tridiag_solve)
 
 from conftest import dense_tridiag, fd_action_hessian, s1_exact
 
@@ -317,11 +318,12 @@ class TestMinimize:
         assert lbfgs_calls[0] == 0
         assert np.max(np.abs(knots[0] - knots[1])) < 1e-6
 
-    def test_uncertified_warm_stage_falls_back(self, disk, pull_problem,
+    def test_uncertified_finish_halves_epsilon(self, disk, pull_problem,
                                                monkeypatch, caplog,
                                                lbfgs_calls):
-        # a Newton stage that does not move leaves the constant init
-        # uncertified; the L-BFGS-B round and a second finish take over
+        # a Newton finish that does not move leaves the constant init
+        # uncertified: the solve raises MaxIterations without running
+        # L-BFGS-B, and the epsilon ladder recovers one level lower
         finish = penalty._newton_finish
         stalls = [1]
 
@@ -334,21 +336,24 @@ class TestMinimize:
         monkeypatch.setattr(penalty, "_newton_finish", stall_once)
         params = PenaltyParams(epsilon=0.5, delta=0.5, rho=disk.rho0, N=32)
         init = Trajectory.constant(0.0, 1.0, np.zeros(2), 32)
+        with pytest.raises(MaxIterations):
+            minimize_penalized(pull_problem, disk, params, np.zeros(2),
+                               init=init)
+        assert lbfgs_calls[0] == 0
+        stalls[0] = 1
         with caplog.at_level(logging.INFO, logger="statecon"):
-            gamma = minimize_penalized(pull_problem, disk, params,
-                                       np.zeros(2), init=init)
+            gamma, params = epsilon_schedule(pull_problem, disk, np.zeros(2),
+                                             0.5, N=32, init=init, eps0=0.5)
         lines = [r.getMessage() for r in caplog.records
                  if r.name == "statecon" and r.levelno == logging.INFO]
         assert len(lines) == 1
+        assert "MaxIterations" in lines[0] and "stationarity" in lines[0]
         assert "eps=0.5" in lines[0] and "N=32" in lines[0]
-        assert "stationarity" in lines[0]
-        assert lbfgs_calls[0] == 1
-        cost, G, geo = _cost_and_grad(pull_problem, disk, params, gamma)
-        assert _stationarity(disk, params, gamma, G, geo) <= 1e-8 * (
-            1.0 + abs(cost))
+        assert params.epsilon == 0.25
+        assert lbfgs_calls[0] == 0
         monkeypatch.setattr(penalty, "_newton_finish", finish)
-        direct = minimize_penalized(pull_problem, disk, params, np.zeros(2),
-                                    init=init)
+        direct, _ = epsilon_schedule(pull_problem, disk, np.zeros(2), 0.5,
+                                     N=32, init=init, eps0=0.5)
         assert np.max(np.abs(gamma.knots - direct.knots)) < 1e-8
 
     def test_several_points_per_knot_rejected(self, disk, pull_problem):

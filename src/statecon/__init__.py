@@ -10,8 +10,9 @@ from .model import (AssumptionReport, Hamiltonian, LinearPotential,
                     problem_from_config, quadratic_problem)
 from .penalty import (MaxIterations, NonFiniteCost, PenaltyParams,
                       ScheduleExhausted, Trajectory, delta_choice,
-                      energy_certificate, epsilon_schedule, feasibility_gap,
-                      holder_gap, minimize_penalized, penalized_cost)
+                      energy_certificate, epsilon_schedule,
+                      epsilon_schedule_batch, feasibility_gap, holder_gap,
+                      minimize_penalized, penalized_cost)
 from .pmp import (Extremal, LeftTube, NegativeMultiplier, PMPReport,
                   check_extremal, contact_mask, feedback_lambda,
                   feedback_lambda_many, hamiltonian_drift, make_extremal,
@@ -35,7 +36,8 @@ __all__ = [
     "quadratic_problem",
     "MaxIterations", "NonFiniteCost", "PenaltyParams", "ScheduleExhausted",
     "Trajectory", "delta_choice", "energy_certificate", "epsilon_schedule",
-    "feasibility_gap", "holder_gap", "minimize_penalized", "penalized_cost",
+    "epsilon_schedule_batch", "feasibility_gap", "holder_gap",
+    "minimize_penalized", "penalized_cost",
     "Extremal", "LeftTube", "NegativeMultiplier", "PMPReport",
     "check_extremal", "contact_mask", "feedback_lambda",
     "feedback_lambda_many", "hamiltonian_drift", "make_extremal",

@@ -17,7 +17,8 @@ from .geometry import Domain
 from .model import Problem
 from .penalty import (FEASIBILITY_TOL_FACTOR, MAX_HALVINGS, PenaltyParams,
                       Trajectory, _block_diag, _certificate, _newton_finish,
-                      delta_choice, epsilon_schedule, penalized_cost)
+                      delta_choice, epsilon_schedule_batch,
+                      penalized_cost)
 
 log = logging.getLogger("statecon")
 
@@ -243,8 +244,8 @@ class GaussianKernelCoupling:
         sum_j w_j phi(D_j) (D_j D_j^T / s^4 - I / s^2) (order 2)."""
         s2 = self.scale ** 2
         phi = amp * np.exp(-0.5 * np.sum(D * D, axis=2) / s2)
-        if order == 0:
-            return phi @ w
+        if order == 0:  # one sum per row, whatever the number of rows
+            return np.einsum("mk,k->m", phi, w)
         if order == 1:
             return np.einsum("mk,mkn->mn", phi * w, -D / s2)
         wphi = phi * w
@@ -331,31 +332,28 @@ def coupled_problem(prob: Problem, dom: Domain, coupling,
 def best_response(prob: Problem, dom: Domain, coupling,
                   eta: TrajectoryMeasure, N: int = 64,
                   warm: dict | None = None) -> TrajectoryMeasure:
-    """One constrained solve per distinct start against the frozen flow of
-    eta; the optimal trajectory carries that start's full initial weight.
-
-    Every solve warm-starts ``minimize_penalized``, so none runs L-BFGS-B:
-    from the constant trajectory at the start, unless ``warm`` holds an
-    earlier result for it.  ``warm`` maps each start, as a tuple
-    rounded to 12 decimals, to the (trajectory, epsilon) of a certified
-    solve.  The epsilon schedule then starts at that epsilon: the penalty
-    is exact, so the minimizer is the same at every level below the
-    threshold and the weaker levels need not be walked again.  Each new
-    result is written back into ``warm``.
-    """
+    """One batched solve from every distinct start against the frozen flow
+    of eta; each optimal trajectory carries its start's initial weight.
+    Each solve is warm (no L-BFGS-B): from the constant trajectory, or from
+    ``warm[key]``, the (trajectory, epsilon) of an earlier certified solve
+    from the start rounded to ``key``, at that epsilon (the penalty is
+    exact).  Results go back into ``warm`` up to the first failed start,
+    whose exception is raised."""
     single = coupled_problem(prob, dom, coupling, eta)
     m0 = eta.initial_measure()
     delta, _ = delta_choice(single, dom)
     warm = {} if warm is None else warm
+    keys = [_start_key(x0) for x0 in m0.points]
+    inits, eps0s = zip(*(warm.get(key) or (
+        Trajectory.constant(0.0, prob.horizon, x0, N), 1.0)
+        for key, x0 in zip(keys, m0.points)))
     trajs = []
-    for x0 in m0.points:
-        key = _start_key(x0)
-        init, eps0 = warm.get(key) or (
-            Trajectory.constant(0.0, prob.horizon, x0, N), 1.0)
-        gamma, params = epsilon_schedule(single, dom, x0, delta, N=N,
-                                         init=init, eps0=eps0)
-        warm[key] = (gamma, params.epsilon)
-        trajs.append(gamma)
+    for key, res in zip(keys, epsilon_schedule_batch(
+            single, dom, m0.points, delta, N=N, inits=inits, eps0s=eps0s)):
+        if isinstance(res, Exception):
+            raise res
+        warm[key] = (res[0], res[1].epsilon)
+        trajs.append(res[0])
     return TrajectoryMeasure(trajs, m0.weights)
 
 

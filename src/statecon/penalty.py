@@ -9,7 +9,7 @@ trapezoid rule using the per-interval velocity at both interval ends.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,6 +21,7 @@ FEASIBILITY_TOL_FACTOR = 1e-6
 MAX_HALVINGS = 40
 
 log = logging.getLogger("statecon")
+rounds = logging.getLogger("statecon.ladder")  # a line per ladder round
 
 
 class MaxIterations(RuntimeError):
@@ -42,16 +43,17 @@ class Runaway(RuntimeError):
 
 @dataclass
 class Trajectory:
-    """Uniform-grid sampling of an arc on [t0, t1]; velocities are forward
-    differences, so there are N intervals for N+1 knots."""
+    """Uniform-grid sampling of an arc on [t0, t1], or of a batch of B arcs
+    with knots (B, N+1, n); velocities are forward differences, so there
+    are N intervals for N+1 knots."""
 
     t0: float
     t1: float
-    knots: np.ndarray  # (N+1, n)
+    knots: np.ndarray  # (N+1, n), or (B, N+1, n) for a batch
 
     def __post_init__(self):
         self.knots = np.asarray(self.knots, dtype=float)
-        if self.knots.ndim != 2 or self.knots.shape[0] < 9:
+        if self.knots.ndim not in (2, 3) or self.knots.shape[-2] < 9:
             raise ValueError("need at least 9 knots (N >= 8)")
         if not np.all(np.isfinite(self.knots)):
             raise ValueError("knots must be finite")
@@ -60,11 +62,11 @@ class Trajectory:
 
     @property
     def N(self) -> int:
-        return self.knots.shape[0] - 1
+        return self.knots.shape[-2] - 1
 
     @property
     def dim(self) -> int:
-        return self.knots.shape[1]
+        return self.knots.shape[-1]
 
     @property
     def dt(self) -> float:
@@ -76,7 +78,7 @@ class Trajectory:
 
     @property
     def velocities(self) -> np.ndarray:
-        return np.diff(self.knots, axis=0) / self.dt
+        return np.diff(self.knots, axis=-2) / self.dt
 
     def at(self, t) -> np.ndarray:
         """Piecewise-linear interpolation, batched over t."""
@@ -107,15 +109,14 @@ class Trajectory:
 
 @dataclass
 class PenaltyParams:
-    """Penalty weights 1/epsilon along the arc and 1/delta at the end, the
-    tube radius rho and the grid size N.  ``weights`` scales the penalty of
-    each of the k points that every knot carries: one point for a single
-    agent, one per agent for the stacked state of ``mfg.joint_equilibrium``,
-    whose knots are (x_1, ..., x_k).  Only the Newton finish and its
-    certificate take k > 1; ``minimize_penalized`` and the schedules solve
-    one point per knot."""
+    """Penalty weights 1/epsilon (one per member of a batch, or shared) along
+    the arc and 1/delta at the end, the tube radius rho and the grid size
+    N.  ``weights`` scales the penalty of each of the k points that every
+    knot carries: one point for a single agent, one per agent for the
+    stacked state (x_1, ..., x_k) of ``mfg.joint_equilibrium``.  Only the
+    Newton finish and its certificate take k > 1."""
 
-    epsilon: float
+    epsilon: float | np.ndarray
     delta: float
     rho: float
     N: int
@@ -123,7 +124,7 @@ class PenaltyParams:
 
     def __post_init__(self):
         self.weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if not self.epsilon > 0:
+        if not np.all(np.asarray(self.epsilon) > 0):
             raise ValueError("epsilon must be positive")
         if not 0 < self.delta <= 1:
             raise ValueError("delta must lie in (0, 1]")
@@ -141,134 +142,144 @@ def _trapezoid_weights(N: int, dt: float) -> np.ndarray:
 
 def _point_weights(params: PenaltyParams, N: int, dt: float) -> np.ndarray:
     """Penalty weight of each point, in knot order: the trapezoid weight
-    over eps (+1/delta at the last knot) times the point's weight."""
-    c = _trapezoid_weights(N, dt) / params.epsilon
-    c[-1] += 1.0 / params.delta
-    return np.outer(c, params.weights).ravel()
+    over eps (+1/delta at the last knot) times the point's weight; one row
+    per member when epsilon is one per member."""
+    c = _trapezoid_weights(N, dt) / np.asarray(params.epsilon)[..., None]
+    c[..., -1] += 1.0 / params.delta
+    return (c[..., None] * params.weights).reshape(c.shape[:-1] + (-1,))
+
+
+def _ends(gamma: Trajectory, *fns):
+    """Each fn(t, x, v) at the left and the right ends of every member's
+    intervals, v the interval's velocity: a (left, right) pair per fn."""
+    X, t, V = gamma.knots, gamma.times, gamma.velocities
+    lead, m = V.shape[:-1], V.shape[-1]
+    v = V.reshape(-1, m)
+    sides = [(ts if V.ndim == 2 else np.broadcast_to(ts, lead).ravel(),
+              x.reshape(-1, m)) for ts, x in ((t[:-1], X[..., :-1, :]),
+                                               (t[1:], X[..., 1:, :]))]
+
+    def at(fn, ts, x):
+        out = fn(ts, x, v)
+        return out.reshape(lead + out.shape[1:])
+    return [tuple(at(fn, *side) for side in sides) for fn in fns]
+
+
+def _at_end(fn, X):
+    """fn(x) at the last knot of each member of X."""
+    out = fn(X[..., -1, :].reshape(-1, X.shape[-1]))
+    return out.reshape(X.shape[:-2] + out.shape[1:])
 
 
 def penalized_cost(prob: Problem, dom: Domain, params: PenaltyParams,
-                   gamma: Trajectory) -> float:
+                   gamma: Trajectory):
     return _cost_and_grad(prob, dom, params, gamma, need_grad=False)[0]
 
 
 def _action_grad(prob: Problem, gamma: Trajectory) -> np.ndarray:
     """Gradient of the discrete action (running plus terminal cost, no
-    distance penalties) with respect to all knots."""
-    X = gamma.knots
-    N, n = gamma.N, gamma.dim
+    distance penalties) with respect to all knots, per member."""
     dt = gamma.dt
-    tk = gamma.times
-    V = gamma.velocities
-    tl, tr = tk[:-1], tk[1:]
-    xl, xr = X[:-1], X[1:]
-    G = np.zeros((N + 1, n))
+    G = np.zeros(gamma.knots.shape)
     # state dependence of the running cost
-    G[:-1] += 0.5 * dt * prob.fx(tl, xl, V)
-    G[1:] += 0.5 * dt * prob.fx(tr, xr, V)
+    (fxl, fxr), fv = _ends(gamma, prob.fx, prob.fv)
+    G[..., :-1, :] += 0.5 * dt * fxl
+    G[..., 1:, :] += 0.5 * dt * fxr
     # velocity dependence: v_i = (x_{i+1} - x_i)/dt couples both interval ends
-    fvsum = 0.5 * (prob.fv(tl, xl, V) + prob.fv(tr, xr, V))
-    G[1:] += fvsum
-    G[:-1] -= fvsum
-    G[-1] += prob.Dg(X[-1:])[0]
+    fvsum = 0.5 * np.add(*fv)
+    G[..., 1:, :] += fvsum
+    G[..., :-1, :] -= fvsum
+    G[..., -1, :] += _at_end(prob.Dg, gamma.knots)
     return G
 
 
 def _action_hessian(prob: Problem, gamma: Trajectory):
     """Exact Hessian of the discrete action (running plus terminal cost) with
     respect to the free knots 1..N, which is block-tridiagonal: returns its
-    (N, m, m) diagonal blocks and its (N - 1, m, m) upper blocks (knot i,
-    knot i + 1), m the knot's dimension.
-
-    Interval i contributes dt/2 [f(t_i, x_i, v_i) + f(t_{i+1}, x_{i+1}, v_i)]
-    with v_i = (x_{i+1} - x_i)/dt, so its blocks come from fxx, fvx and fvv
-    at both interval ends; D2g adds to the last knot.
-    """
-    X = gamma.knots
-    N, n = gamma.N, gamma.dim
-    dt = gamma.dt
-    tk = gamma.times
-    V = gamma.velocities
-    tl, tr = tk[:-1], tk[1:]
-    xl, xr = X[:-1], X[1:]
-    K = 0.5 * (prob.fvv(tl, xl, V) + prob.fvv(tr, xr, V)) / dt
-    Bl = prob.fvx(tl, xl, V)  # entry [i, j] = d2f/dv_i dx_j
-    Br = prob.fvx(tr, xr, V)
-    Blt, Brt = Bl.transpose(0, 2, 1), Br.transpose(0, 2, 1)
-    diag = np.zeros((N + 1, n, n))
-    diag[:-1] += K - 0.5 * (Bl + Blt) + 0.5 * dt * prob.fxx(tl, xl, V)
-    diag[1:] += K + 0.5 * (Br + Brt) + 0.5 * dt * prob.fxx(tr, xr, V)
-    diag[-1] += prob.D2g(X[-1:])[0]
+    (..., N, m, m) diagonal blocks and its (..., N - 1, m, m) upper blocks
+    (knot i, knot i + 1), m the knot's dimension.  Interval i contributes
+    dt/2 [f(t_i, x_i, v_i) + f(t_{i+1}, x_{i+1}, v_i)] with
+    v_i = (x_{i+1} - x_i)/dt, so its blocks come from fxx, fvx and fvv at
+    both interval ends; D2g adds to the last knot."""
+    X, dt = gamma.knots, gamma.dt
+    # fvx entry [i, j] = d2f/dv_i dx_j
+    fvv, (Bl, Br) = _ends(gamma, prob.fvv, prob.fvx)
+    K = 0.5 * np.add(*fvv) / dt
+    del fvv  # free it before the state Hessians are evaluated
+    Blt, Brt = Bl.swapaxes(-1, -2), Br.swapaxes(-1, -2)
+    diag = np.zeros(X.shape + X.shape[-1:])
+    (Hl, Hr), = _ends(gamma, prob.fxx)
+    diag[..., :-1, :, :] += K - 0.5 * (Bl + Blt) + 0.5 * dt * Hl
+    diag[..., 1:, :, :] += K + 0.5 * (Br + Brt) + 0.5 * dt * Hr
+    diag[..., -1, :, :] += _at_end(prob.D2g, X)
     upper = 0.5 * (Blt - Br) - K  # block (knot i, knot i+1)
-    return diag[1:], upper[1:]
+    return diag[..., 1:, :, :], upper[..., 1:, :, :]
 
 
 def _tridiag_matvec(D: np.ndarray, U: np.ndarray, x: np.ndarray) -> np.ndarray:
     """H x for the symmetric block-tridiagonal H with diagonal blocks D and
-    upper blocks U; x is (N, m)."""
-    y = np.einsum("iab,ib->ia", D, x)
-    y[:-1] += np.einsum("iab,ib->ia", U, x[1:])
-    y[1:] += np.einsum("iba,ib->ia", U, x[:-1])
+    upper blocks U; x is (..., N, m)."""
+    y = np.einsum("...iab,...ib->...ia", D, x)
+    y[..., :-1, :] += np.einsum("...iab,...ib->...ia", U, x[..., 1:, :])
+    y[..., 1:, :] += np.einsum("...iba,...ib->...ia", U, x[..., :-1, :])
     return y
 
 
 def _tridiag_solve(D: np.ndarray, U: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Solve H x = r for the symmetric block-tridiagonal H with diagonal
-    blocks D (N, m, m) and upper blocks U (N - 1, m, m); r is (N, m).
+    blocks D (..., N, m, m) and upper blocks U (..., N - 1, m, m); r is
+    (..., N, m), the leading axes a batch of independent systems.
 
     Block cyclic reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7,
     1970): one batched solve with the even rows' diagonal blocks leaves the
     odd rows' symmetric block-tridiagonal system of half the size.  A
     singular pivot raises LinAlgError."""
-    N, m = D.shape[:2]
+    N, m = D.shape[-3], D.shape[-1]
     if N == 1:
-        return np.linalg.solve(D, r[:, :, None])[:, :, 0]
+        return np.linalg.solve(D, r[..., None])[..., 0]
     ne, mo = (N + 1) // 2, N // 2
-    zero = np.zeros_like(D[:1])
-    Up = np.concatenate([zero, U, zero])  # Up[i] is block (i - 1, i)
+    zero = np.zeros_like(D[..., :1, :, :])
+    Up = np.concatenate([zero, U, zero], axis=-3)  # Up[i]: block (i - 1, i)
     # even row 2j: x_2j = S_r - S_l x_{2j-1} - S_u x_{2j+1}
-    S = np.linalg.solve(D[0::2], np.concatenate(
-        [Up[0:2 * ne:2].transpose(0, 2, 1), Up[1:2 * ne:2],
-         r[0::2, :, None]], axis=2))
-    S = np.concatenate([S, np.zeros_like(S[:1])])  # no row past the end
-    A = Up[1:2 * mo:2].transpose(0, 2, 1) @ S[:mo]  # odd row 2j+1, via x_2j
-    B = Up[2:2 * mo + 1:2] @ S[1:mo + 1]            # and via x_{2j+2}
-    x_odd = _tridiag_solve(D[1::2] - A[:, :, m:2 * m] - B[:, :, :m],
-                           -B[:-1, :, m:2 * m],
-                           r[1::2] - A[:, :, 2 * m] - B[:, :, 2 * m])
-    xp = np.concatenate([zero[:, 0], x_odd, zero[:, 0]])  # xp[j] = x_{2j-1}
+    S = np.linalg.solve(D[..., 0::2, :, :], np.concatenate(
+        [Up[..., 0:2 * ne:2, :, :].swapaxes(-1, -2),
+         Up[..., 1:2 * ne:2, :, :], r[..., 0::2, :, None]], axis=-1))
+    S = np.concatenate([S, np.zeros_like(S[..., :1, :, :])], axis=-3)
+    # odd row 2j+1, via x_2j (A) and via x_{2j+2} (B)
+    A = Up[..., 1:2 * mo:2, :, :].swapaxes(-1, -2) @ S[..., :mo, :, :]
+    B = Up[..., 2:2 * mo + 1:2, :, :] @ S[..., 1:mo + 1, :, :]
+    x_odd = _tridiag_solve(D[..., 1::2, :, :] - A[..., m:2 * m] - B[..., :m],
+                           -B[..., :-1, :, m:2 * m],
+                           r[..., 1::2, :] - A[..., 2 * m] - B[..., 2 * m])
+    xp = np.concatenate([zero[..., 0, :], x_odd, zero[..., 0, :]],
+                        axis=-2)  # xp[j] = x_{2j-1}
     x = np.empty_like(r)
-    x[0::2] = S[:ne, :, 2 * m] - np.einsum("jab,jb->ja", S[:ne, :, :2 * m],
-                                           np.hstack([xp[:ne], xp[1:ne + 1]]))
-    x[1::2] = x_odd
+    x[..., 0::2, :] = S[..., :ne, :, 2 * m] - np.einsum(
+        "...jab,...jb->...ja", S[..., :ne, :, :2 * m],
+        np.concatenate([xp[..., :ne, :], xp[..., 1:ne + 1, :]], axis=-1))
+    x[..., 1::2, :] = x_odd
     return x
 
 
 def _cost_and_grad(prob: Problem, dom: Domain, params: PenaltyParams,
                    gamma: Trajectory, need_grad: bool = True,
                    geo: BoundaryEval | None = None):
-    """Discrete cost, its gradient with respect to knots 1..N (knot 0 is the
-    pinned initial state) and the first-order geometry of the knots' points
-    (k per knot, in knot order), which the caller may pass in as ``geo``
-    when it already has it."""
-    X = gamma.knots
+    """Discrete cost per member, its gradient with respect to knots 1..N
+    (knot 0 is the pinned initial state) and the first-order geometry of
+    the knots' points (k per knot, in knot order), which the caller may
+    pass in as ``geo`` when it already has it."""
+    X, dt, eps = gamma.knots, gamma.dt, np.asarray(params.epsilon)
     if geo is None:
         geo = dom.eval(X.reshape(-1, dom.dim), hess=False)
-    N = gamma.N
-    dt = gamma.dt
-    tk = gamma.times
-    V = gamma.velocities
-
-    fl = prob.f(tk[:-1], X[:-1], V)
-    fr = prob.f(tk[1:], X[1:], V)
+    (fl, fr), = _ends(gamma, prob.f)
     # per knot, the penalty-weighted distance of its points
-    d = np.maximum(geo.b, 0.0).reshape(N + 1, -1) @ params.weights
-    w = _trapezoid_weights(N, dt)
-
-    cost = (0.5 * dt * np.sum(fl + fr)
-            + np.dot(w, d) / params.epsilon
-            + d[-1] / params.delta
-            + float(prob.g(X[-1:]).item()))
+    d = np.maximum(geo.b, 0.0).reshape(X.shape[:-1] + (-1,)) @ params.weights
+    w = _trapezoid_weights(gamma.N, dt)
+    # (d w) as one dot product per member, whatever the batch size
+    cost = (0.5 * dt * np.sum(fl + fr, axis=-1)
+            + (d[..., None, :] @ w)[..., 0] / eps
+            + d[..., -1] / params.delta
+            + _at_end(prob.g, X))
     if not need_grad:
         return cost, None, geo
 
@@ -277,16 +288,16 @@ def _cost_and_grad(prob: Problem, dom: Domain, params: PenaltyParams,
     # midpoint Db/2 on the boundary band (fixed tie-break)
     tol = dom.boundary_tol
     scale = np.where(geo.b > tol, 1.0, np.where(geo.b > -tol, 0.5, 0.0))
-    scale *= np.tile(params.weights, N + 1)
-    dgrad = (geo.Db * scale[:, None]).reshape(N + 1, -1)
-    G += (w / params.epsilon)[:, None] * dgrad
-    G[-1] += dgrad[-1] / params.delta
+    scale *= np.tile(params.weights, geo.b.size // params.weights.size)
+    dgrad = (geo.Db * scale[:, None]).reshape(X.shape[:-1] + (-1,))
+    G += (w / eps[..., None])[..., None] * dgrad
+    G[..., -1, :] += dgrad[..., -1, :] / params.delta
     return cost, G, geo
 
 
 def _stationarity(dom: Domain, params: PenaltyParams, gamma: Trajectory,
-                  G: np.ndarray, geo: BoundaryEval) -> float:
-    """Minimal-norm element of the discrete subdifferential.
+                  G: np.ndarray, geo: BoundaryEval):
+    """Minimal-norm element of the discrete subdifferential, per member.
 
     G carries the midpoint selection Db/2 at boundary-band points; those rows
     admit any coefficient in [0, c] on Db, c from ``_point_weights``, so the
@@ -296,153 +307,179 @@ def _stationarity(dom: Domain, params: PenaltyParams, gamma: Trajectory,
     R = G.reshape(-1, dom.dim).copy()  # one row per point
     if np.any(band):
         Db = geo.Db[band]
-        half = 0.5 * _point_weights(params, gamma.N, gamma.dt)[band]
+        c = _point_weights(params, gamma.N, gamma.dt)
+        half = 0.5 * np.broadcast_to(c, G.shape[:-2] + c.shape[-1:]).ravel()[
+            band]
         # G used coefficient c/2; admissible shifts are s in [-c/2, +c/2]
         proj = np.einsum("mi,mi->m", R[band], Db)
         shift = np.clip(-proj, -half, half)
         R[band] += shift[:, None] * Db
-    R[:params.weights.size] = 0.0  # pinned knot
-    return float(np.linalg.norm(R.ravel(), ord=np.inf))
+    R = R.reshape(G.shape[:-2] + (-1, dom.dim))
+    R[..., :params.weights.size, :] = 0.0  # pinned knot
+    return np.max(np.abs(R), axis=(-2, -1))
 
 
 def _block_diag(A: np.ndarray) -> np.ndarray:
-    """(m, k, n, n) blocks as m block-diagonal (k n, k n) matrices."""
-    m, k, n, _ = A.shape
-    out = np.zeros((m, k, n, k, n))
+    """(..., k, n, n) blocks as (..., k n, k n) block-diagonal matrices."""
+    *lead, k, n, _ = A.shape
+    out = np.zeros((*lead, k, n, k, n))
     i = np.arange(k)
-    out[:, i, :, i, :] = A.transpose(1, 0, 2, 3)
-    return out.reshape(m, k * n, k * n)
+    out[..., i, :, i, :] = np.moveaxis(A, -3, 0)
+    return out.reshape(*lead, k * n, k * n)
 
 
 def _kkt_step(D: np.ndarray, U: np.ndarray, g: np.ndarray, Db: np.ndarray,
               b: np.ndarray, act: np.ndarray):
-    """Newton step dx and multipliers mu of H dx + C^T mu = -g, C dx = -b_act:
-    H has blocks D, U over knots; g, Db, b are per free point; C has a row
-    Db_p per boundary point p in ``act``.  Each row is eliminated in its own
-    knot block: with u = Db/|Db|, Q = sum u u^T and P = I - Q, dx = y + x_p,
-    x_p = sum -b u/|Db| and (P H P + Q) y = -P (g + H x_p); then
-    mu = -u^T (H dx + g)/|Db|."""
-    N, m = D.shape[:2]
-    n = g.shape[1]
-    s = np.linalg.norm(Db[act], axis=1)
-    nh, xp = np.zeros_like(g), np.zeros_like(g)
-    nh[act] = Db[act] / s[:, None]
-    xp[act] = -(b[act] / s)[:, None] * nh[act]
-    Q = _block_diag(np.einsum("pa,pb->pab", nh, nh).reshape(N, -1, n, n))
+    """Newton step dx and multipliers mu of H dx + C^T mu = -g, C dx = -b_act,
+    per member: H has blocks D (B, N, m, m), U over knots; g, Db, b are per
+    free point; C has a row Db_p per point p where the mask ``act`` holds.
+    Each row is eliminated in its own knot block: with u = Db/|Db|,
+    Q = sum u u^T and P = I - Q, dx = y + x_p, x_p = sum -b u/|Db| and
+    (P H P + Q) y = -P (g + H x_p); then mu = -u^T (H dx + g)/|Db|.  A
+    member whose elimination meets a singular pivot gets a NaN step."""
+    (N, m), n, args = D.shape[-3:-1], g.shape[-1], (D, U, g, Db, b, act)
+    s = np.where(act, np.linalg.norm(Db, axis=-1), 1.0)
+    nh = np.where(act[..., None], Db / s[..., None], 0.0)
+    xp = np.where(act[..., None], -(b / s)[..., None] * nh, 0.0)
+    Q = _block_diag(np.einsum("...pa,...pb->...pab", nh, nh).reshape(
+        D.shape[:-3] + (N, -1, n, n)))
     P = np.eye(m) - Q
-    g, xp = g.reshape(N, m), xp.reshape(N, m)
-    r = -np.einsum("iab,ib->ia", P, g + _tridiag_matvec(D, U, xp))
-    dx = _tridiag_solve(P @ D @ P + Q, P[:-1] @ U @ P[1:], r) + xp
-    res = (_tridiag_matvec(D, U, dx) + g).reshape(-1, n)[act]
-    return dx, -np.einsum("pi,pi->p", nh[act], res) / s
+    g, xp = g.reshape(D.shape[:-1]), xp.reshape(D.shape[:-1])
+    r = -np.einsum("...iab,...ib->...ia", P, g + _tridiag_matvec(D, U, xp))
+    try:
+        dx = _tridiag_solve(P @ D @ P + Q,
+                            P[..., :-1, :, :] @ U @ P[..., 1:, :, :], r) + xp
+    except np.linalg.LinAlgError:  # solve the members one by one
+        if len(D) == 1:
+            return np.full(D.shape[:-1], np.nan), np.zeros(b.shape)
+        parts = [_kkt_step(*(a[i:i + 1] for a in args)) for i in range(len(D))]
+        return tuple(map(np.concatenate, zip(*parts)))
+    res = (_tridiag_matvec(D, U, dx) + g).reshape(nh.shape)
+    return dx, np.where(act, -np.einsum("...pi,...pi->...p", nh, res) / s,
+                        0.0)
+
+
+def _part(idx: np.ndarray, size: int):
+    """The sorted indices ``idx`` into ``size`` rows, as a slice (a view,
+    not a copy) when they take them all."""
+    return idx if idx.size < size else slice(None)
 
 
 def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
-                   traj: Trajectory, cost: float) -> tuple[Trajectory, int]:
-    """Newton's method on the full penalized problem, from ``traj`` with
-    penalized cost ``cost``.
-
-    Each knot carries k = ``params.weights.size`` points (one per agent of a
-    joint solve, else one).  Every free point sits in one of three groups,
-    each smooth:
-
-    - inside (b < 0): no penalty;
-    - outside (b > 0): the penalty c b, c from ``_point_weights``, which
-      adds c Db to the gradient and c D2b to its diagonal Hessian block;
-    - boundary: an equality row b = 0 whose multiplier must lie in [0, c].
-
-    Each step solves the KKT system of the action's exact block-tridiagonal
-    Hessian, with (k n)-blocks in knot order (Nocedal & Wright, Numerical
-    Optimization, 2nd ed., ch. 18) by ``_kkt_step``; the action's blocks are
-    built once per step, and a multiplier release re-adds only the
-    curvature.  A singular pivot ends the finish as a non-finite step does.
-    Primal-dual active-set updates move the groups (Hintermueller, Ito &
-    Kunisch, SIAM J. Optim. 13, 2002): a boundary multiplier below 0
-    releases its point inside, one above c releases it outside, and a point
-    whose step crosses b = 0 joins the boundary.  Each step backtracks on
-    the penalized cost, which keeps the groups from cycling.  Returns the
-    best trajectory reached and the number of accepted steps; the caller
-    certifies it.
-    """
-    N, n, k = traj.N, dom.dim, params.weights.size
-    c = _point_weights(params, N, traj.dt)[k:]  # per free point
-    geo = dom.eval(traj.knots.reshape(-1, n))
+                   traj: Trajectory, cost):
+    """Newton's method on the penalized problem for each member of the batch
+    ``traj`` (one member without a batch axis) from penalized cost ``cost``;
+    each member keeps its own groups, multipliers, backtracking, 30-step
+    cap and stop rule, so it takes the steps of its solo finish.  A knot
+    carries k = ``params.weights.size`` points (one per agent of a joint
+    solve), each inside (b < 0, no penalty), outside (b > 0, penalty c b, c
+    from ``_point_weights``) or on the boundary (a row b = 0 with its
+    multiplier in [0, c]).  Each step solves the KKT system of the action's
+    exact block-tridiagonal Hessian (Nocedal & Wright, Numerical
+    Optimization, 2nd ed., ch. 18) by ``_kkt_step``; primal-dual active-set
+    updates (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13, 2002) release
+    a boundary point whose multiplier leaves [0, c] to its side, and a
+    point whose step crosses b = 0 joins the boundary.  Backtracking on the
+    penalized cost keeps the groups from cycling; a singular pivot ends the
+    member's finish.  Returns the best trajectories and each member's
+    accepted steps; the caller certifies them."""
+    single = traj.knots.ndim == 2
+    X = (traj.knots[None] if single else traj.knots).copy()
+    B, N, n, k = X.shape[0], traj.N, dom.dim, params.weights.size
+    t0, t1 = traj.t0, traj.t1
+    eps = np.broadcast_to(np.asarray(params.epsilon, dtype=float), (B,))
+    c = np.broadcast_to(_point_weights(params, N, traj.dt),
+                        (B, (N + 1) * k))[:, k:]  # per free point
+    cost = np.array(np.broadcast_to(cost, (B,)), dtype=float)
+    # per member: b, Db, D2b and P of its points
+    gb, gDb, gD2b, gP = (a.reshape((B, -1) + a.shape[1:])
+                         for a in dom.eval(X.reshape(-1, n)))
     # the L-BFGS round leaves contact knots within ~1e-7 diam of b = 0; a
     # wider band pins interior knots, which are then released one by one
     band = 1e-5 * dom.diameter
-    b = geo.b[k:]
-    outside = b > band
-    boundary = np.abs(b) <= band
-    mult = np.zeros(N * k)
-    step = np.zeros_like(traj.knots)  # knot 0 is pinned
-    steps = 0
+    outside, boundary = gb[:, k:] > band, np.abs(gb[:, k:]) <= band
+    mult, steps, live = np.zeros((B, N * k)), np.zeros(B, int), np.arange(B)
+    step = np.zeros_like(X)  # knot 0 is pinned
     for _ in range(30):
-        Db, D2b = geo.Db[k:], geo.D2b[k:]
-        grad = _action_grad(prob, traj)[1:].reshape(-1, n)
-        H, U = _action_hessian(prob, traj)
-        while True:  # re-solve until no boundary multiplier releases a point
-            g = grad.copy()
-            g[outside] += c[outside, None] * Db[outside]
+        if not live.size:
+            break
+        front = Trajectory(t0, t1, X[_part(live, B)])
+        grad = _action_grad(prob, front)[:, 1:].reshape(live.size, -1, n)
+        H, U = _action_hessian(prob, front)
+        dx = np.empty((live.size, N, k * n))
+        todo = np.arange(live.size)
+        while todo.size:  # re-solve until no boundary multiplier releases
+            M, sel = live[todo], _part(todo, live.size)
+            Db, b, cM = gDb[M, k:], gb[M, k:], c[M]
+            out, bnd = outside[M], boundary[M]
+            g = np.where(out[..., None], grad[sel] + cM[..., None] * Db,
+                         grad[sel])
             # curvature only where the penalty acts: inside knots may sit on
             # a focal point, where D2b is inf/NaN
-            curved = outside | boundary
-            curv = np.zeros((N * k, n, n))
-            curv[curved] = (np.where(outside, c, mult)[curved, None, None]
-                            * D2b[curved])
-            act = np.flatnonzero(boundary)
-            try:
-                dx, mu = _kkt_step(H + _block_diag(curv.reshape(N, k, n, n)),
-                                   U, g, Db, b, act)
-            except np.linalg.LinAlgError:  # singular pivot: as a NaN step
-                dx, mu = np.full((N, k * n), np.nan), np.zeros(act.size)
+            curved = out | bnd
+            curv = np.zeros(Db.shape + (n,))
+            curv[curved] = (np.where(out, cM, mult[M])[curved, None, None]
+                            * gD2b[M, k:][curved])
+            dx[sel], mu = _kkt_step(
+                H[sel] + _block_diag(curv.reshape(-1, N, k, n, n)),
+                U[sel], g, Db, b, bnd)
             # a multiplier out of [0, c] releases its point only toward the
             # side it sits on, which keeps the step a descent direction
-            low = (mu < -1e-10 * c[act]) & (b[act] <= dom.boundary_tol)
-            high = (mu > (1 + 1e-10) * c[act]) & (b[act] >= -dom.boundary_tol)
-            mult[act] = np.clip(mu, 0.0, c[act])
-            if not np.any(low | high):
-                break
-            boundary[act[low | high]] = False
-            outside[act[high]] = True
-        step[1:] = dx
-        if not np.all(np.isfinite(step)):
-            break  # singular system: as no decrease, keep the best point
-        alpha = 1.0
-        while alpha >= 1e-10:
-            trial = Trajectory(traj.t0, traj.t1, traj.knots + alpha * step)
-            geo_t = dom.eval(trial.knots.reshape(-1, n))
-            cost_t = _cost_and_grad(prob, dom, params, trial,
-                                    need_grad=False, geo=geo_t)[0]
-            if cost_t <= cost + 1e-14 * (1.0 + abs(cost)):
-                break
-            alpha *= 0.5
-        else:
-            break  # no decrease along the step: keep the best point
-        traj, geo, cost = trial, geo_t, cost_t
-        steps += 1
-        b = geo.b[k:]
+            low = bnd & (mu < -1e-10 * cM) & (b <= dom.boundary_tol)
+            high = bnd & (mu > (1 + 1e-10) * cM) & (b >= -dom.boundary_tol)
+            mult[M] = np.where(bnd, np.clip(mu, 0.0, cM), mult[M])
+            boundary[M] = bnd & ~(low | high)
+            outside[M] = out | high
+            todo = todo[np.any(low | high, axis=1)]
+        step[live, 1:] = dx
+        # singular system: as no decrease, keep the best point
+        search = live[np.all(np.isfinite(dx), axis=(1, 2))]
+        alpha, moved = np.ones(B), [live[:0]]
+        while search.size:
+            trial = X[search] + alpha[search, None, None] * step[search]
+            geo_t = dom.eval(trial.reshape(-1, n))
+            cost_t = _cost_and_grad(
+                prob, dom, replace(params, epsilon=eps[search]),
+                Trajectory(t0, t1, trial), need_grad=False, geo=geo_t)[0]
+            ok = cost_t <= cost[search] + 1e-14 * (1.0 + np.abs(cost[search]))
+            acc = search[ok]
+            X[acc], cost[acc] = trial[ok], cost_t[ok]
+            for mine, new in zip((gb, gDb, gD2b, gP), geo_t):
+                mine[acc] = new.reshape((search.size, -1) + new.shape[1:])[ok]
+            moved.append(acc)
+            # no decrease along the step: keep the best point
+            alpha[search[~ok]] *= 0.5
+            search = search[~ok & (alpha[search] >= 1e-10)]
+        trial = geo_t = None  # free them before the next step's Hessian
+        acc = np.sort(np.concatenate(moved))
+        steps[acc] += 1
+        b = gb[acc, k:]
         # a point that crossed b = 0, or whose step stopped on the kink of
         # the penalty, joins the boundary; left out, the kink would cut
         # every later line search short
-        crossed = ~boundary & ((outside & (b < 0.0)) | (~outside & (b > 0.0))
-                               | (np.abs(b) <= dom.boundary_tol))
-        boundary |= crossed
-        outside &= ~crossed
-        if np.max(np.abs(alpha * step)) < 1e-13 * (1.0 + dom.diameter):
-            break
-    traj.knots[1:] = np.where(boundary[:, None], geo.P[k:],
-                              traj.knots[1:].reshape(-1, n)).reshape(N, -1)
-    return traj, steps
+        bnd, out = boundary[acc], outside[acc]
+        crossed = ~bnd & ((out & (b < 0.0)) | (~out & (b > 0.0))
+                          | (np.abs(b) <= dom.boundary_tol))
+        boundary[acc] = bnd | crossed
+        outside[acc] = out & ~crossed
+        size = np.max(np.abs(alpha[acc, None, None] * step[acc]), axis=(1, 2))
+        live = acc[size >= 1e-13 * (1.0 + dom.diameter)]
+    X[:, 1:] = np.where(boundary[..., None], gP[:, k:],
+                        X[:, 1:].reshape(B, -1, n)).reshape(B, N, -1)
+    if single:
+        return Trajectory(t0, t1, X[0]), int(steps[0])
+    return Trajectory(t0, t1, X), steps
 
 
 def _certificate(prob: Problem, dom: Domain, params: PenaltyParams,
                  traj: Trajectory):
     """The certificate of a penalized minimizer: the minimal-norm element of
-    the subdifferential must fall below 1e-8 (1 + |cost|).  Returns that
-    norm, whether it certifies and the largest b."""
+    the subdifferential must fall below 1e-8 (1 + |cost|).  Returns, per
+    member, that norm, whether it certifies and the largest b."""
     cost, G, geo = _cost_and_grad(prob, dom, params, traj)
     stat = _stationarity(dom, params, traj, G, geo)
-    return stat, stat < 1e-8 * (1.0 + abs(cost)), float(np.max(geo.b))
+    bmax = np.max(geo.b.reshape(np.shape(stat) + (-1,)), axis=-1)
+    return stat, stat < 1e-8 * (1.0 + np.abs(cost)), bmax
 
 
 def _scipy_minimize(*args, **kwargs):
@@ -451,41 +488,35 @@ def _scipy_minimize(*args, **kwargs):
     return optimize.minimize(*args, **kwargs)
 
 
-def minimize_penalized(prob: Problem, dom: Domain, params: PenaltyParams,
-                       x0, init: Trajectory | None = None) -> Trajectory:
-    """Minimize the penalized cost over the free knots 1..N.
-
-    A cold start (no ``init``) runs one L-BFGS-B round at gtol 1e-6 from
-    the constant trajectory to locate the contact set; a warm start takes
-    ``init`` (e.g. a converged neighbour) with knot 0 reset to x0.  Either
-    way one Newton finish (``_newton_finish``) then solves the discrete
-    optimality system to machine precision, and ``_certificate`` must pass,
-    else MaxIterations is raised; ``epsilon_schedule`` answers that by
-    halving epsilon.  Runaway is raised when an accepted L-BFGS-B iterate or
-    the certified result leaves the tube by a full diameter (trial points
-    of the L-BFGS-B line searches may go further), and NonFiniteCost when a
-    cost evaluation is not finite.
-    """
-    x0 = np.asarray(x0, dtype=float)
+def _solve_level(prob: Problem, dom: Domain, params: PenaltyParams, x0s,
+                 inits: list):
+    """One level of the epsilon ladder: member i, pinned at x0s[i], starts
+    from inits[i] at ``params.epsilon[i]``; one Newton finish solves all.
+    Only a batch of one starts cold (init None), after one L-BFGS-B round
+    at gtol 1e-6 from the constant trajectory.  Returns per member its
+    certified trajectory or MaxIterations, Runaway (the result or an
+    accepted L-BFGS-B iterate is a diameter outside) or NonFiniteCost, and
+    the Newton steps."""
+    x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
+    B = x0s.shape[0]
     if params.weights.size != 1:
         raise ValueError("minimize_penalized takes one point per knot")
-    if dom.signed_distance(x0) > dom.boundary_tol:
+    if np.any(dom.b_many(x0s) > dom.boundary_tol):
         raise ValueError("initial state must lie in the closed domain")
-    gamma = init if init is not None else Trajectory.constant(
-        0.0, prob.horizon, x0, params.N)
-    if gamma.N != params.N:
-        raise ValueError("init grid does not match params.N")
+    eps = np.broadcast_to(np.asarray(params.epsilon, dtype=float), (B,))
     leash = params.rho + dom.diameter
+    out: list = [None] * B
+    if any(init is None for init in inits):
+        if B != 1:
+            raise ValueError("only a batch of one starts cold")
+        solo, last = replace(params, epsilon=float(eps[0])), {}
 
-    def knots(z):
-        return Trajectory(gamma.t0, gamma.t1,
-                          np.vstack([x0, z.reshape(params.N, -1)]))
-
-    if init is None:
-        last = {}
+        def knots(z):
+            return Trajectory(0.0, prob.horizon,
+                              np.vstack([x0s[0], z.reshape(params.N, -1)]))
 
         def objective(z):
-            c, G, geo = _cost_and_grad(prob, dom, params, knots(z))
+            c, G, geo = _cost_and_grad(prob, dom, solo, knots(z))
             if not np.isfinite(c):
                 raise NonFiniteCost(f"penalized cost became {c}")
             last.update(z=z.copy(), bmax=np.max(geo.b))
@@ -498,23 +529,48 @@ def minimize_penalized(prob: Problem, dom: Domain, params: PenaltyParams,
             if bmax > leash:
                 raise Runaway("iterates left the tube; epsilon is too large")
 
-        res = _scipy_minimize(objective, gamma.knots[1:].ravel(), jac=True,
-                              method="L-BFGS-B", callback=leash_check,
-                              options={"maxiter": 100000, "maxcor": 20,
-                                       "ftol": 1e-18, "gtol": 1e-6})
-        start, cost = knots(res.x), res.fun
-    else:
-        start = knots(gamma.knots[1:])
-        cost = penalized_cost(prob, dom, params, start)
-        if not np.isfinite(cost):
-            raise NonFiniteCost(f"penalized cost became {cost}")
-    traj, _ = _newton_finish(prob, dom, params, start, cost)
-    stat, ok, bmax = _certificate(prob, dom, params, traj)
-    if not ok:
-        raise MaxIterations(f"stationarity stalled at {stat:.3e}")
-    if bmax > leash:
-        raise Runaway("minimizer left the tube; epsilon is too large")
-    return traj
+        try:
+            inits = [knots(_scipy_minimize(
+                objective, np.tile(x0s[0], params.N), jac=True,
+                method="L-BFGS-B", callback=leash_check,
+                options={"maxiter": 100000, "maxcor": 20, "ftol": 1e-18,
+                         "gtol": 1e-6}).x)]
+        except (Runaway, NonFiniteCost) as exc:
+            return [exc], 0
+    if any(init.N != params.N for init in inits):
+        raise ValueError("init grid does not match params.N")
+    (t0, t1), = {(init.t0, init.t1) for init in inits}  # one grid
+    X = np.stack([init.knots for init in inits])
+    X[:, 0] = x0s
+    cost = penalized_cost(prob, dom, replace(params, epsilon=eps),
+                          Trajectory(t0, t1, X))
+    for i in np.flatnonzero(~np.isfinite(cost)):
+        out[i] = NonFiniteCost(f"penalized cost became {cost[i]}")
+    run = np.flatnonzero(np.isfinite(cost))
+    if not run.size:
+        return out, 0
+    sub = replace(params, epsilon=eps[run])
+    traj, steps = _newton_finish(prob, dom, sub, Trajectory(t0, t1, X[run]),
+                                 cost[run])
+    stat, ok, bmax = _certificate(prob, dom, sub, traj)
+    for j, i in enumerate(run):
+        out[i] = (MaxIterations(f"stationarity stalled at {stat[j]:.3e}")
+                  if not ok[j] else
+                  Runaway("minimizer left the tube; epsilon is too large")
+                  if bmax[j] > leash else
+                  Trajectory(t0, t1, traj.knots[j]))
+    return out, int(np.sum(steps))
+
+
+def minimize_penalized(prob: Problem, dom: Domain, params: PenaltyParams,
+                       x0, init: Trajectory | None = None) -> Trajectory:
+    """Minimize the penalized cost over the free knots 1..N from ``init``
+    (knot 0 reset to x0), or cold: ``_solve_level`` for a batch of one,
+    raising its failure."""
+    (gamma,), _ = _solve_level(prob, dom, params, [x0], [init])
+    if isinstance(gamma, Exception):
+        raise gamma
+    return gamma
 
 
 def delta_choice(prob: Problem, dom: Domain, samples: int = 2048,
@@ -543,38 +599,72 @@ def feasibility_gap(dom: Domain, gamma: Trajectory) -> float:
     return float(np.max(np.maximum(dom.b_many(gamma.knots), 0.0)))
 
 
+def epsilon_schedule_batch(prob: Problem, dom: Domain, x0s, delta: float,
+                           N: int = 256, *, inits, eps0s=1.0) -> list:
+    """The epsilon ladder for B members on one time grid: member i, pinned
+    at x0s[i], starts from inits[i] at eps0s[i] (shared or one each) and
+    halves its epsilon until its minimizer is feasible to 1e-6 diam, each
+    level warm from the last; a level that raises Runaway or MaxIterations
+    restarts it from its init, logged on ``statecon``.  Each round is one
+    ``_solve_level``, logged on ``statecon.ladder``.  Members share numpy
+    calls, not iterates: each gets the floats of its batch-of-one solve if
+    the problem treats rows one by one (a matrix-vector product over 8 or
+    more columns may not, nor the ``Ellipse`` projection).  Returns per
+    member its trajectory and final parameters, or the NonFiniteCost or
+    ScheduleExhausted that ended it."""
+    x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
+    B = x0s.shape[0]
+    eps, tau = np.ones(B) * eps0s, FEASIBILITY_TOL_FACTOR * dom.diameter
+    gammas, out, live = list(inits), [None] * B, np.arange(B)
+    for level in range(MAX_HALVINGS + 1):
+        if not live.size:
+            break
+        params = PenaltyParams(epsilon=eps[live], delta=delta, rho=dom.rho0,
+                               N=N)
+        results, steps = _solve_level(prob, dom, params, x0s[live],
+                                      [gammas[i] for i in live])
+        kinds = []
+        for i, res in zip(live, results):
+            if isinstance(res, (Runaway, MaxIterations)):
+                log.info("epsilon ladder restart after %s: %s (eps=%g, N=%d)",
+                         type(res).__name__, res, eps[i], N)
+                gammas[i], kind = inits[i], "restarted"
+            elif isinstance(res, Exception):
+                out[i], kind = res, "failed"
+            elif feasibility_gap(dom, res) <= tau:
+                out[i], kind = (res, PenaltyParams(
+                    epsilon=float(eps[i]), delta=delta, rho=dom.rho0,
+                    N=N)), "feasible"
+            else:
+                gammas[i], kind = res, "halved"
+            if out[i] is None:
+                eps[i] *= 0.5
+            kinds.append(kind)
+        rounds.info("ladder round %d (N=%d): %d solved, %d certified, "
+                    "%d feasible, %d restarted, %d Newton steps", level, N,
+                    live.size, kinds.count("feasible") + kinds.count("halved"),
+                    kinds.count("feasible"), kinds.count("restarted"), steps)
+        live = np.array([i for i in live if out[i] is None], dtype=int)
+    for i in live:  # still on the ladder after MAX_HALVINGS halvings
+        gap = (feasibility_gap(dom, gammas[i]) if gammas[i] is not None
+               else float("inf"))
+        out[i] = ScheduleExhausted(
+            f"feasibility {gap:.3e} > {tau:.3e} after {MAX_HALVINGS} "
+            "halvings; check assumptions or refine the grid")
+    return out
+
+
 def epsilon_schedule(prob: Problem, dom: Domain, x0, delta: float,
                      N: int = 256, init: Trajectory | None = None,
                      eps0: float = 1.0):
-    """Halve epsilon from eps0 until the penalized minimizer is feasible to
-    tau_feas = 1e-6 diam, warm-starting from the previous minimizer.  After
-    a level raises Runaway or MaxIterations, the next level restarts from
-    ``init`` and one INFO line on the ``statecon`` logger says why.
-
-    The certified trajectory solves the constrained problem; returns it with
-    the final parameters.  When refining a converged coarse solution, pass its
-    epsilon as eps0 to skip the weak-penalty levels it already went through.
-    """
-    tau = FEASIBILITY_TOL_FACTOR * dom.diameter
-    eps = float(eps0)
-    gamma = init
-    for _ in range(MAX_HALVINGS + 1):
-        params = PenaltyParams(epsilon=eps, delta=delta, rho=dom.rho0, N=N)
-        try:
-            gamma = minimize_penalized(prob, dom, params, x0, init=gamma)
-        except (Runaway, MaxIterations) as exc:
-            log.info("epsilon ladder restart after %s: %s (eps=%g, N=%d)",
-                     type(exc).__name__, exc, eps, N)
-            gamma = init
-            eps *= 0.5
-            continue
-        if feasibility_gap(dom, gamma) <= tau:
-            return gamma, params
-        eps *= 0.5
-    gap = feasibility_gap(dom, gamma) if gamma is not None else float("inf")
-    raise ScheduleExhausted(
-        f"feasibility {gap:.3e} > {tau:.3e} after {MAX_HALVINGS} halvings; "
-        "check assumptions or refine the grid")
+    """``epsilon_schedule_batch`` for one member, raising its failure.  To
+    refine a converged coarse solution, pass its epsilon as eps0 to skip
+    the weak-penalty levels it already went through."""
+    (out,) = epsilon_schedule_batch(prob, dom, [x0], delta, N=N,
+                                    inits=[init], eps0s=eps0)
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def energy_certificate(prob: Problem, dom: Domain, params: PenaltyParams,

@@ -1,7 +1,8 @@
 """Value function of the constrained problem on a space-time grid.
 
-Each node (t_i, x_j) is solved independently by the penalty pipeline on the
-sub-horizon [t_i, T]; the terminal slice is the terminal cost itself.
+Each node (t_i, x_j) is solved by the penalty pipeline on the sub-horizon
+[t_i, T], the nodes of one time slice as one batch; the terminal slice is
+the terminal cost itself.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import numpy as np
 
 from .geometry import Domain
 from .model import Problem
-from .penalty import (NonFiniteCost, ScheduleExhausted, Trajectory,
-                      delta_choice, epsilon_schedule)
+from .penalty import (Trajectory, _ends, delta_choice,
+                      epsilon_schedule_batch)
 
 
 @dataclass
@@ -34,10 +35,11 @@ def _resample(traj: Trajectory, t0: float, t1: float, N: int) -> Trajectory:
 
 def compute_value(prob: Problem, dom: Domain, times, points,
                   N: int = 32) -> ValueGrid:
-    """Per-node constrained solves, warm-started along the time axis: the
-    solution at t_{i+1} seeds the longer solve at t_i, whose epsilon
-    schedule starts at the epsilon that solution certified at (the penalty
-    is exact, so the weaker levels need not be walked again)."""
+    """Constrained solves at every node, each time slice's nodes as one
+    ``epsilon_schedule_batch``, warm-started along the time axis: the
+    solution at (t_{i+1}, x_j) seeds the solve at (t_i, x_j), starting at
+    the epsilon it certified at (the penalty is exact).  A failed node is
+    recorded in ``failures``; its point's next solve starts afresh."""
     times = np.asarray(times, dtype=float)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     T = prob.horizon
@@ -53,41 +55,31 @@ def compute_value(prob: Problem, dom: Domain, times, points,
     values[-1] = prob.g(points)
 
     delta, _ = delta_choice(prob, dom)
-    for j in range(npt):
-        warm, eps0 = None, 1.0
-        for i in range(nt - 2, -1, -1):
-            t0 = times[i]
-            init = (Trajectory.constant(t0, T, points[j], N) if warm is None
-                    else _resample(warm, t0, T, N))
-            init = Trajectory(t0, T, np.vstack([points[j], init.knots[1:]]))
-            try:
-                gamma, params = epsilon_schedule(prob, dom, points[j], delta,
-                                                 N=N, init=init, eps0=eps0)
-            except (ScheduleExhausted, NonFiniteCost) as exc:
-                # the solver's own failures: record and move on; the grid
-                # stays usable.  Anything else is a bug and propagates.
-                vg.failures.append((i, j, repr(exc)))
-                warm, eps0 = None, 1.0
+    warm, eps0 = [None] * npt, [1.0] * npt
+    for i in range(nt - 2, -1, -1):
+        t0 = times[i]
+        inits = [Trajectory.constant(t0, T, x, N) if w is None
+                 else _resample(w, t0, T, N) for x, w in zip(points, warm)]
+        for j, res in enumerate(epsilon_schedule_batch(
+                prob, dom, points, delta, N=N, inits=inits, eps0s=eps0)):
+            # the solver's own failures (NonFiniteCost, ScheduleExhausted)
+            # come back per node; anything else is a bug and propagates
+            if isinstance(res, Exception):
+                vg.failures.append((i, j, repr(res)))
+                warm[j], eps0[j] = None, 1.0
                 continue
-            values[i, j] = running_cost(prob, gamma) + float(
-                prob.g(gamma.knots[-1:]).item())
-            vg.trajectories[(i, j)] = gamma
-            vg.epsilons[(i, j)] = eps0 = params.epsilon
-            warm = gamma
+            warm[j], params = res
+            values[i, j] = running_cost(prob, warm[j]) + float(
+                prob.g(warm[j].knots[-1:]).item())
+            vg.trajectories[(i, j)] = warm[j]
+            vg.epsilons[(i, j)] = eps0[j] = params.epsilon
     return vg
 
 
 def running_cost(prob: Problem, gamma: Trajectory, upto: int | None = None) -> float:
     """Trapezoid integral of f along the arc, optionally up to a knot index."""
-    m = gamma.N if upto is None else upto
-    if m == 0:
-        return 0.0
-    t = gamma.times
-    V = gamma.velocities[:m]
-    xl, xr = gamma.knots[:m], gamma.knots[1:m + 1]
-    fl = prob.f(t[:m], xl, V)
-    fr = prob.f(t[1:m + 1], xr, V)
-    return float(0.5 * gamma.dt * np.sum(fl + fr))
+    (fl, fr), = _ends(gamma, prob.f)
+    return float(0.5 * gamma.dt * np.sum((fl + fr)[:upto]))
 
 
 def lipschitz_report(vg: ValueGrid):
@@ -116,30 +108,33 @@ def dpp_check(prob: Problem, dom: Domain, vg: ValueGrid, samples: int = 10,
     """Worst gap in the two-stage decomposition of the value along computed
     optimal arcs: cost to an intermediate time plus a fresh solve from there
     should reproduce the node value.  Each tail solve starts from the node's
-    arc and at the epsilon the node certified at."""
+    arc at the node's epsilon; the tails from one time are one batch."""
     rng = rng or np.random.default_rng(5)
     keys = [k for k in vg.trajectories if np.isfinite(vg.values[k])]
     if not keys:
         return 0.0
     delta, _ = delta_choice(prob, dom)
-    worst = 0.0
     picks = rng.choice(len(keys), size=min(samples, len(keys)), replace=False)
+    tails: dict = {}  # start time -> [(node, x_mid, head, init)]
     for idx in picks:
-        i, j = keys[idx]
-        gamma = vg.trajectories[(i, j)]
+        gamma = vg.trajectories[keys[idx]]
         m = gamma.N // 2
-        t_mid = gamma.times[m]
-        x_mid = gamma.knots[m]
+        t_mid, x_mid = gamma.times[m], gamma.knots[m]
         if dom.signed_distance(x_mid) > 0.0:
             x_mid = dom.project_many(x_mid[None])[0]
-        head = running_cost(prob, gamma, upto=m)
-        init = Trajectory(t_mid, prob.horizon,
-                          np.vstack([x_mid, _resample(
-                              gamma, t_mid, prob.horizon, N).knots[1:]]))
-        tail_traj, _ = epsilon_schedule(prob, dom, x_mid, delta, N=N,
-                                        init=init,
-                                        eps0=vg.epsilons.get((i, j), 1.0))
-        tail = running_cost(prob, tail_traj) + float(
-            prob.g(tail_traj.knots[-1:]).item())
-        worst = max(worst, abs(vg.values[i, j] - (head + tail)))
+        tails.setdefault(t_mid, []).append(
+            (keys[idx], x_mid, running_cost(prob, gamma, upto=m),
+             _resample(gamma, t_mid, prob.horizon, N)))
+    worst = 0.0
+    for group in tails.values():
+        nodes, x_mids, heads, inits = zip(*group)
+        results = epsilon_schedule_batch(
+            prob, dom, x_mids, delta, N=N, inits=inits,
+            eps0s=[vg.epsilons.get(node, 1.0) for node in nodes])
+        for node, head, res in zip(nodes, heads, results):
+            if isinstance(res, Exception):
+                raise res
+            tail = running_cost(prob, res[0]) + float(
+                prob.g(res[0].knots[-1:]).item())
+            worst = max(worst, abs(vg.values[node] - (head + tail)))
     return worst

@@ -59,19 +59,19 @@ SLICE = [draw_case(_rng) for _ in range(CASES)]
 @pytest.fixture
 def warm_stalls(monkeypatch):
     """The epsilons of the warm stages (``init`` given) of the penalty
-    solver that raise MaxIterations, in call order."""
+    solver that raise MaxIterations, in call order: one per member of a
+    level of the batched epsilon ladder that stalls."""
     stalls = []
-    solve = penalty.minimize_penalized
+    solve = penalty._solve_level
 
-    def recorded(prob, dom, params, x0, init=None):
-        try:
-            return solve(prob, dom, params, x0, init=init)
-        except MaxIterations:
-            if init is not None:
-                stalls.append(params.epsilon)
-            raise
+    def recorded(prob, dom, params, x0s, inits):
+        out, steps = solve(prob, dom, params, x0s, inits)
+        eps = np.broadcast_to(params.epsilon, (len(inits),))
+        stalls.extend(float(e) for e, init, res in zip(eps, inits, out)
+                      if init is not None and isinstance(res, MaxIterations))
+        return out, steps
 
-    monkeypatch.setattr(penalty, "minimize_penalized", recorded)
+    monkeypatch.setattr(penalty, "_solve_level", recorded)
     return stalls
 
 

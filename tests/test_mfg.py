@@ -510,6 +510,21 @@ def counted(monkeypatch, module, name):
     return calls
 
 
+def counted_members(monkeypatch, module, name, arg):
+    """Replace module.name, which solves a batch whose starts are its
+    positional argument ``arg``, by a wrapper that counts the members it
+    is called with; read ``calls[0]``."""
+    calls = [0]
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += len(args[arg])
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 class TestBestResponse:
     def test_free_particles_stay_put(self):
         disk = Ball([0.0, 0.0], 1.0)
@@ -541,7 +556,8 @@ class TestBestResponse:
         c = GaussianKernelCoupling(amp=0.5, scale=0.5)
         eta = constant_measure([[0.3, 0.1], [0.5, -0.2]], [0.4, 0.6],
                                T=1.0, N=32)
-        solves = counted(monkeypatch, penalty, "minimize_penalized")
+        # one count per member of each level of the batched ladder
+        solves = counted_members(monkeypatch, penalty, "_solve_level", 3)
         warm = {}
         br = best_response(base, disk, c, eta, N=32, warm=warm)
         first = solves[0]
@@ -785,7 +801,10 @@ class TestJointEquilibrium:
         penalty._newton_finish(joint, disk, params, traj,
                                penalty.penalized_cost(joint, disk, params,
                                                       traj))
-        (D, U, g, Db, b, act), (dx, mu) = calls[0]
+        (D, U, g, Db, b, mask), (dx, mu) = calls[0]
+        # the joint finish is a batch of one: its member's system
+        D, U, g, Db, b, dx = D[0], U[0], g[0], Db[0], b[0], dx[0]
+        act, mu = np.flatnonzero(mask[0]), mu[0][mask[0]]
         assert act.size > 0 and np.any(b > 1e-5 * disk.diameter)
         H = dense_tridiag(D, U)
         C = np.zeros((act.size, g.size))
@@ -802,7 +821,8 @@ class TestJointEquilibrium:
         dom, prob, coupling, eta0 = s4_game()
         times = np.linspace(0.0, 1.0, 17)
         tol = 1e-3
-        solves = counted(monkeypatch, mfg, "epsilon_schedule")
+        solves = counted_members(monkeypatch, mfg, "epsilon_schedule_batch",
+                                 2)
         lps = counted(monkeypatch, mfg, "linprog")
         eta, history = fixed_point(prob, dom, coupling, eta0, tol=tol, N=32)
         assert len(history) <= 2 and history[-1] <= tol

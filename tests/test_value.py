@@ -132,21 +132,23 @@ class TestEpsilonReuse:
         # the pull problem's nodes certify below eps = 1; each longer solve
         # starts at the epsilon of the node that seeds it, and each DPP tail
         # at the epsilon of its node
-        calls = []
-        schedule = value.epsilon_schedule
+        calls = []  # (eps0, certified eps) per member of each batch
+        schedule = value.epsilon_schedule_batch
 
         def recording(*args, **kwargs):
-            gamma, params = schedule(*args, **kwargs)
-            calls.append((kwargs["eps0"], params.epsilon))
-            return gamma, params
+            out = schedule(*args, **kwargs)
+            eps0s = np.broadcast_to(kwargs["eps0s"], (len(out),))
+            calls.extend((float(e0), params.epsilon)
+                         for e0, (_, params) in zip(eps0s, out))
+            return out
 
-        monkeypatch.setattr(value, "epsilon_schedule", recording)
+        monkeypatch.setattr(value, "epsilon_schedule_batch", recording)
         times = [0.0, 0.25, 0.5, 1.0]
         points = [[0.0, 0.0], [0.5, 0.0]]
         vg = value.compute_value(pull_problem, disk, times, points, N=32)
         assert vg.failures == [] and len(calls) == 6
         for j in range(2):  # solves run from t = 0.5 back to t = 0
-            (a0, a), (b0, b), (c0, c) = calls[3 * j:3 * j + 3]
+            (a0, a), (b0, b), (c0, c) = calls[j::2]
             assert (a0, b0, c0) == (1.0, a, b)
             assert [vg.epsilons[(i, j)] for i in (1, 0)] == [b, c]
         assert min(eps for _, eps in calls) < 1.0
@@ -155,8 +157,8 @@ class TestEpsilonReuse:
         assert sorted(eps0 for eps0, _ in calls) == sorted(
             vg.epsilons.values())
         # the penalty is exact: the ladder from eps = 1 finds the same values
-        monkeypatch.setattr(value, "epsilon_schedule",
-                            lambda *a, eps0, **kw: schedule(*a, **kw))
+        monkeypatch.setattr(value, "epsilon_schedule_batch",
+                            lambda *a, eps0s, **kw: schedule(*a, **kw))
         again = value.compute_value(pull_problem, disk, times, points, N=32)
         assert np.max(np.abs(again.values - vg.values)) < 1e-8
 

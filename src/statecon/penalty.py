@@ -397,9 +397,11 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
     # the L-BFGS round leaves contact knots within ~1e-7 diam of b = 0; a
     # wider band pins interior knots, which are then released one by one
     band = 1e-5 * dom.diameter
-    outside, boundary = gb[:, k:] > band, np.abs(gb[:, k:]) <= band
-    mult, steps, live = np.zeros((B, N * k)), np.zeros(B, int), np.arange(B)
+    outside = gb[:, k:] > band
+    boundary = np.abs(gb[:, k:]) <= band
+    mult = np.zeros((B, N * k))
     step = np.zeros_like(X)  # knot 0 is pinned
+    steps, live = np.zeros(B, int), np.arange(B)  # live: members still going
     for _ in range(30):
         if not live.size:
             break
@@ -537,9 +539,12 @@ def _solve_level(prob: Problem, dom: Domain, params: PenaltyParams, x0s,
                          "gtol": 1e-6}).x)]
         except (Runaway, NonFiniteCost) as exc:
             return [exc], 0
-    if any(init.N != params.N for init in inits):
+    grids = {(init.t0, init.t1, init.N) for init in inits}
+    if len(grids) != 1:
+        raise ValueError("the members of a batch share one time grid")
+    (t0, t1, N), = grids
+    if N != params.N:
         raise ValueError("init grid does not match params.N")
-    (t0, t1), = {(init.t0, init.t1) for init in inits}  # one grid
     X = np.stack([init.knots for init in inits])
     X[:, 0] = x0s
     cost = penalized_cost(prob, dom, replace(params, epsilon=eps),
@@ -554,11 +559,12 @@ def _solve_level(prob: Problem, dom: Domain, params: PenaltyParams, x0s,
                                  cost[run])
     stat, ok, bmax = _certificate(prob, dom, sub, traj)
     for j, i in enumerate(run):
-        out[i] = (MaxIterations(f"stationarity stalled at {stat[j]:.3e}")
-                  if not ok[j] else
-                  Runaway("minimizer left the tube; epsilon is too large")
-                  if bmax[j] > leash else
-                  Trajectory(t0, t1, traj.knots[j]))
+        if not ok[j]:
+            out[i] = MaxIterations(f"stationarity stalled at {stat[j]:.3e}")
+        elif bmax[j] > leash:
+            out[i] = Runaway("minimizer left the tube; epsilon is too large")
+        else:
+            out[i] = Trajectory(t0, t1, traj.knots[j])
     return out, int(np.sum(steps))
 
 

@@ -225,7 +225,8 @@ class Ellipse(Domain):
         an Ellipse, an Ellipsoid, or a Hyperellipsoid", Geometric Tools; his
         t is u - a^2).  Either term alone is >= 1 at u0 = max(a q_a,
         A q_A - c), so e(u0) >= 0 and Newton steps from u0 rise monotonically
-        to the root; they stop once every step is below 1e-15 u.  Solving for
+        to the root.  Each point stops after its first step of at most
+        1e-15 u, so its result does not depend on the batch.  Solving for
         u rather than t keeps a^2 q_a / u accurate near the major axis, where
         t + a^2 would cancel.  On the major axis itself the closed form is
         used: the nearest point leaves the vertex inside the evolute cusp at
@@ -246,14 +247,17 @@ class Ellipse(Domain):
         off = ~axis
         wa, wA = a * qa[off], A * qA[off]
         u = np.maximum(wa, wA - c)
+        go = np.arange(u.size)  # the points still stepping
         for _ in range(64):
-            ra, rA = wa / u, wA / (u + c)
+            ug, wag, wAg = u[go], wa[go], wA[go]
+            ra, rA = wag / ug, wAg / (ug + c)
             e = ra * ra + rA * rA - 1.0
             # rounding may leave e slightly negative at the root
-            step = np.maximum(e / (2.0 * (ra * ra / u + rA * rA / (u + c))),
+            step = np.maximum(e / (2.0 * (ra * ra / ug + rA * rA / (ug + c))),
                               0.0)
-            u = u + step
-            if np.all(step <= 1e-15 * u):
+            u[go] = ug = ug + step
+            go = go[step > 1e-15 * ug]
+            if not go.size:
                 break
         P[off, lo] = a * a * qa[off] / u
         P[off, hi] = A * A * qA[off] / (u + c)

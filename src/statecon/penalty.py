@@ -21,7 +21,7 @@ FEASIBILITY_TOL_FACTOR = 1e-6
 MAX_HALVINGS = 40
 
 log = logging.getLogger("statecon")
-rounds = logging.getLogger("statecon.ladder")  # a line per ladder round
+rounds = logging.getLogger("statecon.ladder")  # per ladder and cold round
 
 
 class MaxIterations(RuntimeError):
@@ -495,7 +495,10 @@ def _solve_level(prob: Problem, dom: Domain, params: PenaltyParams, x0s,
     """One level of the epsilon ladder: member i, pinned at x0s[i], starts
     from inits[i] at ``params.epsilon[i]``; one Newton finish solves all.
     Only a batch of one starts cold (init None), after one L-BFGS-B round
-    at gtol 1e-6 from the constant trajectory.  Returns per member its
+    at gtol 1e-6 from the constant trajectory, logged on ``statecon.ladder``.
+    The round runs on the scaled increments w_i = (x_i - x_{i-1}) / sqrt(dt),
+    in which the action's Hessian is the fvv blocks whatever N (on the knots
+    its condition number grows as N^2).  Returns per member its
     certified trajectory or MaxIterations, Runaway (the result or an
     accepted L-BFGS-B iterate is a diameter outside) or NonFiniteCost, and
     the Newton steps."""
@@ -512,33 +515,40 @@ def _solve_level(prob: Problem, dom: Domain, params: PenaltyParams, x0s,
         if B != 1:
             raise ValueError("only a batch of one starts cold")
         solo, last = replace(params, epsilon=float(eps[0])), {}
+        sq = np.sqrt(prob.horizon / params.N)
 
-        def knots(z):
-            return Trajectory(0.0, prob.horizon,
-                              np.vstack([x0s[0], z.reshape(params.N, -1)]))
+        def knots(w):
+            # x_i = x_0 + sqrt(dt) (w_1 + ... + w_i)
+            X = x0s[0] + sq * np.cumsum(w.reshape(params.N, -1), axis=0)
+            return Trajectory(0.0, prob.horizon, np.vstack([x0s[0], X]))
 
-        def objective(z):
-            c, G, geo = _cost_and_grad(prob, dom, solo, knots(z))
+        def objective(w):
+            c, G, geo = _cost_and_grad(prob, dom, solo, knots(w))
             if not np.isfinite(c):
                 raise NonFiniteCost(f"penalized cost became {c}")
-            last.update(z=z.copy(), bmax=np.max(geo.b))
-            return c, G[1:].ravel()
+            last.update(w=w.copy(), bmax=np.max(geo.b))
+            # w_j moves knots j..N
+            return c, sq * np.cumsum(G[:0:-1], axis=0)[::-1].ravel()
 
-        def leash_check(z):
+        def leash_check(w):
             # L-BFGS-B reports the last point it evaluated as its new iterate
-            bmax = (last["bmax"] if np.array_equal(z, last["z"])
-                    else np.max(dom.eval(knots(z).knots, hess=False).b))
+            bmax = (last["bmax"] if np.array_equal(w, last["w"])
+                    else np.max(dom.eval(knots(w).knots, hess=False).b))
             if bmax > leash:
                 raise Runaway("iterates left the tube; epsilon is too large")
 
         try:
-            inits = [knots(_scipy_minimize(
-                objective, np.tile(x0s[0], params.N), jac=True,
+            res = _scipy_minimize(
+                objective, np.zeros(x0s[0].size * params.N), jac=True,
                 method="L-BFGS-B", callback=leash_check,
                 options={"maxiter": 100000, "maxcor": 20, "ftol": 1e-18,
-                         "gtol": 1e-6}).x)]
+                         "gtol": 1e-6})
         except (Runaway, NonFiniteCost) as exc:
             return [exc], 0
+        rounds.info("cold L-BFGS-B round (eps=%g, N=%d): %d iterations, "
+                    "%d evaluations, %s", eps[0], params.N, res.nit, res.nfev,
+                    res.message)
+        inits = [knots(res.x)]
     grids = {(init.t0, init.t1, init.N) for init in inits}
     if len(grids) != 1:
         raise ValueError("the members of a batch share one time grid")
@@ -615,9 +625,8 @@ def epsilon_schedule_batch(prob: Problem, dom: Domain, x0s, delta: float,
     ``_solve_level``, logged on ``statecon.ladder``.  Members share numpy
     calls, not iterates: each gets the floats of its batch-of-one solve if
     the problem treats rows one by one (a matrix-vector product over 8 or
-    more columns may not, nor the ``Ellipse`` projection).  Returns per
-    member its trajectory and final parameters, or the NonFiniteCost or
-    ScheduleExhausted that ended it."""
+    more columns may not).  Returns per member its trajectory and final
+    parameters, or the NonFiniteCost or ScheduleExhausted that ended it."""
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     B = x0s.shape[0]
     eps, tau = np.ones(B) * eps0s, FEASIBILITY_TOL_FACTOR * dom.diameter

@@ -56,13 +56,23 @@ def s4_round():
     return single, dom, x0s, delta_choice(single, dom)[0], N, inits
 
 
+def s3_starts():
+    """Eight starts in S3's ellipse at N = 32, from the constant trajectory:
+    the ellipse projection iterates until each point has converged, and no
+    point may take the steps of another."""
+    _, dom, prob = scenario("S3")
+    x0s = dom.sample_closure(np.random.default_rng(5), 8)
+    inits = [Trajectory.constant(0.0, prob.horizon, x, 32) for x in x0s]
+    return prob, dom, x0s, delta_choice(prob, dom)[0], 32, inits
+
+
 def same_floats(a, b):
     (ga, pa), (gb, pb) = a, b
     return np.array_equal(ga.knots, gb.knots) and pa.epsilon == pb.epsilon
 
 
-@pytest.mark.parametrize("case", [s2_slice, s4_round],
-                         ids=["s2-slice", "s4-round"])
+@pytest.mark.parametrize("case", [s2_slice, s4_round, s3_starts],
+                         ids=["s2-slice", "s4-round", "s3-starts"])
 def test_each_member_is_its_batch_of_one_solve(case):
     prob, dom, x0s, delta, N, inits = case()
     batch = epsilon_schedule_batch(prob, dom, x0s, delta, N=N, inits=inits)

@@ -17,13 +17,15 @@ from statecon import (Ball, Ellipse, LinearPotential, LinearTerminal,
                       recover_adjoint)
 from statecon import penalty
 
-# the cold L-BFGS-B rounds of cases 0 and 6 take most of the run time
+# per-case times on 2 shared vCPUs: case 6 1.2-1.3 s (cold L-BFGS-B rounds
+# of 113 and 624 iterations, at eps = 1 and after the stall below), case 4
+# 1.0-1.1 s (465 iterations), case 0 0.8-0.9 s when run first (it imports
+# scipy.optimize), case 3 0.5-0.6 s and every other case below 0.4 s
 CASES = 8
 # warm stages that raise MaxIterations, by case: the epsilons at which they
 # stall.  Case 6 (a smoothed box, N = 32) is the Newton finish's "no
 # decrease" stall: from the eps = 0.5 minimizer the first step at eps = 0.25
 # finds no decrease at any trial step, and the ladder certifies at 0.125.
-# (Case 0's first, cold level stalls too; the ladder certifies at 0.5.)
 KNOWN_WARM_STALLS = {6: [0.25]}
 
 

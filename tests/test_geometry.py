@@ -103,6 +103,31 @@ class TestProjection:
         P = ellipse.project_many(np.array([[0.452139526, y]]))
         assert abs(ellipse.b_many(P)[0]) <= 1e-12 * ellipse.diameter
 
+    @pytest.mark.parametrize("axes", [[2.0, 1.0], [0.6, 2.5]])
+    def test_ellipse_batch_rows_match_single_rows(self, axes):
+        # each point's projection must not depend on the points evaluated
+        # with it: random points, points a hair off the major axis and
+        # points around the evolute cusps, where Newton takes the most steps
+        dom = Ellipse([0.3, -0.2], axes)
+        rng = np.random.default_rng(11)
+        lo, hi = dom.bounding_box()
+        major = int(np.argmax(axes))
+        cusp = np.zeros(2)
+        cusp[major] = (max(axes) ** 2 - min(axes) ** 2) / max(axes)
+        near_axis = np.zeros((600, 2))
+        near_axis[:, major] = rng.uniform(-1.2, 1.2, 600) * max(axes)
+        near_axis[:, 1 - major] = (rng.choice([-1.0, 1.0], 600)
+                                   * 10.0 ** rng.uniform(-15, -1, 600))
+        around_cusp = (rng.choice([-1.0, 1.0], (600, 1)) * cusp
+                       + rng.standard_normal((600, 2))
+                       * 10.0 ** rng.uniform(-12, -1, (600, 1)))
+        X = np.vstack([rng.uniform(lo - 1.0, hi + 1.0, (1200, 2)),
+                       near_axis + dom.center, around_cusp + dom.center])
+        batch = dom.eval(X)
+        for i, x in enumerate(X):
+            for got, want in zip(batch, dom.eval(x)):
+                assert np.array_equal(got[i], want[0], equal_nan=True), (i, x)
+
     def test_fused_eval_matches_public_methods(self, shapes):
         for dom in shapes.values():
             X = tube_points(dom, 200)

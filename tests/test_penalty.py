@@ -412,6 +412,36 @@ class TestSchedule:
         assert params.epsilon < 1.0  # the ladder took more than one level
         assert lbfgs_calls[0] == 1
 
+    @pytest.mark.parametrize("shape, pull, M, N", [
+        ("ellipse", [-1.5, -3.0], 12.0, 64),  # S3 at N = 64
+        ("disk", [-3.0, 0.0], 9.0, 256)])  # S1
+    def test_cold_round_iterations_do_not_grow_with_N(
+            self, shapes, monkeypatch, caplog, shape, pull, M, N):
+        # on scaled increments the action's Hessian is the fvv blocks at
+        # every N: 28 (S3) and 21 (S1) iterations here, against 294 and 738
+        # on the raw knots, whose Hessian's condition number grows as N^2
+        results = []
+        minimize = penalty._scipy_minimize
+
+        def recorded(*args, **kwargs):
+            results.append(minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(penalty, "_scipy_minimize", recorded)
+        dom = shapes[shape]
+        prob = quadratic_problem(2, potential=LinearPotential(pull), T=1.0,
+                                 M=M, kappa=0.0)
+        delta, _ = delta_choice(prob, dom)
+        with caplog.at_level(logging.INFO, logger="statecon"):
+            epsilon_schedule(prob, dom, np.zeros(2), delta, N=N)
+        (res,) = results
+        assert res.nit <= 80
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "statecon.ladder" and "L-BFGS-B" in
+                 r.getMessage()]
+        assert lines == [f"cold L-BFGS-B round (eps=1, N={N}): {res.nit} "
+                         f"iterations, {res.nfev} evaluations, {res.message}"]
+
     def test_feasible(self, solved):
         prob, disk, gamma, params = solved
         assert feasibility_gap(disk, gamma) <= 1e-6 * disk.diameter

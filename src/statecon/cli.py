@@ -97,10 +97,12 @@ def build_domain(cfg: dict) -> Domain:
 
 
 def _grid_size(value, least: int, key: str) -> int:
-    """``value`` as a grid size, which the solver needs to be >= ``least``."""
-    if int(value) < least:
-        raise ConfigError(f"{key} must be at least {least}, got {value}")
-    return int(value)
+    """``value`` as a grid size, which the solver needs to be an integer
+    >= ``least``."""
+    if not isinstance(value, int) or value < least:
+        raise ConfigError(f"{key} must be an integer >= {least}, got "
+                          f"{value!r}")
+    return value
 
 
 def build_problem(cfg: dict, dom: Domain):
@@ -221,7 +223,9 @@ def cmd_mfg(cfg, out: Path, args) -> int:
     vt, pts = _node_grid(
         dom, prob.horizon,
         _grid_size(vc.get("n_times", 3), 2, "mfg.value.n_times"),
-        int(vc.get("n_points", 5)))
+        _grid_size(vc.get("n_points", 5), 2, "mfg.value.n_points"))
+    if not pts.size:
+        raise ConfigError("the mild-solution grid needs a node in the domain")
     value_N = _grid_size(vc.get("N", 32), 8, "mfg.value.N")
     try:
         atoms = np.asarray(mc["m0"]["points"], dtype=float)

@@ -238,25 +238,27 @@ class GaussianKernelCoupling:
         self.kappa = ((amp + terminal_amp) * np.exp(-0.5) / scale)
 
     def _bump(self, D, w, amp, order):
-        """sum_j w_j phi(D_j) for the bump phi(d) = amp exp(-|d|^2 / 2 s^2)
-        over the displacement stack D (m, k, n) (order 0), its gradient
-        -sum_j w_j phi(D_j) D_j / s^2 (order 1) or its Hessian
-        sum_j w_j phi(D_j) (D_j D_j^T / s^4 - I / s^2) (order 2)."""
+        """Up to ``order``, from one evaluation of the bump
+        phi(d) = amp exp(-|d|^2 / 2 s^2) over the displacement stack
+        D (m, k, n): the list of sum_j w_j phi(D_j), its gradient
+        -sum_j w_j phi(D_j) D_j / s^2 and its Hessian
+        sum_j w_j phi(D_j) (D_j D_j^T / s^4 - I / s^2)."""
         s2 = self.scale ** 2
         phi = amp * np.exp(-0.5 * np.sum(D * D, axis=2) / s2)
-        if order == 0:  # one sum per row, whatever the number of rows
-            return np.einsum("mk,k->m", phi, w)
-        if order == 1:
-            return np.einsum("mk,mkn->mn", phi * w, -D / s2)
-        wphi = phi * w
-        H = np.einsum("mki,mkj->mij", D * wphi[:, :, None], D) / s2 ** 2
-        H -= (wphi.sum(axis=1) / s2)[:, None, None] * np.eye(D.shape[2])
-        return H
+        # one sum per row, whatever the number of rows
+        out, wphi = [np.einsum("mk,k->m", phi, w)], phi * w
+        if order >= 1:
+            out.append(np.einsum("mk,mkn->mn", wphi, -D / s2))
+        if order >= 2:
+            H = np.einsum("mki,mkj->mij", D * wphi[:, :, None], D) / s2 ** 2
+            H -= (wphi.sum(axis=1) / s2)[:, None, None] * np.eye(D.shape[2])
+            out.append(H)
+        return out
 
     def _at(self, X, m: DiscreteMeasure, amp, order):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return self._bump(X[:, None, :] - m.points[None, :, :], m.weights,
-                          amp, order)
+                          amp, order)[order]
 
     def F(self, X, m: DiscreteMeasure):
         return self._at(X, m, self.amp, 0)
@@ -295,19 +297,14 @@ def flow_speed_bound(eta: TrajectoryMeasure, times) -> float:
 
 def coupled_problem(prob: Problem, dom: Domain, coupling,
                     eta: TrajectoryMeasure) -> Problem:
-    """Single-agent problem against the frozen population flow of eta."""
+    """Single-agent problem against the frozen population flow of eta: the
+    coupling against the population at time t is its state-only running
+    cost V."""
     T = prob.horizon
 
-    def against_flow(base, order):
-        # the base problem's term plus the coupling's order-th derivative
-        # against the population at time t
-        def fn(t, x, v):
-            X = np.atleast_2d(x)
-            t1 = np.broadcast_to(np.asarray(t, dtype=float), (X.shape[0],))
-            D = X[:, None, :] - eta.positions_at(np.clip(t1, 0.0, T))
-            return base(t, x, v) + coupling._bump(D, eta.weights,
-                                                  coupling.amp, order)
-        return fn
+    def V(t, x, order):
+        D = x[:, None, :] - eta.positions_at(np.clip(t, 0.0, T))
+        return coupling._bump(D, eta.weights, coupling.amp, order)
 
     mT = evaluate_flow(eta, [T]).measures[0]
 
@@ -322,11 +319,10 @@ def coupled_problem(prob: Problem, dom: Domain, coupling,
     lipm = flow_speed_bound(eta, grid)
     M = prob.M + coupling.amp + coupling.terminal_amp + coupling.kappa
     kappa = prob.kappa + coupling.kappa * lipm
-    return Problem(f=against_flow(prob.f, 0), fx=against_flow(prob.fx, 1),
-                   fv=prob.fv, fvv=prob.fvv, fvx=prob.fvx,
-                   g=at_end(prob.g, 0), Dg=at_end(prob.Dg, 1), horizon=T,
-                   dim=prob.dim, mu=prob.mu, M=M, kappa=kappa,
-                   fxx=against_flow(prob.fxx, 2), D2g=at_end(prob.D2g, 2))
+    return Problem(f=prob.f, fx=prob.fx, fv=prob.fv, fvv=prob.fvv,
+                   fvx=prob.fvx, g=at_end(prob.g, 0), Dg=at_end(prob.Dg, 1),
+                   horizon=T, dim=prob.dim, mu=prob.mu, M=M, kappa=kappa,
+                   fxx=prob.fxx, D2g=at_end(prob.D2g, 2), V=V)
 
 
 def best_response(prob: Problem, dom: Domain, coupling,
@@ -361,13 +357,14 @@ def potential_problem(prob: Problem, coupling, weights) -> Problem:
     """The potential of the game as one problem on the stacked state
     X = (x_1, ..., x_k) of k agents with weights w:
 
-        f(t, X, V) = sum_i w_i f(t, x_i, v_i)
-                     + 1/2 sum_ij w_i w_j phi(x_i - x_j),
+        f(t, X, U) = sum_i w_i f(t, x_i, u_i) + V(X),
+        V(X) = 1/2 sum_ij w_i w_j phi(x_i - x_j),
         g(X) = sum_i w_i g(x_i) + 1/2 sum_ij w_i w_j phi_T(x_i - x_j),
 
-    phi and phi_T the coupling's running and terminal bumps.  The kernels
-    are even, so agent i's block of the gradient is w_i times its own
-    first-order condition against the flow of all k agents, and the block
+    U = (u_1, ..., u_k) the stacked velocity, phi and phi_T the coupling's
+    running and terminal bumps, V the problem's state-only running cost.
+    The kernels are even, so agent i's block of the gradient is w_i times
+    its own first-order condition against the flow of all k agents, and the block
     (i, j) of the state Hessian gains -w_i w_j D2phi(x_i - x_j) (Benamou,
     Carlier & Santambrogio, "Variational Mean Field Games", 2017).
     """
@@ -384,43 +381,45 @@ def potential_problem(prob: Problem, coupling, weights) -> Problem:
         out = out.reshape(m, k, *out.shape[1:])
         return out * w.reshape((1, k) + (1,) * (out.ndim - 2))
 
-    def pair_term(X, amp, order):
-        # 1/2 sum_ij w_i w_j phi(x_i - x_j) (order 0), its gradient (m, k n)
-        # or its Hessian (m, k n, k n), from the bump's derivatives per pair
+    def pair_terms(X, amp, order):
+        # up to order: 1/2 sum_ij w_i w_j phi(x_i - x_j), its gradient
+        # (m, k n) and its Hessian (m, k n, k n), from the bump per pair
         Xs = np.atleast_2d(X).reshape(-1, k, n)
         D = (Xs[:, :, None] - Xs[:, None]).reshape(-1, 1, n)
-        P = coupling._bump(D, np.ones(1), amp, order)
-        P = (P.reshape(-1, k, k, *P.shape[1:])
-             * np.outer(w, w).reshape((k, k) + (1,) * order))
-        if order == 0:
-            return 0.5 * P.sum(axis=(1, 2))
-        if order == 1:
-            return P.sum(axis=2).reshape(-1, k * n)
-        H = -P.transpose(0, 1, 3, 2, 4)
-        H[:, diag, :, diag, :] += P.sum(axis=2).transpose(1, 0, 2, 3)
-        return H.reshape(-1, k * n, k * n)
+        out = []
+        for j, P in enumerate(coupling._bump(D, np.ones(1), amp, order)):
+            P = (P.reshape(-1, k, k, *P.shape[1:])
+                 * np.outer(w, w).reshape((k, k) + (1,) * j))
+            if j == 0:
+                out.append(0.5 * P.sum(axis=(1, 2)))
+            elif j == 1:
+                out.append(P.sum(axis=2).reshape(-1, k * n))
+            else:
+                H = -P.transpose(0, 1, 3, 2, 4)
+                H[:, diag, :, diag, :] += P.sum(axis=2).transpose(1, 0, 2, 3)
+                out.append(H.reshape(-1, k * n, k * n))
+        return out
 
-    def joint(fn, order, amp=None):
-        # fn's value (order 0), gradient or Hessian in the stacked state,
-        # plus the pair term of the bump with amplitude amp, if given
+    def joint(fn, order):
+        # fn's value (order 0), gradient or Hessian in the stacked state
         def out(t, X, V):
             A = agents(fn, t, X, V)
-            A = (A.sum(axis=1) if order == 0 else A.reshape(-1, k * n)
-                 if order == 1 else _block_diag(A))
-            return A if amp is None else A + pair_term(X, amp, order)
+            return (A.sum(axis=1) if order == 0 else A.reshape(-1, k * n)
+                    if order == 1 else _block_diag(A))
         return out
 
     def terminal(fn, order):
-        cost = joint(lambda t, x, v: fn(x), order, coupling.terminal_amp)
-        return lambda X: cost(0.0, X, X)
+        cost = joint(lambda t, x, v: fn(x), order)
+        return lambda X: cost(0.0, X, X) + pair_terms(
+            X, coupling.terminal_amp, order)[order]
 
-    amp = coupling.amp
-    return Problem(f=joint(prob.f, 0, amp), fx=joint(prob.fx, 1, amp),
+    return Problem(f=joint(prob.f, 0), fx=joint(prob.fx, 1),
                    fv=joint(prob.fv, 1), fvv=joint(prob.fvv, 2),
                    fvx=joint(prob.fvx, 2), g=terminal(prob.g, 0),
                    Dg=terminal(prob.Dg, 1), horizon=prob.horizon, dim=k * n,
                    mu=prob.mu, M=prob.M, kappa=prob.kappa,
-                   fxx=joint(prob.fxx, 2, amp), D2g=terminal(prob.D2g, 2))
+                   fxx=joint(prob.fxx, 2), D2g=terminal(prob.D2g, 2),
+                   V=lambda t, X, order: pair_terms(X, coupling.amp, order))
 
 
 def joint_equilibrium(prob: Problem, dom: Domain, coupling,

@@ -106,6 +106,13 @@ class Problem:
     The state Hessians ``fxx`` and ``D2g`` are required: with them the
     discrete action has an exact Hessian, on which the penalty solver
     finishes every minimization with Newton steps.
+
+    ``V``, if given, is a state-only running cost: V(t, x, order) returns
+    [value (m,), gradient (m, n), Hessian (m, n, n)][:order + 1] from one
+    evaluation.  The ``f``, ``fx`` and ``fxx`` passed in are then the
+    velocity-dependent rest, kept as ``rest``, and the fields become the
+    full rest + V (so ``dataclasses.replace`` keeping V adds it twice).
+    The discrete action evaluates V once per knot.
     """
 
     f: Callable          # (t, x, v) -> (m,)
@@ -123,6 +130,7 @@ class Problem:
     fxx: Callable        # (t, x, v) -> (m, n, n), d2f/dx_i dx_j
     D2g: Callable        # (x,) -> (m, n, n)
     coefficients: dict = field(default_factory=dict)
+    V: Callable | None = None  # (t (m,), x (m, n), order) -> list, see above
 
     def __post_init__(self):
         if self.mu < 1:
@@ -131,6 +139,11 @@ class Problem:
             raise ValueError("kappa must be >= 0")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
+        self.rest = (self.f, self.fx, self.fxx)
+        if self.V is not None:
+            def full(rest, k, V=self.V):  # rest plus V's k-th derivative
+                return lambda t, x, v: rest(t, x, v) + V(*_batch(t, x), k)[k]
+            self.f, self.fx, self.fxx = map(full, self.rest, range(3))
 
 
 def quadratic_problem(dim: int, *, A=None, potential=None, terminal=None,
@@ -233,6 +246,11 @@ class Hamiltonian:
     def legendre_many(self, t, x, p):
         """Batched conjugate: returns (H values (m,), maximizers v* (m, n))."""
         t, x, p = _batch(t, x, p)
+        v = self._maximizer(t, x, p)
+        return -np.einsum("mi,mi->m", p, v) - self.prob.f(t, x, v), v
+
+    def _maximizer(self, t, x, p):
+        """v* by Newton's method on p + fv(t, x, v) = 0."""
         v = -p.copy()  # exact for f = |v|^2/2; good start in general
         for _ in range(50):
             r = p + self.prob.fv(t, x, v)
@@ -245,14 +263,13 @@ class Hamiltonian:
             if np.max(np.linalg.norm(r, axis=1)) >= 1e-8:
                 raise NewtonDiverged("conjugate maximization did not converge; "
                                      "check uniform convexity of the data")
-        H = -np.einsum("mi,mi->m", p, v) - self.prob.f(t, x, v)
-        return H, v
+        return v
 
     def value_many(self, t, x, p):
         return self.legendre_many(t, x, p)[0]
 
     def DpH_many(self, t, x, p):
-        return -self.legendre_many(t, x, p)[1]
+        return -self._maximizer(*_batch(t, x, p))
 
     def derivs_many(self, t, x, p) -> HamiltonianDerivs:
         """All first derivatives of H and the second derivatives in p, from

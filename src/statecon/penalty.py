@@ -171,20 +171,46 @@ def _at_end(fn, X):
     return out.reshape(X.shape[:-2] + out.shape[1:])
 
 
+def _knot_V(prob: Problem, gamma: Trajectory, order: int):
+    """prob.V to ``order`` at every knot of every member (None without V)."""
+    if prob.V is None:
+        return None
+    X = gamma.knots
+    t = np.broadcast_to(gamma.times, X.shape[:-1]).ravel()
+    return [a.reshape(X.shape[:-1] + a.shape[1:])
+            for a in prob.V(t, X.reshape(-1, X.shape[-1]), order)]
+
+
+def running_cost(prob: Problem, gamma: Trajectory, upto: int | None = None,
+                 Vk=None):
+    """Trapezoid integral of f along each member's arc, optionally up to a
+    knot index: the rest of f at both interval ends, V (``Vk``, if
+    evaluated) once per knot."""
+    (fl, fr), = _ends(gamma, prob.rest[0])
+    if prob.V is not None:
+        V = (Vk or _knot_V(prob, gamma, 0))[0]
+        fl, fr = fl + V[..., :-1], fr + V[..., 1:]
+    return 0.5 * gamma.dt * np.sum((fl + fr)[..., :upto], axis=-1)
+
+
 def penalized_cost(prob: Problem, dom: Domain, params: PenaltyParams,
                    gamma: Trajectory):
     return _cost_and_grad(prob, dom, params, gamma, need_grad=False)[0]
 
 
-def _action_grad(prob: Problem, gamma: Trajectory) -> np.ndarray:
+def _action_grad(prob: Problem, gamma: Trajectory, Vk=None) -> np.ndarray:
     """Gradient of the discrete action (running plus terminal cost, no
-    distance penalties) with respect to all knots, per member."""
+    distance penalties) with respect to all knots, per member; ``Vk`` is
+    V at the knots to order >= 1, if evaluated."""
     dt = gamma.dt
     G = np.zeros(gamma.knots.shape)
     # state dependence of the running cost
-    (fxl, fxr), fv = _ends(gamma, prob.fx, prob.fv)
+    (fxl, fxr), fv = _ends(gamma, prob.rest[1], prob.fv)
     G[..., :-1, :] += 0.5 * dt * fxl
     G[..., 1:, :] += 0.5 * dt * fxr
+    if prob.V is not None:
+        G += (_trapezoid_weights(gamma.N, dt)[:, None]
+              * (Vk or _knot_V(prob, gamma, 1))[1])
     # velocity dependence: v_i = (x_{i+1} - x_i)/dt couples both interval ends
     fvsum = 0.5 * np.add(*fv)
     G[..., 1:, :] += fvsum
@@ -193,14 +219,15 @@ def _action_grad(prob: Problem, gamma: Trajectory) -> np.ndarray:
     return G
 
 
-def _action_hessian(prob: Problem, gamma: Trajectory):
+def _action_hessian(prob: Problem, gamma: Trajectory, Vk=None):
     """Exact Hessian of the discrete action (running plus terminal cost) with
     respect to the free knots 1..N, which is block-tridiagonal: returns its
     (..., N, m, m) diagonal blocks and its (..., N - 1, m, m) upper blocks
     (knot i, knot i + 1), m the knot's dimension.  Interval i contributes
     dt/2 [f(t_i, x_i, v_i) + f(t_{i+1}, x_{i+1}, v_i)] with
     v_i = (x_{i+1} - x_i)/dt, so its blocks come from fxx, fvx and fvv at
-    both interval ends; D2g adds to the last knot."""
+    both interval ends (V's Hessian, from ``Vk`` if evaluated, once per
+    knot); D2g adds to the last knot."""
     X, dt = gamma.knots, gamma.dt
     # fvx entry [i, j] = d2f/dv_i dx_j
     fvv, (Bl, Br) = _ends(gamma, prob.fvv, prob.fvx)
@@ -208,9 +235,12 @@ def _action_hessian(prob: Problem, gamma: Trajectory):
     del fvv  # free it before the state Hessians are evaluated
     Blt, Brt = Bl.swapaxes(-1, -2), Br.swapaxes(-1, -2)
     diag = np.zeros(X.shape + X.shape[-1:])
-    (Hl, Hr), = _ends(gamma, prob.fxx)
+    (Hl, Hr), = _ends(gamma, prob.rest[2])
     diag[..., :-1, :, :] += K - 0.5 * (Bl + Blt) + 0.5 * dt * Hl
     diag[..., 1:, :, :] += K + 0.5 * (Br + Brt) + 0.5 * dt * Hr
+    if prob.V is not None:
+        diag += (_trapezoid_weights(gamma.N, dt)[:, None, None]
+                 * (Vk or _knot_V(prob, gamma, 2))[2])
     diag[..., -1, :, :] += _at_end(prob.D2g, X)
     upper = 0.5 * (Blt - Br) - K  # block (knot i, knot i+1)
     return diag[..., 1:, :, :], upper[..., 1:, :, :]
@@ -271,19 +301,19 @@ def _cost_and_grad(prob: Problem, dom: Domain, params: PenaltyParams,
     X, dt, eps = gamma.knots, gamma.dt, np.asarray(params.epsilon)
     if geo is None:
         geo = dom.eval(X.reshape(-1, dom.dim), hess=False)
-    (fl, fr), = _ends(gamma, prob.f)
+    Vk = _knot_V(prob, gamma, int(need_grad))
     # per knot, the penalty-weighted distance of its points
     d = np.maximum(geo.b, 0.0).reshape(X.shape[:-1] + (-1,)) @ params.weights
     w = _trapezoid_weights(gamma.N, dt)
     # (d w) as one dot product per member, whatever the batch size
-    cost = (0.5 * dt * np.sum(fl + fr, axis=-1)
+    cost = (running_cost(prob, gamma, Vk=Vk)
             + (d[..., None, :] @ w)[..., 0] / eps
             + d[..., -1] / params.delta
             + _at_end(prob.g, X))
     if not need_grad:
         return cost, None, geo
 
-    G = _action_grad(prob, gamma)
+    G = _action_grad(prob, gamma, Vk)
     # gradient selection of d = max(b, 0): 0 inside, Db outside, and the
     # midpoint Db/2 on the boundary band (fixed tie-break)
     tol = dom.boundary_tol
@@ -335,18 +365,22 @@ def _kkt_step(D: np.ndarray, U: np.ndarray, g: np.ndarray, Db: np.ndarray,
     free point; C has a row Db_p per point p where the mask ``act`` holds.
     Each row is eliminated in its own knot block: with u = Db/|Db|,
     Q = sum u u^T and P = I - Q, dx = y + x_p, x_p = sum -b u/|Db| and
-    (P H P + Q) y = -P (g + H x_p); then mu = -u^T (H dx + g)/|Db|.  A
-    member whose elimination meets a singular pivot gets a NaN step."""
+    (P H P + Q) y = -P (g + H x_p); then mu = -u^T (H dx + g)/|Db|.  With
+    no row in the batch that is H dx = -g and mu = 0.  A member whose
+    elimination meets a singular pivot gets a NaN step."""
     (N, m), n, args = D.shape[-3:-1], g.shape[-1], (D, U, g, Db, b, act)
-    s = np.where(act, np.linalg.norm(Db, axis=-1), 1.0)
-    nh = np.where(act[..., None], Db / s[..., None], 0.0)
-    xp = np.where(act[..., None], -(b / s)[..., None] * nh, 0.0)
-    Q = _block_diag(np.einsum("...pa,...pb->...pab", nh, nh).reshape(
-        D.shape[:-3] + (N, -1, n, n)))
-    P = np.eye(m) - Q
-    g, xp = g.reshape(D.shape[:-1]), xp.reshape(D.shape[:-1])
-    r = -np.einsum("...iab,...ib->...ia", P, g + _tridiag_matvec(D, U, xp))
     try:
+        if not np.any(act):
+            return (_tridiag_solve(D, U, -g.reshape(D.shape[:-1])),
+                    np.zeros(b.shape))
+        s = np.where(act, np.linalg.norm(Db, axis=-1), 1.0)
+        nh = np.where(act[..., None], Db / s[..., None], 0.0)
+        xp = np.where(act[..., None], -(b / s)[..., None] * nh, 0.0)
+        Q = _block_diag(np.einsum("...pa,...pb->...pab", nh, nh).reshape(
+            D.shape[:-3] + (N, -1, n, n)))
+        P = np.eye(m) - Q
+        g, xp = g.reshape(D.shape[:-1]), xp.reshape(D.shape[:-1])
+        r = -np.einsum("...iab,...ib->...ia", P, g + _tridiag_matvec(D, U, xp))
         dx = _tridiag_solve(P @ D @ P + Q,
                             P[..., :-1, :, :] @ U @ P[..., 1:, :, :], r) + xp
     except np.linalg.LinAlgError:  # solve the members one by one
@@ -406,8 +440,9 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
         if not live.size:
             break
         front = Trajectory(t0, t1, X[_part(live, B)])
-        grad = _action_grad(prob, front)[:, 1:].reshape(live.size, -1, n)
-        H, U = _action_hessian(prob, front)
+        Vk = _knot_V(prob, front, 2)  # for the gradient and the Hessian
+        grad = _action_grad(prob, front, Vk)[:, 1:].reshape(live.size, -1, n)
+        H, U = _action_hessian(prob, front, Vk)
         dx = np.empty((live.size, N, k * n))
         todo = np.arange(live.size)
         while todo.size:  # re-solve until no boundary multiplier releases
@@ -418,13 +453,13 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
                          grad[sel])
             # curvature only where the penalty acts: inside knots may sit on
             # a focal point, where D2b is inf/NaN
-            curved = out | bnd
-            curv = np.zeros(Db.shape + (n,))
-            curv[curved] = (np.where(out, cM, mult[M])[curved, None, None]
-                            * gD2b[M, k:][curved])
-            dx[sel], mu = _kkt_step(
-                H[sel] + _block_diag(curv.reshape(-1, N, k, n, n)),
-                U[sel], g, Db, b, bnd)
+            curved, Hs = out | bnd, H[sel]
+            if np.any(curved):
+                curv = np.zeros(Db.shape + (n,))
+                curv[curved] = (np.where(out, cM, mult[M])[curved, None, None]
+                                * gD2b[M, k:][curved])
+                Hs = Hs + _block_diag(curv.reshape(-1, N, k, n, n))
+            dx[sel], mu = _kkt_step(Hs, U[sel], g, Db, b, bnd)
             # a multiplier out of [0, c] releases its point only toward the
             # side it sits on, which keeps the step a descent direction
             low = bnd & (mu < -1e-10 * cM) & (b <= dom.boundary_tol)
@@ -589,20 +624,23 @@ def minimize_penalized(prob: Problem, dom: Domain, params: PenaltyParams,
     return gamma
 
 
-def delta_choice(prob: Problem, dom: Domain, samples: int = 2048,
-                 rng: np.random.Generator | None = None):
+def delta_choice(prob: Problem, dom: Domain, samples: int = 2048):
     """Terminal penalty weight delta = min(1 / (2 mu N), 1), where N is the
-    largest terminal drift speed |DpH(T, x, Dg(x))| over the tube.
+    largest terminal drift speed |DpH(T, x, Dg(x))| over the nodes of a
+    regular grid, about ``samples`` nodes on the bounding box grown by
+    rho0, that lie in the tube-extended set b < rho0.
 
     Returns (delta, measured N).
     """
     from .model import Hamiltonian
 
-    rng = rng or np.random.default_rng(3)
-    ham = Hamiltonian(prob)
-    x = dom.sample_extended(rng, samples)
-    p = prob.Dg(x)
-    speed = np.linalg.norm(ham.DpH_many(prob.horizon, x, p), axis=1)
+    lo, hi = dom.bounding_box()
+    axes = np.linspace(lo - dom.rho0, hi + dom.rho0,
+                       max(2, int(np.ceil(samples ** (1.0 / dom.dim)))))
+    x = np.stack(np.meshgrid(*axes.T, indexing="ij"), -1).reshape(-1, dom.dim)
+    x = x[dom.b_many(x) < dom.rho0 * (1.0 - 1e-12)]
+    speed = np.linalg.norm(Hamiltonian(prob).DpH_many(prob.horizon, x,
+                                                      prob.Dg(x)), axis=1)
     Nm = float(np.max(speed))
     if Nm == 0.0:
         return 1.0, 0.0

@@ -13,8 +13,8 @@ import numpy as np
 
 from .geometry import Domain
 from .model import Problem
-from .penalty import (Trajectory, _ends, delta_choice,
-                      epsilon_schedule_batch)
+from .penalty import (Trajectory, delta_choice, epsilon_schedule_batch,
+                      running_cost)
 
 
 @dataclass
@@ -60,6 +60,7 @@ def compute_value(prob: Problem, dom: Domain, times, points,
         t0 = times[i]
         inits = [Trajectory.constant(t0, T, x, N) if w is None
                  else _resample(w, t0, T, N) for x, w in zip(points, warm)]
+        solved = []
         for j, res in enumerate(epsilon_schedule_batch(
                 prob, dom, points, delta, N=N, inits=inits, eps0s=eps0)):
             # the solver's own failures (NonFiniteCost, ScheduleExhausted)
@@ -69,17 +70,14 @@ def compute_value(prob: Problem, dom: Domain, times, points,
                 warm[j], eps0[j] = None, 1.0
                 continue
             warm[j], params = res
-            values[i, j] = running_cost(prob, warm[j]) + float(
-                prob.g(warm[j].knots[-1:]).item())
             vg.trajectories[(i, j)] = warm[j]
             vg.epsilons[(i, j)] = eps0[j] = params.epsilon
+            solved.append(j)
+        if solved:  # the slice's running costs as one batch
+            arcs = np.stack([warm[j].knots for j in solved])
+            values[i, solved] = running_cost(
+                prob, Trajectory(t0, T, arcs)) + prob.g(arcs[:, -1])
     return vg
-
-
-def running_cost(prob: Problem, gamma: Trajectory, upto: int | None = None) -> float:
-    """Trapezoid integral of f along the arc, optionally up to a knot index."""
-    (fl, fr), = _ends(gamma, prob.f)
-    return float(0.5 * gamma.dt * np.sum((fl + fr)[:upto]))
 
 
 def lipschitz_report(vg: ValueGrid):

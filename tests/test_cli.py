@@ -221,12 +221,18 @@ class TestMalformedScenario:
         ("mfg", lambda cfg: cfg["mfg"].update(n_times=1)),
         ("mfg", lambda cfg: cfg["mfg"]["value"].update(n_times=1)),
         ("mfg", lambda cfg: cfg["mfg"]["value"].update(N=4)),
+        ("mfg", lambda cfg: cfg["mfg"]["value"].update(n_points=1)),
+        ("mfg", lambda cfg: cfg["mfg"]["value"].update(n_points=2)),
+        ("mfg", lambda cfg: cfg["mfg"]["value"].update(n_points="x")),
+        ("value", lambda cfg: cfg.update(value={"N": 32.5})),
         ("solve --grid-n 4", lambda cfg: None),
     ], ids=["m0-missing", "negative-weight", "weights-sum", "start-outside",
             "x0-outside", "x0-dimension", "potential-dimension",
             "value-n_points-1", "value-no-node-inside", "value-n_times-1",
             "value-N-4", "mfg-n_times-1", "mfg-value-n_times-1",
-            "mfg-value-N-4", "solve-grid-n-4"])
+            "mfg-value-N-4", "mfg-value-n_points-1",
+            "mfg-value-no-node-inside", "mfg-value-n_points-x",
+            "value-N-not-integer", "solve-grid-n-4"])
     def test_is_config_error(self, tmp_path, mini_config, mini_mfg_config,
                              capsys, command, edit):
         path = mini_mfg_config if command == "mfg" else mini_config
@@ -275,12 +281,14 @@ class TestPackage:
 class TestImports:
     def test_mfg_runs_without_scipy(self, tmp_path):
         # S4 certifies its transport plans and never runs L-BFGS-B, so
-        # neither importing the CLI nor running S4 may load scipy
+        # neither importing the CLI nor running S4 may load scipy; nor
+        # numpy.random, which no mfg step samples from
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [
             str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         report = ("; print(sorted(m for m in sys.modules"
-                  " if m.split('.')[0] == 'scipy'))")
+                  " if m.split('.')[0] == 'scipy'"
+                  " or m.startswith('numpy.random')))")
         run_s4 = (f"; rc = cli.main(['mfg', '--config', "
                   f"{str(SCENARIOS / 'S4.json')!r}, '--out', "
                   f"{str(tmp_path / 's4')!r}]); assert rc == 0")

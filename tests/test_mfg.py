@@ -1,5 +1,6 @@
 import json
 import logging
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -409,6 +410,62 @@ class TestCoupledHessian:
         assert _stationarity(disk, params, gamma, G, geo) <= 1e-8 * (
             1.0 + abs(cost))
         assert abs(geo.b[-1]) <= disk.boundary_tol
+
+
+def stacked_problem(N):
+    """``potential_problem`` of ``TestJointEquilibrium`` and its stacked
+    knots, as one trajectory."""
+    base, c, X = TestJointEquilibrium().stacked(N)
+    joint = potential_problem(base, c, TestJointEquilibrium.W)
+    return joint, Trajectory(0.0, 1.0, X.reshape(N + 1, 6))
+
+
+def close(a, b, rel=1e-13):
+    return np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
+
+
+class TestStateOnlyCost:
+    """The coupling as the state-only running cost V, evaluated once per
+    knot, against the same problem with V folded into f, fx and fxx."""
+
+    @pytest.mark.parametrize("joint", [False, True],
+                             ids=["pulled-crowd", "stacked"])
+    def test_knot_V_matches_V_folded_into_f(self, joint):
+        disk = Ball([0.0, 0.0], 1.0)
+        if joint:
+            prob, gamma = stacked_problem(16)
+            weights = TestJointEquilibrium.W
+        else:
+            prob = pulled_crowd_problem()[1]
+            gamma = Trajectory(0.0, 1.0, RNG.uniform(-1.1, 1.1, (3, 17, 2)))
+            weights = np.ones(1)
+        folded = replace(prob, V=None)
+        assert prob.V is not None and folded.V is None
+        params = PenaltyParams(epsilon=0.5, delta=0.5, rho=disk.rho0, N=16,
+                               weights=weights)
+        cost, G, _ = _cost_and_grad(prob, disk, params, gamma)
+        cost_f, G_f, _ = _cost_and_grad(folded, disk, params, gamma)
+        assert close(cost, cost_f) and close(G, G_f)
+        for a, b in zip(_action_hessian(prob, gamma),
+                        _action_hessian(folded, gamma)):
+            assert close(a, b)
+
+    def test_newton_finish_evaluates_V_once_per_step(self, monkeypatch):
+        disk, single = pulled_crowd_problem()
+        orders = []
+        V = single.V
+        monkeypatch.setattr(single, "V", lambda t, x, order: (
+            orders.append(order) or V(t, x, order)))
+        hessians = counted(monkeypatch, penalty, "_action_hessian")
+        params = PenaltyParams(epsilon=0.25, delta=0.5, rho=disk.rho0, N=32)
+        traj = Trajectory.constant(0.0, 1.0, np.zeros(2), 32)
+        cost = penalty.penalized_cost(single, disk, params, traj)
+        orders.clear()
+        _, steps = penalty._newton_finish(single, disk, params, traj, cost)
+        # one order-2 evaluation per step, for its gradient and Hessian;
+        # the line search evaluates V's value only
+        assert orders.count(2) == hessians[0] >= steps > 0
+        assert set(orders) == {0, 2}
 
 
 class TestFixedPoint:

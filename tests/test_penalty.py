@@ -11,8 +11,8 @@ from statecon import (Ball, Ellipse, LinearPotential, LinearTerminal,
                       penalized_cost, quadratic_problem)
 from statecon import penalty
 from statecon.penalty import (MaxIterations, Runaway, _action_hessian,
-                              _cost_and_grad, _newton_finish, _stationarity,
-                              _tridiag_solve)
+                              _cost_and_grad, _kkt_step, _newton_finish,
+                              _stationarity, _tridiag_solve)
 
 from conftest import dense_tridiag, fd_action_hessian, s1_exact
 
@@ -202,6 +202,28 @@ class TestTridiagSolve:
         want = np.linalg.solve(H, r.ravel())
         got = _tridiag_solve(D, U, r).ravel()
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_kkt_step_without_rows_is_the_plain_solve(self):
+        # no boundary row in the batch: dx solves H dx = -g and mu = 0; a
+        # member whose H is singular gets a NaN step, the others their own
+        rng = np.random.default_rng(7)
+        B, N, m = 3, 9, 2
+        A = rng.standard_normal((B, N, m, m))
+        D = A + A.swapaxes(-1, -2) + 6.0 * np.eye(m)
+        U = 0.5 * rng.standard_normal((B, N - 1, m, m))
+        g = rng.standard_normal((B, N, m))
+        Db = rng.standard_normal((B, N, m))
+        b, act = rng.standard_normal((B, N)), np.zeros((B, N), bool)
+        dx, mu = _kkt_step(D, U, g, Db, b, act)
+        assert np.array_equal(mu, np.zeros((B, N)))
+        for i in range(B):
+            want = np.linalg.solve(dense_tridiag(D[i], U[i]), -g[i].ravel())
+            assert np.linalg.norm(dx[i].ravel() - want) <= 1e-12 * (
+                np.linalg.norm(want))
+        D[1], U[1] = 0.0, 0.0
+        dx2, mu2 = _kkt_step(D, U, g, Db, b, act)
+        assert np.all(np.isnan(dx2[1])) and not np.any(mu2)
+        assert np.array_equal(dx2[[0, 2]], dx[[0, 2]])
 
     def test_singular_pivot_stops_the_finish(self, disk):
         # f = <a, x> has no curvature at all, so every pivot block is zero:
@@ -476,6 +498,20 @@ class TestDeltaChoice:
         delta, speed = delta_choice(prob, dom)
         assert speed == pytest.approx(0.6, rel=1e-12)
         assert delta == pytest.approx(1.0 / 1.2, rel=1e-12)
+
+    def test_formula_for_linear_terminal_in_3d(self):
+        # the drift speed |A^{-1} c| does not depend on x, so the grid's
+        # sup is that speed
+        ball = Ball([0.0, 0.0, 0.0], 1.5)
+        A = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.5]])
+        c = np.array([0.4, -0.7, 1.1])
+        prob = quadratic_problem(3, A=A, terminal=LinearTerminal(c), T=1.0,
+                                 M=2.0, kappa=0.0)
+        delta, speed = delta_choice(prob, ball)
+        want = np.linalg.norm(np.linalg.solve(A, c))
+        assert speed == pytest.approx(want, rel=1e-12)
+        assert delta == pytest.approx(1.0 / (2.0 * prob.mu * want),
+                                      rel=1e-12)
 
     def test_zero_terminal_gives_unit_delta(self, disk):
         prob = quadratic_problem(2, M=1.0, kappa=0.0)

@@ -364,9 +364,10 @@ def potential_problem(prob: Problem, coupling, weights) -> Problem:
     U = (u_1, ..., u_k) the stacked velocity, phi and phi_T the coupling's
     running and terminal bumps, V the problem's state-only running cost.
     The kernels are even, so agent i's block of the gradient is w_i times
-    its own first-order condition against the flow of all k agents, and the block
-    (i, j) of the state Hessian gains -w_i w_j D2phi(x_i - x_j) (Benamou,
-    Carlier & Santambrogio, "Variational Mean Field Games", 2017).
+    its own first-order condition against the flow of all k agents, and
+    the block (i, j) of the state Hessian gains -w_i w_j D2phi(x_i - x_j)
+    (Benamou, Carlier & Santambrogio, "Variational Mean Field Games",
+    2017).
     """
     w = np.asarray(weights, dtype=float)
     k, n = w.size, prob.dim

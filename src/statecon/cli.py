@@ -8,6 +8,8 @@ config and seed produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import logging
 import os
@@ -99,17 +101,27 @@ def build_domain(cfg: dict) -> Domain:
 def _grid_size(value, least: int, key: str) -> int:
     """``value`` as a grid size, which the solver needs to be an integer
     >= ``least``."""
-    if not isinstance(value, int) or value < least:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ConfigError(f"{key} must be an integer >= {least}, got "
                           f"{value!r}")
     return value
+
+
+def _number(value, key: str, valid, what: str) -> float:
+    """``value`` as a float, which must be a JSON number for which
+    ``valid`` holds; ``what`` says which numbers those are."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not valid(float(value))):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return float(value)
 
 
 def build_problem(cfg: dict, dom: Domain):
     pc = cfg.get("problem")
     if pc is None:
         raise ConfigError("config needs a 'problem' section")
-    if "mu" in pc and float(pc["mu"]) < 1:
+    if "mu" in pc and _number(pc["mu"], "mu", np.isfinite,
+                              "a finite number") < 1:
         raise ConfigError("mu must satisfy mu >= 1 (uniform convexity of the "
                           "running cost requires it)")
     try:
@@ -131,7 +143,8 @@ def cmd_solve(cfg, out: Path, args) -> int:
                           "domain")
     N = _grid_size(args.grid_n or cfg.get("solver", {}).get("N", 256), 8, "N")
     delta, Nm = delta_choice(prob, dom)
-    delta = float(cfg.get("solver", {}).get("delta", delta))
+    delta = _number(cfg.get("solver", {}).get("delta", delta),
+                    "solver.delta", lambda d: 0 < d <= 1, "a number in (0, 1]")
     gamma, params = epsilon_schedule(prob, dom, x0, delta, N=N)
     ex = make_extremal(prob, dom, gamma, params=params)
     report = check_extremal(prob, dom, ex)
@@ -234,10 +247,13 @@ def cmd_mfg(cfg, out: Path, args) -> int:
         eta0 = constant_measure(atoms, mc["m0"]["weights"], prob.horizon, N=N)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad m0 spec: {exc}") from exc
-    eta, history = fixed_point(prob, dom, coupling, eta0,
-                               alpha=float(mc.get("alpha", 0.5)),
-                               tol=float(mc.get("tol", 1e-3)),
-                               max_iter=int(mc.get("max_iter", 50)), N=N)
+    alpha = _number(mc.get("alpha", 0.5), "mfg.alpha", lambda a: 0 < a <= 1,
+                    "a number in (0, 1]")
+    tol = _number(mc.get("tol", 1e-3), "mfg.tol", lambda t: 0 < t < np.inf,
+                  "a positive finite number")
+    max_iter = _grid_size(mc.get("max_iter", 50), 1, "mfg.max_iter")
+    eta, history = fixed_point(prob, dom, coupling, eta0, alpha=alpha,
+                               tol=tol, max_iter=max_iter, N=N)
     flow = evaluate_flow(eta, times)
     rows = []
     for i, t in enumerate(times):
@@ -340,6 +356,10 @@ def configure_logging() -> None:
 
 
 def main(argv=None) -> int:
+    # freeze the heap at exit, so the interpreter's last full collection
+    # walks none of it (after a solve that is scipy.optimize's import graph)
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = make_parser().parse_args(argv)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

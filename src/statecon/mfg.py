@@ -17,7 +17,7 @@ from .geometry import Domain
 from .model import Problem
 from .penalty import (FEASIBILITY_TOL_FACTOR, MAX_HALVINGS, PenaltyParams,
                       Trajectory, _block_diag, _certificate, _newton_finish,
-                      delta_choice, epsilon_schedule_batch,
+                      _scipy_optimize, delta_choice, epsilon_schedule_batch,
                       penalized_cost)
 
 log = logging.getLogger("statecon")
@@ -133,8 +133,7 @@ def evaluate_flow(eta: TrajectoryMeasure, times) -> MeasureFlow:
 
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported when a plan does not certify."""
-    from scipy import optimize
-    return optimize.linprog(*args, **kwargs)
+    return _scipy_optimize().linprog(*args, **kwargs)
 
 
 def kantorovich_d1(a: DiscreteMeasure, b: DiscreteMeasure) -> float:

@@ -8,7 +8,9 @@ trapezoid rule using the per-interval velocity at both interval ends.
 
 from __future__ import annotations
 
+import gc
 import logging
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -519,10 +521,28 @@ def _certificate(prob: Problem, dom: Domain, params: PenaltyParams,
     return stat, stat < 1e-8 * (1.0 + np.abs(cost)), bmax
 
 
+def _scipy_optimize():
+    """The ``scipy.optimize`` module, imported on first use.  The import
+    makes some 50k objects, so it runs with the cyclic collector paused (then
+    enabled or not, as the caller had it), and whatever lives after it is
+    frozen (``gc.freeze``): no later collection walks it again.  Only the
+    call that runs the import freezes, so a process's heap is frozen here
+    at most once."""
+    if "scipy.optimize" not in sys.modules:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            import scipy.optimize
+        finally:
+            if enabled:
+                gc.enable()
+        gc.freeze()
+    return sys.modules["scipy.optimize"]
+
+
 def _scipy_minimize(*args, **kwargs):
     """``scipy.optimize.minimize``, imported when the L-BFGS-B round runs."""
-    from scipy import optimize
-    return optimize.minimize(*args, **kwargs)
+    return _scipy_optimize().minimize(*args, **kwargs)
 
 
 def _solve_level(prob: Problem, dom: Domain, params: PenaltyParams, x0s,

@@ -226,13 +226,24 @@ class TestMalformedScenario:
         ("mfg", lambda cfg: cfg["mfg"]["value"].update(n_points="x")),
         ("value", lambda cfg: cfg.update(value={"N": 32.5})),
         ("solve --grid-n 4", lambda cfg: None),
+        # fixed-point and penalty parameters, read before any solve
+        ("mfg", lambda cfg: cfg["mfg"].update(max_iter="x")),
+        ("mfg", lambda cfg: cfg["mfg"].update(max_iter=0)),
+        ("mfg", lambda cfg: cfg["mfg"].update(max_iter=True)),
+        ("mfg", lambda cfg: cfg["mfg"].update(tol=-1)),
+        ("mfg", lambda cfg: cfg["mfg"].update(alpha=0)),
+        ("solve", lambda cfg: cfg["problem"].update(mu="x")),
+        ("solve", lambda cfg: cfg["solver"].update(delta="x")),
     ], ids=["m0-missing", "negative-weight", "weights-sum", "start-outside",
             "x0-outside", "x0-dimension", "potential-dimension",
             "value-n_points-1", "value-no-node-inside", "value-n_times-1",
             "value-N-4", "mfg-n_times-1", "mfg-value-n_times-1",
             "mfg-value-N-4", "mfg-value-n_points-1",
             "mfg-value-no-node-inside", "mfg-value-n_points-x",
-            "value-N-not-integer", "solve-grid-n-4"])
+            "value-N-not-integer", "solve-grid-n-4", "mfg-max_iter-x",
+            "mfg-max_iter-0", "mfg-max_iter-true", "mfg-tol-negative",
+            "mfg-alpha-0", "solve-mu-not-a-number",
+            "solve-delta-not-a-number"])
     def test_is_config_error(self, tmp_path, mini_config, mini_mfg_config,
                              capsys, command, edit):
         path = mini_mfg_config if command == "mfg" else mini_config
@@ -278,14 +289,21 @@ class TestPackage:
         assert public == set(statecon.__all__)
 
 
+def _run_python(code: str) -> str:
+    """stdout of a fresh interpreter that runs ``code`` with ``src`` first
+    on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=600).stdout
+
+
 class TestImports:
     def test_mfg_runs_without_scipy(self, tmp_path):
         # S4 certifies its transport plans and never runs L-BFGS-B, so
         # neither importing the CLI nor running S4 may load scipy; nor
         # numpy.random, which no mfg step samples from
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-            str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         report = ("; print(sorted(m for m in sys.modules"
                   " if m.split('.')[0] == 'scipy'"
                   " or m.startswith('numpy.random')))")
@@ -294,8 +312,41 @@ class TestImports:
                   f"{str(tmp_path / 's4')!r}]); assert rc == 0")
         for code in ("import sys; from statecon import cli" + report,
                      "import sys; from statecon import cli" + run_s4 + report):
-            done = subprocess.run([sys.executable, "-c", code], env=env,
-                                  check=True, capture_output=True, text=True,
-                                  timeout=600)
-            assert done.stdout.splitlines()[-1] == "[]"
+            assert _run_python(code).splitlines()[-1] == "[]"
         assert (tmp_path / "s4" / "flow.csv").exists()
+
+
+class TestCollector:
+    def test_no_full_collection_inside_a_cold_solve(self, tmp_path):
+        # the cold round imports scipy.optimize, some 50k objects; with the
+        # collector paused for the import and the result frozen, no full
+        # (generation 2) collection walks them inside main
+        out = tmp_path / "s3"
+        code = (
+            "import gc; from statecon import cli\n"
+            "full = []\n"
+            "gc.callbacks.append(lambda phase, info: full.append(1)\n"
+            "    if phase == 'start' and info['generation'] == 2 else None)\n"
+            f"rc = cli.main(['solve', '--config', "
+            f"{str(SCENARIOS / 'S3.json')!r}, '--grid-n', '64', "
+            f"'--out', {str(out)!r}])\n"
+            "print(rc, len(full), gc.get_freeze_count() > 0, gc.isenabled())")
+        last = _run_python(code).splitlines()[-1]
+        assert last.split() == ["0", "0", "True", "True"]
+        assert (out / "trajectory.csv").exists()
+
+    def test_heap_is_frozen_at_exit(self, tmp_path):
+        # S2 imports no scipy, so nothing is frozen when main returns; main's
+        # exit hook freezes the heap before the interpreter's last full
+        # collection.  Exit hooks run last-registered first, so the one
+        # registered before main runs after main's
+        code = (
+            "import atexit, gc; from statecon import cli\n"
+            "atexit.register(lambda: print('at exit', gc.get_freeze_count() "
+            "> 0))\n"
+            f"rc = cli.main(['value', '--config', "
+            f"{str(SCENARIOS / 'S2.json')!r}, '--out', "
+            f"{str(tmp_path / 's2')!r}])\n"
+            "print('returned', rc, gc.get_freeze_count())")
+        assert _run_python(code).splitlines()[-2:] == ["returned 0 0",
+                                                       "at exit True"]

@@ -1,4 +1,6 @@
+import gc
 import logging
+import sys
 
 import numpy as np
 import pytest
@@ -518,3 +520,30 @@ class TestDeltaChoice:
         delta, speed = delta_choice(prob, disk)
         assert delta == 1.0
         assert speed == 0.0
+
+
+class TestScipyImport:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_kept_and_heap_frozen_once(self, monkeypatch,
+                                                       enabled):
+        # make the helper run the import again; scipy's attribute and the
+        # sys.modules entry are put back afterwards
+        import scipy
+        monkeypatch.setattr(scipy, "optimize", scipy.optimize)
+        monkeypatch.delitem(sys.modules, "scipy.optimize")
+        was_enabled, before = gc.isenabled(), gc.get_freeze_count()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            module = penalty._scipy_optimize()
+            state, frozen = gc.isenabled(), gc.get_freeze_count()
+            young = [[]]  # tracked, made after the freeze
+            again = penalty._scipy_optimize()
+            young_unfrozen = any(o is young for o in gc.get_objects())
+        finally:
+            gc.unfreeze()
+            (gc.enable if was_enabled else gc.disable)()
+        assert state is enabled
+        assert frozen > before
+        assert again is module is sys.modules["scipy.optimize"]
+        # the second call imports nothing, so it freezes nothing
+        assert young_unfrozen

@@ -357,7 +357,7 @@ def configure_logging() -> None:
 
 def main(argv=None) -> int:
     # freeze the heap at exit, so the interpreter's last full collection
-    # walks none of it (after a solve that is scipy.optimize's import graph)
+    # walks none of it
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
     args = make_parser().parse_args(argv)

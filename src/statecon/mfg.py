@@ -329,7 +329,7 @@ def best_response(prob: Problem, dom: Domain, coupling,
                   warm: dict | None = None) -> TrajectoryMeasure:
     """One batched solve from every distinct start against the frozen flow
     of eta; each optimal trajectory carries its start's initial weight.
-    Each solve is warm (no L-BFGS-B): from the constant trajectory, or from
+    Each solve starts from the constant trajectory (no init), or from
     ``warm[key]``, the (trajectory, epsilon) of an earlier certified solve
     from the start rounded to ``key``, at that epsilon (the penalty is
     exact).  Results go back into ``warm`` up to the first failed start,
@@ -339,9 +339,7 @@ def best_response(prob: Problem, dom: Domain, coupling,
     delta, _ = delta_choice(single, dom)
     warm = {} if warm is None else warm
     keys = [_start_key(x0) for x0 in m0.points]
-    inits, eps0s = zip(*(warm.get(key) or (
-        Trajectory.constant(0.0, prob.horizon, x0, N), 1.0)
-        for key, x0 in zip(keys, m0.points)))
+    inits, eps0s = zip(*(warm.get(key) or (None, 1.0) for key in keys))
     trajs = []
     for key, res in zip(keys, epsilon_schedule_batch(
             single, dom, m0.points, delta, N=N, inits=inits, eps0s=eps0s)):

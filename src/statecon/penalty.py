@@ -23,11 +23,15 @@ FEASIBILITY_TOL_FACTOR = 1e-6
 MAX_HALVINGS = 40
 
 log = logging.getLogger("statecon")
-rounds = logging.getLogger("statecon.ladder")  # per ladder and cold round
+rounds = logging.getLogger("statecon.ladder")  # one line per ladder round
 
 
 class MaxIterations(RuntimeError):
-    pass
+    """The Newton finish stopped uncertified at ``best`` (None: no step)."""
+
+    def __init__(self, message, best=None):
+        super().__init__(message)
+        self.best = best
 
 
 class NonFiniteCost(RuntimeError):
@@ -414,8 +418,9 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
     exact block-tridiagonal Hessian (Nocedal & Wright, Numerical
     Optimization, 2nd ed., ch. 18) by ``_kkt_step``; primal-dual active-set
     updates (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13, 2002) release
-    a boundary point whose multiplier leaves [0, c] to its side, and a
-    point whose step crosses b = 0 joins the boundary.  Backtracking on the
+    a boundary point whose multiplier leaves [0, c] to its side; a point
+    whose step crosses b = 0 joins the boundary, as do the inside points in
+    the kink band that block a step with no decrease.  Backtracking on the
     penalized cost keeps the groups from cycling; a singular pivot ends the
     member's finish.  Returns the best trajectories and each member's
     accepted steps; the caller certifies them."""
@@ -430,7 +435,7 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
     # per member: b, Db, D2b and P of its points
     gb, gDb, gD2b, gP = (a.reshape((B, -1) + a.shape[1:])
                          for a in dom.eval(X.reshape(-1, n)))
-    # the L-BFGS round leaves contact knots within ~1e-7 diam of b = 0; a
+    # a start's points within this kink band of b = 0 join the boundary; a
     # wider band pins interior knots, which are then released one by one
     band = 1e-5 * dom.diameter
     outside = gb[:, k:] > band
@@ -472,7 +477,7 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
             todo = todo[np.any(low | high, axis=1)]
         step[live, 1:] = dx
         # singular system: as no decrease, keep the best point
-        search = live[np.all(np.isfinite(dx), axis=(1, 2))]
+        search = finite = live[np.all(np.isfinite(dx), axis=(1, 2))]
         alpha, moved = np.ones(B), [live[:0]]
         while search.size:
             trial = X[search] + alpha[search, None, None] * step[search]
@@ -492,6 +497,15 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
         trial = geo_t = None  # free them before the next step's Hessian
         acc = np.sort(np.concatenate(moved))
         steps[acc] += 1
+        # no decrease at any trial step: the member's inside points in the
+        # band that the step moves outward block it (Nocedal & Wright, 2nd
+        # ed., sec. 16.5); they join the boundary and the member re-solves
+        stuck = finite[alpha[finite] < 1e-10]
+        outward = np.einsum("spi,spi->sp", gDb[stuck, k:],
+                            step[stuck, 1:].reshape(-1, N * k, n)) > 0.0
+        blocking = (outward & ~outside[stuck] & ~boundary[stuck]
+                    & (np.abs(gb[stuck, k:]) <= band))
+        boundary[stuck] |= blocking
         b = gb[acc, k:]
         # a point that crossed b = 0, or whose step stopped on the kink of
         # the penalty, joins the boundary; left out, the kink would cut
@@ -502,7 +516,9 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
         boundary[acc] = bnd | crossed
         outside[acc] = out & ~crossed
         size = np.max(np.abs(alpha[acc, None, None] * step[acc]), axis=(1, 2))
-        live = acc[size >= 1e-13 * (1.0 + dom.diameter)]
+        live = np.sort(np.concatenate([
+            acc[size >= 1e-13 * (1.0 + dom.diameter)],
+            stuck[np.any(blocking, axis=1)]]))
     X[:, 1:] = np.where(boundary[..., None], gP[:, k:],
                         X[:, 1:].reshape(B, -1, n)).reshape(B, N, -1)
     if single:
@@ -540,23 +556,13 @@ def _scipy_optimize():
     return sys.modules["scipy.optimize"]
 
 
-def _scipy_minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported when the L-BFGS-B round runs."""
-    return _scipy_optimize().minimize(*args, **kwargs)
-
-
 def _solve_level(prob: Problem, dom: Domain, params: PenaltyParams, x0s,
                  inits: list):
     """One level of the epsilon ladder: member i, pinned at x0s[i], starts
-    from inits[i] at ``params.epsilon[i]``; one Newton finish solves all.
-    Only a batch of one starts cold (init None), after one L-BFGS-B round
-    at gtol 1e-6 from the constant trajectory, logged on ``statecon.ladder``.
-    The round runs on the scaled increments w_i = (x_i - x_{i-1}) / sqrt(dt),
-    in which the action's Hessian is the fvv blocks whatever N (on the knots
-    its condition number grows as N^2).  Returns per member its
-    certified trajectory or MaxIterations, Runaway (the result or an
-    accepted L-BFGS-B iterate is a diameter outside) or NonFiniteCost, and
-    the Newton steps."""
+    from inits[i] (from the constant trajectory at x0s[i] if None) at
+    ``params.epsilon[i]``; one Newton finish solves all.  Returns per member
+    its certified trajectory or MaxIterations, Runaway (the minimizer is a
+    diameter outside) or NonFiniteCost, and the Newton steps."""
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     B = x0s.shape[0]
     if params.weights.size != 1:
@@ -566,44 +572,8 @@ def _solve_level(prob: Problem, dom: Domain, params: PenaltyParams, x0s,
     eps = np.broadcast_to(np.asarray(params.epsilon, dtype=float), (B,))
     leash = params.rho + dom.diameter
     out: list = [None] * B
-    if any(init is None for init in inits):
-        if B != 1:
-            raise ValueError("only a batch of one starts cold")
-        solo, last = replace(params, epsilon=float(eps[0])), {}
-        sq = np.sqrt(prob.horizon / params.N)
-
-        def knots(w):
-            # x_i = x_0 + sqrt(dt) (w_1 + ... + w_i)
-            X = x0s[0] + sq * np.cumsum(w.reshape(params.N, -1), axis=0)
-            return Trajectory(0.0, prob.horizon, np.vstack([x0s[0], X]))
-
-        def objective(w):
-            c, G, geo = _cost_and_grad(prob, dom, solo, knots(w))
-            if not np.isfinite(c):
-                raise NonFiniteCost(f"penalized cost became {c}")
-            last.update(w=w.copy(), bmax=np.max(geo.b))
-            # w_j moves knots j..N
-            return c, sq * np.cumsum(G[:0:-1], axis=0)[::-1].ravel()
-
-        def leash_check(w):
-            # L-BFGS-B reports the last point it evaluated as its new iterate
-            bmax = (last["bmax"] if np.array_equal(w, last["w"])
-                    else np.max(dom.eval(knots(w).knots, hess=False).b))
-            if bmax > leash:
-                raise Runaway("iterates left the tube; epsilon is too large")
-
-        try:
-            res = _scipy_minimize(
-                objective, np.zeros(x0s[0].size * params.N), jac=True,
-                method="L-BFGS-B", callback=leash_check,
-                options={"maxiter": 100000, "maxcor": 20, "ftol": 1e-18,
-                         "gtol": 1e-6})
-        except (Runaway, NonFiniteCost) as exc:
-            return [exc], 0
-        rounds.info("cold L-BFGS-B round (eps=%g, N=%d): %d iterations, "
-                    "%d evaluations, %s", eps[0], params.N, res.nit, res.nfev,
-                    res.message)
-        inits = [knots(res.x)]
+    inits = [Trajectory.constant(0.0, prob.horizon, x0, params.N)
+             if init is None else init for x0, init in zip(x0s, inits)]
     grids = {(init.t0, init.t1, init.N) for init in inits}
     if len(grids) != 1:
         raise ValueError("the members of a batch share one time grid")
@@ -625,7 +595,9 @@ def _solve_level(prob: Problem, dom: Domain, params: PenaltyParams, x0s,
     stat, ok, bmax = _certificate(prob, dom, sub, traj)
     for j, i in enumerate(run):
         if not ok[j]:
-            out[i] = MaxIterations(f"stationarity stalled at {stat[j]:.3e}")
+            out[i] = MaxIterations(
+                f"stationarity stalled at {stat[j]:.3e}",
+                Trajectory(t0, t1, traj.knots[j]) if steps[j] else None)
         elif bmax[j] > leash:
             out[i] = Runaway("minimizer left the tube; epsilon is too large")
         else:
@@ -636,8 +608,8 @@ def _solve_level(prob: Problem, dom: Domain, params: PenaltyParams, x0s,
 def minimize_penalized(prob: Problem, dom: Domain, params: PenaltyParams,
                        x0, init: Trajectory | None = None) -> Trajectory:
     """Minimize the penalized cost over the free knots 1..N from ``init``
-    (knot 0 reset to x0), or cold: ``_solve_level`` for a batch of one,
-    raising its failure."""
+    (knot 0 reset to x0), or from the constant trajectory at x0: one
+    ``_solve_level`` for a batch of one, raising its failure."""
     (gamma,), _ = _solve_level(prob, dom, params, [x0], [init])
     if isinstance(gamma, Exception):
         raise gamma
@@ -678,17 +650,20 @@ def epsilon_schedule_batch(prob: Problem, dom: Domain, x0s, delta: float,
     """The epsilon ladder for B members on one time grid: member i, pinned
     at x0s[i], starts from inits[i] at eps0s[i] (shared or one each) and
     halves its epsilon until its minimizer is feasible to 1e-6 diam, each
-    level warm from the last; a level that raises Runaway or MaxIterations
-    restarts it from its init, logged on ``statecon``.  Each round is one
-    ``_solve_level``, logged on ``statecon.ladder``.  Members share numpy
-    calls, not iterates: each gets the floats of its batch-of-one solve if
-    the problem treats rows one by one (a matrix-vector product over 8 or
-    more columns may not).  Returns per member its trajectory and final
-    parameters, or the NonFiniteCost or ScheduleExhausted that ended it."""
+    level warm from the last.  After Runaway it restarts from its init,
+    after MaxIterations from its finish's best point (logged on
+    ``statecon``); a second finish in a row that accepts no step, from the
+    same start, ends it.  Each round is one ``_solve_level``, logged on
+    ``statecon.ladder``.  Members share numpy calls, not iterates: each gets
+    the floats of its batch-of-one solve if the problem treats rows one by
+    one (a matrix-vector product over 8 or more columns may not).  Returns
+    per member its trajectory and final parameters, or the NonFiniteCost,
+    MaxIterations or ScheduleExhausted that ended it."""
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     B = x0s.shape[0]
     eps, tau = np.ones(B) * eps0s, FEASIBILITY_TOL_FACTOR * dom.diameter
     gammas, out, live = list(inits), [None] * B, np.arange(B)
+    stuck = [False] * B  # the member's last finish accepted no step
     for level in range(MAX_HALVINGS + 1):
         if not live.size:
             break
@@ -698,10 +673,18 @@ def epsilon_schedule_batch(prob: Problem, dom: Domain, x0s, delta: float,
                                       [gammas[i] for i in live])
         kinds = []
         for i, res in zip(live, results):
-            if isinstance(res, (Runaway, MaxIterations)):
+            again = stuck[i]
+            stuck[i] = isinstance(res, MaxIterations) and res.best is None
+            if stuck[i] and again:  # the same start stalled twice
+                out[i], kind = res, "failed"
+            elif isinstance(res, (Runaway, MaxIterations)):
                 log.info("epsilon ladder restart after %s: %s (eps=%g, N=%d)",
                          type(res).__name__, res, eps[i], N)
-                gammas[i], kind = inits[i], "restarted"
+                if isinstance(res, Runaway):  # too weak a penalty
+                    gammas[i] = inits[i]
+                elif res.best is not None:
+                    gammas[i] = res.best
+                kind = "restarted"
             elif isinstance(res, Exception):
                 out[i], kind = res, "failed"
             elif feasibility_gap(dom, res) <= tau:

@@ -63,8 +63,9 @@ def compute_value(prob: Problem, dom: Domain, times, points,
         solved = []
         for j, res in enumerate(epsilon_schedule_batch(
                 prob, dom, points, delta, N=N, inits=inits, eps0s=eps0)):
-            # the solver's own failures (NonFiniteCost, ScheduleExhausted)
-            # come back per node; anything else is a bug and propagates
+            # the solver's own failures (NonFiniteCost, MaxIterations,
+            # ScheduleExhausted) come back per node; anything else is a bug
+            # and propagates
             if isinstance(res, Exception):
                 vg.failures.append((i, j, repr(res)))
                 warm[j], eps0[j] = None, 1.0

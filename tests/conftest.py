@@ -3,7 +3,6 @@ import pytest
 
 from statecon import (Ball, Ellipse, LinearPotential, Problem, SmoothedBox,
                       Trajectory, quadratic_problem)
-from statecon import penalty
 from statecon.penalty import _action_grad
 
 
@@ -32,21 +31,6 @@ def pull_problem():
     """Unit-disk problem whose minimizer lands on the boundary and rests."""
     return quadratic_problem(2, potential=LinearPotential([-3.0, 0.0]),
                              T=1.0, M=9.0, kappa=0.0)
-
-
-@pytest.fixture
-def lbfgs_calls(monkeypatch):
-    """Counts the L-BFGS-B rounds the penalty solver starts: read
-    ``lbfgs_calls[0]`` after the solves under test."""
-    calls = [0]
-    minimize = penalty._scipy_minimize
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return minimize(*args, **kwargs)
-
-    monkeypatch.setattr(penalty, "_scipy_minimize", counted)
-    return calls
 
 
 def drifting_problem():

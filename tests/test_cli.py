@@ -301,8 +301,8 @@ def _run_python(code: str) -> str:
 
 class TestImports:
     def test_mfg_runs_without_scipy(self, tmp_path):
-        # S4 certifies its transport plans and never runs L-BFGS-B, so
-        # neither importing the CLI nor running S4 may load scipy; nor
+        # S4 certifies its transport plans without an LP, so neither
+        # importing the CLI nor running S4 may load scipy; nor
         # numpy.random, which no mfg step samples from
         report = ("; print(sorted(m for m in sys.modules"
                   " if m.split('.')[0] == 'scipy'"
@@ -315,22 +315,35 @@ class TestImports:
             assert _run_python(code).splitlines()[-1] == "[]"
         assert (tmp_path / "s4" / "flow.csv").exists()
 
+    def test_solve_runs_without_scipy(self, tmp_path):
+        # every solve is a Newton finish, the cold ones from the constant
+        # trajectory, so S1 and S3 load no scipy module
+        for s in ("S1", "S3"):
+            code = (f"import sys; from statecon import cli; rc = cli.main(["
+                    f"'solve', '--config', {str(SCENARIOS / (s + '.json'))!r}"
+                    f", '--grid-n', '64', '--out', {str(tmp_path / s)!r}]); "
+                    "assert rc == 0; print(sorted(m for m in sys.modules"
+                    " if m.split('.')[0] == 'scipy'))")
+            assert _run_python(code).splitlines()[-1] == "[]"
+            assert (tmp_path / s / "trajectory.csv").exists()
+
 
 class TestCollector:
     def test_no_full_collection_inside_a_cold_solve(self, tmp_path):
-        # the cold round imports scipy.optimize, some 50k objects; with the
-        # collector paused for the import and the result frozen, no full
-        # (generation 2) collection walks them inside main
+        # no full (generation 2) collection walks the heap inside main, and
+        # the collector is left enabled; a cold solve imports no
+        # scipy.optimize, which would bring some 50k objects
         out = tmp_path / "s3"
         code = (
-            "import gc; from statecon import cli\n"
+            "import gc, sys; from statecon import cli\n"
             "full = []\n"
             "gc.callbacks.append(lambda phase, info: full.append(1)\n"
             "    if phase == 'start' and info['generation'] == 2 else None)\n"
             f"rc = cli.main(['solve', '--config', "
             f"{str(SCENARIOS / 'S3.json')!r}, '--grid-n', '64', "
             f"'--out', {str(out)!r}])\n"
-            "print(rc, len(full), gc.get_freeze_count() > 0, gc.isenabled())")
+            "print(rc, len(full), 'scipy.optimize' not in sys.modules,\n"
+            "      gc.isenabled())")
         last = _run_python(code).splitlines()[-1]
         assert last.split() == ["0", "0", "True", "True"]
         assert (out / "trajectory.csv").exists()

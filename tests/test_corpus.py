@@ -17,16 +17,10 @@ from statecon import (Ball, Ellipse, LinearPotential, LinearTerminal,
                       recover_adjoint)
 from statecon import penalty
 
-# per-case times on 2 shared vCPUs: case 6 1.2-1.3 s (cold L-BFGS-B rounds
-# of 113 and 624 iterations, at eps = 1 and after the stall below), case 4
-# 1.0-1.1 s (465 iterations), case 0 0.8-0.9 s when run first (it imports
-# scipy.optimize), case 3 0.5-0.6 s and every other case below 0.4 s
+# per-case times on 2 shared vCPUs, every level a Newton finish: corpus B's
+# cases 91 and 29 (below) 1.5 and 0.9 s, case 4 0.35 s, every other case
+# below 0.25 s
 CASES = 8
-# warm stages that raise MaxIterations, by case: the epsilons at which they
-# stall.  Case 6 (a smoothed box, N = 32) is the Newton finish's "no
-# decrease" stall: from the eps = 0.5 minimizer the first step at eps = 0.25
-# finds no decrease at any trial step, and the ladder certifies at 0.125.
-KNOWN_WARM_STALLS = {6: [0.25]}
 
 
 def draw_case(rng, pull=(0.5, 8.0), terminal=(0.0, 3.0), grids=(16, 32)):
@@ -56,29 +50,39 @@ def draw_case(rng, pull=(0.5, 8.0), terminal=(0.0, 3.0), grids=(16, 32)):
 
 _rng = np.random.default_rng(1)
 SLICE = [draw_case(_rng) for _ in range(CASES)]
+# corpus B: stronger pulls and terminal costs on finer grids, drawn in
+# order; cases 29 (ball, N = 256) and 91 (ball, N = 512) have a knot that
+# a step stops just inside the kink band, which stalls every level from the
+# constant start unless it joins the boundary; the epsilons they certify at
+_rng = np.random.default_rng(2)
+CORPUS_B = [draw_case(_rng, pull=(5, 40), terminal=(0, 10),
+                      grids=(16, 64, 256, 512)) for _ in range(92)]
+BLOCKED = {29: 0.0625, 91: 0.015625}
 
 
 @pytest.fixture
-def warm_stalls(monkeypatch):
-    """The epsilons of the warm stages (``init`` given) of the penalty
-    solver that raise MaxIterations, in call order: one per member of a
-    level of the batched epsilon ladder that stalls."""
-    stalls = []
+def stalls(monkeypatch):
+    """The epsilons of the stages of the penalty solver that raise
+    MaxIterations, in call order: one per member of a level of the batched
+    epsilon ladder that stalls.  No case stalls: case 6 (a smoothed box,
+    N = 32), whose first step at eps = 0.25 finds no decrease from the
+    eps = 0.5 minimizer, certifies by the Newton finish's blocking rule."""
+    found = []
     solve = penalty._solve_level
 
     def recorded(prob, dom, params, x0s, inits):
         out, steps = solve(prob, dom, params, x0s, inits)
         eps = np.broadcast_to(params.epsilon, (len(inits),))
-        stalls.extend(float(e) for e, init, res in zip(eps, inits, out)
-                      if init is not None and isinstance(res, MaxIterations))
+        found.extend(float(e) for e, res in zip(eps, out)
+                     if isinstance(res, MaxIterations))
         return out, steps
 
     monkeypatch.setattr(penalty, "_solve_level", recorded)
-    return stalls
+    return found
 
 
 @pytest.mark.parametrize("case", range(CASES))
-def test_corpus_case(case, warm_stalls):
+def test_corpus_case(case, stalls):
     dom, prob, x0, N = SLICE[case]
     delta, _ = delta_choice(prob, dom)
     gamma, params = epsilon_schedule(prob, dom, x0, delta, N=N)
@@ -98,4 +102,14 @@ def test_corpus_case(case, warm_stalls):
     # lambda >= 0 away from junctions (NegativeMultiplier otherwise)
     p = recover_adjoint(prob, gamma, dom)
     multiplier_from_residual(prob, dom, gamma, p)
-    assert warm_stalls == KNOWN_WARM_STALLS.get(case, [])
+    assert stalls == []
+
+
+@pytest.mark.parametrize("case", sorted(BLOCKED))
+def test_blocking_knot_case(case, stalls):
+    dom, prob, x0, N = CORPUS_B[case]
+    delta, _ = delta_choice(prob, dom)
+    gamma, params = epsilon_schedule(prob, dom, x0, delta, N=N)
+    assert feasibility_gap(dom, gamma) <= 1e-6 * dom.diameter
+    assert params.epsilon == BLOCKED[case]
+    assert stalls == []

@@ -107,6 +107,11 @@ def _grid_size(value, least: int, key: str) -> int:
     return value
 
 
+def _grid_arg(args, value):
+    """``--grid-n`` if given (0 included), else the config's ``value``."""
+    return value if args.grid_n is None else args.grid_n
+
+
 def _number(value, key: str, valid, what: str) -> float:
     """``value`` as a float, which must be a JSON number for which
     ``valid`` holds; ``what`` says which numbers those are."""
@@ -141,7 +146,8 @@ def cmd_solve(cfg, out: Path, args) -> int:
     if x0.shape != (dom.dim,) or dom.signed_distance(x0) > dom.boundary_tol:
         raise ConfigError(f"x0 must be a point of the closed {dom.dim}-D "
                           "domain")
-    N = _grid_size(args.grid_n or cfg.get("solver", {}).get("N", 256), 8, "N")
+    N = _grid_size(_grid_arg(args, cfg.get("solver", {}).get("N", 256)), 8,
+                   "N")
     delta, Nm = delta_choice(prob, dom)
     delta = _number(cfg.get("solver", {}).get("delta", delta),
                     "solver.delta", lambda d: 0 < d <= 1, "a number in (0, 1]")
@@ -169,7 +175,11 @@ def cmd_pmp_check(cfg, out: Path, args) -> int:
     prob = build_problem(cfg, dom)
     if not args.trajectory:
         raise ConfigError("pmp-check needs --trajectory <csv>")
-    gamma = read_trajectory_csv(Path(args.trajectory), dom.dim)
+    try:
+        gamma = read_trajectory_csv(Path(args.trajectory), dom.dim)
+    except (OSError, IndexError, ValueError) as exc:
+        raise ConfigError(f"cannot read trajectory {args.trajectory}: "
+                          f"{exc}") from exc
     ex = make_extremal(prob, dom, gamma)
     report = check_extremal(prob, dom, ex)
     write_json(out / "pmp_report.json", {
@@ -205,7 +215,8 @@ def cmd_value(cfg, out: Path, args) -> int:
     vc = cfg.get("value", {})
     times, points = _node_grid(
         dom, prob.horizon, _grid_size(vc.get("n_times", 5), 2, "value.n_times"),
-        _grid_size(args.grid_n or vc.get("n_points", 5), 2, "value.n_points"))
+        _grid_size(_grid_arg(args, vc.get("n_points", 5)), 2,
+                   "value.n_points"))
     if points.shape[0] < 2:
         raise ConfigError("the value grid needs 2 nodes in the domain")
     N = _grid_size(vc.get("N", 32), 8, "value.N")
@@ -228,7 +239,10 @@ def cmd_mfg(cfg, out: Path, args) -> int:
     mc = cfg.get("mfg")
     if mc is None:
         raise ConfigError("config needs an 'mfg' section")
-    coupling = GaussianKernelCoupling.from_config(mc.get("coupling", {}))
+    try:
+        coupling = GaussianKernelCoupling.from_config(mc.get("coupling", {}))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad mfg.coupling spec: {exc}") from exc
     N = _grid_size(mc.get("N", 64), 8, "mfg.N")
     vc = mc.get("value", {})
     times = np.linspace(0.0, prob.horizon,

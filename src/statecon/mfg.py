@@ -15,10 +15,9 @@ import numpy as np
 
 from .geometry import Domain
 from .model import Problem
-from .penalty import (FEASIBILITY_TOL_FACTOR, MAX_HALVINGS, PenaltyParams,
-                      Trajectory, _block_diag, _certificate, _newton_finish,
-                      _scipy_optimize, delta_choice, epsilon_schedule_batch,
-                      penalized_cost)
+from .penalty import (MaxIterations, NonFiniteCost, ScheduleExhausted,
+                      Trajectory, _block_diag, delta_choice, epsilon_schedule,
+                      epsilon_schedule_batch)
 
 log = logging.getLogger("statecon")
 
@@ -133,7 +132,8 @@ def evaluate_flow(eta: TrajectoryMeasure, times) -> MeasureFlow:
 
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported when a plan does not certify."""
-    return _scipy_optimize().linprog(*args, **kwargs)
+    from scipy.optimize import linprog
+    return linprog(*args, **kwargs)
 
 
 def kantorovich_d1(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
@@ -228,8 +228,10 @@ class GaussianKernelCoupling:
 
     def __init__(self, amp: float = 1.0, scale: float = 0.5,
                  terminal_amp: float = 0.0):
-        if amp < 0 or scale <= 0:
-            raise ValueError("need amp >= 0 and scale > 0")
+        if not (0 <= amp < np.inf and 0 < scale < np.inf
+                and np.isfinite(terminal_amp)):
+            raise ValueError("need finite amp >= 0, scale > 0 and "
+                             "terminal_amp")
         self.amp = amp
         self.scale = scale
         self.terminal_amp = terminal_amp
@@ -423,20 +425,17 @@ def potential_problem(prob: Problem, coupling, weights) -> Problem:
 def joint_equilibrium(prob: Problem, dom: Domain, coupling,
                       eta0: TrajectoryMeasure, N: int = 64):
     """A constrained critical point of the game's potential with one
-    trajectory per distinct start of eta0, by Newton solves.
+    trajectory per distinct start of eta0: certified, and in the domain to
+    the tolerance of ``epsilon_schedule``.
 
-    ``penalty._newton_finish`` runs on ``potential_problem`` with knots
-    (x_1, ..., x_k), penalty weights w_i c per agent and knot and the delta
+    ``epsilon_schedule`` solves ``potential_problem`` for one member, with
+    knots (x_1, ..., x_k), penalty weights w_i per agent and the delta
     ``best_response`` uses against eta0.  It starts from the weighted mean
     of eta0's trajectories from each start (the stay-put trajectory for a
     stay-put eta0) at epsilon = 1 / max(1, M): the penalty's pull back then
     matches the declared bound M on the running cost's state gradient, the
-    force that drives a crowd out.  Until the result certifies and lies in
-    the domain to the tolerance of ``epsilon_schedule``, epsilon is halved
-    and the solve resumes from that result; it gives up at the second
-    level whose result does not certify.  Returns the measure, its
-    stationarity, whether it is certified and feasible, and the Newton
-    steps taken over all levels.
+    force that drives a crowd out.  Returns the measure, or raises the
+    ladder's MaxIterations, NonFiniteCost or ScheduleExhausted.
     """
     m0 = eta0.initial_measure()
     k, n, T = m0.weights.size, dom.dim, prob.horizon
@@ -448,27 +447,14 @@ def joint_equilibrium(prob: Problem, dom: Domain, coupling,
     X = np.einsum("kp,tpn->tkn", share,
                   eta0.positions_at(np.linspace(0.0, T, N + 1)))
     X[0] = m0.points
-    joint = potential_problem(prob, coupling, m0.weights)
     delta, _ = delta_choice(coupled_problem(prob, dom, coupling, eta0), dom)
-    tau = FEASIBILITY_TOL_FACTOR * dom.diameter
-    eps = 1.0 / max(1.0, prob.M)
-    traj = Trajectory(0.0, T, X.reshape(N + 1, k * n))
-    steps = misses = 0
-    for _ in range(MAX_HALVINGS + 1):
-        params = PenaltyParams(epsilon=eps, delta=delta, rho=dom.rho0, N=N,
-                               weights=m0.weights)
-        traj, taken = _newton_finish(joint, dom, params, traj,
-                                     penalized_cost(joint, dom, params, traj))
-        steps += taken
-        stat, ok, bmax = _certificate(joint, dom, params, traj)
-        misses += not ok
-        if (ok and bmax <= tau) or misses == 2:
-            break
-        eps *= 0.5
+    traj, _ = epsilon_schedule(
+        potential_problem(prob, coupling, m0.weights), dom, X[0].ravel(),
+        delta, N=N, init=Trajectory(0.0, T, X.reshape(N + 1, k * n)),
+        eps0=1.0 / max(1.0, prob.M), weights=m0.weights)
     X = traj.knots.reshape(N + 1, k, n)
-    eta = TrajectoryMeasure([Trajectory(0.0, T, X[:, j].copy())
-                             for j in range(k)], m0.weights)
-    return eta, stat, ok and bmax <= tau, steps
+    return TrajectoryMeasure([Trajectory(0.0, T, X[:, j].copy())
+                              for j in range(k)], m0.weights)
 
 
 def _prune(eta: TrajectoryMeasure, tol: float = 1e-8) -> TrajectoryMeasure:
@@ -538,9 +524,8 @@ def fixed_point(prob: Problem, dom: Domain, coupling,
     given initial marginal; stops at flow residual <= tol.
 
     The iteration starts from the critical point of the game's potential
-    that ``joint_equilibrium`` finds from eta0, if that point passes the
-    stationarity certificate and lies in the domain, and from eta0
-    otherwise; a crowd whose joint Hessian blocks exceed
+    that ``joint_equilibrium`` finds from eta0, and from eta0 if its ladder
+    fails; a crowd whose joint Hessian blocks exceed
     ``JOINT_MAX_BLOCK_ENTRIES`` skips the joint solve.  Either way iteration
     0 is a best-response round from the constant trajectories against the
     starting measure, whose residual certifies it; with a certified
@@ -548,11 +533,12 @@ def fixed_point(prob: Problem, dom: Domain, coupling,
     round.  ``alpha`` and ``max_iter`` damp and cap the rounds as without
     the joint solve.
 
-    Logs on the ``statecon`` logger one INFO line for the joint solve (its
-    Newton steps, stationarity and whether its result seeds the loop, or
-    that it was skipped) and
-    one per iteration: the residual, the support size of the iterate and
-    the exact d1 ("transport LPs") evaluated out of the time slices."""
+    Logs on the ``statecon`` logger one INFO line for the joint solve
+    (whether its result seeds the loop, with the ladder's failure if not,
+    or that it was skipped; its Newton steps are in the ladder's round
+    lines on ``statecon.ladder``) and one per iteration: the residual, the
+    support size of the iterate and the exact d1 ("transport LPs")
+    evaluated out of the time slices."""
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     times = np.linspace(0.0, prob.horizon, n_times)
@@ -562,12 +548,13 @@ def fixed_point(prob: Problem, dom: Domain, coupling,
                  "at N=%d, starting from eta0", size, N)
         eta = eta0
     else:
-        seed, stat, ok, steps = joint_equilibrium(prob, dom, coupling, eta0,
-                                                  N=N)
-        log.info("mfg joint Newton: %d steps, stationarity %.3e, %s", steps,
-                 stat, "seed used" if ok
-                 else "seed rejected, starting from eta0")
-        eta = seed if ok else eta0
+        try:
+            eta = joint_equilibrium(prob, dom, coupling, eta0, N=N)
+            log.info("mfg joint Newton: seed used")
+        except (MaxIterations, NonFiniteCost, ScheduleExhausted) as exc:
+            log.info("mfg joint Newton: seed rejected (%s: %s), starting "
+                     "from eta0", type(exc).__name__, exc)
+            eta = eta0
     history = []
     warm: dict = {}
     polished = False

@@ -8,9 +8,7 @@ trapezoid rule using the per-interval velocity at both interval ends.
 
 from __future__ import annotations
 
-import gc
 import logging
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -119,8 +117,7 @@ class PenaltyParams:
     the arc and 1/delta at the end, the tube radius rho and the grid size
     N.  ``weights`` scales the penalty of each of the k points that every
     knot carries: one point for a single agent, one per agent for the
-    stacked state (x_1, ..., x_k) of ``mfg.joint_equilibrium``.  Only the
-    Newton finish and its certificate take k > 1."""
+    stacked state (x_1, ..., x_k) of ``mfg.joint_equilibrium``."""
 
     epsilon: float | np.ndarray
     delta: float
@@ -408,7 +405,7 @@ def _part(idx: np.ndarray, size: int):
 def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
                    traj: Trajectory, cost):
     """Newton's method on the penalized problem for each member of the batch
-    ``traj`` (one member without a batch axis) from penalized cost ``cost``;
+    ``traj`` (knots (B, N+1, k n)) from penalized costs ``cost``;
     each member keeps its own groups, multipliers, backtracking, 30-step
     cap and stop rule, so it takes the steps of its solo finish.  A knot
     carries k = ``params.weights.size`` points (one per agent of a joint
@@ -424,8 +421,7 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
     penalized cost keeps the groups from cycling; a singular pivot ends the
     member's finish.  Returns the best trajectories and each member's
     accepted steps; the caller certifies them."""
-    single = traj.knots.ndim == 2
-    X = (traj.knots[None] if single else traj.knots).copy()
+    X = traj.knots.copy()
     B, N, n, k = X.shape[0], traj.N, dom.dim, params.weights.size
     t0, t1 = traj.t0, traj.t1
     eps = np.broadcast_to(np.asarray(params.epsilon, dtype=float), (B,))
@@ -521,8 +517,6 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
             stuck[np.any(blocking, axis=1)]]))
     X[:, 1:] = np.where(boundary[..., None], gP[:, k:],
                         X[:, 1:].reshape(B, -1, n)).reshape(B, N, -1)
-    if single:
-        return Trajectory(t0, t1, X[0]), int(steps[0])
     return Trajectory(t0, t1, X), steps
 
 
@@ -537,37 +531,22 @@ def _certificate(prob: Problem, dom: Domain, params: PenaltyParams,
     return stat, stat < 1e-8 * (1.0 + np.abs(cost)), bmax
 
 
-def _scipy_optimize():
-    """The ``scipy.optimize`` module, imported on first use.  The import
-    makes some 50k objects, so it runs with the cyclic collector paused (then
-    enabled or not, as the caller had it), and whatever lives after it is
-    frozen (``gc.freeze``): no later collection walks it again.  Only the
-    call that runs the import freezes, so a process's heap is frozen here
-    at most once."""
-    if "scipy.optimize" not in sys.modules:
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            import scipy.optimize
-        finally:
-            if enabled:
-                gc.enable()
-        gc.freeze()
-    return sys.modules["scipy.optimize"]
-
-
 def _solve_level(prob: Problem, dom: Domain, params: PenaltyParams, x0s,
                  inits: list):
     """One level of the epsilon ladder: member i, pinned at x0s[i], starts
     from inits[i] (from the constant trajectory at x0s[i] if None) at
-    ``params.epsilon[i]``; one Newton finish solves all.  Returns per member
-    its certified trajectory or MaxIterations, Runaway (the minimizer is a
-    diameter outside) or NonFiniteCost, and the Newton steps."""
+    ``params.epsilon[i]``; one Newton finish solves all.  A knot of the
+    problem's state carries k = ``params.weights.size`` points of the
+    domain.  Returns per member its certified trajectory or MaxIterations,
+    Runaway (a point is a diameter outside) or NonFiniteCost, and the
+    Newton steps."""
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     B = x0s.shape[0]
-    if params.weights.size != 1:
-        raise ValueError("minimize_penalized takes one point per knot")
-    if np.any(dom.b_many(x0s) > dom.boundary_tol):
+    if prob.dim != params.weights.size * dom.dim:
+        raise ValueError(f"a knot of dimension {prob.dim} does not hold "
+                         f"{params.weights.size} points of the domain's "
+                         f"dimension {dom.dim}")
+    if np.any(dom.b_many(x0s.reshape(-1, dom.dim)) > dom.boundary_tol):
         raise ValueError("initial state must lie in the closed domain")
     eps = np.broadcast_to(np.asarray(params.epsilon, dtype=float), (B,))
     leash = params.rho + dom.diameter
@@ -608,7 +587,8 @@ def _solve_level(prob: Problem, dom: Domain, params: PenaltyParams, x0s,
 def minimize_penalized(prob: Problem, dom: Domain, params: PenaltyParams,
                        x0, init: Trajectory | None = None) -> Trajectory:
     """Minimize the penalized cost over the free knots 1..N from ``init``
-    (knot 0 reset to x0), or from the constant trajectory at x0: one
+    (knot 0 reset to x0), or from the constant trajectory at x0, each knot
+    holding ``params.weights.size`` points of the domain: one
     ``_solve_level`` for a batch of one, raising its failure."""
     (gamma,), _ = _solve_level(prob, dom, params, [x0], [init])
     if isinstance(gamma, Exception):
@@ -640,13 +620,15 @@ def delta_choice(prob: Problem, dom: Domain, samples: int = 2048):
 
 
 def feasibility_gap(dom: Domain, gamma: Trajectory) -> float:
-    """max_t d(gamma(t)); for convex domains the segment maximum is attained
-    at the knots."""
-    return float(np.max(np.maximum(dom.b_many(gamma.knots), 0.0)))
+    """max_t d(gamma(t)) over each of the knots' points; for convex domains
+    the segment maximum is attained at the knots."""
+    return float(np.max(np.maximum(
+        dom.b_many(gamma.knots.reshape(-1, dom.dim)), 0.0)))
 
 
 def epsilon_schedule_batch(prob: Problem, dom: Domain, x0s, delta: float,
-                           N: int = 256, *, inits, eps0s=1.0) -> list:
+                           N: int = 256, *, inits, eps0s=1.0,
+                           weights=(1.0,)) -> list:
     """The epsilon ladder for B members on one time grid: member i, pinned
     at x0s[i], starts from inits[i] at eps0s[i] (shared or one each) and
     halves its epsilon until its minimizer is feasible to 1e-6 diam, each
@@ -658,7 +640,8 @@ def epsilon_schedule_batch(prob: Problem, dom: Domain, x0s, delta: float,
     the floats of its batch-of-one solve if the problem treats rows one by
     one (a matrix-vector product over 8 or more columns may not).  Returns
     per member its trajectory and final parameters, or the NonFiniteCost,
-    MaxIterations or ScheduleExhausted that ended it."""
+    MaxIterations or ScheduleExhausted that ended it.  ``weights`` are the
+    penalty weights of the k points per knot (``PenaltyParams``)."""
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     B = x0s.shape[0]
     eps, tau = np.ones(B) * eps0s, FEASIBILITY_TOL_FACTOR * dom.diameter
@@ -668,7 +651,7 @@ def epsilon_schedule_batch(prob: Problem, dom: Domain, x0s, delta: float,
         if not live.size:
             break
         params = PenaltyParams(epsilon=eps[live], delta=delta, rho=dom.rho0,
-                               N=N)
+                               N=N, weights=weights)
         results, steps = _solve_level(prob, dom, params, x0s[live],
                                       [gammas[i] for i in live])
         kinds = []
@@ -688,9 +671,8 @@ def epsilon_schedule_batch(prob: Problem, dom: Domain, x0s, delta: float,
             elif isinstance(res, Exception):
                 out[i], kind = res, "failed"
             elif feasibility_gap(dom, res) <= tau:
-                out[i], kind = (res, PenaltyParams(
-                    epsilon=float(eps[i]), delta=delta, rho=dom.rho0,
-                    N=N)), "feasible"
+                out[i], kind = (res, replace(
+                    params, epsilon=float(eps[i]))), "feasible"
             else:
                 gammas[i], kind = res, "halved"
             if out[i] is None:
@@ -712,12 +694,13 @@ def epsilon_schedule_batch(prob: Problem, dom: Domain, x0s, delta: float,
 
 def epsilon_schedule(prob: Problem, dom: Domain, x0, delta: float,
                      N: int = 256, init: Trajectory | None = None,
-                     eps0: float = 1.0):
+                     eps0: float = 1.0, weights=(1.0,)):
     """``epsilon_schedule_batch`` for one member, raising its failure.  To
     refine a converged coarse solution, pass its epsilon as eps0 to skip
     the weak-penalty levels it already went through."""
     (out,) = epsilon_schedule_batch(prob, dom, [x0], delta, N=N,
-                                    inits=[init], eps0s=eps0)
+                                    inits=[init], eps0s=eps0,
+                                    weights=weights)
     if isinstance(out, Exception):
         raise out
     return out

@@ -48,8 +48,7 @@ def s4_round():
     coupling = GaussianKernelCoupling.from_config(mc["coupling"])
     eta0 = constant_measure(mc["m0"]["points"], mc["m0"]["weights"],
                             prob.horizon, N=N)
-    seed, _, ok, _ = joint_equilibrium(prob, dom, coupling, eta0, N=N)
-    assert ok
+    seed = joint_equilibrium(prob, dom, coupling, eta0, N=N)
     single = coupled_problem(prob, dom, coupling, seed)
     x0s = seed.initial_measure().points
     inits = [Trajectory.constant(0.0, prob.horizon, x, N) for x in x0s]

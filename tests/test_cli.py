@@ -175,6 +175,21 @@ class TestErrors:
         assert rc == 1
         assert "cannot read config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", [None, 8], ids=["missing", "8-rows"])
+    def test_unreadable_trajectory_is_config_error(self, tmp_path,
+                                                   mini_config, capsys, rows):
+        # pmp-check needs a trajectory CSV of at least 9 knots
+        path = tmp_path / "trajectory.csv"
+        if rows is not None:
+            path.write_text("t,x1,x2\n" + "".join(
+                f"{i / (rows - 1)},0,0\n" for i in range(rows)))
+        rc, _ = run(tmp_path, "pmp-check", "--config", str(mini_config),
+                    "--trajectory", str(path))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read trajectory ")
+        assert "Traceback" not in err
+
     def test_bad_log_level_is_config_error(self, tmp_path, capsys,
                                            monkeypatch):
         monkeypatch.setenv("CVX_LOG", "verbose")
@@ -226,12 +241,16 @@ class TestMalformedScenario:
         ("mfg", lambda cfg: cfg["mfg"]["value"].update(n_points="x")),
         ("value", lambda cfg: cfg.update(value={"N": 32.5})),
         ("solve --grid-n 4", lambda cfg: None),
+        ("value --grid-n 0", lambda cfg: None),
         # fixed-point and penalty parameters, read before any solve
         ("mfg", lambda cfg: cfg["mfg"].update(max_iter="x")),
         ("mfg", lambda cfg: cfg["mfg"].update(max_iter=0)),
         ("mfg", lambda cfg: cfg["mfg"].update(max_iter=True)),
         ("mfg", lambda cfg: cfg["mfg"].update(tol=-1)),
         ("mfg", lambda cfg: cfg["mfg"].update(alpha=0)),
+        ("mfg", lambda cfg: cfg["mfg"]["coupling"].update(amp=-1)),
+        ("mfg", lambda cfg: cfg["mfg"]["coupling"].update(amp="x")),
+        ("mfg", lambda cfg: cfg["mfg"]["coupling"].update(amp=float("nan"))),
         ("solve", lambda cfg: cfg["problem"].update(mu="x")),
         ("solve", lambda cfg: cfg["solver"].update(delta="x")),
     ], ids=["m0-missing", "negative-weight", "weights-sum", "start-outside",
@@ -240,9 +259,11 @@ class TestMalformedScenario:
             "value-N-4", "mfg-n_times-1", "mfg-value-n_times-1",
             "mfg-value-N-4", "mfg-value-n_points-1",
             "mfg-value-no-node-inside", "mfg-value-n_points-x",
-            "value-N-not-integer", "solve-grid-n-4", "mfg-max_iter-x",
-            "mfg-max_iter-0", "mfg-max_iter-true", "mfg-tol-negative",
-            "mfg-alpha-0", "solve-mu-not-a-number",
+            "value-N-not-integer", "solve-grid-n-4", "value-grid-n-0",
+            "mfg-max_iter-x", "mfg-max_iter-0", "mfg-max_iter-true",
+            "mfg-tol-negative", "mfg-alpha-0", "mfg-coupling-amp-negative",
+            "mfg-coupling-amp-x", "mfg-coupling-amp-nan",
+            "solve-mu-not-a-number",
             "solve-delta-not-a-number"])
     def test_is_config_error(self, tmp_path, mini_config, mini_mfg_config,
                              capsys, command, edit):

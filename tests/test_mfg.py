@@ -19,7 +19,8 @@ from statecon import mfg, penalty
 from statecon.mfg import (_coupling_cost, _prune, coupled_problem,
                           potential_problem,
                           equilibrium_residual, flow_speed_bound)
-from statecon.penalty import _action_hessian, _cost_and_grad, _stationarity
+from statecon.penalty import (MaxIterations, ScheduleExhausted,
+                              _action_hessian, _cost_and_grad, _stationarity)
 
 from conftest import dense_tridiag, fd_action_hessian
 
@@ -456,10 +457,10 @@ class TestStateOnlyCost:
             orders.append(order) or V(t, x, order)))
         hessians = counted(monkeypatch, penalty, "_action_hessian")
         params = PenaltyParams(epsilon=0.25, delta=0.5, rho=disk.rho0, N=32)
-        traj = Trajectory.constant(0.0, 1.0, np.zeros(2), 32)
+        traj = Trajectory(0.0, 1.0, np.zeros((1, 33, 2)))  # a batch of one
         cost = penalty.penalized_cost(single, disk, params, traj)
         orders.clear()
-        _, steps = penalty._newton_finish(single, disk, params, traj, cost)
+        _, (steps,) = penalty._newton_finish(single, disk, params, traj, cost)
         # one order-2 evaluation per step, for its gradient and Hessian;
         # the line search evaluates V's value only
         assert orders.count(2) == hessians[0] >= steps > 0
@@ -849,12 +850,12 @@ class TestJointEquilibrium:
 
         penalty_kkt = penalty._kkt_step
         monkeypatch.setattr(penalty, "_kkt_step", recording)
-        traj = Trajectory(0.0, 1.0, X.reshape(N + 1, 6))
+        traj = Trajectory(0.0, 1.0, X.reshape(1, N + 1, 6))
         penalty._newton_finish(joint, disk, params, traj,
                                penalty.penalized_cost(joint, disk, params,
                                                       traj))
         (D, U, g, Db, b, mask), (dx, mu) = calls[0]
-        # the joint finish is a batch of one: its member's system
+        # the joint solve is a batch of one: its member's system
         D, U, g, Db, b, dx = D[0], U[0], g[0], Db[0], b[0], dx[0]
         act, mu = np.flatnonzero(mask[0]), mu[0][mask[0]]
         assert act.size > 0 and np.any(b > 1e-5 * disk.diameter)
@@ -873,12 +874,14 @@ class TestJointEquilibrium:
         dom, prob, coupling, eta0 = s4_game()
         times = np.linspace(0.0, 1.0, 17)
         tol = 1e-3
+        # best responses, and apart from them the joint solve's one member
         solves = counted_members(monkeypatch, mfg, "epsilon_schedule_batch",
                                  2)
+        joints = counted(monkeypatch, mfg, "epsilon_schedule")
         lps = counted(monkeypatch, mfg, "linprog")
         eta, history = fixed_point(prob, dom, coupling, eta0, tol=tol, N=32)
         assert len(history) <= 2 and history[-1] <= tol
-        assert solves[0] <= 16 and lps[0] <= 20
+        assert solves[0] <= 16 and joints[0] == 1 and lps[0] <= 20
         # the damped iteration from the stay-put measure to the same tol
         warm = {}
         ref = eta0
@@ -890,23 +893,35 @@ class TestJointEquilibrium:
 
     def test_rejected_seed_starts_from_eta0(self, monkeypatch, caplog):
         # a joint solve that does not move leaves the crowd's stay-put
-        # start, which is not stationary: the loop starts from eta0
+        # start, which is not stationary: its ladder ends at the second
+        # stall, and the loop starts from eta0
         disk = Ball([0.0, 0.0], 1.0)
         prob = quadratic_problem(2, M=1.0, kappa=0.0)
         c = GaussianKernelCoupling(amp=0.4, scale=0.5)
         eta0 = constant_measure([[0.05, 0.0], [-0.05, 0.05]], np.full(2, 0.5),
                                 T=1.0, N=16)
+        finish = penalty._newton_finish
 
-        def stay(prob, dom, params, traj, cost):
-            return traj, 0
+        def stay(prob, dom, params, traj, cost):  # the joint solve only
+            if params.weights.size == 1:
+                return finish(prob, dom, params, traj, cost)
+            return traj, np.zeros(len(traj.knots), int)
 
-        monkeypatch.setattr(mfg, "_newton_finish", stay)
+        monkeypatch.setattr(penalty, "_newton_finish", stay)
         with caplog.at_level(logging.INFO, logger="statecon"):
             _, history = fixed_point(prob, disk, c, eta0, tol=1e-3, N=16,
                                      n_times=5)
         lines = [r.getMessage() for r in caplog.records]
-        assert lines[0].startswith("mfg joint Newton: 0 steps, stationarity ")
-        assert lines[0].endswith(", seed rejected, starting from eta0")
+        assert lines[0].startswith(
+            "epsilon ladder restart after MaxIterations: stationarity ")
+        assert lines[1:3] == [
+            "ladder round 0 (N=16): 1 solved, 0 certified, 0 feasible, "
+            "1 restarted, 0 Newton steps",
+            "ladder round 1 (N=16): 1 solved, 0 certified, 0 feasible, "
+            "0 restarted, 0 Newton steps"]
+        assert lines[3].startswith("mfg joint Newton: seed rejected "
+                                   "(MaxIterations: stationarity stalled")
+        assert lines[3].endswith("), starting from eta0")
         assert sum("seed" in line for line in lines) == 1
         first = best_response(prob, disk, c, eta0, N=16)
         assert history[0] == equilibrium_residual(eta0, first,
@@ -928,70 +943,87 @@ class TestJointEquilibrium:
     def test_infeasible_seed_is_rejected(self, monkeypatch, caplog):
         # declared M = 1, so the joint solve starts at eps = 1, where the
         # crowd's critical point certifies but lies outside the disk; with
-        # no halving left it must not seed the loop
+        # no halving left in the joint solve's ladder it must not seed the
+        # loop
         disk, prob, c, eta0 = self.pull_crowd(M=1.0)
-        monkeypatch.setattr(mfg, "MAX_HALVINGS", 0)
-        seed, stat, ok, _ = mfg.joint_equilibrium(prob, disk, c, eta0, N=32)
-        assert stat < 1e-8 and not ok
-        assert max(np.max(disk.b_many(tr.knots))
-                   for tr in seed.trajectories) > 0.01
+        schedule = mfg.epsilon_schedule
+
+        def one_level(*args, **kwargs):
+            with monkeypatch.context() as m:
+                m.setattr(penalty, "MAX_HALVINGS", 0)
+                return schedule(*args, **kwargs)
+
+        monkeypatch.setattr(mfg, "epsilon_schedule", one_level)
+        with caplog.at_level(logging.INFO, logger="statecon"):
+            with pytest.raises(ScheduleExhausted) as failed:
+                mfg.joint_equilibrium(prob, disk, c, eta0, N=32)
+        # certified (stationary), but a point lies 0.01 outside
+        (line,) = [r.getMessage() for r in caplog.records]
+        assert line.startswith("ladder round 0 (N=32): 1 solved, 1 certified, "
+                               "0 feasible, 0 restarted, ")
+        assert float(str(failed.value).split()[1]) > 0.01
+        caplog.clear()
         with caplog.at_level(logging.INFO, logger="statecon"):
             _, history = fixed_point(prob, disk, c, eta0, tol=1e-3, N=32)
         lines = [r.getMessage() for r in caplog.records
                  if "seed" in r.getMessage()]
         assert len(lines) == 1
-        assert lines[0].endswith(", seed rejected, starting from eta0")
+        assert lines[0].startswith("mfg joint Newton: seed rejected "
+                                   "(ScheduleExhausted: feasibility ")
+        assert lines[0].endswith("), starting from eta0")
         assert len(history) > 2 and history[-1] <= 1e-3
 
     def test_halvings_reach_a_feasible_seed(self, monkeypatch, caplog):
         # the same crowd with the halvings: the seed lies in the disk and
         # the loop returns in two rounds
         disk, prob, c, eta0 = self.pull_crowd(M=1.0)
-        levels = counted(monkeypatch, mfg, "_newton_finish")
-        seed, _, ok, _ = mfg.joint_equilibrium(prob, disk, c, eta0, N=32)
-        assert ok and levels[0] > 1
+        levels = counted(monkeypatch, penalty, "_newton_finish")
+        seed = mfg.joint_equilibrium(prob, disk, c, eta0, N=32)
+        assert levels[0] > 1
         assert max(np.max(disk.b_many(tr.knots))
                    for tr in seed.trajectories) <= 1e-6 * disk.diameter
         with caplog.at_level(logging.INFO, logger="statecon"):
             _, history = fixed_point(prob, disk, c, eta0, tol=1e-3, N=32)
-        assert [r.getMessage() for r in caplog.records][0].endswith(
-            ", seed used")
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "statecon"][0] == "mfg joint Newton: seed used"
         assert len(history) <= 2 and history[-1] <= 1e-3
 
     def test_declared_force_bound_sets_the_first_epsilon(self, monkeypatch):
         # M = 36 bounds the pull of 6: eps = 1/36 is strong enough, and one
         # Newton solve gives the feasible seed
         disk, prob, c, eta0 = self.pull_crowd(M=36.0)
-        levels = counted(monkeypatch, mfg, "_newton_finish")
-        _, _, ok, _ = mfg.joint_equilibrium(prob, disk, c, eta0, N=32)
-        assert ok and levels[0] == 1
+        levels = counted(monkeypatch, penalty, "_newton_finish")
+        mfg.joint_equilibrium(prob, disk, c, eta0, N=32)
+        assert levels[0] == 1
 
     def test_uncertified_level_resumes_at_half_epsilon(self, monkeypatch):
         # a level that stops uncertified (here: does not move from the
         # stay-put start) hands its point to the next level at half the
-        # epsilon; the second such level gives up
+        # epsilon; the second such level from the same start gives up
         disk, prob, c, eta0 = self.pull_crowd(M=36.0)
-        finish = mfg._newton_finish
+        finish = penalty._newton_finish
         levels = []
 
         def stall_first(prob, dom, params, traj, cost):
-            levels.append(params.epsilon)
+            levels.extend(params.epsilon)
             if len(levels) == 1:
-                return traj, 0
+                return traj, np.zeros(len(traj.knots), int)
             return finish(prob, dom, params, traj, cost)
 
-        monkeypatch.setattr(mfg, "_newton_finish", stall_first)
-        _, _, ok, _ = mfg.joint_equilibrium(prob, disk, c, eta0, N=32)
-        assert ok and levels == [1 / 36, 1 / 72]
+        monkeypatch.setattr(penalty, "_newton_finish", stall_first)
+        mfg.joint_equilibrium(prob, disk, c, eta0, N=32)
+        assert levels == [1 / 36, 1 / 72]
 
         def stall(prob, dom, params, traj, cost):
-            levels.append(params.epsilon)
-            return traj, 0
+            levels.extend(params.epsilon)
+            return traj, np.zeros(len(traj.knots), int)
 
         levels.clear()
-        monkeypatch.setattr(mfg, "_newton_finish", stall)
-        _, _, ok, steps = mfg.joint_equilibrium(prob, disk, c, eta0, N=32)
-        assert not ok and steps == 0 and levels == [1 / 36, 1 / 72]
+        monkeypatch.setattr(penalty, "_newton_finish", stall)
+        with pytest.raises(MaxIterations) as failed:
+            mfg.joint_equilibrium(prob, disk, c, eta0, N=32)
+        # no step taken, so no best point
+        assert failed.value.best is None and levels == [1 / 36, 1 / 72]
 
     def test_large_crowd_skips_the_joint_solve(self, monkeypatch, caplog):
         # two starts in the plane at N = 16: blocks of (17, 4, 4) entries

@@ -1,6 +1,4 @@
-import gc
 import logging
-import sys
 
 import numpy as np
 import pytest
@@ -11,7 +9,8 @@ from statecon import (Ball, Ellipse, LinearPotential, LinearTerminal,
                       energy_certificate, epsilon_schedule, extend_data,
                       feasibility_gap, holder_gap, minimize_penalized,
                       penalized_cost, quadratic_problem)
-from statecon import penalty
+from statecon import GaussianKernelCoupling, penalty
+from statecon.mfg import potential_problem
 from statecon.penalty import (MaxIterations, Runaway, _action_hessian,
                               _cost_and_grad, _kkt_step, _newton_finish,
                               _stationarity, _tridiag_solve)
@@ -249,11 +248,11 @@ class TestTridiagSolve:
                            np.ones((16, 2)))
         params = PenaltyParams(epsilon=0.5, delta=0.5, rho=disk.rho0, N=16)
         start = Trajectory.constant(0.0, 1.0, [0.1, 0.2], 16)
-        traj = Trajectory(0.0, 1.0, start.knots.copy())
+        traj = Trajectory(0.0, 1.0, start.knots[None].copy())  # batch of one
         out, steps = _newton_finish(prob, disk, params, traj,
                                     penalized_cost(prob, disk, params, traj))
-        assert steps == 0
-        assert np.array_equal(out.knots, start.knots)
+        assert steps.tolist() == [0]
+        assert np.array_equal(out.knots[0], start.knots)
 
 
 class TestMinimize:
@@ -375,10 +374,10 @@ class TestMinimize:
         assert np.max(np.abs(gamma.knots - direct.knots)) < 1e-8
 
     def test_several_points_per_knot_rejected(self, disk, pull_problem):
-        # k points per knot are for the joint Newton finish only
+        # k points per knot need a knot of k times the domain's dimension
         params = PenaltyParams(epsilon=0.5, delta=0.5, rho=disk.rho0, N=16,
                                weights=[0.5, 0.5])
-        with pytest.raises(ValueError, match="one point per knot"):
+        with pytest.raises(ValueError, match="does not hold 2 points"):
             minimize_penalized(pull_problem, disk, params, np.zeros(2))
 
     def test_init_grid_mismatch_rejected(self, disk, pull_problem):
@@ -473,10 +472,13 @@ class TestSchedule:
         assert len(starts) == 2
         assert np.array_equal(starts[0], starts[1])
 
+    @pytest.mark.parametrize("weights", [[1.0], [0.4, 0.6]],
+                             ids=["single", "stacked"])
     def test_a_stall_that_moved_restarts_from_its_best_point(
-            self, disk, pull_problem, monkeypatch):
+            self, disk, pull_problem, monkeypatch, weights):
         # an uncertified finish that accepted steps hands its best point to
-        # the next level, which starts there
+        # the next level, which starts there; also for the stacked state of
+        # k = 2 agents of a joint solve
         finish, starts = penalty._newton_finish, []
 
         def moved_once(prob, dom, params, traj, cost):
@@ -489,10 +491,15 @@ class TestSchedule:
 
         monkeypatch.setattr(penalty, "_newton_finish", moved_once)
         delta, _ = delta_choice(pull_problem, disk)
-        gamma, _params = epsilon_schedule(pull_problem, disk, np.zeros(2),
-                                          delta, N=32)
+        k = len(weights)
+        prob = pull_problem if k == 1 else potential_problem(
+            pull_problem, GaussianKernelCoupling(amp=0.5, scale=0.5), weights)
+        x0 = np.array([0.0, 0.0, 0.3, 0.2])[:2 * k]
+        gamma, params = epsilon_schedule(prob, disk, x0, delta, N=32,
+                                         weights=weights)
         assert np.array_equal(starts[1][..., 1:, 1],
                               np.full((1, 32), 0.1))
+        assert params.weights.tolist() == weights
         assert feasibility_gap(disk, gamma) <= 1e-6 * disk.diameter
 
     def test_feasible(self, solved):
@@ -550,29 +557,3 @@ class TestDeltaChoice:
         assert delta == 1.0
         assert speed == 0.0
 
-
-class TestScipyImport:
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_collector_state_kept_and_heap_frozen_once(self, monkeypatch,
-                                                       enabled):
-        # make the helper run the import again; scipy's attribute and the
-        # sys.modules entry are put back afterwards
-        import scipy
-        monkeypatch.setattr(scipy, "optimize", scipy.optimize)
-        monkeypatch.delitem(sys.modules, "scipy.optimize")
-        was_enabled, before = gc.isenabled(), gc.get_freeze_count()
-        (gc.enable if enabled else gc.disable)()
-        try:
-            module = penalty._scipy_optimize()
-            state, frozen = gc.isenabled(), gc.get_freeze_count()
-            young = [[]]  # tracked, made after the freeze
-            again = penalty._scipy_optimize()
-            young_unfrozen = any(o is young for o in gc.get_objects())
-        finally:
-            gc.unfreeze()
-            (gc.enable if was_enabled else gc.disable)()
-        assert state is enabled
-        assert frozen > before
-        assert again is module is sys.modules["scipy.optimize"]
-        # the second call imports nothing, so it freezes nothing
-        assert young_unfrozen

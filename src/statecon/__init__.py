@@ -5,9 +5,9 @@ and mean-field-game equilibria over discrete trajectory measures."""
 from .geometry import (Ball, Domain, Ellipse, OutsideTube, SmoothedBox,
                        SubdiffDescription)
 from .model import (AssumptionReport, Hamiltonian, LinearPotential,
-                    LinearTerminal, NewtonDiverged, Problem, SigmaTooLarge,
-                    check_assumptions, energy_bound, extend_data, legendre,
-                    problem_from_config, quadratic_problem)
+                    LinearTerminal, NewtonDiverged, Problem, check_assumptions,
+                    energy_bound, legendre, problem_from_config,
+                    quadratic_problem)
 from .penalty import (MaxIterations, NonFiniteCost, PenaltyParams,
                       ScheduleExhausted, Trajectory, delta_choice,
                       energy_certificate, epsilon_schedule,
@@ -22,8 +22,7 @@ from .value import ValueGrid, compute_value, dpp_check, lipschitz_report
 from .mfg import (DiscreteMeasure, GaussianKernelCoupling, MeasureFlow,
                   NoConvergence, TrajectoryMeasure, UnbalancedMeasure,
                   best_response, constant_measure, evaluate_flow, fixed_point,
-                  kantorovich_d1, lip_flow, mild_solution,
-                  monotonicity_check)
+                  kantorovich_d1, lip_flow, mild_solution)
 
 __version__ = "0.1.0"
 
@@ -31,9 +30,8 @@ __all__ = [
     "Ball", "Domain", "Ellipse", "OutsideTube", "SmoothedBox",
     "SubdiffDescription",
     "AssumptionReport", "Hamiltonian", "LinearPotential", "LinearTerminal",
-    "NewtonDiverged", "Problem", "SigmaTooLarge", "check_assumptions",
-    "energy_bound", "extend_data", "legendre", "problem_from_config",
-    "quadratic_problem",
+    "NewtonDiverged", "Problem", "check_assumptions", "energy_bound",
+    "legendre", "problem_from_config", "quadratic_problem",
     "MaxIterations", "NonFiniteCost", "PenaltyParams", "ScheduleExhausted",
     "Trajectory", "delta_choice", "energy_certificate", "epsilon_schedule",
     "epsilon_schedule_batch", "feasibility_gap", "holder_gap",
@@ -47,5 +45,5 @@ __all__ = [
     "DiscreteMeasure", "GaussianKernelCoupling", "MeasureFlow",
     "NoConvergence", "TrajectoryMeasure", "UnbalancedMeasure",
     "best_response", "constant_measure", "evaluate_flow", "fixed_point",
-    "kantorovich_d1", "lip_flow", "mild_solution", "monotonicity_check",
+    "kantorovich_d1", "lip_flow", "mild_solution",
 ]

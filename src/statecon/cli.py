@@ -243,7 +243,7 @@ def cmd_mfg(cfg, out: Path, args) -> int:
         coupling = GaussianKernelCoupling.from_config(mc.get("coupling", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad mfg.coupling spec: {exc}") from exc
-    N = _grid_size(mc.get("N", 64), 8, "mfg.N")
+    N = _grid_size(_grid_arg(args, mc.get("N", 64)), 8, "mfg.N")
     vc = mc.get("value", {})
     times = np.linspace(0.0, prob.horizon,
                         _grid_size(mc.get("n_times", 9), 2, "mfg.n_times"))
@@ -339,6 +339,7 @@ COMMANDS = {
     "geometry-test": cmd_geometry_test,
     "assumptions": cmd_assumptions,
 }
+GRIDLESS = ("pmp-check", "geometry-test", "assumptions")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -349,7 +350,9 @@ def make_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", required=True, help="JSON run configuration")
     ap.add_argument("--out", default=".", help="output directory")
     ap.add_argument("--grid-n", type=int, default=None,
-                    help="override the main grid resolution")
+                    help="override the main grid resolution: solver.N "
+                    "(solve), value.n_points (value) or mfg.N (mfg); the "
+                    "commands without a grid reject it")
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for sampled checks")
     ap.add_argument("--trajectory", default=None,
@@ -379,6 +382,9 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         configure_logging()
+        if args.grid_n is not None and args.command in GRIDLESS:
+            raise ConfigError(f"{args.command} has no grid to override; "
+                              "drop --grid-n")
         cfg = load_config(args.config)
         return COMMANDS[args.command](cfg, out, args)
     except ConfigError as exc:

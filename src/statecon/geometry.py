@@ -346,24 +346,3 @@ def fd_grad(dom: Domain, x, h: float = 1e-5) -> np.ndarray:
         e[i] = h
         g[i] = (dom.signed_distance(x + e) - dom.signed_distance(x - e)) / (2 * h)
     return g
-
-
-def fd_hess(dom: Domain, x, h: float = 1e-5) -> np.ndarray:
-    """Central finite-difference Hessian of the signed distance."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    H = np.zeros((n, n))
-    f0 = dom.signed_distance(x)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        H[i, i] = (dom.signed_distance(x + ei) - 2 * f0
-                   + dom.signed_distance(x - ei)) / h ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            H[i, j] = H[j, i] = (
-                dom.signed_distance(x + ei + ej) - dom.signed_distance(x + ei - ej)
-                - dom.signed_distance(x - ei + ej) + dom.signed_distance(x - ei - ej)
-            ) / (4 * h ** 2)
-    return H

@@ -224,7 +224,8 @@ def lip_flow(flow: MeasureFlow) -> float:
 class GaussianKernelCoupling:
     """Crowd-aversion coupling F(x, m) = sum_j w_j phi(x - y_j) with a
     Gaussian bump phi; the kernel is positive definite, so the coupling is
-    monotone.  G is identically zero unless terminal_amp is set."""
+    monotone.  The terminal coupling G(x, m), the same sum with amplitude
+    terminal_amp, is identically zero unless terminal_amp is set."""
 
     def __init__(self, amp: float = 1.0, scale: float = 0.5,
                  terminal_amp: float = 0.0):
@@ -263,18 +264,6 @@ class GaussianKernelCoupling:
 
     def F(self, X, m: DiscreteMeasure):
         return self._at(X, m, self.amp, 0)
-
-    def DxF(self, X, m: DiscreteMeasure):
-        return self._at(X, m, self.amp, 1)
-
-    def G(self, X, m: DiscreteMeasure):
-        return self._at(X, m, self.terminal_amp, 0)
-
-    def DxG(self, X, m: DiscreteMeasure):
-        return self._at(X, m, self.terminal_amp, 1)
-
-    def DxxG(self, X, m: DiscreteMeasure):
-        return self._at(X, m, self.terminal_amp, 2)
 
     def to_config(self):
         return {"type": "gaussian-bump", "amp": self.amp,
@@ -593,18 +582,3 @@ def mild_solution(prob: Problem, dom: Domain, coupling,
     flow = evaluate_flow(eta_eq, times)
     vg = compute_value(single, dom, times, points, N=N)
     return vg, flow
-
-
-def monotonicity_check(coupling, pairs):
-    """Values of the coupling monotonicity integral on measure pairs: the
-    integral of (F(., m1) - F(., m2)) against (m1 - m2) per pair."""
-    out = []
-    for m1, m2 in pairs:
-        f11 = coupling.F(m1.points, m1)
-        f12 = coupling.F(m1.points, m2)
-        f21 = coupling.F(m2.points, m1)
-        f22 = coupling.F(m2.points, m2)
-        val = (np.dot(f11 - f12, m1.weights)
-               - np.dot(f21 - f22, m2.weights))
-        out.append(float(val))
-    return out

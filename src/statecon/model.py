@@ -12,7 +12,7 @@ single step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,10 +23,6 @@ from .geometry import Domain
 class NewtonDiverged(RuntimeError):
     """The concave conjugate maximization failed; the problem data violate
     uniform convexity."""
-
-
-class SigmaTooLarge(ValueError):
-    pass
 
 
 def _batch(t, x, v=None):
@@ -129,7 +125,6 @@ class Problem:
     kappa: float
     fxx: Callable        # (t, x, v) -> (m, n, n), d2f/dx_i dx_j
     D2g: Callable        # (x,) -> (m, n, n)
-    coefficients: dict = field(default_factory=dict)
     V: Callable | None = None  # (t (m,), x (m, n), order) -> list, see above
 
     def __post_init__(self):
@@ -203,8 +198,7 @@ def quadratic_problem(dim: int, *, A=None, potential=None, terminal=None,
 
     return Problem(f=f, fx=fx, fv=fv, fvv=fvv, fvx=fvx, g=g, Dg=Dg,
                    horizon=T, dim=dim, mu=float(mu), M=float(M),
-                   kappa=float(kappa), coefficients={"A": A.tolist()},
-                   fxx=fxx, D2g=D2g)
+                   kappa=float(kappa), fxx=fxx, D2g=D2g)
 
 
 def problem_from_config(cfg: dict, dim: int) -> Problem:
@@ -421,124 +415,3 @@ def energy_bound(prob: Problem, dom: Domain, report: AssumptionReport | None = N
     pts = dom.sample_extended(rng, 2048)
     gmax = float(np.max(np.abs(prob.g(pts))))
     return prob.horizon * (report.C_mu_M + prob.M) + 2.0 * gmax
-
-
-# ---------------------------------------------------------------------------
-# cutoff extension to the whole space
-
-
-def _smoothstep(u):
-    """C^2 quintic step S(u), 0 on (-inf, 1/3] and 1 on [2/3, inf), with its
-    first and second derivatives."""
-    s = np.clip((np.asarray(u, dtype=float) - 1.0 / 3.0) * 3.0, 0.0, 1.0)
-    return (s ** 3 * (10.0 - 15.0 * s + 6.0 * s ** 2),
-            3.0 * 30.0 * s ** 2 * (1.0 - s) ** 2,
-            9.0 * 60.0 * s * (1.0 - s) * (1.0 - 2.0 * s))
-
-
-def _outer(a, b):
-    return a[:, :, None] * b[:, None, :]
-
-
-def extend_data(prob: Problem, dom: Domain, sigma: float) -> Problem:
-    """Extension of (f, g) from the tube to all of space by blending toward
-    the pure kinetic cost across the collar b in (sigma/3, 2 sigma/3)."""
-    if not 0 < sigma <= dom.rho0:
-        raise SigmaTooLarge(f"sigma must lie in (0, {dom.rho0:g}]")
-
-    def cutoff(x):
-        """xi = S(b/sigma), D xi = S'/sigma Db and
-        D2 xi = S''/sigma^2 Db Db^T + S'/sigma D2b."""
-        x = np.atleast_2d(x)
-        u = dom.b_many(x) / sigma
-        xi, s1, s2 = _smoothstep(u)
-        band = (u > 1.0 / 3.0) & (u < 2.0 / 3.0)  # where S' and S'' live
-        dxi = np.zeros_like(x)
-        d2xi = np.zeros((x.shape[0], prob.dim, prob.dim))
-        if np.any(band):
-            _, Db, D2b, _ = dom.eval(x[band])
-            s1, s2 = s1[band] / sigma, s2[band] / sigma ** 2
-            dxi[band] = s1[:, None] * Db
-            d2xi[band] = (s2[:, None, None] * _outer(Db, Db)
-                          + s1[:, None, None] * D2b)
-        return xi, dxi, d2xi
-
-    def f(t, x, v):
-        t, x, v = _batch(t, x, v)
-        xi, _, _ = cutoff(x)
-        kin = 0.5 * np.einsum("mi,mi->m", v, v)
-        return xi * kin + (1 - xi) * prob.f(t, x, v)
-
-    def fv(t, x, v):
-        t, x, v = _batch(t, x, v)
-        xi, _, _ = cutoff(x)
-        return xi[:, None] * v + (1 - xi)[:, None] * prob.fv(t, x, v)
-
-    def fvv(t, x, v):
-        t, x, v = _batch(t, x, v)
-        xi, _, _ = cutoff(x)
-        eye = np.eye(prob.dim)
-        return (xi[:, None, None] * eye[None]
-                + (1 - xi)[:, None, None] * prob.fvv(t, x, v))
-
-    def fvx(t, x, v):
-        t, x, v = _batch(t, x, v)
-        xi, dxi, _ = cutoff(x)
-        diff = v - prob.fv(t, x, v)
-        return (diff[:, :, None] * dxi[:, None, :]
-                + (1 - xi)[:, None, None] * prob.fvx(t, x, v))
-
-    def fx(t, x, v):
-        t, x, v = _batch(t, x, v)
-        xi, dxi, _ = cutoff(x)
-        kin = 0.5 * np.einsum("mi,mi->m", v, v)
-        return ((kin - prob.f(t, x, v))[:, None] * dxi
-                + (1 - xi)[:, None] * prob.fx(t, x, v))
-
-    def fxx(t, x, v):
-        t, x, v = _batch(t, x, v)
-        xi, dxi, d2xi = cutoff(x)
-        kin = 0.5 * np.einsum("mi,mi->m", v, v)
-        fxb = prob.fx(t, x, v)
-        return ((kin - prob.f(t, x, v))[:, None, None] * d2xi
-                - _outer(dxi, fxb) - _outer(fxb, dxi)
-                + (1 - xi)[:, None, None] * prob.fxx(t, x, v))
-
-    def g(x):
-        x = np.atleast_2d(x)
-        xi, _, _ = cutoff(x)
-        return (1 - xi) * prob.g(x)
-
-    def Dg(x):
-        x = np.atleast_2d(x)
-        xi, dxi, _ = cutoff(x)
-        return -prob.g(x)[:, None] * dxi + (1 - xi)[:, None] * prob.Dg(x)
-
-    def D2g(x):
-        x = np.atleast_2d(x)
-        xi, dxi, d2xi = cutoff(x)
-        Dgb = prob.Dg(x)
-        return (-prob.g(x)[:, None, None] * d2xi
-                - _outer(dxi, Dgb) - _outer(Dgb, dxi)
-                + (1 - xi)[:, None, None] * prob.D2g(x))
-
-    # the cutoff derivative enlarges the v = 0 base bound; re-measure it
-    rng = np.random.default_rng(6)
-    span = dom.diameter
-    lo, hi = dom.bounding_box()
-    pts = rng.uniform(lo - span, hi + span, (2048, prob.dim))
-    z = np.zeros_like(pts)
-    t0 = rng.uniform(0.0, prob.horizon, 2048)
-    M = 1.05 * float(np.max(np.abs(f(t0, pts, z))
-                            + np.linalg.norm(fx(t0, pts, z), axis=1)
-                            + np.linalg.norm(fv(t0, pts, z), axis=1)))
-    # the blend also feeds the state gradient into the mixed derivative, so
-    # the growth constant can exceed the base mu
-    vs = rng.normal(0.0, 3.0, (2048, prob.dim))
-    ratio = (np.linalg.norm(fvx(t0, pts, vs), ord=2, axis=(1, 2))
-             / (1.0 + np.linalg.norm(vs, axis=1)))
-    mu = max(prob.mu, 1.05 * float(np.max(ratio)))
-
-    return Problem(f=f, fx=fx, fv=fv, fvv=fvv, fvx=fvx, g=g, Dg=Dg,
-                   horizon=prob.horizon, dim=prob.dim, mu=mu,
-                   M=max(M, prob.M), kappa=prob.kappa, fxx=fxx, D2g=D2g)

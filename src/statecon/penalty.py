@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import BoundaryEval, Domain
-from .model import Problem
+from .model import Hamiltonian, Problem
 
 FEASIBILITY_TOL_FACTOR = 1e-6
 # halvings of epsilon before the schedule gives up
@@ -158,9 +158,8 @@ def _ends(gamma: Trajectory, *fns):
     X, t, V = gamma.knots, gamma.times, gamma.velocities
     lead, m = V.shape[:-1], V.shape[-1]
     v = V.reshape(-1, m)
-    sides = [(ts if V.ndim == 2 else np.broadcast_to(ts, lead).ravel(),
-              x.reshape(-1, m)) for ts, x in ((t[:-1], X[..., :-1, :]),
-                                               (t[1:], X[..., 1:, :]))]
+    sides = [(np.broadcast_to(ts, lead).ravel(), x.reshape(-1, m))
+             for ts, x in ((t[:-1], X[..., :-1, :]), (t[1:], X[..., 1:, :]))]
 
     def at(fn, ts, x):
         out = fn(ts, x, v)
@@ -405,7 +404,7 @@ def _part(idx: np.ndarray, size: int):
 def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
                    traj: Trajectory, cost):
     """Newton's method on the penalized problem for each member of the batch
-    ``traj`` (knots (B, N+1, k n)) from penalized costs ``cost``;
+    ``traj`` (knots (B, N+1, k n)) from its penalized costs ``cost`` (B,);
     each member keeps its own groups, multipliers, backtracking, 30-step
     cap and stop rule, so it takes the steps of its solo finish.  A knot
     carries k = ``params.weights.size`` points (one per agent of a joint
@@ -427,7 +426,7 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
     eps = np.broadcast_to(np.asarray(params.epsilon, dtype=float), (B,))
     c = np.broadcast_to(_point_weights(params, N, traj.dt),
                         (B, (N + 1) * k))[:, k:]  # per free point
-    cost = np.array(np.broadcast_to(cost, (B,)), dtype=float)
+    cost = np.array(cost, dtype=float)
     # per member: b, Db, D2b and P of its points
     gb, gDb, gD2b, gP = (a.reshape((B, -1) + a.shape[1:])
                          for a in dom.eval(X.reshape(-1, n)))
@@ -604,8 +603,6 @@ def delta_choice(prob: Problem, dom: Domain, samples: int = 2048):
 
     Returns (delta, measured N).
     """
-    from .model import Hamiltonian
-
     lo, hi = dom.bounding_box()
     axes = np.linspace(lo - dom.rho0, hi + dom.rho0,
                        max(2, int(np.ceil(samples ** (1.0 / dom.dim)))))

@@ -83,6 +83,56 @@ def drifting_problem():
     return prob, dc
 
 
+def mixed_problem(pull=(0.0, 0.0)):
+    """f = |v|^2/2 + x0 x1 v0 + x1^2 v1 + |x|^4 / 4 and g = <pull, x>: a
+    nonzero fxx and an unsymmetric fvx, hence a nonzero DpxH, which the
+    quadratic family lacks."""
+    pull = np.asarray(pull, dtype=float)
+
+    def f(t, x, v):
+        r2 = np.sum(x * x, axis=1)
+        return (0.5 * np.sum(v * v, axis=1) + x[:, 0] * x[:, 1] * v[:, 0]
+                + x[:, 1] ** 2 * v[:, 1] + 0.25 * r2 ** 2)
+
+    def fx(t, x, v):
+        r2 = np.sum(x * x, axis=1)
+        return np.stack([x[:, 1] * v[:, 0] + r2 * x[:, 0],
+                         x[:, 0] * v[:, 0] + 2.0 * x[:, 1] * v[:, 1]
+                         + r2 * x[:, 1]], axis=1)
+
+    def fv(t, x, v):
+        return v + np.stack([x[:, 0] * x[:, 1], x[:, 1] ** 2], axis=1)
+
+    def fvv(t, x, v):
+        return np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy()
+
+    def fvx(t, x, v):
+        zero = np.zeros(x.shape[0])
+        return np.stack([np.stack([x[:, 1], x[:, 0]], axis=1),
+                         np.stack([zero, 2.0 * x[:, 1]], axis=1)], axis=1)
+
+    def fxx(t, x, v):
+        r2 = np.sum(x * x, axis=1)
+        off = v[:, 0] + 2.0 * x[:, 0] * x[:, 1]
+        return np.stack([
+            np.stack([r2 + 2.0 * x[:, 0] ** 2, off], axis=1),
+            np.stack([off, 2.0 * v[:, 1] + r2 + 2.0 * x[:, 1] ** 2],
+                     axis=1)], axis=1)
+
+    def g(x):
+        return np.atleast_2d(x) @ pull
+
+    def Dg(x):
+        return np.broadcast_to(pull, np.atleast_2d(x).shape).copy()
+
+    def D2g(x):
+        return np.zeros((np.atleast_2d(x).shape[0], 2, 2))
+
+    return Problem(f=f, fx=fx, fv=fv, fvv=fvv, fvx=fvx, g=g, Dg=Dg,
+                   horizon=1.0, dim=2, mu=1.0, M=1.0, kappa=0.0, fxx=fxx,
+                   D2g=D2g)
+
+
 def s1_exact(t):
     """Closed-form minimizer of the pull problem: accelerate, land, rest."""
     t = np.asarray(t, dtype=float)

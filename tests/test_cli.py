@@ -139,6 +139,18 @@ class TestMFG:
         final = float(lines[-1].split(",")[1])
         assert final <= 1e-3
 
+    def test_grid_override(self, tmp_path, mini_mfg_config, caplog):
+        caplog.set_level(logging.INFO, logger="statecon.ladder")
+        rc, _ = run(tmp_path, "mfg", "--config", str(mini_mfg_config),
+                    "--grid-n", "16")
+        assert rc == 0
+        Ns = [int(r.getMessage().split("(N=")[1].split(")")[0])
+              for r in caplog.records if r.name == "statecon.ladder"]
+        # the fixed point solves at --grid-n, then the mild solution's
+        # value grid at mfg.value.N = 32
+        i = Ns.index(32)
+        assert i > 0 and set(Ns[:i]) == {16} and set(Ns[i:]) == {32}
+
 
 class TestGeometryAndAssumptions:
     @pytest.mark.parametrize("scenario", ["S1", "S2", "S3", "S4"])
@@ -189,6 +201,17 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read trajectory ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["pmp-check", "geometry-test",
+                                         "assumptions"])
+    def test_grid_n_without_a_grid_is_config_error(self, tmp_path,
+                                                   mini_config, capsys,
+                                                   command):
+        rc, _ = run(tmp_path, command, "--config", str(mini_config),
+                    "--grid-n", "16")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--grid-n" in err
 
     def test_bad_log_level_is_config_error(self, tmp_path, capsys,
                                            monkeypatch):
@@ -242,6 +265,7 @@ class TestMalformedScenario:
         ("value", lambda cfg: cfg.update(value={"N": 32.5})),
         ("solve --grid-n 4", lambda cfg: None),
         ("value --grid-n 0", lambda cfg: None),
+        ("mfg --grid-n 4", lambda cfg: None),
         # fixed-point and penalty parameters, read before any solve
         ("mfg", lambda cfg: cfg["mfg"].update(max_iter="x")),
         ("mfg", lambda cfg: cfg["mfg"].update(max_iter=0)),
@@ -260,6 +284,7 @@ class TestMalformedScenario:
             "mfg-value-N-4", "mfg-value-n_points-1",
             "mfg-value-no-node-inside", "mfg-value-n_points-x",
             "value-N-not-integer", "solve-grid-n-4", "value-grid-n-0",
+            "mfg-grid-n-4",
             "mfg-max_iter-x", "mfg-max_iter-0", "mfg-max_iter-true",
             "mfg-tol-negative", "mfg-alpha-0", "mfg-coupling-amp-negative",
             "mfg-coupling-amp-x", "mfg-coupling-amp-nan",
@@ -267,7 +292,8 @@ class TestMalformedScenario:
             "solve-delta-not-a-number"])
     def test_is_config_error(self, tmp_path, mini_config, mini_mfg_config,
                              capsys, command, edit):
-        path = mini_mfg_config if command == "mfg" else mini_config
+        path = (mini_mfg_config if command.split()[0] == "mfg"
+                else mini_config)
         cfg = json.loads(path.read_text())
         edit(cfg)
         path.write_text(json.dumps(cfg))

@@ -13,8 +13,7 @@ from statecon import (Ball, DiscreteMeasure, Domain, GaussianKernelCoupling,
                       best_response, constant_measure, delta_choice,
                       epsilon_schedule, evaluate_flow, fixed_point,
                       kantorovich_d1, lip_flow, minimize_penalized,
-                      monotonicity_check, problem_from_config,
-                      quadratic_problem)
+                      problem_from_config, quadratic_problem)
 from statecon import mfg, penalty
 from statecon.mfg import (_coupling_cost, _prune, coupled_problem,
                           potential_problem,
@@ -238,6 +237,21 @@ class TestMeasures:
         assert pruned.weights[0] == pytest.approx(1.0)
 
 
+def monotonicity_check(coupling, pairs):
+    """Values of the coupling monotonicity integral on measure pairs: the
+    integral of (F(., m1) - F(., m2)) against (m1 - m2) per pair."""
+    out = []
+    for m1, m2 in pairs:
+        f11 = coupling.F(m1.points, m1)
+        f12 = coupling.F(m1.points, m2)
+        f21 = coupling.F(m2.points, m1)
+        f22 = coupling.F(m2.points, m2)
+        val = (np.dot(f11 - f12, m1.weights)
+               - np.dot(f21 - f22, m2.weights))
+        out.append(float(val))
+    return out
+
+
 class TestCoupling:
     def test_value_matches_naive_sum(self):
         c = GaussianKernelCoupling(amp=0.7, scale=0.4)
@@ -250,17 +264,21 @@ class TestCoupling:
         assert np.allclose(c.F(X, m), want, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
-        c = GaussianKernelCoupling(amp=0.7, scale=0.4, terminal_amp=0.2)
-        m = random_measure(4, RNG)
-        x = np.array([[0.3, -0.1]])
+        # the bump's first order where the solver reads it: a coupled
+        # problem's fx and Dg against differences of its f and g
+        disk, single = pulled_crowd_problem(terminal_amp=0.3)
+        t = RNG.uniform(0.0, 1.0, 6)
+        x = RNG.uniform(-0.8, 0.8, (6, 2))
+        v = RNG.uniform(-1.0, 1.0, (6, 2))
+        assert np.max(np.abs(single.Dg(x))) > 0.05  # the base g is zero
         h = 1e-6
-        for deriv, func in ((c.DxF, c.F), (c.DxG, c.G)):
-            for k in range(2):
-                e = np.zeros((1, 2))
-                e[0, k] = h
-                fd = (func(x + e, m) - func(x - e, m)) / (2 * h)
-                assert deriv(x, m)[0, k] == pytest.approx(float(fd[0]),
-                                                          abs=1e-6)
+        for k in range(2):
+            e = np.zeros(2)
+            e[k] = h
+            fd = (single.f(t, x + e, v) - single.f(t, x - e, v)) / (2 * h)
+            assert np.max(np.abs(single.fx(t, x, v)[:, k] - fd)) < 1e-8
+            fd = (single.g(x + e) - single.g(x - e)) / (2 * h)
+            assert np.max(np.abs(single.Dg(x)[:, k] - fd)) < 1e-8
 
     def test_monotone_on_random_pairs(self):
         c = GaussianKernelCoupling(amp=1.0, scale=0.5)

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from statecon import (Ball, Hamiltonian, LinearPotential, LinearTerminal,
-                      SigmaTooLarge, check_assumptions, energy_bound,
-                      extend_data, legendre, quadratic_problem)
+from statecon import (Hamiltonian, LinearPotential, check_assumptions,
+                      energy_bound, legendre, quadratic_problem)
 
 from statecon.model import measure_hamiltonian_constants
 
-from conftest import drifting_problem
+from conftest import drifting_problem, mixed_problem
 
 
 RNG = np.random.default_rng(5)
@@ -80,10 +79,8 @@ class TestLegendre:
         assert np.max(np.abs(vstar - v)) < 1e-10
 
     def test_second_derivatives(self):
-        prob = quadratic_problem(2, A=[[1.5, 0.4], [0.4, 1.1]], M=1.0,
-                                 kappa=0.0)
-        ham = Hamiltonian(prob)
-        A = np.array(prob.coefficients["A"])
+        A = np.array([[1.5, 0.4], [0.4, 1.1]])
+        ham = Hamiltonian(quadratic_problem(2, A=A, M=1.0, kappa=0.0))
         t = np.zeros(10)
         x = np.zeros((10, 2))
         p = RNG.uniform(-1.0, 1.0, (10, 2))
@@ -91,6 +88,27 @@ class TestLegendre:
         assert np.allclose(d.DppH, np.linalg.inv(A), atol=1e-8)
         assert np.allclose(d.DpxH, 0.0, atol=1e-8)
         assert np.allclose(d.DptH, 0.0, atol=1e-8)
+
+    def test_state_derivatives_match_finite_differences(self):
+        # DxH by the envelope theorem and DpxH by implicit differentiation,
+        # on data whose fvx is not zero
+        ham = Hamiltonian(mixed_problem())
+        rng = np.random.default_rng(31)
+        t = rng.uniform(0.0, 1.0, 20)
+        x = rng.uniform(-1.0, 1.0, (20, 2))
+        p = rng.uniform(-2.0, 2.0, (20, 2))
+        d = ham.derivs_many(t, x, p)
+        assert np.max(np.abs(d.DpxH)) > 0.5
+        h = 1e-6
+        for k in range(2):
+            e = np.zeros(2)
+            e[k] = h
+            fd = (ham.value_many(t, x + e, p)
+                  - ham.value_many(t, x - e, p)) / (2 * h)
+            assert np.max(np.abs(d.DxH[:, k] - fd)) < 1e-8
+            fd = (ham.DpH_many(t, x + e, p)
+                  - ham.DpH_many(t, x - e, p)) / (2 * h)
+            assert np.max(np.abs(d.DpxH[:, :, k] - fd)) < 1e-8
 
     def test_time_derivative_by_implicit_differentiation(self):
         prob, dc = drifting_problem()
@@ -170,74 +188,3 @@ class TestAssumptions:
     def test_energy_budget_positive(self, disk, pull_problem):
         K = energy_bound(pull_problem, disk)
         assert K > pull_problem.horizon * pull_problem.M
-
-
-class TestExtension:
-    def test_agrees_inside_and_kinetic_outside(self, disk):
-        prob = quadratic_problem(2, potential=LinearPotential([1.0, 2.0]),
-                                 terminal=LinearTerminal([0.5, 0.0]),
-                                 M=8.0, kappa=0.0)
-        ext = extend_data(prob, disk, sigma=0.9)
-        t = np.zeros(64)
-        v = RNG.uniform(-1.0, 1.0, (64, 2))
-        inner = disk.sample_closure(np.random.default_rng(3), 64)
-        assert np.allclose(ext.f(t, inner, v), prob.f(t, inner, v),
-                           atol=1e-12)
-        far = RNG.uniform(2.5, 4.0, (64, 2))
-        assert np.allclose(ext.f(t, far, v),
-                           0.5 * np.sum(v * v, axis=1), atol=1e-12)
-        assert np.allclose(ext.g(far), 0.0, atol=1e-12)
-
-    def test_blend_keeps_derivative_consistency(self, disk):
-        prob = quadratic_problem(2, potential=LinearPotential([1.0, 2.0]),
-                                 M=8.0, kappa=0.0)
-        ext = extend_data(prob, disk, sigma=0.9)
-        t = np.zeros(1)
-        h = 1e-6
-        x = np.array([[1.0 + 0.45, 0.0]])  # inside the blend collar
-        v = np.array([[0.7, -0.3]])
-        for k in range(2):
-            e = np.zeros((1, 2))
-            e[0, k] = h
-            fd = (ext.f(t, x + e, v) - ext.f(t, x - e, v)) / (2 * h)
-            assert ext.fx(t, x, v)[0, k] == pytest.approx(float(fd[0]),
-                                                          abs=1e-5)
-            fd = (ext.f(t, x, v + e) - ext.f(t, x, v - e)) / (2 * h)
-            assert ext.fv(t, x, v)[0, k] == pytest.approx(float(fd[0]),
-                                                          abs=1e-5)
-
-    def test_state_hessians_match_finite_differences(self, disk):
-        # the collar b in (sigma/3, 2 sigma/3), where D2 xi is nonzero
-        prob = quadratic_problem(2, potential=LinearPotential([1.0, 2.0]),
-                                 terminal=LinearTerminal([0.5, -0.3]),
-                                 M=8.0, kappa=0.0)
-        sigma = 0.9
-        ext = extend_data(prob, disk, sigma=sigma)
-        m = 16
-        ang = RNG.uniform(0.0, 2.0 * np.pi, m)
-        r = 1.0 + RNG.uniform(0.37, 0.57, m) * sigma
-        x = r[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        t = RNG.uniform(0.0, 1.0, m)
-        v = RNG.uniform(-1.0, 1.0, (m, 2))
-        H, Hg = ext.fxx(t, x, v), ext.D2g(x)
-        assert np.max(np.abs(H)) > 1.0  # the cutoff curvature is active
-        h = 1e-6
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = h
-            fd = (ext.fx(t, x + e, v) - ext.fx(t, x - e, v)) / (2 * h)
-            assert np.max(np.abs(H[:, :, k] - fd)) < 1e-7
-            fd = (ext.Dg(x + e) - ext.Dg(x - e)) / (2 * h)
-            assert np.max(np.abs(Hg[:, :, k] - fd)) < 1e-7
-
-    def test_extension_passes_assumptions(self, disk):
-        prob = quadratic_problem(2, potential=LinearPotential([1.0, 2.0]),
-                                 M=8.0, kappa=0.0)
-        ext = extend_data(prob, disk, sigma=0.9)
-        rep = check_assumptions(ext, disk, rng=np.random.default_rng(0))
-        assert rep.all_passed
-
-    def test_sigma_validation(self, disk):
-        prob = quadratic_problem(2, M=1.0, kappa=0.0)
-        with pytest.raises(SigmaTooLarge):
-            extend_data(prob, disk, sigma=1.5)

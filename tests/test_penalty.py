@@ -6,7 +6,7 @@ import pytest
 from statecon import (Ball, Ellipse, LinearPotential, LinearTerminal,
                       PenaltyParams, Problem, Trajectory, delta_choice,
                       energy_bound,
-                      energy_certificate, epsilon_schedule, extend_data,
+                      energy_certificate, epsilon_schedule,
                       feasibility_gap, holder_gap, minimize_penalized,
                       penalized_cost, quadratic_problem)
 from statecon import GaussianKernelCoupling, penalty
@@ -15,7 +15,8 @@ from statecon.penalty import (MaxIterations, Runaway, _action_hessian,
                               _cost_and_grad, _kkt_step, _newton_finish,
                               _stationarity, _tridiag_solve)
 
-from conftest import dense_tridiag, fd_action_hessian, s1_exact
+from conftest import (dense_tridiag, fd_action_hessian, mixed_problem,
+                      s1_exact)
 
 
 def naive_cost(prob, dom, params, gamma):
@@ -122,50 +123,7 @@ class TestActionHessian:
             assert np.max(np.abs(H - want)) < 1e-6
 
     def test_mixed_terms_match_finite_differences(self):
-        # f = |v|^2/2 + x0 x1 v0 + x1^2 v1 + |x|^4 / 4 has nonzero fxx and
-        # an unsymmetric fvx, which the quadratic family lacks
-        def f(t, x, v):
-            r2 = np.sum(x * x, axis=1)
-            return (0.5 * np.sum(v * v, axis=1) + x[:, 0] * x[:, 1] * v[:, 0]
-                    + x[:, 1] ** 2 * v[:, 1] + 0.25 * r2 ** 2)
-
-        def fx(t, x, v):
-            r2 = np.sum(x * x, axis=1)
-            return np.stack([x[:, 1] * v[:, 0] + r2 * x[:, 0],
-                             x[:, 0] * v[:, 0] + 2.0 * x[:, 1] * v[:, 1]
-                             + r2 * x[:, 1]], axis=1)
-
-        def fv(t, x, v):
-            return v + np.stack([x[:, 0] * x[:, 1], x[:, 1] ** 2], axis=1)
-
-        def fvv(t, x, v):
-            return np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy()
-
-        def fvx(t, x, v):
-            zero = np.zeros(x.shape[0])
-            return np.stack([np.stack([x[:, 1], x[:, 0]], axis=1),
-                             np.stack([zero, 2.0 * x[:, 1]], axis=1)], axis=1)
-
-        def fxx(t, x, v):
-            r2 = np.sum(x * x, axis=1)
-            off = v[:, 0] + 2.0 * x[:, 0] * x[:, 1]
-            return np.stack([
-                np.stack([r2 + 2.0 * x[:, 0] ** 2, off], axis=1),
-                np.stack([off, 2.0 * v[:, 1] + r2 + 2.0 * x[:, 1] ** 2],
-                         axis=1)], axis=1)
-
-        def zero(x):
-            return np.zeros(np.atleast_2d(x).shape[0])
-
-        def zero_grad(x):
-            return np.zeros_like(np.atleast_2d(x))
-
-        def zero_hess(x):
-            return np.zeros((np.atleast_2d(x).shape[0], 2, 2))
-
-        prob = Problem(f=f, fx=fx, fv=fv, fvv=fvv, fvx=fvx, g=zero,
-                       Dg=zero_grad, horizon=1.0, dim=2, mu=1.0, M=1.0,
-                       kappa=0.0, fxx=fxx, D2g=zero_hess)
+        prob = mixed_problem()
         rng = np.random.default_rng(29)
         gamma = Trajectory(0.0, 1.0, rng.uniform(-0.6, 0.6, (13, 2)))
         H = dense_tridiag(*_action_hessian(prob, gamma))
@@ -398,19 +356,6 @@ def solved():
     return prob, disk, gamma, params
 
 
-class TestExtendedProblem:
-    def test_solves_without_state_hessian(self, disk, pull_problem):
-        # inside the closed disk the extension equals the base data
-        ext = extend_data(pull_problem, disk, sigma=0.9)
-        delta, _ = delta_choice(pull_problem, disk)
-        gamma, params = epsilon_schedule(ext, disk, np.zeros(2), delta, N=32)
-        base, base_params = epsilon_schedule(pull_problem, disk, np.zeros(2),
-                                             delta, N=32)
-        assert feasibility_gap(disk, gamma) <= 1e-6 * disk.diameter
-        assert params.epsilon == base_params.epsilon
-        assert np.max(np.abs(gamma.knots - base.knots)) < 1e-6
-
-
 class TestSchedule:
     def test_matches_closed_form(self, solved):
         prob, disk, gamma, params = solved
@@ -418,6 +363,15 @@ class TestSchedule:
         # carries an O(dt^2) junction error
         tol = 10.0 * gamma.dt ** 2
         assert np.max(np.abs(gamma.knots - s1_exact(gamma.times))) < tol
+
+    def test_mixed_terms_land_on_the_boundary(self, disk):
+        # the one solve on data with a nonzero fvx, so a nonzero DpxH
+        prob = mixed_problem(pull=(-3.0, 0.0))
+        delta, _ = delta_choice(prob, disk)
+        gamma, params = epsilon_schedule(prob, disk, np.array([0.2, 0.1]),
+                                         delta, N=32)
+        assert feasibility_gap(disk, gamma) <= 1e-6 * disk.diameter
+        assert abs(disk.signed_distance(gamma.knots[-1])) <= 1e-10
 
     def test_the_cold_ladder_runs_no_lbfgs(self, disk, pull_problem,
                                            monkeypatch):
@@ -556,4 +510,3 @@ class TestDeltaChoice:
         delta, speed = delta_choice(prob, disk)
         assert delta == 1.0
         assert speed == 0.0
-

@@ -6,8 +6,7 @@ from .geometry import (Ball, Domain, Ellipse, OutsideTube, SmoothedBox,
                        SubdiffDescription)
 from .model import (AssumptionReport, Hamiltonian, LinearPotential,
                     LinearTerminal, NewtonDiverged, Problem, check_assumptions,
-                    energy_bound, legendre, problem_from_config,
-                    quadratic_problem)
+                    energy_bound, problem_from_config, quadratic_problem)
 from .penalty import (MaxIterations, NonFiniteCost, PenaltyParams,
                       ScheduleExhausted, Trajectory, delta_choice,
                       energy_certificate, epsilon_schedule,
@@ -31,7 +30,7 @@ __all__ = [
     "SubdiffDescription",
     "AssumptionReport", "Hamiltonian", "LinearPotential", "LinearTerminal",
     "NewtonDiverged", "Problem", "check_assumptions", "energy_bound",
-    "legendre", "problem_from_config", "quadratic_problem",
+    "problem_from_config", "quadratic_problem",
     "MaxIterations", "NonFiniteCost", "PenaltyParams", "ScheduleExhausted",
     "Trajectory", "delta_choice", "energy_certificate", "epsilon_schedule",
     "epsilon_schedule_batch", "feasibility_gap", "holder_gap",

@@ -12,13 +12,14 @@ import atexit
 import gc
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .geometry import Ball, Domain, Ellipse, SmoothedBox, fd_grad
+from .geometry import Domain, fd_grad
 from .model import (Hamiltonian, check_assumptions, energy_bound,
                     problem_from_config)
 from .penalty import Trajectory, delta_choice, epsilon_schedule
@@ -81,10 +82,20 @@ class ConfigError(ValueError):
     pass
 
 
+def _finite(text: str) -> float:
+    """A number of the config, which must be finite: not NaN, Infinity or
+    -Infinity (which JSON lacks) and not 1e400 (which reads as inf)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def load_config(path: str) -> dict:
     try:
-        cfg = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        cfg = json.loads(Path(path).read_text(), parse_float=_finite,
+                         parse_constant=_finite)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if "domain" not in cfg:
         raise ConfigError("config needs a 'domain' section")
@@ -379,12 +390,17 @@ def main(argv=None) -> int:
     atexit.register(gc.freeze)
     args = make_parser().parse_args(argv)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make --out {out}: {exc}") from exc
         configure_logging()
         if args.grid_n is not None and args.command in GRIDLESS:
             raise ConfigError(f"{args.command} has no grid to override; "
                               "drop --grid-n")
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg = load_config(args.config)
         return COMMANDS[args.command](cfg, out, args)
     except ConfigError as exc:

@@ -77,14 +77,6 @@ class Domain:
     def signed_distance(self, x) -> float:
         return float(self.eval(x, hess=False).b[0])
 
-    def grad_b(self, x) -> np.ndarray:
-        e = self.eval(x, hess=False)
-        # b is smooth on the whole exterior for convex shapes; only the deep
-        # interior (past the cut locus bound rho0) is off limits.
-        if e.b[0] <= -self.rho0:
-            raise OutsideTube(f"b = {e.b[0]:g} <= -rho0 = {-self.rho0:g}")
-        return e.Db[0]
-
     def subdiff_distance(self, x) -> SubdiffDescription:
         e = self.eval(x, hess=False)
         b = float(e.b[0])

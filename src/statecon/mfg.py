@@ -78,12 +78,12 @@ class TrajectoryMeasure:
         # (x_1, ..., x_k), interpolated once per call of positions_at (the
         # measure is not changed after construction)
         first = self.trajectories[0]
-        self._stacked = None
-        if all((tr.t0, tr.t1, tr.knots.shape)
-               == (first.t0, first.t1, first.knots.shape)
+        if any((tr.t0, tr.t1, tr.knots.shape)
+               != (first.t0, first.t1, first.knots.shape)
                for tr in self.trajectories):
-            self._stacked = Trajectory(first.t0, first.t1, np.hstack(
-                [tr.knots for tr in self.trajectories]))
+            raise ValueError("the trajectories of a measure share one grid")
+        self._stacked = Trajectory(first.t0, first.t1, np.hstack(
+            [tr.knots for tr in self.trajectories]))
 
     def initial_measure(self) -> DiscreteMeasure:
         """Time-zero marginal with aggregated weights per distinct start."""
@@ -102,11 +102,9 @@ class TrajectoryMeasure:
 
     def positions_at(self, t) -> np.ndarray:
         """Stacked particle positions, shape (len(t), k, n): one
-        interpolation of the stacked knots when every particle shares one
-        grid (the same floats as ``Trajectory.at``), else one per particle."""
+        interpolation of the stacked knots (the same floats as
+        ``Trajectory.at``)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if self._stacked is None:
-            return np.stack([tr.at(t) for tr in self.trajectories], axis=1)
         return self._stacked.at(t).reshape(t.size, len(self.trajectories), -1)
 
 
@@ -446,14 +444,13 @@ def joint_equilibrium(prob: Problem, dom: Domain, coupling,
                               for j in range(k)], m0.weights)
 
 
-def _prune(eta: TrajectoryMeasure, tol: float = 1e-8) -> TrajectoryMeasure:
-    """Merge particles whose trajectories coincide to within tol in sup norm."""
+def _prune(eta: TrajectoryMeasure) -> TrajectoryMeasure:
+    """Merge particles whose trajectories agree to 1e-8 in sup norm."""
     kept: list = []
     weights: list = []
     for tr, w in zip(eta.trajectories, eta.weights):
         for i, other in enumerate(kept):
-            if (tr.knots.shape == other.knots.shape
-                    and np.max(np.abs(tr.knots - other.knots)) < tol):
+            if np.max(np.abs(tr.knots - other.knots)) < 1e-8:
                 weights[i] += w
                 break
         else:
@@ -530,6 +527,9 @@ def fixed_point(prob: Problem, dom: Domain, coupling,
     evaluated out of the time slices."""
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
+    tr = eta0.trajectories[0]  # every particle of eta0 is on its grid
+    if (tr.t0, tr.t1, tr.N) != (0.0, prob.horizon, N):
+        raise ValueError(f"eta0 is not on the solves' grid: N={N} on [0, T]")
     times = np.linspace(0.0, prob.horizon, n_times)
     size = eta0.initial_measure().weights.size * dom.dim
     if (N + 1) * size ** 2 > JOINT_MAX_BLOCK_ENTRIES:

@@ -288,14 +288,11 @@ class Hamiltonian:
             DptH=np.linalg.solve(fvv, fvt[:, :, None])[:, :, 0])
 
 
-def legendre(prob: Problem, t, x, p):
-    """Conjugate value and maximizer at a single point."""
-    H, v = Hamiltonian(prob).legendre_many(t, x, p)
-    return float(H[0]), v[0]
-
-
 # ---------------------------------------------------------------------------
 # assumption verification
+
+# sampled points behind check_assumptions and measure_hamiltonian_constants
+SAMPLES = 1000
 
 
 @dataclass
@@ -316,22 +313,15 @@ class AssumptionReport:
         return all(c.passed for c in self.checks.values())
 
 
-def _sample_tv(prob, dom, rng, samples):
-    t = rng.uniform(0.0, prob.horizon, samples)
-    x = dom.sample_extended(rng, samples)
-    v = rng.normal(0.0, 3.0, (samples, prob.dim))
-    return t, x, v
-
-
-def check_assumptions(prob: Problem, dom: Domain, samples: int = 1000,
+def check_assumptions(prob: Problem, dom: Domain,
                       rng: np.random.Generator | None = None) -> AssumptionReport:
     """Sampled verification of the structural inequalities and measurement of
     the derived growth constants."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     rng = rng or np.random.default_rng(0)
     mu, M, kap = prob.mu, prob.M, prob.kappa
-    t, x, v = _sample_tv(prob, dom, rng, samples)
+    t = rng.uniform(0.0, prob.horizon, SAMPLES)
+    x = dom.sample_extended(rng, SAMPLES)
+    v = rng.normal(0.0, 3.0, (SAMPLES, prob.dim))
     zeros = np.zeros_like(v)
 
     checks = {}
@@ -359,7 +349,7 @@ def check_assumptions(prob: Problem, dom: Domain, samples: int = 1000,
     checks["mixed_growth"] = CheckResult(m_fvx <= mu + 1e-9, m_fvx, mu)
 
     # time Lipschitz of f and fv
-    s = rng.uniform(0.0, prob.horizon, samples)
+    s = rng.uniform(0.0, prob.horizon, SAMPLES)
     df = np.abs(prob.f(t, x, v) - prob.f(s, x, v))
     dfv = np.linalg.norm(prob.fv(t, x, v) - prob.fv(s, x, v), axis=1)
     dt = np.abs(t - s) + 1e-300
@@ -384,18 +374,17 @@ def check_assumptions(prob: Problem, dom: Domain, samples: int = 1000,
 
 
 def measure_hamiltonian_constants(ham: Hamiltonian, dom: Domain,
-                                  samples: int = 1000,
                                   rng: np.random.Generator | None = None):
     """Measured M' (p = 0 bound) and C(mu, M') growth constant for H."""
     rng = rng or np.random.default_rng(1)
     prob = ham.prob
-    t = rng.uniform(0.0, prob.horizon, samples)
-    x = dom.sample_extended(rng, samples)
+    t = rng.uniform(0.0, prob.horizon, SAMPLES)
+    x = dom.sample_extended(rng, SAMPLES)
     # one conjugate solve at p = 0: DxH = -fx(t, x, v*) and DpH = -v*
-    H0, v0 = ham.legendre_many(t, x, np.zeros((samples, prob.dim)))
+    H0, v0 = ham.legendre_many(t, x, np.zeros((SAMPLES, prob.dim)))
     Mp = float(np.max(np.abs(H0) + np.linalg.norm(prob.fx(t, x, v0), axis=1)
                       + np.linalg.norm(v0, axis=1)))
-    p = rng.normal(0.0, 3.0, (samples, prob.dim))
+    p = rng.normal(0.0, 3.0, (SAMPLES, prob.dim))
     d = ham.derivs_many(t, x, p)
     pn = np.linalg.norm(p, axis=1)
     c1 = np.max(np.linalg.norm(d.DpH, axis=1) / (1 + pn))

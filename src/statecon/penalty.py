@@ -92,11 +92,6 @@ class Trajectory:
         w = (s - i)[:, None]
         return (1.0 - w) * self.knots[i] + w * self.knots[i + 1]
 
-    def energy(self) -> float:
-        """Discrete kinetic integral of |gamma'|^2 (piecewise constant)."""
-        v = self.velocities
-        return float(np.sum(np.sum(v * v, axis=1)) * self.dt)
-
     def refine(self) -> "Trajectory":
         """Double N by inserting segment midpoints."""
         mids = 0.5 * (self.knots[:-1] + self.knots[1:])
@@ -114,14 +109,13 @@ class Trajectory:
 @dataclass
 class PenaltyParams:
     """Penalty weights 1/epsilon (one per member of a batch, or shared) along
-    the arc and 1/delta at the end, the tube radius rho and the grid size
-    N.  ``weights`` scales the penalty of each of the k points that every
-    knot carries: one point for a single agent, one per agent for the
-    stacked state (x_1, ..., x_k) of ``mfg.joint_equilibrium``."""
+    the arc and 1/delta at the end, and the grid size N.  ``weights`` scales
+    the penalty of each of the k points that every knot carries: one point for
+    a single agent, one per agent for the stacked state (x_1, ..., x_k) of
+    ``mfg.joint_equilibrium``."""
 
     epsilon: float | np.ndarray
     delta: float
-    rho: float
     N: int
     weights: np.ndarray = field(default_factory=lambda: np.ones(1))
 
@@ -131,8 +125,6 @@ class PenaltyParams:
             raise ValueError("epsilon must be positive")
         if not 0 < self.delta <= 1:
             raise ValueError("delta must lie in (0, 1]")
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
         if self.N < 8:
             raise ValueError("N must be >= 8")
 
@@ -548,7 +540,7 @@ def _solve_level(prob: Problem, dom: Domain, params: PenaltyParams, x0s,
     if np.any(dom.b_many(x0s.reshape(-1, dom.dim)) > dom.boundary_tol):
         raise ValueError("initial state must lie in the closed domain")
     eps = np.broadcast_to(np.asarray(params.epsilon, dtype=float), (B,))
-    leash = params.rho + dom.diameter
+    leash = dom.rho0 + dom.diameter
     out: list = [None] * B
     inits = [Trajectory.constant(0.0, prob.horizon, x0, params.N)
              if init is None else init for x0, init in zip(x0s, inits)]
@@ -595,17 +587,17 @@ def minimize_penalized(prob: Problem, dom: Domain, params: PenaltyParams,
     return gamma
 
 
-def delta_choice(prob: Problem, dom: Domain, samples: int = 2048):
+def delta_choice(prob: Problem, dom: Domain):
     """Terminal penalty weight delta = min(1 / (2 mu N), 1), where N is the
     largest terminal drift speed |DpH(T, x, Dg(x))| over the nodes of a
-    regular grid, about ``samples`` nodes on the bounding box grown by
-    rho0, that lie in the tube-extended set b < rho0.
+    regular grid, about 2048 nodes on the bounding box grown by rho0, that
+    lie in the tube-extended set b < rho0.
 
     Returns (delta, measured N).
     """
     lo, hi = dom.bounding_box()
     axes = np.linspace(lo - dom.rho0, hi + dom.rho0,
-                       max(2, int(np.ceil(samples ** (1.0 / dom.dim)))))
+                       max(2, int(np.ceil(2048 ** (1.0 / dom.dim)))))
     x = np.stack(np.meshgrid(*axes.T, indexing="ij"), -1).reshape(-1, dom.dim)
     x = x[dom.b_many(x) < dom.rho0 * (1.0 - 1e-12)]
     speed = np.linalg.norm(Hamiltonian(prob).DpH_many(prob.horizon, x,
@@ -647,8 +639,8 @@ def epsilon_schedule_batch(prob: Problem, dom: Domain, x0s, delta: float,
     for level in range(MAX_HALVINGS + 1):
         if not live.size:
             break
-        params = PenaltyParams(epsilon=eps[live], delta=delta, rho=dom.rho0,
-                               N=N, weights=weights)
+        params = PenaltyParams(epsilon=eps[live], delta=delta, N=N,
+                               weights=weights)
         results, steps = _solve_level(prob, dom, params, x0s[live],
                                       [gammas[i] for i in live])
         kinds = []

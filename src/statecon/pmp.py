@@ -31,13 +31,11 @@ MULTIPLIER_TOL_FACTOR = 1e-4
 
 
 def contact_mask(dom: Domain, gamma: Trajectory,
-                 tol: float | None = None,
                  geo: BoundaryEval | None = None) -> np.ndarray:
-    """Knots lying on the boundary (within tolerance); ``geo``, when given,
-    is the geometry of the knots, evaluated already."""
-    tol = dom.boundary_tol if tol is None else tol
+    """Knots lying on the boundary (within ``dom.boundary_tol``); ``geo``,
+    when given, is the geometry of the knots, evaluated already."""
     b = dom.b_many(gamma.knots) if geo is None else geo.b
-    return np.abs(b) <= tol
+    return np.abs(b) <= dom.boundary_tol
 
 
 def _runs(mask: np.ndarray):

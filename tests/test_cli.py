@@ -213,6 +213,29 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--grid-n" in err
 
+    @pytest.mark.parametrize("command", ["solve", "pmp-check", "value",
+                                         "mfg", "geometry-test",
+                                         "assumptions"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, command):
+        # rejected before the config, which does not exist, is read
+        rc, _ = run(tmp_path, command, "--config",
+                    str(tmp_path / "missing.json"), "--seed", "-1")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--seed" in err
+        assert "Traceback" not in err
+
+    def test_out_naming_a_file_is_config_error(self, tmp_path, mini_config,
+                                               capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = main(["geometry-test", "--config", str(mini_config),
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot make --out ")
+        assert "Traceback" not in err
+
     def test_bad_log_level_is_config_error(self, tmp_path, capsys,
                                            monkeypatch):
         monkeypatch.setenv("CVX_LOG", "verbose")
@@ -277,6 +300,12 @@ class TestMalformedScenario:
         ("mfg", lambda cfg: cfg["mfg"]["coupling"].update(amp=float("nan"))),
         ("solve", lambda cfg: cfg["problem"].update(mu="x")),
         ("solve", lambda cfg: cfg["solver"].update(delta="x")),
+        # JSON has no NaN or Infinity, which the reader rejects
+        ("solve", lambda cfg: cfg["domain"].update(radius=float("nan"))),
+        ("solve", lambda cfg: cfg["problem"].update(T=float("inf"))),
+        ("solve", lambda cfg: cfg.update(x0=[float("nan"), 0.0])),
+        ("value", lambda cfg: cfg["problem"].update(M=float("nan"))),
+        ("mfg", lambda cfg: _edit_m0(cfg, weights=[float("nan"), 0.5])),
     ], ids=["m0-missing", "negative-weight", "weights-sum", "start-outside",
             "x0-outside", "x0-dimension", "potential-dimension",
             "value-n_points-1", "value-no-node-inside", "value-n_times-1",
@@ -289,7 +318,9 @@ class TestMalformedScenario:
             "mfg-tol-negative", "mfg-alpha-0", "mfg-coupling-amp-negative",
             "mfg-coupling-amp-x", "mfg-coupling-amp-nan",
             "solve-mu-not-a-number",
-            "solve-delta-not-a-number"])
+            "solve-delta-not-a-number",
+            "radius-nan", "T-infinity", "x0-nan", "value-M-nan",
+            "mfg-m0-weight-nan"])
     def test_is_config_error(self, tmp_path, mini_config, mini_mfg_config,
                              capsys, command, edit):
         path = (mini_mfg_config if command.split()[0] == "mfg"
@@ -301,6 +332,18 @@ class TestMalformedScenario:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_overflowing_number_is_config_error(self, tmp_path, mini_config,
+                                                capsys):
+        # 1e400 is valid JSON that reads as inf
+        path = tmp_path / "overflow.json"
+        path.write_text(mini_config.read_text().replace('"T": 1.0',
+                                                        '"T": 1e400'))
+        rc, _ = run(tmp_path, "solve", "--config", str(path))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config ")
+        assert "1e400" in err and "Traceback" not in err
 
 
 class TestDeterminism:

@@ -188,11 +188,6 @@ class TestSubdifferential:
 
 
 class TestErrors:
-    def test_gradient_deep_inside_raises(self, box):
-        # past depth rho0 the nearest boundary point is ambiguous
-        with pytest.raises(OutsideTube):
-            box.grad_b(np.array([0.0, 0.0]))
-
     def test_center_gradient_allowed(self, disk):
         # depth exactly rho0; the selection is still well defined
         g = disk.grad_many(np.array([[0.0, 0.0]]))[0]

@@ -185,17 +185,20 @@ class TestMeasures:
             TrajectoryMeasure([tr], np.array([0.7]))
 
     def test_positions_at_matches_each_trajectory(self):
-        # one stacked interpolation on a shared grid, one per particle
-        # otherwise; the same floats as Trajectory.at either way
+        # one stacked interpolation of the shared grid: the same floats as
+        # Trajectory.at; a measure on mixed grids is refused
         rng = np.random.default_rng(12)
         t = np.concatenate([rng.uniform(-0.1, 1.1, 20),
                             np.linspace(0.0, 1.0, 17)])
-        for grids in ((16, 16, 16), (16, 32, 16)):
-            eta = TrajectoryMeasure(
+        eta = TrajectoryMeasure(
+            [Trajectory(0.0, 1.0, rng.normal(size=(17, 2)))
+             for _ in range(3)], np.full(3, 1.0 / 3.0))
+        want = np.stack([tr.at(t) for tr in eta.trajectories], axis=1)
+        assert np.array_equal(eta.positions_at(t), want)
+        with pytest.raises(ValueError, match="one grid"):
+            TrajectoryMeasure(
                 [Trajectory(0.0, 1.0, rng.normal(size=(n + 1, 2)))
-                 for n in grids], np.full(3, 1.0 / 3.0))
-            want = np.stack([tr.at(t) for tr in eta.trajectories], axis=1)
-            assert np.array_equal(eta.positions_at(t), want)
+                 for n in (16, 32, 16)], np.full(3, 1.0 / 3.0))
 
     def test_initial_measure_aggregates_duplicates(self):
         t1 = Trajectory.constant(0.0, 1.0, np.array([0.1, 0.2]), 16)
@@ -380,8 +383,7 @@ class TestCoupledHessian:
         delta, _ = delta_choice(single, disk)
         knots = []
         for eps in (0.125, 0.0625):
-            params = PenaltyParams(epsilon=eps, delta=delta, rho=disk.rho0,
-                                   N=32)
+            params = PenaltyParams(epsilon=eps, delta=delta, N=32)
             gamma = minimize_penalized(single, disk, params, np.zeros(2))
             cost, G, geo = _cost_and_grad(single, disk, params, gamma)
             stat = _stationarity(disk, params, gamma, G, geo)
@@ -396,8 +398,7 @@ class TestCoupledHessian:
         # the minimizer is held to the leash rho0 + diam = 3
         disk, single = pulled_crowd_problem()
         delta, _ = delta_choice(single, disk)
-        params = PenaltyParams(epsilon=0.25, delta=delta, rho=disk.rho0,
-                               N=32)
+        params = PenaltyParams(epsilon=0.25, delta=delta, N=32)
         gamma = minimize_penalized(single, disk, params, np.zeros(2))
         cost, G, geo = _cost_and_grad(single, disk, params, gamma)
         assert _stationarity(disk, params, gamma, G, geo) <= 1e-8 * (
@@ -458,8 +459,7 @@ class TestStateOnlyCost:
             weights = np.ones(1)
         folded = replace(prob, V=None)
         assert prob.V is not None and folded.V is None
-        params = PenaltyParams(epsilon=0.5, delta=0.5, rho=disk.rho0, N=16,
-                               weights=weights)
+        params = PenaltyParams(epsilon=0.5, delta=0.5, N=16, weights=weights)
         cost, G, _ = _cost_and_grad(prob, disk, params, gamma)
         cost_f, G_f, _ = _cost_and_grad(folded, disk, params, gamma)
         assert close(cost, cost_f) and close(G, G_f)
@@ -474,7 +474,7 @@ class TestStateOnlyCost:
         monkeypatch.setattr(single, "V", lambda t, x, order: (
             orders.append(order) or V(t, x, order)))
         hessians = counted(monkeypatch, penalty, "_action_hessian")
-        params = PenaltyParams(epsilon=0.25, delta=0.5, rho=disk.rho0, N=32)
+        params = PenaltyParams(epsilon=0.25, delta=0.5, N=32)
         traj = Trajectory(0.0, 1.0, np.zeros((1, 33, 2)))  # a batch of one
         cost = penalty.penalized_cost(single, disk, params, traj)
         orders.clear()
@@ -521,6 +521,21 @@ class TestFixedPoint:
         avgT = np.einsum("kn,k->n", posT, eta.weights)
         spreadT = float(np.linalg.norm(posT - avgT, axis=1) @ eta.weights)
         assert spreadT > spread0
+
+    def test_eta0_off_the_solver_grid_is_refused(self, monkeypatch):
+        # checked before any solve, joint or best response
+        calls = []
+        monkeypatch.setattr(mfg, "epsilon_schedule",
+                            lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(mfg, "epsilon_schedule_batch",
+                            lambda *a, **k: calls.append(a))
+        prob = quadratic_problem(2, M=1.0, kappa=0.0)
+        eta0 = constant_measure([[0.1, 0.0]], [1.0], T=1.0, N=32)
+        with pytest.raises(ValueError, match="grid"):
+            fixed_point(prob, Ball([0.0, 0.0], 1.0),
+                        GaussianKernelCoupling(amp=0.0, scale=0.5), eta0,
+                        N=64)
+        assert calls == []
 
     def test_residual_of_equilibrium_is_zero(self):
         eta = constant_measure([[0.1, 0.0]], [1.0], T=1.0, N=16)
@@ -828,9 +843,8 @@ class TestJointEquilibrium:
         eta = TrajectoryMeasure([Trajectory(0.0, 1.0, X[:, i].copy())
                                  for i in range(3)], self.W)
         single = coupled_problem(base, disk, c, eta)
-        params = PenaltyParams(epsilon=0.5, delta=0.5, rho=disk.rho0, N=N)
-        joint = PenaltyParams(epsilon=0.5, delta=0.5, rho=disk.rho0, N=N,
-                              weights=self.W)
+        params = PenaltyParams(epsilon=0.5, delta=0.5, N=N)
+        joint = PenaltyParams(epsilon=0.5, delta=0.5, N=N, weights=self.W)
         G = _cost_and_grad(potential_problem(base, c, self.W), disk, joint,
                            Trajectory(0.0, 1.0, X.reshape(N + 1, 6)))[1]
         G = G.reshape(N + 1, 3, 2)
@@ -857,8 +871,7 @@ class TestJointEquilibrium:
         base, c, X = self.stacked(N)
         joint = potential_problem(base, c, self.W)
         disk = Ball([0.0, 0.0], 1.0)
-        params = PenaltyParams(epsilon=0.5, delta=0.5, rho=disk.rho0, N=N,
-                               weights=self.W)
+        params = PenaltyParams(epsilon=0.5, delta=0.5, N=N, weights=self.W)
         calls = []
 
         def recording(D, U, g, Db, b, act):

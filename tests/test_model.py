@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from statecon import (Hamiltonian, LinearPotential, check_assumptions,
-                      energy_bound, legendre, quadratic_problem)
+                      energy_bound, quadratic_problem)
 
-from statecon.model import measure_hamiltonian_constants
+from statecon.model import SAMPLES, measure_hamiltonian_constants
 
 from conftest import drifting_problem, mixed_problem
 
@@ -32,19 +32,19 @@ class TestLegendre:
             t = RNG.uniform(0.0, 1.0)
             x = RNG.uniform(-1.0, 1.0, 2)
             p = RNG.uniform(-2.0, 2.0, 2)
-            H, vstar = legendre(prob, t, x, p)
+            H, vstar = Hamiltonian(prob).legendre_many(t, x, p)
             Hg, vg = grid_conjugate(prob, t, x, p)
-            assert H == pytest.approx(Hg, abs=1e-3)
-            assert np.allclose(vstar, vg, atol=0.03)
+            assert H[0] == pytest.approx(Hg, abs=1e-3)
+            assert np.allclose(vstar[0], vg, atol=0.03)
 
     def test_quadratic_closed_form(self):
         A = np.array([[2.0, 0.0], [0.0, 1.0]])
         prob = quadratic_problem(2, A=A, M=1.0, kappa=0.0)
         p = np.array([1.0, 1.0])
-        H, vstar = legendre(prob, 0.0, np.zeros(2), p)
+        H, vstar = Hamiltonian(prob).legendre_many(0.0, np.zeros(2), p)
         # sup_v { -<p,v> - 1/2 <Av,v> } = 1/2 <A^{-1} p, p> at v = -A^{-1} p
-        assert H == pytest.approx(0.75, abs=1e-12)
-        assert np.allclose(vstar, [-0.5, -1.0], atol=1e-12)
+        assert H[0] == pytest.approx(0.75, abs=1e-12)
+        assert np.allclose(vstar[0], [-0.5, -1.0], atol=1e-12)
 
     def test_duality_identities(self):
         prob = quadratic_problem(2, A=[[1.5, 0.2], [0.2, 0.8]],
@@ -158,11 +158,11 @@ class TestAssumptions:
     def test_constants_solve_once_at_zero(self, disk, pull_problem,
                                           monkeypatch):
         # reference: H and its first derivatives at p = 0 from two solves
-        def two_solves(ham, samples=200):
+        def two_solves(ham):
             rng = np.random.default_rng(1)
-            t = rng.uniform(0.0, ham.prob.horizon, samples)
-            x = disk.sample_extended(rng, samples)
-            p0 = np.zeros((samples, 2))
+            t = rng.uniform(0.0, ham.prob.horizon, SAMPLES)
+            x = disk.sample_extended(rng, SAMPLES)
+            p0 = np.zeros((SAMPLES, 2))
             d0 = ham.derivs_many(t, x, p0)
             return float(np.max(np.abs(ham.value_many(t, x, p0))
                                 + np.linalg.norm(d0.DxH, axis=1)
@@ -180,7 +180,7 @@ class TestAssumptions:
             want = two_solves(ham)
             monkeypatch.setattr(Hamiltonian, "legendre_many", counted)
             zero.clear()
-            Mp, _ = measure_hamiltonian_constants(ham, disk, samples=200)
+            Mp, _ = measure_hamiltonian_constants(ham, disk)
             monkeypatch.undo()
             assert zero == [True, False]
             assert Mp == want

@@ -61,12 +61,6 @@ class TestTrajectory:
         q = np.array([0.0, 0.137, 0.5, 0.93, 1.0])
         assert np.allclose(gamma.at(q), q[:, None] * [2.0, -1.0], atol=1e-14)
 
-    def test_energy_of_straight_line(self):
-        knots = np.linspace(0.0, 3.0, 25)[:, None] * np.array([[1.0, 0.0]])
-        gamma = Trajectory(0.0, 2.0, knots)
-        # constant speed 1.5 over horizon 2
-        assert gamma.energy() == pytest.approx(4.5, abs=1e-12)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Trajectory(0.0, 1.0, np.zeros((5, 2)))
@@ -79,17 +73,17 @@ class TestTrajectory:
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            PenaltyParams(epsilon=0.0, delta=0.5, rho=1.0, N=16)
+            PenaltyParams(epsilon=0.0, delta=0.5, N=16)
         with pytest.raises(ValueError):
-            PenaltyParams(epsilon=0.5, delta=2.0, rho=1.0, N=16)
+            PenaltyParams(epsilon=0.5, delta=2.0, N=16)
         with pytest.raises(ValueError):
-            PenaltyParams(epsilon=0.5, delta=0.5, rho=1.0, N=4)
+            PenaltyParams(epsilon=0.5, delta=0.5, N=4)
 
 
 class TestPenalizedCost:
     def test_matches_naive_oracle(self, disk, pull_problem):
         rng = np.random.default_rng(11)
-        params = PenaltyParams(epsilon=0.25, delta=0.5, rho=disk.rho0, N=16)
+        params = PenaltyParams(epsilon=0.25, delta=0.5, N=16)
         # wandering arc that leaves the disk so both penalties activate
         knots = np.cumsum(rng.normal(scale=0.12, size=(17, 2)), axis=0)
         gamma = Trajectory(0.0, 1.0, knots)
@@ -99,13 +93,14 @@ class TestPenalizedCost:
 
     def test_penalties_vanish_inside(self, disk):
         prob = quadratic_problem(2, M=1.0, kappa=0.0)
-        params = PenaltyParams(epsilon=1e-6, delta=1e-6, rho=disk.rho0, N=16)
+        params = PenaltyParams(epsilon=1e-6, delta=1e-6, N=16)
         knots = 0.3 * np.ones((17, 2)) * np.linspace(0, 1, 17)[:, None]
         gamma = Trajectory(0.0, 1.0, knots)
         # tiny epsilon would blow up any violation; cost stays the kinetic
         # integral because the arc never leaves the disk
+        v = gamma.velocities
         assert penalized_cost(prob, disk, params, gamma) == pytest.approx(
-            0.5 * gamma.energy(), rel=1e-12)
+            0.5 * np.sum(v * v) * gamma.dt, rel=1e-12)
 
 
 class TestActionHessian:
@@ -204,7 +199,7 @@ class TestTridiagSolve:
         with pytest.raises(np.linalg.LinAlgError):
             _tridiag_solve(np.zeros((16, 2, 2)), np.zeros((15, 2, 2)),
                            np.ones((16, 2)))
-        params = PenaltyParams(epsilon=0.5, delta=0.5, rho=disk.rho0, N=16)
+        params = PenaltyParams(epsilon=0.5, delta=0.5, N=16)
         start = Trajectory.constant(0.0, 1.0, [0.1, 0.2], 16)
         traj = Trajectory(0.0, 1.0, start.knots[None].copy())  # batch of one
         out, steps = _newton_finish(prob, disk, params, traj,
@@ -221,13 +216,13 @@ class TestMinimize:
         c = np.array([0.3, -0.2])
         prob = quadratic_problem(2, terminal=LinearTerminal(c), T=1.0,
                                  M=2.0, kappa=0.0)
-        params = PenaltyParams(epsilon=0.5, delta=0.5, rho=dom.rho0, N=32)
+        params = PenaltyParams(epsilon=0.5, delta=0.5, N=32)
         gamma = minimize_penalized(prob, dom, params, np.zeros(2))
         exact = -np.outer(gamma.times, c)
         assert np.max(np.abs(gamma.knots - exact)) < 1e-6
 
     def test_x0_outside_rejected(self, disk, pull_problem):
-        params = PenaltyParams(epsilon=0.5, delta=0.5, rho=disk.rho0, N=16)
+        params = PenaltyParams(epsilon=0.5, delta=0.5, N=16)
         with pytest.raises(ValueError):
             minimize_penalized(pull_problem, disk, params, np.array([2.0, 0.0]))
 
@@ -235,7 +230,7 @@ class TestMinimize:
         # at eps = 1 the penalty cannot hold the arc on the disk, so the
         # minimizer leaves it and no knot sits on the kink of the penalty
         delta, _ = delta_choice(pull_problem, disk)
-        params = PenaltyParams(epsilon=1.0, delta=delta, rho=disk.rho0, N=64)
+        params = PenaltyParams(epsilon=1.0, delta=delta, N=64)
         gamma = minimize_penalized(pull_problem, disk, params, np.zeros(2))
         cost, G, geo = _cost_and_grad(pull_problem, disk, params, gamma)
         assert np.sum(geo.b > disk.boundary_tol) == 16
@@ -248,8 +243,7 @@ class TestMinimize:
         delta, _ = delta_choice(pull_problem, disk)
         gamma = None
         for eps in (1.0, 0.5):
-            params = PenaltyParams(epsilon=eps, delta=delta, rho=disk.rho0,
-                                   N=256)
+            params = PenaltyParams(epsilon=eps, delta=delta, N=256)
             gamma = minimize_penalized(pull_problem, disk, params,
                                        np.zeros(2), init=gamma)
         cost, G, geo = _cost_and_grad(pull_problem, disk, params, gamma)
@@ -261,7 +255,7 @@ class TestMinimize:
         # past the leash rho0 + diam = 3, and eps = 100 barely resists it
         prob = quadratic_problem(2, potential=LinearPotential([-20.0, 0.0]),
                                  T=1.0, M=400.0, kappa=0.0)
-        params = PenaltyParams(epsilon=100.0, delta=1.0, rho=disk.rho0, N=32)
+        params = PenaltyParams(epsilon=100.0, delta=1.0, N=32)
         with pytest.raises(Runaway):
             minimize_penalized(prob, disk, params, np.zeros(2))
 
@@ -270,7 +264,7 @@ class TestMinimize:
         # penalized minimizer near x = (10, 0), and the leash rejects it
         prob = quadratic_problem(2, potential=LinearPotential([-20.0, 0.0]),
                                  T=1.0, M=400.0, kappa=0.0)
-        params = PenaltyParams(epsilon=100.0, delta=1.0, rho=disk.rho0, N=32)
+        params = PenaltyParams(epsilon=100.0, delta=1.0, N=32)
         init = Trajectory.constant(0.0, 1.0, np.zeros(2), 32)
         with pytest.raises(Runaway):
             minimize_penalized(prob, disk, params, np.zeros(2), init=init)
@@ -283,7 +277,7 @@ class TestMinimize:
         prob = quadratic_problem(2, potential=LinearPotential([-1.5, -3.0]),
                                  T=1.0, M=12.0, kappa=0.0)
         assert not np.all(np.isfinite(dom.eval([[1.5, 0.0]]).D2b))
-        params = PenaltyParams(epsilon=0.25, delta=1.0, rho=dom.rho0, N=32)
+        params = PenaltyParams(epsilon=0.25, delta=1.0, N=32)
         x0 = np.array([1.5, 0.0])
         knots = []
         for y in (0.0, 1e-9):
@@ -311,7 +305,7 @@ class TestMinimize:
             return finish(prob, dom, params, traj, cost)
 
         monkeypatch.setattr(penalty, "_newton_finish", stall_once)
-        params = PenaltyParams(epsilon=0.5, delta=0.5, rho=disk.rho0, N=32)
+        params = PenaltyParams(epsilon=0.5, delta=0.5, N=32)
         init = Trajectory.constant(0.0, 1.0, np.zeros(2), 32)
         with pytest.raises(MaxIterations):
             minimize_penalized(pull_problem, disk, params, np.zeros(2),
@@ -333,13 +327,13 @@ class TestMinimize:
 
     def test_several_points_per_knot_rejected(self, disk, pull_problem):
         # k points per knot need a knot of k times the domain's dimension
-        params = PenaltyParams(epsilon=0.5, delta=0.5, rho=disk.rho0, N=16,
+        params = PenaltyParams(epsilon=0.5, delta=0.5, N=16,
                                weights=[0.5, 0.5])
         with pytest.raises(ValueError, match="does not hold 2 points"):
             minimize_penalized(pull_problem, disk, params, np.zeros(2))
 
     def test_init_grid_mismatch_rejected(self, disk, pull_problem):
-        params = PenaltyParams(epsilon=0.5, delta=0.5, rho=disk.rho0, N=16)
+        params = PenaltyParams(epsilon=0.5, delta=0.5, N=16)
         init = Trajectory.constant(0.0, 1.0, np.zeros(2), 32)
         with pytest.raises(ValueError):
             minimize_penalized(pull_problem, disk, params, np.zeros(2),

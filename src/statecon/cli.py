@@ -91,10 +91,19 @@ def _finite(text: str) -> float:
     return value
 
 
+def _exact_int(text: str) -> int:
+    """An integer of the config, which must lie within +-2**53, the range
+    JSON readers agree on (RFC 8259, section 6), as floats and C longs do."""
+    value = int(text)
+    if abs(value) > 2 ** 53:
+        raise ValueError(f"{text} is outside +-2**53")
+    return value
+
+
 def load_config(path: str) -> dict:
     try:
         cfg = json.loads(Path(path).read_text(), parse_float=_finite,
-                         parse_constant=_finite)
+                         parse_int=_exact_int, parse_constant=_finite)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if "domain" not in cfg:
@@ -205,10 +214,7 @@ def cmd_pmp_check(cfg, out: Path, args) -> int:
 def _node_grid(dom: Domain, T: float, nt: int, nx: int):
     """nt times on [0, T] and the nodes of an nx-per-axis grid over the
     domain's bounding box that lie in the closed domain."""
-    lo, hi = dom.bounding_box()
-    axes = [np.linspace(lo[k], hi[k], nx) for k in range(dom.dim)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    pts = pts.reshape(-1, dom.dim)
+    pts = dom.box_grid(nx)
     return np.linspace(0.0, T, nt), pts[dom.b_many(pts) <= dom.boundary_tol]
 
 
@@ -323,9 +329,9 @@ def cmd_geometry_test(cfg, out: Path, args) -> int:
 def cmd_assumptions(cfg, out: Path, args) -> int:
     dom = build_domain(cfg)
     prob = build_problem(cfg, dom)
-    rng = np.random.default_rng(args.seed)
-    rep = check_assumptions(prob, dom, rng=rng)
-    K = energy_bound(prob, dom, report=rep)
+    grid = dom.tube_grid()
+    rep = check_assumptions(prob, dom, grid)
+    K = energy_bound(prob, dom, report=rep, grid=grid)
     ham = Hamiltonian(prob)
     payload = {
         "checks": {k: {"passed": c.passed, "measured": c.measured,
@@ -365,7 +371,8 @@ def make_parser() -> argparse.ArgumentParser:
                     "(solve), value.n_points (value) or mfg.N (mfg); the "
                     "commands without a grid reject it")
     ap.add_argument("--seed", type=int, default=0,
-                    help="seed for sampled checks")
+                    help="seed of the sampled checks: value's DPP sample "
+                    "and geometry-test's tube sample")
     ap.add_argument("--trajectory", default=None,
                     help="trajectory CSV (pmp-check)")
     return ap

@@ -113,10 +113,21 @@ class Domain:
     def sample_closure(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self._sample(rng, size, 0.0, lambda b: b <= 0.0)
 
-    def sample_extended(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Sample of the tube-extended set {b < rho0} (closure plus tube)."""
-        r = self.rho0 * (1.0 - 1e-12)
-        return self._sample(rng, size, self.rho0, lambda b: b < r)
+    def box_grid(self, per_axis: int, pad: float = 0.0) -> np.ndarray:
+        """The nodes, (per_axis^n, n), of the regular grid on the bounding
+        box grown by ``pad``."""
+        lo, hi = self.bounding_box()
+        axes = np.linspace(lo - pad, hi + pad, per_axis)
+        x = np.stack(np.meshgrid(*axes.T, indexing="ij"), -1)
+        return x.reshape(-1, self.dim)
+
+    def tube_grid(self) -> np.ndarray:
+        """The nodes of ``box_grid``, ceil(2048^(1/n)) per axis grown by
+        rho0, that lie in the tube-extended set {b < rho0}: the one point set
+        over which the certificate's suprema are measured."""
+        x = self.box_grid(max(2, int(np.ceil(2048 ** (1.0 / self.dim)))),
+                          self.rho0)
+        return x[self.b_many(x) < self.rho0 * (1.0 - 1e-12)]
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError

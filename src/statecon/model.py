@@ -291,10 +291,6 @@ class Hamiltonian:
 # ---------------------------------------------------------------------------
 # assumption verification
 
-# sampled points behind check_assumptions and measure_hamiltonian_constants
-SAMPLES = 1000
-
-
 @dataclass
 class CheckResult:
     passed: bool
@@ -313,15 +309,30 @@ class AssumptionReport:
         return all(c.passed for c in self.checks.values())
 
 
+def _draws(m: int, dim: int, T: float):
+    """Times t, s uniform on [0, T] and a normal(0, 3^2) vector v in R^dim
+    for each of m points, with no generator state: points i = 1..m of the R_d
+    recurrence frac(1/2 + i phi^-(1..d)), phi^(d+1) = phi + 1 (M. Roberts,
+    2018), d = 2 + 2 ceil(dim / 2), the last d - 2 paired by Box-Muller."""
+    d = 2 + 2 * ((dim + 1) // 2)
+    phi = 2.0
+    for _ in range(64):
+        phi = (1.0 + phi) ** (1.0 / (d + 1))
+    u = (0.5 + np.outer(np.arange(1, m + 1), phi ** -np.arange(1.0, d + 1))) % 1
+    # u lies in [0, 1), so log(1 - u) is finite
+    r, a = np.sqrt(-2.0 * np.log1p(-u[:, 2::2])), 2.0 * np.pi * u[:, 3::2]
+    v = np.hstack([r * np.cos(a), r * np.sin(a)])[:, :dim]
+    return T * u[:, 0], T * u[:, 1], 3.0 * v
+
+
 def check_assumptions(prob: Problem, dom: Domain,
-                      rng: np.random.Generator | None = None) -> AssumptionReport:
-    """Sampled verification of the structural inequalities and measurement of
-    the derived growth constants."""
-    rng = rng or np.random.default_rng(0)
+                      grid: np.ndarray | None = None) -> AssumptionReport:
+    """Verification of the structural inequalities and measurement of the
+    derived growth constants: maxima over the nodes x of ``grid`` (default
+    ``dom.tube_grid()``), each with its t, s and v of ``_draws``."""
     mu, M, kap = prob.mu, prob.M, prob.kappa
-    t = rng.uniform(0.0, prob.horizon, SAMPLES)
-    x = dom.sample_extended(rng, SAMPLES)
-    v = rng.normal(0.0, 3.0, (SAMPLES, prob.dim))
+    x = dom.tube_grid() if grid is None else grid
+    t, s, v = _draws(len(x), prob.dim, prob.horizon)
     zeros = np.zeros_like(v)
 
     checks = {}
@@ -349,7 +360,6 @@ def check_assumptions(prob: Problem, dom: Domain,
     checks["mixed_growth"] = CheckResult(m_fvx <= mu + 1e-9, m_fvx, mu)
 
     # time Lipschitz of f and fv
-    s = rng.uniform(0.0, prob.horizon, SAMPLES)
     df = np.abs(prob.f(t, x, v) - prob.f(s, x, v))
     dfv = np.linalg.norm(prob.fv(t, x, v) - prob.fv(s, x, v), axis=1)
     dt = np.abs(t - s) + 1e-300
@@ -374,17 +384,16 @@ def check_assumptions(prob: Problem, dom: Domain,
 
 
 def measure_hamiltonian_constants(ham: Hamiltonian, dom: Domain,
-                                  rng: np.random.Generator | None = None):
-    """Measured M' (p = 0 bound) and C(mu, M') growth constant for H."""
-    rng = rng or np.random.default_rng(1)
+                                  grid: np.ndarray | None = None):
+    """Measured M' (p = 0 bound) and C(mu, M') growth constant for H, as in
+    ``check_assumptions`` with p the v of ``_draws``."""
     prob = ham.prob
-    t = rng.uniform(0.0, prob.horizon, SAMPLES)
-    x = dom.sample_extended(rng, SAMPLES)
+    x = dom.tube_grid() if grid is None else grid
+    t, _, p = _draws(len(x), prob.dim, prob.horizon)
     # one conjugate solve at p = 0: DxH = -fx(t, x, v*) and DpH = -v*
-    H0, v0 = ham.legendre_many(t, x, np.zeros((SAMPLES, prob.dim)))
+    H0, v0 = ham.legendre_many(t, x, np.zeros_like(p))
     Mp = float(np.max(np.abs(H0) + np.linalg.norm(prob.fx(t, x, v0), axis=1)
                       + np.linalg.norm(v0, axis=1)))
-    p = rng.normal(0.0, 3.0, (SAMPLES, prob.dim))
     d = ham.derivs_many(t, x, p)
     pn = np.linalg.norm(p, axis=1)
     c1 = np.max(np.linalg.norm(d.DpH, axis=1) / (1 + pn))
@@ -395,12 +404,11 @@ def measure_hamiltonian_constants(ham: Hamiltonian, dom: Domain,
 
 
 def energy_bound(prob: Problem, dom: Domain, report: AssumptionReport | None = None,
-                 rng: np.random.Generator | None = None) -> float:
-    """Energy budget K = T (C + M) + 2 max |g| with measured C and a tube-grid
-    maximum of |g|."""
+                 grid: np.ndarray | None = None) -> float:
+    """Energy budget K = T (C + M) + 2 max |g|, with C from ``report`` and
+    |g| over ``grid``, as in ``check_assumptions``."""
+    x = dom.tube_grid() if grid is None else grid
     if report is None:
-        report = check_assumptions(prob, dom, rng=rng)
-    rng = rng or np.random.default_rng(2)
-    pts = dom.sample_extended(rng, 2048)
-    gmax = float(np.max(np.abs(prob.g(pts))))
+        report = check_assumptions(prob, dom, x)
+    gmax = float(np.max(np.abs(prob.g(x))))
     return prob.horizon * (report.C_mu_M + prob.M) + 2.0 * gmax

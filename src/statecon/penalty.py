@@ -589,17 +589,11 @@ def minimize_penalized(prob: Problem, dom: Domain, params: PenaltyParams,
 
 def delta_choice(prob: Problem, dom: Domain):
     """Terminal penalty weight delta = min(1 / (2 mu N), 1), where N is the
-    largest terminal drift speed |DpH(T, x, Dg(x))| over the nodes of a
-    regular grid, about 2048 nodes on the bounding box grown by rho0, that
-    lie in the tube-extended set b < rho0.
+    largest terminal drift speed |DpH(T, x, Dg(x))| over ``dom.tube_grid()``.
 
     Returns (delta, measured N).
     """
-    lo, hi = dom.bounding_box()
-    axes = np.linspace(lo - dom.rho0, hi + dom.rho0,
-                       max(2, int(np.ceil(2048 ** (1.0 / dom.dim)))))
-    x = np.stack(np.meshgrid(*axes.T, indexing="ij"), -1).reshape(-1, dom.dim)
-    x = x[dom.b_many(x) < dom.rho0 * (1.0 - 1e-12)]
+    x = dom.tube_grid()
     speed = np.linalg.norm(Hamiltonian(prob).DpH_many(prob.horizon, x,
                                                       prob.Dg(x)), axis=1)
     Nm = float(np.max(speed))

@@ -220,34 +220,37 @@ def _c1(prob: Problem, C: float, Dg: np.ndarray, K: float) -> float:
             + prob.kappa * (prob.horizon + 4 * prob.mu * K))
 
 
-def _speed_bound(prob: Problem, dom: Domain, C: float, delta: float,
+def _speed_bound(prob: Problem, grid: np.ndarray, C: float, delta: float,
                  K: float) -> float:
-    Dg = prob.Dg(dom.sample_extended(np.random.default_rng(4), 1024))
+    Dg = prob.Dg(grid)
     return C * (2.0 * np.sqrt(prob.mu * _c1(prob, C, Dg, K)) / delta + 1.0)
 
 
-def velocity_bound(prob: Problem, dom: Domain, delta: float, K: float,
-                   rng: np.random.Generator | None = None) -> float:
-    """L* = C(mu, M') (2 sqrt(mu C1)/delta + 1) with measured constants."""
-    _, C = measure_hamiltonian_constants(Hamiltonian(prob), dom, rng=rng)
-    return _speed_bound(prob, dom, C, delta, K)
+def velocity_bound(prob: Problem, dom: Domain, delta: float, K: float) -> float:
+    """L* = C(mu, M') (2 sqrt(mu C1)/delta + 1), with C and max |Dg| measured
+    on ``dom.tube_grid()``."""
+    grid = dom.tube_grid()
+    _, C = measure_hamiltonian_constants(Hamiltonian(prob), dom, grid)
+    return _speed_bound(prob, grid, C, delta, K)
 
 
 def make_extremal(prob: Problem, dom: Domain, gamma: Trajectory,
                   params: PenaltyParams | None = None) -> Extremal:
     """Assemble the full first-order bundle from a certified minimizer; its
-    knots are evaluated once."""
+    knots are evaluated once, and K, C and L* are measured on one
+    ``dom.tube_grid()``."""
     geo = dom.eval(gamma.knots, hess=False)
     p = recover_adjoint(prob, gamma, dom, geo=geo)
     lam, nu, _ = multiplier_from_residual(prob, dom, gamma, p, geo=geo)
     r = hamiltonian_drift(prob, dom, gamma, p,
                           params.epsilon if params is not None else None,
                           geo=geo)
-    K = energy_bound(prob, dom)
+    grid = dom.tube_grid()
+    K = energy_bound(prob, dom, grid=grid)
     delta = params.delta if params is not None else 1.0
-    _, C = measure_hamiltonian_constants(Hamiltonian(prob), dom)
+    _, C = measure_hamiltonian_constants(Hamiltonian(prob), dom, grid)
     return Extremal(gamma=gamma, p=p, lam=lam, beta_over_delta=nu, r=r,
-                    Lstar=_speed_bound(prob, dom, C, delta, K), C=C, K=K,
+                    Lstar=_speed_bound(prob, grid, C, delta, K), C=C, K=K,
                     params=params)
 
 

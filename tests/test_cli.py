@@ -345,6 +345,21 @@ class TestMalformedScenario:
         assert err.startswith("error: cannot read config ")
         assert "1e400" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("old, new", [
+        ('"T": 1.0', '"T": 1' + "0" * 400),
+        ('"N": 32', f'"N": {10 ** 30}'),
+    ], ids=["T-beyond-float", "N-beyond-c-long"])
+    def test_oversized_integer_is_config_error(self, tmp_path, mini_config,
+                                               capsys, old, new):
+        # integers beyond +-2**53 convert to no float or C long
+        path = tmp_path / "oversized.json"
+        path.write_text(mini_config.read_text().replace(old, new))
+        rc, _ = run(tmp_path, "solve", "--config", str(path))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config ")
+        assert "Traceback" not in err
+
 
 class TestDeterminism:
     def test_outputs_independent_of_blas_threads(self, tmp_path):
@@ -407,15 +422,22 @@ class TestImports:
 
     def test_solve_runs_without_scipy(self, tmp_path):
         # every solve is a Newton finish, the cold ones from the constant
-        # trajectory, so S1 and S3 load no scipy module
-        for s in ("S1", "S3"):
+        # trajectory, so S1 and S3 load no scipy module; nor numpy.random,
+        # since the certificate's constants are suprema over the tube grid,
+        # as are those of the assumptions check
+        runs = [("S1", "solve", "'--grid-n', '64', "),
+                ("S3", "solve", "'--grid-n', '64', "),
+                ("S3", "assumptions", "")]
+        for s, command, grid in runs:
+            out = tmp_path / f"{command}-{s}"
             code = (f"import sys; from statecon import cli; rc = cli.main(["
-                    f"'solve', '--config', {str(SCENARIOS / (s + '.json'))!r}"
-                    f", '--grid-n', '64', '--out', {str(tmp_path / s)!r}]); "
-                    "assert rc == 0; print(sorted(m for m in sys.modules"
-                    " if m.split('.')[0] == 'scipy'))")
+                    f"{command!r}, '--config', "
+                    f"{str(SCENARIOS / (s + '.json'))!r}, {grid}'--out', "
+                    f"{str(out)!r}]); assert rc == 0; print(sorted(m for m in"
+                    " sys.modules if m.split('.')[0] == 'scipy'"
+                    " or m.startswith('numpy.random')))")
             assert _run_python(code).splitlines()[-1] == "[]"
-            assert (tmp_path / s / "trajectory.csv").exists()
+            assert any(out.iterdir())
 
 
 class TestCollector:

@@ -4,7 +4,7 @@ import pytest
 from statecon import (Hamiltonian, LinearPotential, check_assumptions,
                       energy_bound, quadratic_problem)
 
-from statecon.model import SAMPLES, measure_hamiltonian_constants
+from statecon.model import _draws, measure_hamiltonian_constants
 
 from conftest import drifting_problem, mixed_problem
 
@@ -145,24 +145,22 @@ class TestProblemConstruction:
 
 class TestAssumptions:
     def test_pull_problem_passes(self, disk, pull_problem):
-        rep = check_assumptions(pull_problem, disk,
-                                rng=np.random.default_rng(0))
+        rep = check_assumptions(pull_problem, disk)
         assert rep.all_passed
 
     def test_understated_base_bound_fails(self, disk):
         prob = quadratic_problem(2, potential=LinearPotential([-3.0, 0.0]),
                                  M=1.0, kappa=0.0)
-        rep = check_assumptions(prob, disk, rng=np.random.default_rng(0))
+        rep = check_assumptions(prob, disk)
         assert not rep.checks["base_bound"].passed
 
     def test_constants_solve_once_at_zero(self, disk, pull_problem,
                                           monkeypatch):
         # reference: H and its first derivatives at p = 0 from two solves
         def two_solves(ham):
-            rng = np.random.default_rng(1)
-            t = rng.uniform(0.0, ham.prob.horizon, SAMPLES)
-            x = disk.sample_extended(rng, SAMPLES)
-            p0 = np.zeros((SAMPLES, 2))
+            x = disk.tube_grid()
+            t, _, p = _draws(len(x), 2, ham.prob.horizon)
+            p0 = np.zeros_like(p)
             d0 = ham.derivs_many(t, x, p0)
             return float(np.max(np.abs(ham.value_many(t, x, p0))
                                 + np.linalg.norm(d0.DxH, axis=1)
@@ -184,6 +182,20 @@ class TestAssumptions:
             monkeypatch.undo()
             assert zero == [True, False]
             assert Mp == want
+
+    def test_draws_have_the_laws_of_uniform_times_and_normal_vectors(self):
+        # the R_d points feed two uniform times on [0, T] and, by
+        # Box-Muller, a normal(0, 3^2) vector; their moments on the first
+        # 2000 points are those laws' to a few parts in a thousand
+        t, s, v = _draws(2000, 3, 2.0)
+        for u in (t, s):
+            assert np.all((u >= 0.0) & (u < 2.0))
+            assert np.mean(u) == pytest.approx(1.0, abs=5e-3)
+            assert np.var(u) == pytest.approx(4.0 / 12.0, abs=5e-3)
+        assert v.shape == (2000, 3)
+        assert np.all(np.abs(np.mean(v, axis=0)) < 0.05)
+        assert np.std(v, axis=0) == pytest.approx([3.0] * 3, rel=0.02)
+        assert np.all(_draws(2000, 3, 2.0)[2] == v)
 
     def test_energy_budget_positive(self, disk, pull_problem):
         K = energy_bound(pull_problem, disk)

@@ -1,16 +1,22 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from statecon import (Ball, Ellipse, Hamiltonian, LinearPotential,
                       NegativeMultiplier, Trajectory, check_extremal,
-                      contact_mask, delta_choice, epsilon_schedule,
-                      feedback_lambda, feedback_lambda_many,
+                      contact_mask, delta_choice, energy_bound,
+                      epsilon_schedule, feedback_lambda, feedback_lambda_many,
                       hamiltonian_drift, make_extremal,
                       multiplier_from_residual, quadratic_problem,
                       recover_adjoint, shoot, velocity_bound)
+from statecon.cli import build_domain, build_problem, load_config
 from statecon.pmp import grid_derivative, junction_clear_mask
 
 from conftest import drifting_problem, s1_exact
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 TSTAR = np.sqrt(2.0 / 3.0)
@@ -240,3 +246,30 @@ class TestCheckExtremal:
         Lam = feedback_lambda_many(ham, disk, ex.gamma.times[sel],
                                    ex.gamma.knots[sel], ex.p[sel])
         assert np.max(np.abs(Lam - ex.lam[sel])) < 1e-6
+
+
+class TestDeterministicConstants:
+    def test_s3_certificate_draws_no_random_numbers(self, monkeypatch):
+        # K, C and L* are suprema over the tube grid, so the S3 chain from
+        # delta to the PMP report runs with no random generator
+        def refuse(*args, **kwargs):
+            raise AssertionError("the certificate drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        cfg = load_config(str(SCENARIOS / "S3.json"))
+        dom = build_domain(cfg)
+        prob = build_problem(cfg, dom)
+        delta, _ = delta_choice(prob, dom)
+        gamma, params = epsilon_schedule(prob, dom, np.asarray(cfg["x0"]),
+                                         delta, N=64)
+        ex = make_extremal(prob, dom, gamma, params=params)
+        rep = check_extremal(prob, dom, ex)
+        assert rep.all_passed, rep.checks
+
+    def test_bounds_repeat_exactly(self, ellipse):
+        prob = quadratic_problem(2, potential=LinearPotential([-1.5, -3.0]),
+                                 T=1.0, M=12.0, kappa=0.0)
+        K = energy_bound(prob, ellipse)
+        assert energy_bound(prob, ellipse) == K
+        L = velocity_bound(prob, ellipse, 0.5, K)
+        assert velocity_bound(prob, ellipse, 0.5, K) == L

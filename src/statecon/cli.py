@@ -329,9 +329,8 @@ def cmd_geometry_test(cfg, out: Path, args) -> int:
 def cmd_assumptions(cfg, out: Path, args) -> int:
     dom = build_domain(cfg)
     prob = build_problem(cfg, dom)
-    grid = dom.tube_grid()
-    rep = check_assumptions(prob, dom, grid)
-    K = energy_bound(prob, dom, report=rep, grid=grid)
+    rep = check_assumptions(prob, dom)
+    K = energy_bound(prob, dom, report=rep)
     ham = Hamiltonian(prob)
     payload = {
         "checks": {k: {"passed": c.passed, "measured": c.measured,

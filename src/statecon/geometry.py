@@ -51,6 +51,7 @@ class Domain:
     dim: int
     rho0: float
     diameter: float
+    _tube: np.ndarray | None = None
 
     @property
     def boundary_tol(self) -> float:
@@ -122,12 +123,26 @@ class Domain:
         return x.reshape(-1, self.dim)
 
     def tube_grid(self) -> np.ndarray:
-        """The nodes of ``box_grid``, ceil(2048^(1/n)) per axis grown by
-        rho0, that lie in the tube-extended set {b < rho0}: the one point set
-        over which the certificate's suprema are measured."""
-        x = self.box_grid(max(2, int(np.ceil(2048 ** (1.0 / self.dim)))),
-                          self.rho0)
-        return x[self.b_many(x) < self.rho0 * (1.0 - 1e-12)]
+        """The one point set, built once per domain and read-only, over which
+        every supremum on the tube-extended set {b < rho0} is measured: the
+        nodes of ``box_grid``, ceil(2048^(1/n)) per axis grown by rho0, that
+        lie in the set, then the outside nodes within one cell diagonal h of
+        its edge pushed out along Db to b = rho0 (1 - 1e-12), so that a
+        supremum taken at the edge is not understated by up to h."""
+        if self._tube is None:
+            per_axis = max(2, int(np.ceil(2048 ** (1.0 / self.dim))))
+            x = self.box_grid(per_axis, self.rho0)
+            e = self.eval(x, hess=False)
+            r = self.rho0 * (1.0 - 1e-12)
+            lo, hi = self.bounding_box()
+            h = np.linalg.norm(hi - lo + 2.0 * self.rho0) / (per_axis - 1)
+            # outside a convex set, b grows by s along x + s Db
+            edge = (e.b > max(r - h, 0.0)) & (e.b < r)
+            self._tube = np.vstack([
+                x[e.b < r],
+                x[edge] + (r - e.b[edge])[:, None] * e.Db[edge]])
+            self._tube.flags.writeable = False
+        return self._tube
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError

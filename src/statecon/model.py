@@ -325,13 +325,12 @@ def _draws(m: int, dim: int, T: float):
     return T * u[:, 0], T * u[:, 1], 3.0 * v
 
 
-def check_assumptions(prob: Problem, dom: Domain,
-                      grid: np.ndarray | None = None) -> AssumptionReport:
+def check_assumptions(prob: Problem, dom: Domain) -> AssumptionReport:
     """Verification of the structural inequalities and measurement of the
-    derived growth constants: maxima over the nodes x of ``grid`` (default
-    ``dom.tube_grid()``), each with its t, s and v of ``_draws``."""
+    derived growth constants: maxima over the points x of
+    ``dom.tube_grid()``, each with its t, s and v of ``_draws``."""
     mu, M, kap = prob.mu, prob.M, prob.kappa
-    x = dom.tube_grid() if grid is None else grid
+    x = dom.tube_grid()
     t, s, v = _draws(len(x), prob.dim, prob.horizon)
     zeros = np.zeros_like(v)
 
@@ -383,12 +382,11 @@ def check_assumptions(prob: Problem, dom: Domain,
     return AssumptionReport(checks=checks, C_mu_M=C, measured=measured)
 
 
-def measure_hamiltonian_constants(ham: Hamiltonian, dom: Domain,
-                                  grid: np.ndarray | None = None):
+def measure_hamiltonian_constants(ham: Hamiltonian, dom: Domain):
     """Measured M' (p = 0 bound) and C(mu, M') growth constant for H, as in
     ``check_assumptions`` with p the v of ``_draws``."""
     prob = ham.prob
-    x = dom.tube_grid() if grid is None else grid
+    x = dom.tube_grid()
     t, _, p = _draws(len(x), prob.dim, prob.horizon)
     # one conjugate solve at p = 0: DxH = -fx(t, x, v*) and DpH = -v*
     H0, v0 = ham.legendre_many(t, x, np.zeros_like(p))
@@ -403,12 +401,11 @@ def measure_hamiltonian_constants(ham: Hamiltonian, dom: Domain,
     return Mp, C
 
 
-def energy_bound(prob: Problem, dom: Domain, report: AssumptionReport | None = None,
-                 grid: np.ndarray | None = None) -> float:
+def energy_bound(prob: Problem, dom: Domain,
+                 report: AssumptionReport | None = None) -> float:
     """Energy budget K = T (C + M) + 2 max |g|, with C from ``report`` and
-    |g| over ``grid``, as in ``check_assumptions``."""
-    x = dom.tube_grid() if grid is None else grid
+    |g| over ``dom.tube_grid()``, as in ``check_assumptions``."""
     if report is None:
-        report = check_assumptions(prob, dom, x)
-    gmax = float(np.max(np.abs(prob.g(x))))
+        report = check_assumptions(prob, dom)
+    gmax = float(np.max(np.abs(prob.g(dom.tube_grid()))))
     return prob.horizon * (report.C_mu_M + prob.M) + 2.0 * gmax

@@ -220,18 +220,17 @@ def _c1(prob: Problem, C: float, Dg: np.ndarray, K: float) -> float:
             + prob.kappa * (prob.horizon + 4 * prob.mu * K))
 
 
-def _speed_bound(prob: Problem, grid: np.ndarray, C: float, delta: float,
+def _speed_bound(prob: Problem, dom: Domain, C: float, delta: float,
                  K: float) -> float:
-    Dg = prob.Dg(grid)
+    Dg = prob.Dg(dom.tube_grid())
     return C * (2.0 * np.sqrt(prob.mu * _c1(prob, C, Dg, K)) / delta + 1.0)
 
 
 def velocity_bound(prob: Problem, dom: Domain, delta: float, K: float) -> float:
     """L* = C(mu, M') (2 sqrt(mu C1)/delta + 1), with C and max |Dg| measured
     on ``dom.tube_grid()``."""
-    grid = dom.tube_grid()
-    _, C = measure_hamiltonian_constants(Hamiltonian(prob), dom, grid)
-    return _speed_bound(prob, grid, C, delta, K)
+    _, C = measure_hamiltonian_constants(Hamiltonian(prob), dom)
+    return _speed_bound(prob, dom, C, delta, K)
 
 
 def make_extremal(prob: Problem, dom: Domain, gamma: Trajectory,
@@ -245,12 +244,11 @@ def make_extremal(prob: Problem, dom: Domain, gamma: Trajectory,
     r = hamiltonian_drift(prob, dom, gamma, p,
                           params.epsilon if params is not None else None,
                           geo=geo)
-    grid = dom.tube_grid()
-    K = energy_bound(prob, dom, grid=grid)
+    K = energy_bound(prob, dom)
     delta = params.delta if params is not None else 1.0
-    _, C = measure_hamiltonian_constants(Hamiltonian(prob), dom, grid)
+    _, C = measure_hamiltonian_constants(Hamiltonian(prob), dom)
     return Extremal(gamma=gamma, p=p, lam=lam, beta_over_delta=nu, r=r,
-                    Lstar=_speed_bound(prob, grid, C, delta, K), C=C, K=K,
+                    Lstar=_speed_bound(prob, dom, C, delta, K), C=C, K=K,
                     params=params)
 
 

@@ -425,10 +425,10 @@ class TestImports:
         # trajectory, so S1 and S3 load no scipy module; nor numpy.random,
         # since the certificate's constants are suprema over the tube grid,
         # as are those of the assumptions check
-        runs = [("S1", "solve", "'--grid-n', '64', "),
-                ("S3", "solve", "'--grid-n', '64', "),
-                ("S3", "assumptions", "")]
-        for s, command, grid in runs:
+        runs = [("S1", "solve", "'--grid-n', '64', ", "trajectory.csv"),
+                ("S3", "solve", "'--grid-n', '64', ", "trajectory.csv"),
+                ("S3", "assumptions", "", "assumptions.json")]
+        for s, command, grid, written in runs:
             out = tmp_path / f"{command}-{s}"
             code = (f"import sys; from statecon import cli; rc = cli.main(["
                     f"{command!r}, '--config', "
@@ -437,7 +437,7 @@ class TestImports:
                     " sys.modules if m.split('.')[0] == 'scipy'"
                     " or m.startswith('numpy.random')))")
             assert _run_python(code).splitlines()[-1] == "[]"
-            assert any(out.iterdir())
+            assert (out / written).exists()
 
 
 class TestCollector:

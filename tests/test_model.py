@@ -154,6 +154,20 @@ class TestAssumptions:
         rep = check_assumptions(prob, disk)
         assert not rep.checks["base_bound"].passed
 
+    def test_base_bound_measured_to_the_tube_edge(self, disk):
+        # |f| + |fx| + |fv| at v = 0 is 3|x1| + 3, whose supremum over
+        # {b < rho0} = {|x| < 2} is 9, at the tube's edge; a bound just
+        # below it fails.  The grid's points reach b = rho0 (1 - 1e-12), so
+        # only their spacing along the edge, to second order, is missed
+        prob = quadratic_problem(2, potential=LinearPotential([-3.0, 0.0]),
+                                 M=8.85, kappa=0.0)
+        rep = check_assumptions(prob, disk)
+        assert not rep.checks["base_bound"].passed
+        assert 9.0 - 5e-3 < rep.checks["base_bound"].measured < 9.0
+        b = disk.b_many(disk.tube_grid())
+        assert np.all(b < disk.rho0)
+        assert np.max(b) == pytest.approx(disk.rho0 * (1 - 1e-12), abs=1e-15)
+
     def test_constants_solve_once_at_zero(self, disk, pull_problem,
                                           monkeypatch):
         # reference: H and its first derivatives at p = 0 from two solves

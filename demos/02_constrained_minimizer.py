@@ -8,7 +8,7 @@ free arc is gamma(t) = (sqrt(6) t - 1.5 t^2, 0).
 
 import numpy as np
 
-from statecon import (Ball, LinearPotential, delta_choice, energy_bound,
+from statecon import (Ball, LinearPotential, check_assumptions, delta_choice,
                       energy_certificate, epsilon_schedule, feasibility_gap,
                       holder_gap, quadratic_problem)
 
@@ -28,7 +28,7 @@ free = np.sqrt(6.0) * t - 1.5 * t ** 2
 exact = np.stack([np.where(t < tstar, free, 1.0), np.zeros_like(t)], axis=1)
 print(f"sup error vs closed form  {np.max(np.abs(gamma.knots - exact)):.3e}")
 
-K = energy_bound(prob, dom)
+K = check_assumptions(prob, dom).K
 ok = energy_certificate(prob, dom, params, gamma, K)
 print(f"energy budget 1.05 K = {1.05 * K:.4f}  "
       f"({'holds' if ok else 'VIOLATED'})")

@@ -6,12 +6,13 @@ from .geometry import (Ball, Domain, Ellipse, OutsideTube, SmoothedBox,
                        SubdiffDescription)
 from .model import (AssumptionReport, Hamiltonian, LinearPotential,
                     LinearTerminal, NewtonDiverged, Problem, check_assumptions,
-                    energy_bound, problem_from_config, quadratic_problem)
+                    delta_choice, measure_hamiltonian_constants,
+                    problem_from_config, quadratic_problem)
 from .penalty import (MaxIterations, NonFiniteCost, PenaltyParams,
-                      ScheduleExhausted, Trajectory, delta_choice,
-                      energy_certificate, epsilon_schedule,
-                      epsilon_schedule_batch, feasibility_gap, holder_gap,
-                      minimize_penalized, penalized_cost)
+                      ScheduleExhausted, Trajectory, energy_certificate,
+                      epsilon_schedule, epsilon_schedule_batch,
+                      feasibility_gap, holder_gap, minimize_penalized,
+                      penalized_cost)
 from .pmp import (Extremal, LeftTube, NegativeMultiplier, PMPReport,
                   check_extremal, contact_mask, feedback_lambda,
                   feedback_lambda_many, hamiltonian_drift, make_extremal,
@@ -29,10 +30,11 @@ __all__ = [
     "Ball", "Domain", "Ellipse", "OutsideTube", "SmoothedBox",
     "SubdiffDescription",
     "AssumptionReport", "Hamiltonian", "LinearPotential", "LinearTerminal",
-    "NewtonDiverged", "Problem", "check_assumptions", "energy_bound",
-    "problem_from_config", "quadratic_problem",
+    "NewtonDiverged", "Problem", "check_assumptions", "delta_choice",
+    "measure_hamiltonian_constants", "problem_from_config",
+    "quadratic_problem",
     "MaxIterations", "NonFiniteCost", "PenaltyParams", "ScheduleExhausted",
-    "Trajectory", "delta_choice", "energy_certificate", "epsilon_schedule",
+    "Trajectory", "energy_certificate", "epsilon_schedule",
     "epsilon_schedule_batch", "feasibility_gap", "holder_gap",
     "minimize_penalized", "penalized_cost",
     "Extremal", "LeftTube", "NegativeMultiplier", "PMPReport",

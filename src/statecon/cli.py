@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Domain, fd_grad
-from .model import (Hamiltonian, check_assumptions, energy_bound,
+from .model import (Hamiltonian, check_assumptions, delta_choice,
                     problem_from_config)
-from .penalty import Trajectory, delta_choice, epsilon_schedule
+from .penalty import Trajectory, epsilon_schedule
 from .pmp import check_extremal, make_extremal
 from .value import compute_value, dpp_check, lipschitz_report
 from .mfg import (GaussianKernelCoupling, constant_measure, evaluate_flow,
@@ -169,8 +169,6 @@ def cmd_solve(cfg, out: Path, args) -> int:
     N = _grid_size(_grid_arg(args, cfg.get("solver", {}).get("N", 256)), 8,
                    "N")
     delta, Nm = delta_choice(prob, dom)
-    delta = _number(cfg.get("solver", {}).get("delta", delta),
-                    "solver.delta", lambda d: 0 < d <= 1, "a number in (0, 1]")
     gamma, params = epsilon_schedule(prob, dom, x0, delta, N=N)
     ex = make_extremal(prob, dom, gamma, params=params)
     report = check_extremal(prob, dom, ex)
@@ -330,20 +328,19 @@ def cmd_assumptions(cfg, out: Path, args) -> int:
     dom = build_domain(cfg)
     prob = build_problem(cfg, dom)
     rep = check_assumptions(prob, dom)
-    K = energy_bound(prob, dom, report=rep)
     ham = Hamiltonian(prob)
     payload = {
         "checks": {k: {"passed": c.passed, "measured": c.measured,
                        "bound": c.bound} for k, c in rep.checks.items()},
         "growth_constant": rep.C_mu_M, "measured": rep.measured,
-        "energy_budget": K,
+        "energy_budget": rep.K,
         "H_at_origin": float(ham.value_many(
             np.array([0.0]), np.zeros((1, dom.dim)),
             np.zeros((1, dom.dim)))[0]),
     }
     write_json(out / "assumptions.json", payload)
     print(f"assumptions: {'pass' if rep.all_passed else 'FAIL'} "
-          f"(K={_fmt(K)})")
+          f"(K={_fmt(rep.K)})")
     return 0 if rep.all_passed else 1
 
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Domain
-from .model import Problem
+from .model import Problem, delta_choice
 from .penalty import (MaxIterations, NonFiniteCost, ScheduleExhausted,
-                      Trajectory, _block_diag, delta_choice, epsilon_schedule,
+                      Trajectory, _block_diag, epsilon_schedule,
                       epsilon_schedule_batch)
 
 log = logging.getLogger("statecon")

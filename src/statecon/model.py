@@ -303,6 +303,8 @@ class AssumptionReport:
     checks: dict
     C_mu_M: float            # measured growth constant (1.05 safety factor)
     measured: dict
+    K: float                 # energy budget T (C_mu_M + M) + 2 max |g|
+    Dg_max: float            # max |Dg|
 
     @property
     def all_passed(self) -> bool:
@@ -327,8 +329,9 @@ def _draws(m: int, dim: int, T: float):
 
 def check_assumptions(prob: Problem, dom: Domain) -> AssumptionReport:
     """Verification of the structural inequalities and measurement of the
-    derived growth constants: maxima over the points x of
-    ``dom.tube_grid()``, each with its t, s and v of ``_draws``."""
+    derived growth constants, the energy budget K and max |Dg|: maxima over
+    the points x of ``dom.tube_grid()``, each with its t, s and v of
+    ``_draws``."""
     mu, M, kap = prob.mu, prob.M, prob.kappa
     x = dom.tube_grid()
     t, s, v = _draws(len(x), prob.dim, prob.horizon)
@@ -379,13 +382,16 @@ def check_assumptions(prob: Problem, dom: Domain) -> AssumptionReport:
                     coercivity_offset=float(max(c_low, 0.0)),
                     upper_offset=float(max(c_up, 0.0)))
 
-    return AssumptionReport(checks=checks, C_mu_M=C, measured=measured)
+    K = prob.horizon * (C + M) + 2.0 * float(np.max(np.abs(prob.g(x))))
+    Dg_max = float(np.max(np.linalg.norm(prob.Dg(x), axis=1)))
+    return AssumptionReport(checks=checks, C_mu_M=C, measured=measured, K=K,
+                            Dg_max=Dg_max)
 
 
-def measure_hamiltonian_constants(ham: Hamiltonian, dom: Domain):
+def measure_hamiltonian_constants(prob: Problem, dom: Domain):
     """Measured M' (p = 0 bound) and C(mu, M') growth constant for H, as in
     ``check_assumptions`` with p the v of ``_draws``."""
-    prob = ham.prob
+    ham = Hamiltonian(prob)
     x = dom.tube_grid()
     t, _, p = _draws(len(x), prob.dim, prob.horizon)
     # one conjugate solve at p = 0: DxH = -fx(t, x, v*) and DpH = -v*
@@ -401,11 +407,16 @@ def measure_hamiltonian_constants(ham: Hamiltonian, dom: Domain):
     return Mp, C
 
 
-def energy_bound(prob: Problem, dom: Domain,
-                 report: AssumptionReport | None = None) -> float:
-    """Energy budget K = T (C + M) + 2 max |g|, with C from ``report`` and
-    |g| over ``dom.tube_grid()``, as in ``check_assumptions``."""
-    if report is None:
-        report = check_assumptions(prob, dom)
-    gmax = float(np.max(np.abs(prob.g(dom.tube_grid()))))
-    return prob.horizon * (report.C_mu_M + prob.M) + 2.0 * gmax
+def delta_choice(prob: Problem, dom: Domain):
+    """Terminal penalty weight delta = min(1 / (2 mu N), 1), where N is the
+    largest terminal drift speed |DpH(T, x, Dg(x))| over ``dom.tube_grid()``.
+
+    Returns (delta, measured N).
+    """
+    x = dom.tube_grid()
+    speed = np.linalg.norm(Hamiltonian(prob).DpH_many(prob.horizon, x,
+                                                      prob.Dg(x)), axis=1)
+    Nm = float(np.max(speed))
+    if Nm == 0.0:
+        return 1.0, 0.0
+    return min(1.0 / (2.0 * prob.mu * Nm), 1.0), Nm

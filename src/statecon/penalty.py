@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import BoundaryEval, Domain
-from .model import Hamiltonian, Problem
+from .model import Problem
 
 FEASIBILITY_TOL_FACTOR = 1e-6
 # halvings of epsilon before the schedule gives up
@@ -585,21 +585,6 @@ def minimize_penalized(prob: Problem, dom: Domain, params: PenaltyParams,
     if isinstance(gamma, Exception):
         raise gamma
     return gamma
-
-
-def delta_choice(prob: Problem, dom: Domain):
-    """Terminal penalty weight delta = min(1 / (2 mu N), 1), where N is the
-    largest terminal drift speed |DpH(T, x, Dg(x))| over ``dom.tube_grid()``.
-
-    Returns (delta, measured N).
-    """
-    x = dom.tube_grid()
-    speed = np.linalg.norm(Hamiltonian(prob).DpH_many(prob.horizon, x,
-                                                      prob.Dg(x)), axis=1)
-    Nm = float(np.max(speed))
-    if Nm == 0.0:
-        return 1.0, 0.0
-    return min(1.0 / (2.0 * prob.mu * Nm), 1.0), Nm
 
 
 def feasibility_gap(dom: Domain, gamma: Trajectory) -> float:

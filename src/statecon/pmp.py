@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import BOUNDARY_TOL_FACTOR, BoundaryEval, Domain, OutsideTube
-from .model import (Hamiltonian, HamiltonianDerivs, Problem, energy_bound,
-                    measure_hamiltonian_constants)
+from .model import (AssumptionReport, Hamiltonian, HamiltonianDerivs, Problem,
+                    check_assumptions, measure_hamiltonian_constants)
 from .penalty import PenaltyParams, Trajectory
 
 
@@ -212,43 +212,36 @@ def hamiltonian_drift(prob: Problem, dom: Domain, gamma: Trajectory,
     return r
 
 
-def _c1(prob: Problem, C: float, Dg: np.ndarray, K: float) -> float:
-    """C1 = 8 mu + 8 mu max|Dg|^2 + 2 C + kappa (T + 4 mu K), with the
-    maximum over the rows of Dg."""
-    ndg = float(np.max(np.linalg.norm(Dg, axis=1)))
-    return (8 * prob.mu + 8 * prob.mu * ndg ** 2 + 2 * C
+def _c1(prob: Problem, C: float, Dg_max: float, K: float) -> float:
+    """C1 = 8 mu + 8 mu max|Dg|^2 + 2 C + kappa (T + 4 mu K)."""
+    return (8 * prob.mu + 8 * prob.mu * Dg_max ** 2 + 2 * C
             + prob.kappa * (prob.horizon + 4 * prob.mu * K))
 
 
-def _speed_bound(prob: Problem, dom: Domain, C: float, delta: float,
-                 K: float) -> float:
-    Dg = prob.Dg(dom.tube_grid())
-    return C * (2.0 * np.sqrt(prob.mu * _c1(prob, C, Dg, K)) / delta + 1.0)
-
-
-def velocity_bound(prob: Problem, dom: Domain, delta: float, K: float) -> float:
-    """L* = C(mu, M') (2 sqrt(mu C1)/delta + 1), with C and max |Dg| measured
-    on ``dom.tube_grid()``."""
-    _, C = measure_hamiltonian_constants(Hamiltonian(prob), dom)
-    return _speed_bound(prob, dom, C, delta, K)
+def velocity_bound(prob: Problem, report: AssumptionReport, C: float,
+                   delta: float) -> float:
+    """L* = C(mu, M') (2 sqrt(mu C1)/delta + 1), with C from
+    ``measure_hamiltonian_constants`` and K and max |Dg| from ``report``."""
+    return C * (2.0 * np.sqrt(prob.mu * _c1(prob, C, report.Dg_max,
+                                            report.K)) / delta + 1.0)
 
 
 def make_extremal(prob: Problem, dom: Domain, gamma: Trajectory,
                   params: PenaltyParams | None = None) -> Extremal:
     """Assemble the full first-order bundle from a certified minimizer; its
-    knots are evaluated once, and K, C and L* are measured on one
-    ``dom.tube_grid()``."""
+    knots are evaluated once, and K, C and L* come from
+    ``check_assumptions`` and ``measure_hamiltonian_constants``."""
     geo = dom.eval(gamma.knots, hess=False)
     p = recover_adjoint(prob, gamma, dom, geo=geo)
     lam, nu, _ = multiplier_from_residual(prob, dom, gamma, p, geo=geo)
     r = hamiltonian_drift(prob, dom, gamma, p,
                           params.epsilon if params is not None else None,
                           geo=geo)
-    K = energy_bound(prob, dom)
+    rep = check_assumptions(prob, dom)
     delta = params.delta if params is not None else 1.0
-    _, C = measure_hamiltonian_constants(Hamiltonian(prob), dom)
+    _, C = measure_hamiltonian_constants(prob, dom)
     return Extremal(gamma=gamma, p=p, lam=lam, beta_over_delta=nu, r=r,
-                    Lstar=_speed_bound(prob, dom, C, delta, K), C=C, K=K,
+                    Lstar=velocity_bound(prob, rep, C, delta), C=C, K=rep.K,
                     params=params)
 
 
@@ -309,7 +302,8 @@ def check_extremal(prob: Problem, dom: Domain, ex: Extremal) -> PMPReport:
     rep.checks["speed"] = vmax <= ex.Lstar * (1.0 + 1e-9)
 
     if ex.params is not None:
-        C1 = _c1(prob, ex.C, prob.Dg(gamma.knots), ex.K)
+        C1 = _c1(prob, ex.C, float(np.max(np.linalg.norm(
+            prob.Dg(gamma.knots), axis=1))), ex.K)
         d = np.maximum(geo.b, 0.0)
         lhs = np.sum(p * p, axis=1)
         rhs_b = 4 * prob.mu * (d / ex.params.epsilon

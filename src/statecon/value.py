@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Domain
-from .model import Problem
-from .penalty import (Trajectory, delta_choice, epsilon_schedule_batch,
-                      running_cost)
+from .model import Problem, delta_choice
+from .penalty import Trajectory, epsilon_schedule_batch, running_cost
 
 
 @dataclass
@@ -22,6 +21,7 @@ class ValueGrid:
     times: np.ndarray                 # (nt,), uniform, ends at T
     points: np.ndarray                # (np, n), all in the closed domain
     values: np.ndarray                # (nt, np); NaN marks a failed node
+    delta: float                      # terminal weight of every node's solve
     trajectories: dict = field(default_factory=dict)   # (i, j) -> Trajectory
     epsilons: dict = field(default_factory=dict)       # (i, j) -> certified eps
     failures: list = field(default_factory=list)       # (i, j, message)
@@ -51,10 +51,10 @@ def compute_value(prob: Problem, dom: Domain, times, points,
 
     nt, npt = times.size, points.shape[0]
     values = np.full((nt, npt), np.nan)
-    vg = ValueGrid(times=times, points=points, values=values)
+    delta, _ = delta_choice(prob, dom)
+    vg = ValueGrid(times=times, points=points, values=values, delta=delta)
     values[-1] = prob.g(points)
 
-    delta, _ = delta_choice(prob, dom)
     warm, eps0 = [None] * npt, [1.0] * npt
     for i in range(nt - 2, -1, -1):
         t0 = times[i]
@@ -107,12 +107,12 @@ def dpp_check(prob: Problem, dom: Domain, vg: ValueGrid, samples: int = 10,
     """Worst gap in the two-stage decomposition of the value along computed
     optimal arcs: cost to an intermediate time plus a fresh solve from there
     should reproduce the node value.  Each tail solve starts from the node's
-    arc at the node's epsilon; the tails from one time are one batch."""
+    arc at the node's epsilon and the grid's delta; the tails from one time
+    are one batch."""
     rng = rng or np.random.default_rng(5)
     keys = [k for k in vg.trajectories if np.isfinite(vg.values[k])]
     if not keys:
         return 0.0
-    delta, _ = delta_choice(prob, dom)
     picks = rng.choice(len(keys), size=min(samples, len(keys)), replace=False)
     tails: dict = {}  # start time -> [(node, x_mid, head, init)]
     for idx in picks:
@@ -128,7 +128,7 @@ def dpp_check(prob: Problem, dom: Domain, vg: ValueGrid, samples: int = 10,
     for group in tails.values():
         nodes, x_mids, heads, inits = zip(*group)
         results = epsilon_schedule_batch(
-            prob, dom, x_mids, delta, N=N, inits=inits,
+            prob, dom, x_mids, vg.delta, N=N, inits=inits,
             eps0s=[vg.epsilons.get(node, 1.0) for node in nodes])
         for node, head, res in zip(nodes, heads, results):
             if isinstance(res, Exception):

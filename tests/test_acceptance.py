@@ -17,13 +17,13 @@ from scipy.optimize import linear_sum_assignment
 from statecon import (Ball, DiscreteMeasure, Ellipse, GaussianKernelCoupling,
                       Hamiltonian, LinearPotential, LinearTerminal,
                       SmoothedBox, Trajectory, TrajectoryMeasure,
-                      check_extremal, compute_value, constant_measure,
-                      contact_mask, delta_choice, energy_bound,
+                      check_assumptions, check_extremal, compute_value,
+                      constant_measure, contact_mask, delta_choice,
                       energy_certificate, epsilon_schedule, evaluate_flow,
                       feasibility_gap, feedback_lambda_many, fixed_point,
                       holder_gap, kantorovich_d1, lip_flow, lipschitz_report,
-                      make_extremal, mild_solution, quadratic_problem,
-                      velocity_bound)
+                      make_extremal, measure_hamiltonian_constants,
+                      mild_solution, quadratic_problem, velocity_bound)
 from statecon.cli import build_domain, build_problem, main
 from statecon.mfg import coupled_problem
 from statecon.pmp import junction_clear_mask
@@ -288,13 +288,13 @@ def test_criterion_07_energy_and_holder(s1_suite, s2_suite, s3_suite):
     worst_gap = -np.inf
     for suite in (s1_suite, s3_suite):
         dom, prob = suite["dom"], suite["prob"]
-        K = energy_bound(prob, dom)
+        K = check_assumptions(prob, dom).K
         for N in (64, 256, 1024):
             gamma, params = suite["chain"][N]
             ok &= energy_certificate(prob, dom, params, gamma, K)
             worst_gap = max(worst_gap, holder_gap(prob, gamma, K))
     dom, prob = s2_suite["dom"], s2_suite["prob"]
-    K = energy_bound(prob, dom)
+    K = check_assumptions(prob, dom).K
     ok &= energy_certificate(prob, dom, s2_suite["params"],
                              s2_suite["gamma"], K)
     worst_gap = max(worst_gap, holder_gap(prob, s2_suite["gamma"], K))
@@ -379,8 +379,8 @@ def test_criterion_09_mfg_equilibrium(s4_suite):
 
     single = coupled_problem(prob, dom, coupling, eta)
     delta, _ = delta_choice(single, dom)
-    K = energy_bound(single, dom)
-    L0 = velocity_bound(single, dom, delta, K)
+    L0 = velocity_bound(single, check_assumptions(single, dom),
+                        measure_hamiltonian_constants(single, dom)[1], delta)
     times = np.linspace(0.0, prob.horizon, int(mc["n_times"]))
     lip_m = lip_flow(evaluate_flow(eta, times))
     lip_ok = lip_m <= 1.05 * L0

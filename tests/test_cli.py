@@ -299,7 +299,6 @@ class TestMalformedScenario:
         ("mfg", lambda cfg: cfg["mfg"]["coupling"].update(amp="x")),
         ("mfg", lambda cfg: cfg["mfg"]["coupling"].update(amp=float("nan"))),
         ("solve", lambda cfg: cfg["problem"].update(mu="x")),
-        ("solve", lambda cfg: cfg["solver"].update(delta="x")),
         # JSON has no NaN or Infinity, which the reader rejects
         ("solve", lambda cfg: cfg["domain"].update(radius=float("nan"))),
         ("solve", lambda cfg: cfg["problem"].update(T=float("inf"))),
@@ -318,7 +317,6 @@ class TestMalformedScenario:
             "mfg-tol-negative", "mfg-alpha-0", "mfg-coupling-amp-negative",
             "mfg-coupling-amp-x", "mfg-coupling-amp-nan",
             "solve-mu-not-a-number",
-            "solve-delta-not-a-number",
             "radius-nan", "T-infinity", "x0-nan", "value-M-nan",
             "mfg-m0-weight-nan"])
     def test_is_config_error(self, tmp_path, mini_config, mini_mfg_config,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from statecon import (Hamiltonian, LinearPotential, check_assumptions,
-                      energy_bound, quadratic_problem)
+                      quadratic_problem)
 
 from statecon.model import _draws, measure_hamiltonian_constants
 
@@ -192,7 +192,7 @@ class TestAssumptions:
             want = two_solves(ham)
             monkeypatch.setattr(Hamiltonian, "legendre_many", counted)
             zero.clear()
-            Mp, _ = measure_hamiltonian_constants(ham, disk)
+            Mp, _ = measure_hamiltonian_constants(prob, disk)
             monkeypatch.undo()
             assert zero == [True, False]
             assert Mp == want
@@ -212,5 +212,5 @@ class TestAssumptions:
         assert np.all(_draws(2000, 3, 2.0)[2] == v)
 
     def test_energy_budget_positive(self, disk, pull_problem):
-        K = energy_bound(pull_problem, disk)
+        K = check_assumptions(pull_problem, disk).K
         assert K > pull_problem.horizon * pull_problem.M

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from statecon import (Ball, Ellipse, LinearPotential, LinearTerminal,
-                      PenaltyParams, Problem, Trajectory, delta_choice,
-                      energy_bound,
-                      energy_certificate, epsilon_schedule,
+                      PenaltyParams, Problem, Trajectory, check_assumptions,
+                      delta_choice, energy_certificate, epsilon_schedule,
                       feasibility_gap, holder_gap, minimize_penalized,
                       penalized_cost, quadratic_problem)
 from statecon import GaussianKernelCoupling, penalty
@@ -462,12 +461,12 @@ class TestSchedule:
 
     def test_energy_certificate(self, solved):
         prob, disk, gamma, params = solved
-        K = energy_bound(prob, disk)
+        K = check_assumptions(prob, disk).K
         assert energy_certificate(prob, disk, params, gamma, K)
 
     def test_holder_bound_holds(self, solved):
         prob, disk, gamma, params = solved
-        K = energy_bound(prob, disk)
+        K = check_assumptions(prob, disk).K
         assert holder_gap(prob, gamma, K) <= 0.0
         # an understated budget must be flagged as a violation
         assert holder_gap(prob, gamma, 1e-6) > 0.0

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from statecon import (Ball, Ellipse, Hamiltonian, LinearPotential,
-                      NegativeMultiplier, Trajectory, check_extremal,
-                      contact_mask, delta_choice, energy_bound,
-                      epsilon_schedule, feedback_lambda, feedback_lambda_many,
+                      NegativeMultiplier, Trajectory, check_assumptions,
+                      check_extremal, compute_value, contact_mask,
+                      delta_choice, dpp_check, epsilon_schedule,
+                      feedback_lambda, feedback_lambda_many,
                       hamiltonian_drift, make_extremal,
+                      measure_hamiltonian_constants,
                       multiplier_from_residual, quadratic_problem,
-                      recover_adjoint, shoot, velocity_bound)
-from statecon.cli import build_domain, build_problem, load_config
+                      recover_adjoint, shoot, value, velocity_bound)
+from statecon.cli import _node_grid, build_domain, build_problem, load_config
 from statecon.pmp import grid_derivative, junction_clear_mask
 
 from conftest import drifting_problem, s1_exact
@@ -269,7 +271,41 @@ class TestDeterministicConstants:
     def test_bounds_repeat_exactly(self, ellipse):
         prob = quadratic_problem(2, potential=LinearPotential([-1.5, -3.0]),
                                  T=1.0, M=12.0, kappa=0.0)
-        K = energy_bound(prob, ellipse)
-        assert energy_bound(prob, ellipse) == K
-        L = velocity_bound(prob, ellipse, 0.5, K)
-        assert velocity_bound(prob, ellipse, 0.5, K) == L
+
+        def bounds():
+            rep = check_assumptions(prob, ellipse)
+            _, C = measure_hamiltonian_constants(prob, ellipse)
+            return rep.K, velocity_bound(prob, rep, C, 0.5)
+
+        assert bounds() == bounds()
+
+    def test_each_constant_has_one_source(self, monkeypatch):
+        # a value grid hands its delta to its DPP check, which measures none
+        calls = []
+
+        def counted(prob, dom):
+            calls.append(1)
+            return delta_choice(prob, dom)
+
+        monkeypatch.setattr(value, "delta_choice", counted)
+        cfg = load_config(str(SCENARIOS / "S2.json"))
+        dom = build_domain(cfg)
+        prob = build_problem(cfg, dom)
+        times, points = _node_grid(dom, prob.horizon, 5, 5)
+        vg = compute_value(prob, dom, times, points, N=32)
+        dpp_check(prob, dom, vg, samples=5, N=32)
+        assert len(calls) == 1
+        assert vg.delta == delta_choice(prob, dom)[0]
+        # the extremal's K and L* are the assumption report's and the
+        # Hamiltonian constants', to the last bit
+        cfg = load_config(str(SCENARIOS / "S3.json"))
+        dom = build_domain(cfg)
+        prob = build_problem(cfg, dom)
+        delta, _ = delta_choice(prob, dom)
+        gamma, params = epsilon_schedule(prob, dom, np.asarray(cfg["x0"]),
+                                         delta, N=64)
+        ex = make_extremal(prob, dom, gamma, params=params)
+        rep = check_assumptions(prob, dom)
+        _, C = measure_hamiltonian_constants(prob, dom)
+        assert ex.K == rep.K and ex.C == C
+        assert ex.Lstar == velocity_bound(prob, rep, C, delta)

@@ -110,7 +110,7 @@ class TestLipschitz:
         _, _, _, vg = drift_value
         from statecon import ValueGrid
         small = ValueGrid(times=vg.times[:1], points=vg.points,
-                          values=vg.values[:1])
+                          values=vg.values[:1], delta=vg.delta)
         with pytest.raises(ValueError):
             lipschitz_report(small)
 

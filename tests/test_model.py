@@ -1,9 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from statecon import (Hamiltonian, LinearPotential, check_assumptions,
                       quadratic_problem)
-
+from statecon.cli import build_domain, build_problem, load_config
 from statecon.model import _draws, measure_hamiltonian_constants
 
 from conftest import drifting_problem, mixed_problem
@@ -210,6 +212,17 @@ class TestAssumptions:
         assert np.all(np.abs(np.mean(v, axis=0)) < 0.05)
         assert np.std(v, axis=0) == pytest.approx([3.0] * 3, rel=0.02)
         assert np.all(_draws(2000, 3, 2.0)[2] == v)
+
+    def test_growth_constants_reach_their_suprema(self):
+        # S2's running cost f = |v|^2/2 has sup |fv| / (1 + |v|) = 1 and
+        # sup |DpH| / (1 + |p|) = 1, approached only as |v|, |p| -> inf; no
+        # other growth term of S2 comes near 1
+        cfg = load_config(str(Path(__file__).resolve().parents[1]
+                              / "scenarios" / "S2.json"))
+        dom = build_domain(cfg)
+        prob = build_problem(cfg, dom)
+        assert check_assumptions(prob, dom).C_mu_M >= 1.0
+        assert measure_hamiltonian_constants(prob, dom)[1] >= 1.0
 
     def test_energy_budget_positive(self, disk, pull_problem):
         K = check_assumptions(pull_problem, disk).K

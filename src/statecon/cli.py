@@ -409,6 +409,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a grid size too large for this machine
+        print(f"error: the grid does not fit in memory: {exc}",
+              file=sys.stderr)
+        return 1
     except Exception as exc:
         log.exception("solver failure")
         print(f"solver failure: {exc}", file=sys.stderr)

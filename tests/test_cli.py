@@ -358,6 +358,27 @@ class TestMalformedScenario:
         assert err.startswith("error: cannot read config ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, edit", [
+        ("solve", lambda cfg: cfg["solver"].update(N=2 ** 53)),
+        ("solve --grid-n 9007199254740992", lambda cfg: None),
+        ("mfg", lambda cfg: cfg["mfg"].update(N=2 ** 53)),
+        ("value", lambda cfg: cfg.update(value={"N": 2 ** 53})),
+    ], ids=["solve-N", "solve-grid-n", "mfg-N", "value-N"])
+    def test_oversized_grid_is_config_error(self, tmp_path, mini_config,
+                                            mini_mfg_config, capsys, command,
+                                            edit):
+        # 2**53 + 1 knots of two floats ask for 128 PiB, an allocation that
+        # fails at once
+        path = (mini_mfg_config if command == "mfg" else mini_config)
+        cfg = json.loads(path.read_text())
+        edit(cfg)
+        path.write_text(json.dumps(cfg))
+        rc, _ = run(tmp_path, *command.split(), "--config", str(path))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the grid does not fit in memory: ")
+        assert "Traceback" not in err
+
 
 class TestDeterminism:
     def test_outputs_independent_of_blas_threads(self, tmp_path):

@@ -410,8 +410,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # a grid size too large for this machine
-        print(f"error: the grid does not fit in memory: {exc}",
-              file=sys.stderr)
+        print("error: the grid does not fit in memory:", exc, file=sys.stderr)
         return 1
     except Exception as exc:
         log.exception("solver failure")

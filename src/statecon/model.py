@@ -327,10 +327,13 @@ def _draws(m: int, dim: int, T: float):
     return T * u[:, 0], T * u[:, 1], 3.0 * v
 
 
-def _far(v):
-    """Each row of v scaled to norm 1e4, where a ratio |F(v)| / (1 + |v|)
-    with F of linear growth is within 1e-4 of its limit as |v| -> inf."""
-    return 1e4 / np.linalg.norm(v, axis=1)[:, None] * v
+def _growth(F, v):
+    """max |F(v)| / (1 + |v|) over the rows of v and over their directions
+    at norm 1e4, where the ratio of an F of linear growth is within 1e-4 of
+    its limit as |v| -> inf."""
+    return max(np.max(np.linalg.norm(F(w), axis=1)
+                      / (1 + np.linalg.norm(w, axis=1)))
+               for w in (v, 1e4 / np.linalg.norm(v, axis=1)[:, None] * v))
 
 
 def check_assumptions(prob: Problem, dom: Domain) -> AssumptionReport:
@@ -378,9 +381,7 @@ def check_assumptions(prob: Problem, dom: Domain) -> AssumptionReport:
 
     # derived growth constants (measured, with safety factor)
     speed = np.linalg.norm(v, axis=1)
-    c_fv = max(np.max(np.linalg.norm(prob.fv(t, x, w), axis=1)
-                      / (1 + np.linalg.norm(w, axis=1)))
-               for w in (v, _far(v)))
+    c_fv = _growth(lambda w: prob.fv(t, x, w), v)
     c_fx = np.max(np.linalg.norm(prob.fx(t, x, v), axis=1) / (1 + speed ** 2))
     fval = prob.f(t, x, v)
     c_low = np.max(speed ** 2 / (4 * mu) - fval)
@@ -408,10 +409,7 @@ def measure_hamiltonian_constants(prob: Problem, dom: Domain):
                       + np.linalg.norm(v0, axis=1)))
     d = ham.derivs_many(t, x, p)
     pn = np.linalg.norm(p, axis=1)
-    far = _far(p)
-    c1 = max(np.max(np.linalg.norm(d.DpH, axis=1) / (1 + pn)),
-             np.max(np.linalg.norm(ham.DpH_many(t, x, far), axis=1)
-                    / (1 + np.linalg.norm(far, axis=1))))
+    c1 = _growth(lambda q: ham.DpH_many(t, x, q), p)
     c2 = np.max(np.linalg.norm(d.DxH, axis=1) / (1 + pn ** 2))
     c3 = np.max(np.linalg.norm(d.DpxH, ord=2, axis=(1, 2)) / (1 + pn))
     C = 1.05 * float(max(c1, c2, c3))

@@ -8,13 +8,12 @@ free arc is gamma(t) = (sqrt(6) t - 1.5 t^2, 0).
 
 import numpy as np
 
-from statecon import (Ball, LinearPotential, check_assumptions, delta_choice,
+from statecon import (Ball, check_assumptions, delta_choice,
                       energy_certificate, epsilon_schedule, feasibility_gap,
                       holder_gap, quadratic_problem)
 
 dom = Ball([0.0, 0.0], 1.0)
-prob = quadratic_problem(2, potential=LinearPotential([-3.0, 0.0]),
-                         T=1.0, M=3.0, kappa=0.0)
+prob = quadratic_problem(2, potential=[-3.0, 0.0], T=1.0, M=3.0, kappa=0.0)
 
 delta, _ = delta_choice(prob, dom)
 gamma, params = epsilon_schedule(prob, dom, np.zeros(2), delta, N=256)

@@ -9,14 +9,13 @@ reproduces the trajectory from its initial data.
 
 import numpy as np
 
-from statecon import (Ball, Hamiltonian, LinearPotential, check_extremal,
-                      delta_choice, epsilon_schedule, feedback_lambda,
-                      make_extremal, quadratic_problem, shoot)
+from statecon import (Ball, Hamiltonian, check_extremal, delta_choice,
+                      epsilon_schedule, feedback_lambda, make_extremal,
+                      quadratic_problem, shoot)
 from statecon.pmp import contact_mask
 
 dom = Ball([0.0, 0.0], 1.0)
-prob = quadratic_problem(2, potential=LinearPotential([-3.0, 0.0]),
-                         T=1.0, M=3.0, kappa=0.0)
+prob = quadratic_problem(2, potential=[-3.0, 0.0], T=1.0, M=3.0, kappa=0.0)
 
 delta, _ = delta_choice(prob, dom)
 gamma, params = epsilon_schedule(prob, dom, np.zeros(2), delta, N=512)

@@ -9,13 +9,12 @@ discrete Lipschitz constants plus a dynamic-programming consistency gap.
 
 import numpy as np
 
-from statecon import (Ball, LinearTerminal, compute_value, dpp_check,
-                      lipschitz_report, quadratic_problem)
+from statecon import (Ball, compute_value, dpp_check, lipschitz_report,
+                      quadratic_problem)
 
 dom = Ball([0.0, 0.0], 1.0)
 a = np.array([0.5, 0.0])
-prob = quadratic_problem(2, terminal=LinearTerminal(-a), T=1.0, M=1.0,
-                         kappa=0.0)
+prob = quadratic_problem(2, terminal=-a, T=1.0, M=1.0, kappa=0.0)
 
 T = 1.0
 times = np.linspace(0.0, T, 5)

@@ -4,10 +4,10 @@ and mean-field-game equilibria over discrete trajectory measures."""
 
 from .geometry import (Ball, Domain, Ellipse, OutsideTube, SmoothedBox,
                        SubdiffDescription)
-from .model import (AssumptionReport, Hamiltonian, LinearPotential,
-                    LinearTerminal, NewtonDiverged, Problem, check_assumptions,
-                    delta_choice, measure_hamiltonian_constants,
-                    problem_from_config, quadratic_problem)
+from .model import (AssumptionReport, Hamiltonian, NewtonDiverged, Problem,
+                    check_assumptions, delta_choice,
+                    measure_hamiltonian_constants, problem_from_config,
+                    quadratic_problem)
 from .penalty import (MaxIterations, NonFiniteCost, PenaltyParams,
                       ScheduleExhausted, Trajectory, energy_certificate,
                       epsilon_schedule, epsilon_schedule_batch,
@@ -29,10 +29,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Ball", "Domain", "Ellipse", "OutsideTube", "SmoothedBox",
     "SubdiffDescription",
-    "AssumptionReport", "Hamiltonian", "LinearPotential", "LinearTerminal",
-    "NewtonDiverged", "Problem", "check_assumptions", "delta_choice",
-    "measure_hamiltonian_constants", "problem_from_config",
-    "quadratic_problem",
+    "AssumptionReport", "Hamiltonian", "NewtonDiverged", "Problem",
+    "check_assumptions", "delta_choice", "measure_hamiltonian_constants",
+    "problem_from_config", "quadratic_problem",
     "MaxIterations", "NonFiniteCost", "PenaltyParams", "ScheduleExhausted",
     "Trajectory", "energy_certificate", "epsilon_schedule",
     "epsilon_schedule_batch", "feasibility_gap", "holder_gap",

@@ -4,7 +4,7 @@ dual Hamiltonian.
 All evaluators are batched: ``t`` has shape (m,), ``x`` and ``v`` shape (m, n);
 scalars are broadcast.  Built-in problems are quadratic in the velocity,
 
-    f(t, x, v) = 1/2 <A v, v> + V(t, x),
+    f(t, x, v) = 1/2 <A v, v> + <b, x>,   g(x) = <c, x>,
 
 which keeps every second derivative exact and the conjugate Newton solve a
 single step.
@@ -32,63 +32,6 @@ def _batch(t, x, v=None):
         return t, x
     v = np.atleast_2d(np.asarray(v, dtype=float))
     return t, x, v
-
-
-# ---------------------------------------------------------------------------
-# building blocks for the quadratic family
-
-
-def _zero_hess(x):
-    m, n = np.atleast_2d(x).shape
-    return np.zeros((m, n, n))
-
-
-class LinearPotential:
-    """V(t, x) = <b, x> (a constant spatial pull)."""
-
-    def __init__(self, b):
-        self.b = np.asarray(b, dtype=float)
-
-    def value(self, t, x):
-        return np.atleast_2d(x) @ self.b
-
-    def grad(self, t, x):
-        x = np.atleast_2d(x)
-        return np.broadcast_to(self.b, x.shape).copy()
-
-    def hess(self, t, x):
-        return _zero_hess(x)
-
-
-class LinearTerminal:
-    """g(x) = <b, x>."""
-
-    def __init__(self, b):
-        self.b = np.asarray(b, dtype=float)
-
-    def value(self, x):
-        return np.atleast_2d(x) @ self.b
-
-    def grad(self, x):
-        x = np.atleast_2d(x)
-        return np.broadcast_to(self.b, x.shape).copy()
-
-    def hess(self, x):
-        return _zero_hess(x)
-
-
-def _linear_from_config(cls, cfg: dict, key: str, dim: int):
-    """``cls`` (``LinearPotential`` or ``LinearTerminal``) from section
-    ``key`` of a problem config; type "zero", the default, is b = 0."""
-    sec = cfg.get(key, {})
-    kind = sec.get("type", "zero")
-    if kind == "zero":
-        return cls(np.zeros(dim))
-    if kind == "linear":
-        if np.shape(sec["b"]) != (dim,):
-            raise ValueError(f"{key} b must have {dim} entries")
-        return cls(sec["b"])
-    raise ValueError(f"unknown {key} type {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +88,19 @@ def quadratic_problem(dim: int, *, A=None, potential=None, terminal=None,
                       T: float = 1.0, mu: float | None = None,
                       M: float | None = None,
                       kappa: float | None = None) -> Problem:
-    """Quadratic-in-velocity problem 1/2 <A v, v> + V(t, x).
+    """Quadratic-in-velocity problem f(t, x, v) = 1/2 <A v, v> + <b, x> with
+    terminal cost g(x) = <c, x>, where b is ``potential`` and c is
+    ``terminal``: vectors of ``dim`` entries, None for zero.
 
-    ``potential`` provides value(t, x), grad(t, x) and hess(t, x);
-    ``terminal`` provides value(x), grad(x) and hess(x)."""
+    Any other cost is built as a ``Problem``, with its state-only part in
+    ``Problem.V``."""
     A = np.eye(dim) if A is None else np.asarray(A, dtype=float)
-    potential = potential or LinearPotential(np.zeros(dim))
-    terminal = terminal or LinearTerminal(np.zeros(dim))
+    b, c = (np.zeros(dim) if w is None else np.asarray(w, dtype=float)
+            for w in (potential, terminal))
+    for name, w in (("potential", b), ("terminal", c)):
+        if w.shape != (dim,):
+            raise ValueError(f"{name} must have {dim} entries, got shape "
+                             f"{w.shape}")
 
     eigs = np.linalg.eigvalsh(A)
     if eigs[0] <= 0:
@@ -161,12 +110,11 @@ def quadratic_problem(dim: int, *, A=None, potential=None, terminal=None,
 
     def f(t, x, v):
         t, x, v = _batch(t, x, v)
-        quad = 0.5 * np.einsum("mi,ij,mj->m", v, A, v)
-        return quad + potential.value(t, x)
+        return 0.5 * np.einsum("mi,ij,mj->m", v, A, v) + x @ b
 
     def fx(t, x, v):
         t, x, v = _batch(t, x, v)
-        return potential.grad(t, x)
+        return np.broadcast_to(b, x.shape).copy()
 
     def fv(t, x, v):
         t, x, v = _batch(t, x, v)
@@ -176,40 +124,44 @@ def quadratic_problem(dim: int, *, A=None, potential=None, terminal=None,
         t, x, v = _batch(t, x, v)
         return np.broadcast_to(A, (x.shape[0], dim, dim)).copy()
 
-    def fvx(t, x, v):
+    def zero2(t, x, v):  # fvx and fxx
         t, x, v = _batch(t, x, v)
         return np.zeros((x.shape[0], dim, dim))
 
-    def fxx(t, x, v):
-        t, x, v = _batch(t, x, v)
-        return potential.hess(t, x)
-
     def g(x):
-        return terminal.value(np.atleast_2d(x))
+        return np.atleast_2d(x) @ c
 
     def Dg(x):
-        return terminal.grad(np.atleast_2d(x))
+        return np.broadcast_to(c, np.atleast_2d(x).shape).copy()
 
     def D2g(x):
-        return terminal.hess(np.atleast_2d(x))
+        return np.zeros((np.atleast_2d(x).shape[0], dim, dim))
 
     if M is None or kappa is None:
         raise ValueError("declare M and kappa explicitly (measured or derived)")
 
-    return Problem(f=f, fx=fx, fv=fv, fvv=fvv, fvx=fvx, g=g, Dg=Dg,
+    return Problem(f=f, fx=fx, fv=fv, fvv=fvv, fvx=zero2, g=g, Dg=Dg,
                    horizon=T, dim=dim, mu=float(mu), M=float(M),
-                   kappa=float(kappa), fxx=fxx, D2g=D2g)
+                   kappa=float(kappa), fxx=zero2, D2g=D2g)
 
 
 def problem_from_config(cfg: dict, dim: int) -> Problem:
+    """The quadratic problem of a config's ``problem`` section, whose
+    ``potential`` and ``terminal`` sections have ``type`` "zero" (the
+    default) or "linear" with the vector ``b``."""
     if cfg.get("family", "quadratic") != "quadratic":
         raise ValueError(f"unknown problem family {cfg.get('family')!r}")
+    linear = {}
+    for key in ("potential", "terminal"):
+        kind = cfg.get(key, {}).get("type", "zero")
+        if kind == "linear":
+            # an array, so that a null b is refused rather than read as zero
+            linear[key] = np.asarray(cfg[key]["b"], dtype=float)
+        elif kind != "zero":
+            raise ValueError(f"unknown {key} type {kind!r}")
     A = np.asarray(cfg.get("A", np.eye(dim)), dtype=float)
     return quadratic_problem(
-        dim, A=A,
-        potential=_linear_from_config(LinearPotential, cfg, "potential", dim),
-        terminal=_linear_from_config(LinearTerminal, cfg, "terminal", dim),
-        T=float(cfg.get("T", 1.0)),
+        dim, A=A, **linear, T=float(cfg.get("T", 1.0)),
         mu=float(cfg["mu"]) if "mu" in cfg else None,
         M=float(cfg["M"]), kappa=float(cfg.get("kappa", 0.0)))
 

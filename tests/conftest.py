@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from statecon import (Ball, Ellipse, LinearPotential, Problem, SmoothedBox,
-                      Trajectory, quadratic_problem)
+from statecon import (Ball, Ellipse, Problem, SmoothedBox, Trajectory,
+                      quadratic_problem)
 from statecon.penalty import _action_grad
 
 
@@ -29,8 +29,7 @@ def shapes(disk, ellipse, box):
 @pytest.fixture
 def pull_problem():
     """Unit-disk problem whose minimizer lands on the boundary and rests."""
-    return quadratic_problem(2, potential=LinearPotential([-3.0, 0.0]),
-                             T=1.0, M=9.0, kappa=0.0)
+    return quadratic_problem(2, potential=[-3.0, 0.0], T=1.0, M=9.0, kappa=0.0)
 
 
 def drifting_problem():

@@ -15,8 +15,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from statecon import (Ball, DiscreteMeasure, Ellipse, GaussianKernelCoupling,
-                      Hamiltonian, LinearPotential, LinearTerminal,
-                      SmoothedBox, Trajectory, TrajectoryMeasure,
+                      Hamiltonian, SmoothedBox, Trajectory, TrajectoryMeasure,
                       check_assumptions, check_extremal, compute_value,
                       constant_measure, contact_mask, delta_choice,
                       energy_certificate, epsilon_schedule, evaluate_flow,
@@ -159,8 +158,7 @@ def test_criterion_02_legendre_duality():
     problems = [
         quadratic_problem(2, M=1.0, kappa=0.0),
         quadratic_problem(2, A=[[2.0, 0.3], [0.3, 1.0]],
-                          potential=LinearPotential([1.0, -0.5]),
-                          terminal=LinearTerminal([0.2, 0.1]),
+                          potential=[1.0, -0.5], terminal=[0.2, 0.1],
                           M=10.0, kappa=0.0),
     ]
     rng = np.random.default_rng(1)

@@ -10,9 +10,8 @@ seeded generator and none is skipped.
 import numpy as np
 import pytest
 
-from statecon import (Ball, Ellipse, LinearPotential, LinearTerminal,
-                      MaxIterations, SmoothedBox, Trajectory, delta_choice,
-                      epsilon_schedule, feasibility_gap,
+from statecon import (Ball, Ellipse, MaxIterations, SmoothedBox, Trajectory,
+                      delta_choice, epsilon_schedule, feasibility_gap,
                       multiplier_from_residual, quadratic_problem,
                       recover_adjoint)
 from statecon import penalty
@@ -40,8 +39,7 @@ def draw_case(rng, pull=(0.5, 8.0), terminal=(0.0, 3.0), grids=(16, 32)):
     b = rng.standard_normal(2) * rng.uniform(*pull)
     c = rng.standard_normal(2) * rng.uniform(*terminal)
     prob = quadratic_problem(2, A=L @ L.T + 0.3 * np.eye(2),
-                             potential=LinearPotential(b),
-                             terminal=LinearTerminal(c),
+                             potential=b, terminal=c,
                              T=rng.uniform(0.5, 2.0),
                              M=float(np.linalg.norm(b)), kappa=0.0)
     N = int(rng.choice(grids))

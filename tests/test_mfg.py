@@ -8,12 +8,12 @@ import pytest
 from scipy.optimize import linear_sum_assignment, linprog
 
 from statecon import (Ball, DiscreteMeasure, Domain, GaussianKernelCoupling,
-                      LinearPotential, MeasureFlow, PenaltyParams,
-                      TrajectoryMeasure, Trajectory, UnbalancedMeasure,
-                      best_response, constant_measure, delta_choice,
-                      epsilon_schedule, evaluate_flow, fixed_point,
-                      kantorovich_d1, lip_flow, minimize_penalized,
-                      problem_from_config, quadratic_problem)
+                      MeasureFlow, PenaltyParams, TrajectoryMeasure,
+                      Trajectory, UnbalancedMeasure, best_response,
+                      constant_measure, delta_choice, epsilon_schedule,
+                      evaluate_flow, fixed_point, kantorovich_d1, lip_flow,
+                      minimize_penalized, problem_from_config,
+                      quadratic_problem)
 from statecon import mfg, penalty
 from statecon.mfg import (_coupling_cost, _prune, coupled_problem,
                           potential_problem,
@@ -334,8 +334,7 @@ def pulled_crowd_problem(terminal_amp=0.3):
     """Coupled problem whose minimizer lands on the unit circle and rests
     there against a crowd of two moving particles."""
     disk = Ball([0.0, 0.0], 1.0)
-    base = quadratic_problem(2, potential=LinearPotential([-3.0, 0.0]),
-                             T=1.0, M=9.0, kappa=0.0)
+    base = quadratic_problem(2, potential=[-3.0, 0.0], T=1.0, M=9.0, kappa=0.0)
     trajs = [Trajectory(0.0, 1.0, np.linspace(a, b, 33))
              for a, b in (([0.3, 0.1], [0.6, 0.4]), ([0.5, -0.2], [0.2, -0.6]))]
     eta = TrajectoryMeasure(trajs, np.array([0.4, 0.6]))
@@ -638,7 +637,7 @@ class TestBestResponse:
         # a crowd pulled onto the unit circle: each start certifies at
         # eps = 1/8, four levels down from eps = 1
         disk = Ball([0.0, 0.0], 1.0)
-        base = quadratic_problem(2, potential=LinearPotential([-6.0, 0.0]),
+        base = quadratic_problem(2, potential=[-6.0, 0.0],
                                  T=1.0, M=36.0, kappa=0.0)
         c = GaussianKernelCoupling(amp=0.5, scale=0.5)
         eta = constant_measure([[0.3, 0.1], [0.5, -0.2]], [0.4, 0.6],
@@ -831,7 +830,7 @@ class TestJointEquilibrium:
         rng = np.random.default_rng(11)
         X = rng.uniform(-1.1, 1.1, (N + 1, 3, 2))
         X[3, 1] /= np.linalg.norm(X[3, 1])
-        base = quadratic_problem(2, potential=LinearPotential([-3.0, 0.0]),
+        base = quadratic_problem(2, potential=[-3.0, 0.0],
                                  T=1.0, M=9.0, kappa=0.0)
         c = GaussianKernelCoupling(amp=0.5, scale=0.5, terminal_amp=0.3)
         return base, c, X
@@ -964,7 +963,7 @@ class TestJointEquilibrium:
         # the crowd of test_warm_epsilon_skips_the_weak_levels: pulled onto
         # the unit circle, each best response certifies at eps = 1/8
         disk = Ball([0.0, 0.0], 1.0)
-        prob = quadratic_problem(2, potential=LinearPotential([-6.0, 0.0]),
+        prob = quadratic_problem(2, potential=[-6.0, 0.0],
                                  T=1.0, M=M, kappa=0.0)
         c = GaussianKernelCoupling(amp=0.5, scale=0.5)
         eta0 = constant_measure([[0.3, 0.1], [0.5, -0.2]], [0.4, 0.6],

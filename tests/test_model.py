@@ -3,8 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from statecon import (Hamiltonian, LinearPotential, check_assumptions,
-                      quadratic_problem)
+from statecon import Hamiltonian, check_assumptions, quadratic_problem
 from statecon.cli import build_domain, build_problem, load_config
 from statecon.model import _draws, measure_hamiltonian_constants
 
@@ -28,7 +27,7 @@ def grid_conjugate(prob, t, x, p, lim=6.0, n=481):
 class TestLegendre:
     def test_matches_grid_search(self):
         prob = quadratic_problem(2, A=[[2.0, 0.3], [0.3, 1.0]],
-                                 potential=LinearPotential([1.0, -0.5]),
+                                 potential=[1.0, -0.5],
                                  M=10.0, kappa=0.0)
         for _ in range(5):
             t = RNG.uniform(0.0, 1.0)
@@ -50,7 +49,7 @@ class TestLegendre:
 
     def test_duality_identities(self):
         prob = quadratic_problem(2, A=[[1.5, 0.2], [0.2, 0.8]],
-                                 potential=LinearPotential([0.3, 0.7]),
+                                 potential=[0.3, 0.7],
                                  M=5.0, kappa=0.0)
         ham = Hamiltonian(prob)
         t = RNG.uniform(0.0, 1.0, 200)
@@ -151,8 +150,7 @@ class TestAssumptions:
         assert rep.all_passed
 
     def test_understated_base_bound_fails(self, disk):
-        prob = quadratic_problem(2, potential=LinearPotential([-3.0, 0.0]),
-                                 M=1.0, kappa=0.0)
+        prob = quadratic_problem(2, potential=[-3.0, 0.0], M=1.0, kappa=0.0)
         rep = check_assumptions(prob, disk)
         assert not rep.checks["base_bound"].passed
 
@@ -161,8 +159,7 @@ class TestAssumptions:
         # {b < rho0} = {|x| < 2} is 9, at the tube's edge; a bound just
         # below it fails.  The grid's points reach b = rho0 (1 - 1e-12), so
         # only their spacing along the edge, to second order, is missed
-        prob = quadratic_problem(2, potential=LinearPotential([-3.0, 0.0]),
-                                 M=8.85, kappa=0.0)
+        prob = quadratic_problem(2, potential=[-3.0, 0.0], M=8.85, kappa=0.0)
         rep = check_assumptions(prob, disk)
         assert not rep.checks["base_bound"].passed
         assert 9.0 - 5e-3 < rep.checks["base_bound"].measured < 9.0

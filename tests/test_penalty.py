@@ -3,11 +3,10 @@ import logging
 import numpy as np
 import pytest
 
-from statecon import (Ball, Ellipse, LinearPotential, LinearTerminal,
-                      PenaltyParams, Problem, Trajectory, check_assumptions,
-                      delta_choice, energy_certificate, epsilon_schedule,
-                      feasibility_gap, holder_gap, minimize_penalized,
-                      penalized_cost, quadratic_problem)
+from statecon import (Ball, Ellipse, PenaltyParams, Problem, Trajectory,
+                      check_assumptions, delta_choice, energy_certificate,
+                      epsilon_schedule, feasibility_gap, holder_gap,
+                      minimize_penalized, penalized_cost, quadratic_problem)
 from statecon import GaussianKernelCoupling, penalty
 from statecon.mfg import potential_problem
 from statecon.penalty import (MaxIterations, Runaway, _action_hessian,
@@ -106,8 +105,7 @@ class TestActionHessian:
     def test_matches_finite_differences_of_gradient(self):
         rng = np.random.default_rng(23)
         prob = quadratic_problem(2, A=[[2.0, 0.5], [0.5, 1.0]],
-                                 potential=LinearPotential([1.0, -2.0]),
-                                 terminal=LinearTerminal([0.3, 0.1]),
+                                 potential=[1.0, -2.0], terminal=[0.3, 0.1],
                                  T=1.0, M=9.0, kappa=0.0)
         for _ in range(3):
             gamma = Trajectory(0.0, 1.0, rng.uniform(-0.6, 0.6, (13, 2)))
@@ -213,8 +211,7 @@ class TestMinimize:
         # int 1/2 |v|^2 + <c, x(T)> is the straight line x0 - c t
         dom = Ball([0.0, 0.0], 3.0)
         c = np.array([0.3, -0.2])
-        prob = quadratic_problem(2, terminal=LinearTerminal(c), T=1.0,
-                                 M=2.0, kappa=0.0)
+        prob = quadratic_problem(2, terminal=c, T=1.0, M=2.0, kappa=0.0)
         params = PenaltyParams(epsilon=0.5, delta=0.5, N=32)
         gamma = minimize_penalized(prob, dom, params, np.zeros(2))
         exact = -np.outer(gamma.times, c)
@@ -252,7 +249,7 @@ class TestMinimize:
     def test_weak_penalty_runs_away(self, disk):
         # the unconstrained minimizer of this pull ends at x = (10, 0), far
         # past the leash rho0 + diam = 3, and eps = 100 barely resists it
-        prob = quadratic_problem(2, potential=LinearPotential([-20.0, 0.0]),
+        prob = quadratic_problem(2, potential=[-20.0, 0.0],
                                  T=1.0, M=400.0, kappa=0.0)
         params = PenaltyParams(epsilon=100.0, delta=1.0, N=32)
         with pytest.raises(Runaway):
@@ -261,7 +258,7 @@ class TestMinimize:
     def test_warm_newton_past_the_leash_runs_away(self, disk):
         # the same pull from a constant init: the Newton stage certifies the
         # penalized minimizer near x = (10, 0), and the leash rejects it
-        prob = quadratic_problem(2, potential=LinearPotential([-20.0, 0.0]),
+        prob = quadratic_problem(2, potential=[-20.0, 0.0],
                                  T=1.0, M=400.0, kappa=0.0)
         params = PenaltyParams(epsilon=100.0, delta=1.0, N=32)
         init = Trajectory.constant(0.0, 1.0, np.zeros(2), 32)
@@ -273,7 +270,7 @@ class TestMinimize:
         # ellipse, a focal point where D2b is inf/NaN; the Newton stage must
         # leave it without a non-finite step
         dom = Ellipse([0.0, 0.0], [2.0, 1.0])
-        prob = quadratic_problem(2, potential=LinearPotential([-1.5, -3.0]),
+        prob = quadratic_problem(2, potential=[-1.5, -3.0],
                                  T=1.0, M=12.0, kappa=0.0)
         assert not np.all(np.isfinite(dom.eval([[1.5, 0.0]]).D2b))
         params = PenaltyParams(epsilon=0.25, delta=1.0, N=32)
@@ -342,8 +339,7 @@ class TestMinimize:
 @pytest.fixture(scope="module")
 def solved():
     disk = Ball([0.0, 0.0], 1.0)
-    prob = quadratic_problem(2, potential=LinearPotential([-3.0, 0.0]),
-                             T=1.0, M=9.0, kappa=0.0)
+    prob = quadratic_problem(2, potential=[-3.0, 0.0], T=1.0, M=9.0, kappa=0.0)
     delta, _ = delta_choice(prob, disk)
     gamma, params = epsilon_schedule(prob, disk, np.zeros(2), delta, N=64)
     return prob, disk, gamma, params
@@ -389,8 +385,7 @@ class TestSchedule:
         # (S3, N = 64) and 14 (S1, N = 256) Newton steps; the count grows
         # by some 2.5 steps per doubling of N (S1: 7 at N = 16, 26 at 2048)
         dom = shapes[shape]
-        prob = quadratic_problem(2, potential=LinearPotential(pull), T=1.0,
-                                 M=M, kappa=0.0)
+        prob = quadratic_problem(2, potential=pull, T=1.0, M=M, kappa=0.0)
         delta, _ = delta_choice(prob, dom)
         with caplog.at_level(logging.INFO, logger="statecon"):
             epsilon_schedule(prob, dom, np.zeros(2), delta, N=N)
@@ -476,8 +471,7 @@ class TestDeltaChoice:
     def test_formula_for_linear_terminal(self):
         dom = Ball([0.0, 0.0], 1.0)
         c = np.array([0.6, 0.0])
-        prob = quadratic_problem(2, terminal=LinearTerminal(c), T=1.0,
-                                 M=1.0, kappa=0.0)
+        prob = quadratic_problem(2, terminal=c, T=1.0, M=1.0, kappa=0.0)
         # terminal drift speed is |A^{-1} c| = 0.6 everywhere, so
         # delta = 1 / (2 mu 0.6)
         delta, speed = delta_choice(prob, dom)
@@ -490,8 +484,7 @@ class TestDeltaChoice:
         ball = Ball([0.0, 0.0, 0.0], 1.5)
         A = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.5]])
         c = np.array([0.4, -0.7, 1.1])
-        prob = quadratic_problem(3, A=A, terminal=LinearTerminal(c), T=1.0,
-                                 M=2.0, kappa=0.0)
+        prob = quadratic_problem(3, A=A, terminal=c, T=1.0, M=2.0, kappa=0.0)
         delta, speed = delta_choice(prob, ball)
         want = np.linalg.norm(np.linalg.solve(A, c))
         assert speed == pytest.approx(want, rel=1e-12)

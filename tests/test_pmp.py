@@ -3,15 +3,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from statecon import (Ball, Ellipse, Hamiltonian, LinearPotential,
-                      NegativeMultiplier, Trajectory, check_assumptions,
-                      check_extremal, compute_value, contact_mask,
-                      delta_choice, dpp_check, epsilon_schedule,
-                      feedback_lambda, feedback_lambda_many,
+from statecon import (Ball, Ellipse, Hamiltonian, NegativeMultiplier,
+                      Trajectory, check_assumptions, check_extremal,
+                      compute_value, contact_mask, delta_choice, dpp_check,
+                      epsilon_schedule, feedback_lambda, feedback_lambda_many,
                       hamiltonian_drift, make_extremal,
-                      measure_hamiltonian_constants,
-                      multiplier_from_residual, quadratic_problem,
-                      recover_adjoint, shoot, value, velocity_bound)
+                      measure_hamiltonian_constants, multiplier_from_residual,
+                      quadratic_problem, recover_adjoint, shoot, value,
+                      velocity_bound)
 from statecon.cli import _node_grid, build_domain, build_problem, load_config
 from statecon.pmp import grid_derivative, junction_clear_mask
 
@@ -26,8 +25,7 @@ TSTAR = np.sqrt(2.0 / 3.0)
 
 def exact_pull(N=64):
     """Closed-form accelerate/land/rest arc sampled on a uniform grid."""
-    prob = quadratic_problem(2, potential=LinearPotential([-3.0, 0.0]),
-                             T=1.0, M=9.0, kappa=0.0)
+    prob = quadratic_problem(2, potential=[-3.0, 0.0], T=1.0, M=9.0, kappa=0.0)
     disk = Ball([0.0, 0.0], 1.0)
     t = np.linspace(0.0, 1.0, N + 1)
     return prob, disk, Trajectory(0.0, 1.0, s1_exact(t))
@@ -159,7 +157,7 @@ class TestFeedbackLambda:
 
     def test_matches_simulation_oracle_on_ellipse(self):
         dom = Ellipse([0.0, 0.0], [2.0, 1.0])
-        prob = quadratic_problem(2, potential=LinearPotential([-1.5, -3.0]),
+        prob = quadratic_problem(2, potential=[-1.5, -3.0],
                                  T=1.0, M=12.0, kappa=0.0)
         ham = Hamiltonian(prob)
         rng = np.random.default_rng(8)
@@ -214,8 +212,7 @@ class TestShooting:
 @pytest.fixture(scope="module")
 def pull_extremal():
     disk = Ball([0.0, 0.0], 1.0)
-    prob = quadratic_problem(2, potential=LinearPotential([-3.0, 0.0]),
-                             T=1.0, M=9.0, kappa=0.0)
+    prob = quadratic_problem(2, potential=[-3.0, 0.0], T=1.0, M=9.0, kappa=0.0)
     delta, _ = delta_choice(prob, disk)
     gamma, params = epsilon_schedule(prob, disk, np.zeros(2), delta, N=64)
     return prob, disk, make_extremal(prob, disk, gamma, params=params)
@@ -269,7 +266,7 @@ class TestDeterministicConstants:
         assert rep.all_passed, rep.checks
 
     def test_bounds_repeat_exactly(self, ellipse):
-        prob = quadratic_problem(2, potential=LinearPotential([-1.5, -3.0]),
+        prob = quadratic_problem(2, potential=[-1.5, -3.0],
                                  T=1.0, M=12.0, kappa=0.0)
 
         def bounds():

@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from statecon import (Ball, LinearTerminal, Trajectory, compute_value,
-                      dpp_check, lipschitz_report, quadratic_problem)
+from statecon import (Ball, Trajectory, compute_value, dpp_check,
+                      lipschitz_report, quadratic_problem)
 from statecon import value
 from statecon.value import running_cost
 
@@ -18,8 +18,7 @@ def drift_value():
     """
     disk = Ball([0.0, 0.0], 1.0)
     c = np.array([-0.5, 0.0])
-    prob = quadratic_problem(2, terminal=LinearTerminal(c), T=1.0, M=1.0,
-                             kappa=0.0)
+    prob = quadratic_problem(2, terminal=c, T=1.0, M=1.0, kappa=0.0)
     times = np.array([0.0, 0.5, 1.0])
     points = np.array([[0.0, 0.0], [-0.3, 0.2], [0.1, -0.4], [0.4, 0.0]])
     vg = compute_value(prob, disk, times, points, N=32)

@@ -71,11 +71,18 @@ def trajectory_rows(dom: Domain, gamma: Trajectory):
 
 
 def read_trajectory_csv(path: Path, dim: int) -> Trajectory:
+    """The trajectory of a CSV that ``solve`` writes.  Its times must be the
+    uniform grid from the first to the last, to within 1e-9 of that span
+    (``solve`` writes them to 17 digits, which read back exactly)."""
     rows = [line.split(",") for line in
             path.read_text().strip().splitlines()[1:]]
     t = np.array([float(r[0]) for r in rows])
     X = np.array([[float(v) for v in r[1:1 + dim]] for r in rows])
-    return Trajectory(float(t[0]), float(t[-1]), X)
+    gamma = Trajectory(float(t[0]), float(t[-1]), X)
+    if not np.all(np.abs(t - gamma.times) <= 1e-9 * (gamma.t1 - gamma.t0)):
+        raise ValueError("its times are not the uniform grid from "
+                         f"{gamma.t0!r} to {gamma.t1!r}")
+    return gamma
 
 
 class ConfigError(ValueError):
@@ -106,14 +113,30 @@ def load_config(path: str) -> dict:
                          parse_int=_exact_int, parse_constant=_finite)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if "domain" not in cfg:
-        raise ConfigError("config needs a 'domain' section")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"the config must be a JSON object, got {cfg!r}")
     return cfg
 
 
+def _section(parent: dict, path: str, required: bool = False) -> dict:
+    """Section ``path`` (dotted, as "mfg.value") of the config, read from
+    its ``parent`` section: a JSON object, {} if absent and not
+    ``required``."""
+    key = path.rpartition(".")[2]
+    if key not in parent:
+        if required:
+            raise ConfigError(f"config needs a '{path}' section")
+        return {}
+    if not isinstance(parent[key], dict):
+        raise ConfigError(f"{path} must be a JSON object, got "
+                          f"{parent[key]!r}")
+    return parent[key]
+
+
 def build_domain(cfg: dict) -> Domain:
+    dc = _section(cfg, "domain", required=True)
     try:
-        return Domain.from_config(cfg["domain"])
+        return Domain.from_config(dc)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad domain spec: {exc}") from exc
 
@@ -142,13 +165,13 @@ def _number(value, key: str, valid, what: str) -> float:
 
 
 def build_problem(cfg: dict, dom: Domain):
-    pc = cfg.get("problem")
-    if pc is None:
-        raise ConfigError("config needs a 'problem' section")
-    if "mu" in pc and _number(pc["mu"], "mu", np.isfinite,
-                              "a finite number") < 1:
-        raise ConfigError("mu must satisfy mu >= 1 (uniform convexity of the "
-                          "running cost requires it)")
+    pc = _section(cfg, "problem", required=True)
+    for key in ("potential", "terminal"):
+        _section(pc, f"problem.{key}")
+    for key in ("T", "M", "kappa", "mu"):
+        if key in pc:
+            _number(pc[key], f"problem.{key}", math.isfinite,
+                    "a finite number")
     try:
         return problem_from_config(pc, dom.dim)
     except (KeyError, ValueError) as exc:
@@ -162,11 +185,14 @@ def build_problem(cfg: dict, dom: Domain):
 def cmd_solve(cfg, out: Path, args) -> int:
     dom = build_domain(cfg)
     prob = build_problem(cfg, dom)
-    x0 = np.asarray(cfg.get("x0", [0.0] * dom.dim), dtype=float)
+    try:
+        x0 = np.asarray(cfg.get("x0", [0.0] * dom.dim), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad x0: {exc}") from exc
     if x0.shape != (dom.dim,) or dom.signed_distance(x0) > dom.boundary_tol:
         raise ConfigError(f"x0 must be a point of the closed {dom.dim}-D "
                           "domain")
-    N = _grid_size(_grid_arg(args, cfg.get("solver", {}).get("N", 256)), 8,
+    N = _grid_size(_grid_arg(args, _section(cfg, "solver").get("N", 256)), 8,
                    "N")
     delta, Nm = delta_choice(prob, dom)
     gamma, params = epsilon_schedule(prob, dom, x0, delta, N=N)
@@ -227,7 +253,7 @@ def _write_values(path: Path, vg, points: np.ndarray) -> None:
 def cmd_value(cfg, out: Path, args) -> int:
     dom = build_domain(cfg)
     prob = build_problem(cfg, dom)
-    vc = cfg.get("value", {})
+    vc = _section(cfg, "value")
     times, points = _node_grid(
         dom, prob.horizon, _grid_size(vc.get("n_times", 5), 2, "value.n_times"),
         _grid_size(_grid_arg(args, vc.get("n_points", 5)), 2,
@@ -251,15 +277,14 @@ def cmd_value(cfg, out: Path, args) -> int:
 def cmd_mfg(cfg, out: Path, args) -> int:
     dom = build_domain(cfg)
     prob = build_problem(cfg, dom)
-    mc = cfg.get("mfg")
-    if mc is None:
-        raise ConfigError("config needs an 'mfg' section")
+    mc = _section(cfg, "mfg", required=True)
+    cc = _section(mc, "mfg.coupling")
     try:
-        coupling = GaussianKernelCoupling.from_config(mc.get("coupling", {}))
+        coupling = GaussianKernelCoupling.from_config(cc)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad mfg.coupling spec: {exc}") from exc
     N = _grid_size(_grid_arg(args, mc.get("N", 64)), 8, "mfg.N")
-    vc = mc.get("value", {})
+    vc = _section(mc, "mfg.value")
     times = np.linspace(0.0, prob.horizon,
                         _grid_size(mc.get("n_times", 9), 2, "mfg.n_times"))
     vt, pts = _node_grid(
@@ -269,11 +294,12 @@ def cmd_mfg(cfg, out: Path, args) -> int:
     if not pts.size:
         raise ConfigError("the mild-solution grid needs a node in the domain")
     value_N = _grid_size(vc.get("N", 32), 8, "mfg.value.N")
+    m0 = _section(mc, "mfg.m0", required=True)
     try:
-        atoms = np.asarray(mc["m0"]["points"], dtype=float)
+        atoms = np.asarray(m0["points"], dtype=float)
         if np.any(dom.b_many(atoms) > dom.boundary_tol):
             raise ValueError("points must lie in the closed domain")
-        eta0 = constant_measure(atoms, mc["m0"]["weights"], prob.horizon, N=N)
+        eta0 = constant_measure(atoms, m0["weights"], prob.horizon, N=N)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad m0 spec: {exc}") from exc
     alpha = _number(mc.get("alpha", 0.5), "mfg.alpha", lambda a: 0 < a <= 1,

@@ -72,7 +72,10 @@ class Problem:
 
     def __post_init__(self):
         if self.mu < 1:
-            raise ValueError("mu must be >= 1 (uniform convexity constant)")
+            raise ValueError("mu must satisfy mu >= 1 (uniform convexity of "
+                             "the running cost requires it)")
+        if self.M < 0:
+            raise ValueError("M must be >= 0")
         if self.kappa < 0:
             raise ValueError("kappa must be >= 0")
         if self.horizon <= 0:

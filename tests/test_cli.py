@@ -96,6 +96,26 @@ class TestPMPCheck:
             (tmp_path / "check" / "pmp_report.json").read_text())
         assert all(rep["checks"].values())
 
+    def test_time_column_off_the_grid_is_config_error(self, tmp_path,
+                                                      mini_config, capsys):
+        # pmp-check reads a trajectory on the uniform grid of its first and
+        # last times; one with every interior time halved is refused
+        rc, out = run(tmp_path, "solve", "--config", str(mini_config))
+        assert rc == 0
+        header, *rows = (out / "trajectory.csv").read_text().splitlines()
+        for i in range(1, len(rows) - 1):
+            t, rest = rows[i].split(",", 1)
+            rows[i] = f"{float(t) / 2!r},{rest}"
+        path = tmp_path / "halved.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        capsys.readouterr()
+        rc = main(["pmp-check", "--config", str(mini_config),
+                   "--trajectory", str(path), "--out", str(tmp_path / "c")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read trajectory ")
+        assert "Traceback" not in err
+
     def test_missing_trajectory_is_config_error(self, tmp_path, mini_config,
                                                 capsys):
         rc, _ = run(tmp_path, "pmp-check", "--config", str(mini_config))
@@ -305,6 +325,25 @@ class TestMalformedScenario:
         ("solve", lambda cfg: cfg.update(x0=[float("nan"), 0.0])),
         ("value", lambda cfg: cfg["problem"].update(M=float("nan"))),
         ("mfg", lambda cfg: _edit_m0(cfg, weights=[float("nan"), 0.5])),
+        # every section is a JSON object; an edit that returns a string
+        # replaces the whole config with it
+        ("solve", lambda cfg: "5"),
+        ("solve", lambda cfg: cfg.update(domain=[1])),
+        ("solve", lambda cfg: cfg.update(problem=[1])),
+        ("solve", lambda cfg: cfg.update(solver=[1])),
+        ("solve", lambda cfg: cfg["problem"].update(potential=3)),
+        ("solve", lambda cfg: cfg["problem"].update(terminal="zero")),
+        ("value", lambda cfg: cfg.update(value=3)),
+        ("mfg", lambda cfg: cfg.update(mfg=[1])),
+        ("mfg", lambda cfg: cfg["mfg"].update(value=3)),
+        ("mfg", lambda cfg: cfg["mfg"].update(coupling=3)),
+        ("solve", lambda cfg: cfg.update(x0="ab")),
+        ("solve", lambda cfg: cfg.update(x0=[0.0, "a"])),
+        # T, M, kappa and mu are finite JSON numbers, and M >= 0
+        ("solve", lambda cfg: cfg["problem"].update(M=True)),
+        ("solve", lambda cfg: cfg["problem"].update(T="2")),
+        ("solve", lambda cfg: cfg["problem"].update(kappa=True)),
+        ("solve", lambda cfg: cfg["problem"].update(M=-1.0)),
     ], ids=["m0-missing", "negative-weight", "weights-sum", "start-outside",
             "x0-outside", "x0-dimension", "potential-dimension",
             "value-n_points-1", "value-no-node-inside", "value-n_times-1",
@@ -318,14 +357,19 @@ class TestMalformedScenario:
             "mfg-coupling-amp-x", "mfg-coupling-amp-nan",
             "solve-mu-not-a-number",
             "radius-nan", "T-infinity", "x0-nan", "value-M-nan",
-            "mfg-m0-weight-nan"])
+            "mfg-m0-weight-nan",
+            "config-5", "domain-list", "problem-list", "solver-list",
+            "potential-number", "terminal-string", "value-number",
+            "mfg-list", "mfg-value-number", "mfg-coupling-number",
+            "x0-string", "x0-entry-string",
+            "M-bool", "T-string", "kappa-bool", "M-negative"])
     def test_is_config_error(self, tmp_path, mini_config, mini_mfg_config,
                              capsys, command, edit):
         path = (mini_mfg_config if command.split()[0] == "mfg"
                 else mini_config)
         cfg = json.loads(path.read_text())
-        edit(cfg)
-        path.write_text(json.dumps(cfg))
+        text = edit(cfg)
+        path.write_text(text if isinstance(text, str) else json.dumps(cfg))
         rc, _ = run(tmp_path, *command.split(), "--config", str(path))
         assert rc == 1
         err = capsys.readouterr().err
@@ -411,6 +455,14 @@ class TestPackage:
         public = {name for name in imported if not name.startswith("_")}
         assert all(hasattr(statecon, name) for name in statecon.__all__)
         assert public == set(statecon.__all__)
+
+    def test_readme_quick_start_runs(self):
+        # the first python block of the README certifies its extremal
+        text = (ROOT / "README.md").read_text()
+        code = text.split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(compile(code, "README.md", "exec"), namespace)
+        assert namespace["report"].all_passed
 
 
 def _run_python(code: str) -> str:

@@ -98,6 +98,8 @@ def quadratic_problem(dim: int, *, A=None, potential=None, terminal=None,
     Any other cost is built as a ``Problem``, with its state-only part in
     ``Problem.V``."""
     A = np.eye(dim) if A is None else np.asarray(A, dtype=float)
+    if A.shape != (dim, dim):
+        raise ValueError(f"A must be {dim} x {dim}, got shape {A.shape}")
     b, c = (np.zeros(dim) if w is None else np.asarray(w, dtype=float)
             for w in (potential, terminal))
     for name, w in (("potential", b), ("terminal", c)):

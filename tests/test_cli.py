@@ -294,6 +294,7 @@ class TestMalformedScenario:
         ("solve", lambda cfg: cfg.update(x0=[1.5, 0.0])),
         ("solve", lambda cfg: cfg.update(x0=[0.0, 0.0, 0.0])),
         ("solve", lambda cfg: cfg["problem"]["potential"].update(b=[1.0])),
+        ("solve", lambda cfg: cfg["problem"].update(A=[[1.0]])),
         # grids the solver cannot use, read before any solve
         ("value", lambda cfg: cfg.update(value={"n_points": 1})),
         ("value", lambda cfg: cfg.update(value={"n_points": 2})),
@@ -346,6 +347,7 @@ class TestMalformedScenario:
         ("solve", lambda cfg: cfg["problem"].update(M=-1.0)),
     ], ids=["m0-missing", "negative-weight", "weights-sum", "start-outside",
             "x0-outside", "x0-dimension", "potential-dimension",
+            "A-dimension",
             "value-n_points-1", "value-no-node-inside", "value-n_times-1",
             "value-N-4", "mfg-n_times-1", "mfg-value-n_times-1",
             "mfg-value-N-4", "mfg-value-n_points-1",

@@ -71,9 +71,10 @@ def trajectory_rows(dom: Domain, gamma: Trajectory):
 
 
 def read_trajectory_csv(path: Path, dim: int) -> Trajectory:
-    """The trajectory of a CSV that ``solve`` writes.  Its times must be the
-    uniform grid from the first to the last, to within 1e-9 of that span
-    (``solve`` writes them to 17 digits, which read back exactly)."""
+    """The trajectory of a CSV in the layout that ``solve`` writes.  Its
+    times must be the uniform grid from the first to the last, to within
+    1e-9 of that span (``solve`` writes them to 17 digits, which read back
+    exactly)."""
     rows = [line.split(",") for line in
             path.read_text().strip().splitlines()[1:]]
     t = np.array([float(r[0]) for r in rows])

@@ -7,21 +7,21 @@ spreads the crowd, every particle is cost-certified against its own
 recomputed optimum, and the mild-solution value function is Lipschitz.
 """
 
-import json
 from pathlib import Path
 
 import numpy as np
 
-from statecon import (Domain, GaussianKernelCoupling, constant_measure,
-                      evaluate_flow, fixed_point, lip_flow, mild_solution,
-                      lipschitz_report, problem_from_config)
+from statecon import (constant_measure, evaluate_flow, fixed_point, lip_flow,
+                      mild_solution, lipschitz_report)
+from statecon.cli import (build_coupling, build_domain, build_problem,
+                          load_config)
 
-cfg = json.loads((Path(__file__).resolve().parents[1] / "scenarios"
-                  / "S4.json").read_text())
-dom = Domain.from_config(cfg["domain"])
-prob = problem_from_config(cfg["problem"], dom.dim)
+cfg = load_config(str(Path(__file__).resolve().parents[1] / "scenarios"
+                      / "S4.json"))
+dom = build_domain(cfg)
+prob = build_problem(cfg, dom)
 mc = cfg["mfg"]
-coupling = GaussianKernelCoupling.from_config(mc["coupling"])
+coupling = build_coupling(mc)
 atoms = np.asarray(mc["m0"]["points"])
 weights = np.asarray(mc["m0"]["weights"])
 

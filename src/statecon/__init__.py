@@ -6,8 +6,7 @@ from .geometry import (Ball, Domain, Ellipse, OutsideTube, SmoothedBox,
                        SubdiffDescription)
 from .model import (AssumptionReport, Hamiltonian, NewtonDiverged, Problem,
                     check_assumptions, delta_choice,
-                    measure_hamiltonian_constants, problem_from_config,
-                    quadratic_problem)
+                    measure_hamiltonian_constants, quadratic_problem)
 from .penalty import (MaxIterations, NonFiniteCost, PenaltyParams,
                       ScheduleExhausted, Trajectory, energy_certificate,
                       epsilon_schedule, epsilon_schedule_batch,
@@ -31,7 +30,7 @@ __all__ = [
     "SubdiffDescription",
     "AssumptionReport", "Hamiltonian", "NewtonDiverged", "Problem",
     "check_assumptions", "delta_choice", "measure_hamiltonian_constants",
-    "problem_from_config", "quadratic_problem",
+    "quadratic_problem",
     "MaxIterations", "NonFiniteCost", "PenaltyParams", "ScheduleExhausted",
     "Trajectory", "energy_certificate", "epsilon_schedule",
     "epsilon_schedule_batch", "feasibility_gap", "holder_gap",

@@ -1,5 +1,6 @@
-"""Command-line front end: config parsing, pipeline orchestration, and
-bit-stable CSV/JSON export.
+"""Command-line front end: the one reader of the JSON run configuration
+(README's "Config format"), pipeline orchestration, and bit-stable CSV/JSON
+export.
 
 Floats are written with 17 significant digits so repeated runs with the same
 config and seed produce byte-identical files.
@@ -19,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Domain, fd_grad
+from .geometry import Ball, Domain, Ellipse, SmoothedBox, fd_grad
 from .model import (Hamiltonian, check_assumptions, delta_choice,
-                    problem_from_config)
+                    quadratic_problem)
 from .penalty import Trajectory, epsilon_schedule
 from .pmp import check_extremal, make_extremal
 from .value import compute_value, dpp_check, lipschitz_report
@@ -38,12 +39,10 @@ def _fmt(x) -> str:
 
 
 def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
+    if isinstance(o, (np.floating, np.integer, np.bool_)):
         return o.item()
     if isinstance(o, np.ndarray):
         return o.tolist()
-    if isinstance(o, np.bool_):
-        return bool(o)
     raise TypeError(f"not serializable: {type(o)}")
 
 
@@ -55,9 +54,7 @@ def write_json(path: Path, obj) -> None:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -134,14 +131,6 @@ def _section(parent: dict, path: str, required: bool = False) -> dict:
     return parent[key]
 
 
-def build_domain(cfg: dict) -> Domain:
-    dc = _section(cfg, "domain", required=True)
-    try:
-        return Domain.from_config(dc)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad domain spec: {exc}") from exc
-
-
 def _grid_size(value, least: int, key: str) -> int:
     """``value`` as a grid size, which the solver needs to be an integer
     >= ``least``."""
@@ -156,27 +145,96 @@ def _grid_arg(args, value):
     return value if args.grid_n is None else args.grid_n
 
 
-def _number(value, key: str, valid, what: str) -> float:
+def _fits(value, shape: tuple) -> bool:
+    """Whether ``value`` is a finite JSON number (not a bool, a string or
+    null) if ``shape`` is (), else nested lists of them in ``shape``, where
+    a None length is any length of at least 1."""
+    if not shape:
+        return (not isinstance(value, bool)
+                and isinstance(value, (int, float)) and math.isfinite(value))
+    return (isinstance(value, list) and len(value) > 0
+            and shape[0] in (None, len(value))
+            and all(_fits(v, shape[1:]) for v in value))
+
+
+def _number(value, key: str, valid=math.isfinite,
+            what: str = "a finite number") -> float:
     """``value`` as a float, which must be a JSON number for which
     ``valid`` holds; ``what`` says which numbers those are."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not valid(float(value))):
+    if not _fits(value, ()) or not valid(float(value)):
         raise ConfigError(f"{key} must be {what}, got {value!r}")
     return float(value)
 
 
-def build_problem(cfg: dict, dom: Domain):
-    pc = _section(cfg, "problem", required=True)
-    for key in ("potential", "terminal"):
-        _section(pc, f"problem.{key}")
-    for key in ("T", "M", "kappa", "mu"):
-        if key in pc:
-            _number(pc[key], f"problem.{key}", math.isfinite,
-                    "a finite number")
+def _vector(value, key: str, shape: tuple) -> np.ndarray:
+    """``value`` as a float array of ``shape``, by the rule of ``_fits``."""
+    if not _fits(value, shape):
+        size = " x ".join(str(d or "n") for d in shape)
+        raise ConfigError(f"{key} must be a list of numbers of shape "
+                          f"{size}, got {value!r}")
+    return np.array(value, dtype=float)
+
+
+def _spec(section: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, whose ValueError (a check of the
+    library) is a configuration error in ``section``."""
     try:
-        return problem_from_config(pc, dom.dim)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad problem spec: {exc}") from exc
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"bad {section} spec: {exc}") from exc
+
+
+def build_domain(cfg: dict) -> Domain:
+    dc = _section(cfg, "domain", required=True)
+    shape = dc.get("shape")
+    center = _vector(dc.get("center"), "domain.center", (None,))
+    if shape == "ball":
+        make, args = Ball, [_number(dc.get("radius"), "domain.radius")]
+    elif shape == "ellipse":
+        make, args = Ellipse, [_vector(dc.get("semi_axes"),
+                                       "domain.semi_axes", center.shape)]
+    elif shape == "smoothed-box":
+        make, args = SmoothedBox, [
+            _vector(dc.get("half_widths"), "domain.half_widths",
+                    center.shape),
+            _number(dc.get("corner_radius"), "domain.corner_radius")]
+    else:
+        raise ConfigError("domain.shape must be ball, ellipse or "
+                          f"smoothed-box, got {shape!r}")
+    return _spec("domain", make, center, *args)
+
+
+def build_problem(cfg: dict, dom: Domain):
+    """The quadratic problem of the config's ``problem`` section."""
+    pc = _section(cfg, "problem", required=True)
+    n = dom.dim
+    if pc.get("family", "quadratic") != "quadratic":
+        raise ConfigError(f"unknown problem family {pc.get('family')!r}")
+    linear = {}
+    for key in ("potential", "terminal"):
+        sc = _section(pc, f"problem.{key}")
+        kind = sc.get("type", "zero")
+        if kind == "linear":
+            linear[key] = _vector(sc.get("b"), f"problem.{key}.b", (n,))
+        elif kind != "zero":
+            raise ConfigError(f"unknown problem.{key} type {kind!r}")
+    A = _vector(pc["A"], "problem.A", (n, n)) if "A" in pc else None
+    mu = _number(pc["mu"], "problem.mu") if "mu" in pc else None
+    return _spec("problem", quadratic_problem, n, A=A, **linear,
+                 T=_number(pc.get("T", 1.0), "problem.T"), mu=mu,
+                 M=_number(pc.get("M"), "problem.M"),
+                 kappa=_number(pc.get("kappa", 0.0), "problem.kappa"))
+
+
+def build_coupling(mc: dict) -> GaussianKernelCoupling:
+    """The coupling of the ``mfg`` section ``mc``."""
+    cc = _section(mc, "mfg.coupling")
+    amp, scale, terminal_amp = (
+        _number(cc.get(key, default), f"mfg.coupling.{key}")
+        for key, default in (("amp", 1.0), ("scale", 0.5),
+                             ("terminal_amp", 0.0)))
+    return _spec("mfg.coupling", GaussianKernelCoupling, amp, scale,
+                 terminal_amp)
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +244,8 @@ def build_problem(cfg: dict, dom: Domain):
 def cmd_solve(cfg, out: Path, args) -> int:
     dom = build_domain(cfg)
     prob = build_problem(cfg, dom)
-    try:
-        x0 = np.asarray(cfg.get("x0", [0.0] * dom.dim), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad x0: {exc}") from exc
-    if x0.shape != (dom.dim,) or dom.signed_distance(x0) > dom.boundary_tol:
+    x0 = _vector(cfg.get("x0", [0.0] * dom.dim), "x0", (dom.dim,))
+    if dom.signed_distance(x0) > dom.boundary_tol:
         raise ConfigError(f"x0 must be a point of the closed {dom.dim}-D "
                           "domain")
     N = _grid_size(_grid_arg(args, _section(cfg, "solver").get("N", 256)), 8,
@@ -279,11 +334,7 @@ def cmd_mfg(cfg, out: Path, args) -> int:
     dom = build_domain(cfg)
     prob = build_problem(cfg, dom)
     mc = _section(cfg, "mfg", required=True)
-    cc = _section(mc, "mfg.coupling")
-    try:
-        coupling = GaussianKernelCoupling.from_config(cc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad mfg.coupling spec: {exc}") from exc
+    coupling = build_coupling(mc)
     N = _grid_size(_grid_arg(args, mc.get("N", 64)), 8, "mfg.N")
     vc = _section(mc, "mfg.value")
     times = np.linspace(0.0, prob.horizon,
@@ -296,13 +347,12 @@ def cmd_mfg(cfg, out: Path, args) -> int:
         raise ConfigError("the mild-solution grid needs a node in the domain")
     value_N = _grid_size(vc.get("N", 32), 8, "mfg.value.N")
     m0 = _section(mc, "mfg.m0", required=True)
-    try:
-        atoms = np.asarray(m0["points"], dtype=float)
-        if np.any(dom.b_many(atoms) > dom.boundary_tol):
-            raise ValueError("points must lie in the closed domain")
-        eta0 = constant_measure(atoms, m0["weights"], prob.horizon, N=N)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad m0 spec: {exc}") from exc
+    atoms = _vector(m0.get("points"), "mfg.m0.points", (None, dom.dim))
+    weights = _vector(m0.get("weights"), "mfg.m0.weights", (len(atoms),))
+    if np.any(dom.b_many(atoms) > dom.boundary_tol):
+        raise ConfigError("mfg.m0.points must lie in the closed domain")
+    eta0 = _spec("mfg.m0", constant_measure, atoms, weights, prob.horizon,
+                 N=N)
     alpha = _number(mc.get("alpha", 0.5), "mfg.alpha", lambda a: 0 < a <= 1,
                     "a number in (0, 1]")
     tol = _number(mc.get("tol", 1e-3), "mfg.tol", lambda t: 0 < t < np.inf,
@@ -311,11 +361,8 @@ def cmd_mfg(cfg, out: Path, args) -> int:
     eta, history = fixed_point(prob, dom, coupling, eta0, alpha=alpha,
                                tol=tol, max_iter=max_iter, N=N)
     flow = evaluate_flow(eta, times)
-    rows = []
-    for i, t in enumerate(times):
-        m = flow.measures[i]
-        for k in range(m.points.shape[0]):
-            rows.append([t, *m.points[k], m.weights[k]])
+    rows = [[t, *x, w] for t, m in zip(times, flow.measures)
+            for x, w in zip(m.points, m.weights)]
     write_csv(out / "flow.csv",
               ["t"] + [f"x{k+1}" for k in range(dom.dim)] + ["w"], rows)
     write_csv(out / "residuals.csv", ["iter", "residual"],
@@ -336,10 +383,8 @@ def cmd_geometry_test(cfg, out: Path, args) -> int:
     H = dom.hess_many(pts)
     orth_err = float(np.max(np.linalg.norm(
         np.einsum("mij,mj->mi", H, g), axis=1)))
-    fd_err = 0.0
-    for x in pts[:50]:
-        fd_err = max(fd_err, float(np.max(np.abs(
-            fd_grad(dom, x) - dom.grad_many(x[None])[0]))))
+    fd_err = max(float(np.max(np.abs(
+        fd_grad(dom, x) - dom.grad_many(x[None])[0]))) for x in pts[:50])
     report = {"unit_gradient_error": unit_err,
               "hessian_orthogonality_error": orth_err,
               "fd_gradient_error": fd_err,

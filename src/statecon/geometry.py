@@ -147,20 +147,6 @@ class Domain:
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    @staticmethod
-    def from_config(cfg: dict) -> "Domain":
-        shape = cfg["shape"]
-        if shape == "ball":
-            return Ball(np.asarray(cfg["center"], dtype=float), float(cfg["radius"]))
-        if shape == "ellipse":
-            return Ellipse(np.asarray(cfg["center"], dtype=float),
-                           np.asarray(cfg["semi_axes"], dtype=float))
-        if shape == "smoothed-box":
-            return SmoothedBox(np.asarray(cfg["center"], dtype=float),
-                               np.asarray(cfg["half_widths"], dtype=float),
-                               float(cfg["corner_radius"]))
-        raise ValueError(f"unknown shape {shape!r}")
-
 
 class Ball(Domain):
     """Ball of the given centre and radius: b = |x - c| - radius, Db the

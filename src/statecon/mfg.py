@@ -228,9 +228,9 @@ class GaussianKernelCoupling:
     def __init__(self, amp: float = 1.0, scale: float = 0.5,
                  terminal_amp: float = 0.0):
         if not (0 <= amp < np.inf and 0 < scale < np.inf
-                and np.isfinite(terminal_amp)):
+                and 0 <= terminal_amp < np.inf):
             raise ValueError("need finite amp >= 0, scale > 0 and "
-                             "terminal_amp")
+                             "terminal_amp >= 0")
         self.amp = amp
         self.scale = scale
         self.terminal_amp = terminal_amp
@@ -262,17 +262,6 @@ class GaussianKernelCoupling:
 
     def F(self, X, m: DiscreteMeasure):
         return self._at(X, m, self.amp, 0)
-
-    def to_config(self):
-        return {"type": "gaussian-bump", "amp": self.amp,
-                "scale": self.scale, "terminal_amp": self.terminal_amp}
-
-    @staticmethod
-    def from_config(cfg: dict) -> "GaussianKernelCoupling":
-        return GaussianKernelCoupling(amp=float(cfg.get("amp", 1.0)),
-                                      scale=float(cfg.get("scale", 0.5)),
-                                      terminal_amp=float(
-                                          cfg.get("terminal_amp", 0.0)))
 
 
 def flow_speed_bound(eta: TrajectoryMeasure, times) -> float:

@@ -150,27 +150,6 @@ def quadratic_problem(dim: int, *, A=None, potential=None, terminal=None,
                    kappa=float(kappa), fxx=zero2, D2g=D2g)
 
 
-def problem_from_config(cfg: dict, dim: int) -> Problem:
-    """The quadratic problem of a config's ``problem`` section, whose
-    ``potential`` and ``terminal`` sections have ``type`` "zero" (the
-    default) or "linear" with the vector ``b``."""
-    if cfg.get("family", "quadratic") != "quadratic":
-        raise ValueError(f"unknown problem family {cfg.get('family')!r}")
-    linear = {}
-    for key in ("potential", "terminal"):
-        kind = cfg.get(key, {}).get("type", "zero")
-        if kind == "linear":
-            # an array, so that a null b is refused rather than read as zero
-            linear[key] = np.asarray(cfg[key]["b"], dtype=float)
-        elif kind != "zero":
-            raise ValueError(f"unknown {key} type {kind!r}")
-    A = np.asarray(cfg.get("A", np.eye(dim)), dtype=float)
-    return quadratic_problem(
-        dim, A=A, **linear, T=float(cfg.get("T", 1.0)),
-        mu=float(cfg["mu"]) if "mu" in cfg else None,
-        M=float(cfg["M"]), kappa=float(cfg.get("kappa", 0.0)))
-
-
 # ---------------------------------------------------------------------------
 # Hamiltonian (concave conjugate) and its derivatives
 

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from statecon import (Ball, DiscreteMeasure, Ellipse, GaussianKernelCoupling,
-                      Hamiltonian, SmoothedBox, Trajectory, TrajectoryMeasure,
+from statecon import (Ball, DiscreteMeasure, Ellipse, Hamiltonian,
+                      SmoothedBox, Trajectory, TrajectoryMeasure,
                       check_assumptions, check_extremal, compute_value,
                       constant_measure, contact_mask, delta_choice,
                       energy_certificate, epsilon_schedule, evaluate_flow,
@@ -23,7 +23,7 @@ from statecon import (Ball, DiscreteMeasure, Ellipse, GaussianKernelCoupling,
                       holder_gap, kantorovich_d1, lip_flow, lipschitz_report,
                       make_extremal, measure_hamiltonian_constants,
                       mild_solution, quadratic_problem, velocity_bound)
-from statecon.cli import build_domain, build_problem, main
+from statecon.cli import build_coupling, build_domain, build_problem, main
 from statecon.mfg import coupled_problem
 from statecon.pmp import junction_clear_mask
 from statecon.value import running_cost
@@ -110,7 +110,7 @@ def s4_suite():
     dom = build_domain(cfg)
     prob = build_problem(cfg, dom)
     mc = cfg["mfg"]
-    coupling = GaussianKernelCoupling.from_config(mc["coupling"])
+    coupling = build_coupling(mc)
     eta0 = constant_measure(np.asarray(mc["m0"]["points"]),
                             np.asarray(mc["m0"]["weights"]),
                             prob.horizon, N=int(mc["N"]))

@@ -2,7 +2,6 @@
 batch-of-one solve, whatever the other members are, and a member's
 failure is its own."""
 
-import json
 import logging
 import re
 from dataclasses import replace
@@ -11,21 +10,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from statecon import (Domain, GaussianKernelCoupling, NonFiniteCost,
-                      ScheduleExhausted, Trajectory, constant_measure,
-                      delta_choice, epsilon_schedule_batch,
-                      problem_from_config)
+from statecon import (NonFiniteCost, ScheduleExhausted, Trajectory,
+                      constant_measure, delta_choice, epsilon_schedule_batch)
 from statecon import penalty
-from statecon.cli import _node_grid
+from statecon.cli import (_node_grid, build_coupling, build_domain,
+                          build_problem, load_config)
 from statecon.mfg import coupled_problem, joint_equilibrium
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def scenario(name):
-    cfg = json.loads((SCENARIOS / f"{name}.json").read_text())
-    dom = Domain.from_config(cfg["domain"])
-    return cfg, dom, problem_from_config(cfg["problem"], dom.dim)
+    cfg = load_config(str(SCENARIOS / f"{name}.json"))
+    dom = build_domain(cfg)
+    return cfg, dom, build_problem(cfg, dom)
 
 
 def s2_slice():
@@ -45,7 +43,7 @@ def s4_round():
     cfg, dom, prob = scenario("S4")
     mc = cfg["mfg"]
     N = mc["N"]
-    coupling = GaussianKernelCoupling.from_config(mc["coupling"])
+    coupling = build_coupling(mc)
     eta0 = constant_measure(mc["m0"]["points"], mc["m0"]["weights"],
                             prob.horizon, N=N)
     seed = joint_equilibrium(prob, dom, coupling, eta0, N=N)

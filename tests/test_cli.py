@@ -345,6 +345,32 @@ class TestMalformedScenario:
         ("solve", lambda cfg: cfg["problem"].update(T="2")),
         ("solve", lambda cfg: cfg["problem"].update(kappa=True)),
         ("solve", lambda cfg: cfg["problem"].update(M=-1.0)),
+        # every other number of the config by the same rule, and every
+        # vector or matrix a nested list of such numbers in its shape
+        ("solve", lambda cfg: cfg["domain"].update(radius=True)),
+        ("solve", lambda cfg: cfg["domain"].update(radius="1")),
+        ("solve", lambda cfg: cfg["domain"].update(radius=None)),
+        ("solve", lambda cfg: cfg["domain"].update(center=["0", 0.0])),
+        ("solve", lambda cfg: cfg["domain"].update(center=[None, 0.0])),
+        ("solve", lambda cfg: cfg.update(domain={
+            "shape": "ellipse", "center": [0.0, 0.0],
+            "semi_axes": [None, 1.0]})),
+        ("solve", lambda cfg: cfg.update(domain={
+            "shape": "smoothed-box", "center": [0.0, 0.0],
+            "half_widths": [1.0, 1.0], "corner_radius": None})),
+        ("solve", lambda cfg: cfg["problem"]["potential"].update(b=[True, 0])),
+        ("solve", lambda cfg: cfg["problem"]["potential"].update(b=[None, 0])),
+        ("solve", lambda cfg: cfg["problem"].update(A=[["1", 0], [0, 1]])),
+        ("solve", lambda cfg: cfg.update(x0=[None, 0.0])),
+        ("solve", lambda cfg: cfg.update(x0=[False, 0.0])),
+        ("mfg", lambda cfg: cfg["mfg"]["coupling"].update(amp=True)),
+        ("mfg", lambda cfg: cfg["mfg"]["coupling"].update(amp=None)),
+        ("mfg", lambda cfg: cfg["mfg"]["coupling"].update(scale="0.5")),
+        ("mfg", lambda cfg: cfg["mfg"]["coupling"].update(terminal_amp=-1)),
+        ("mfg", lambda cfg: cfg["mfg"]["m0"]["points"].__setitem__(
+            0, [False, 0.0])),
+        ("mfg", lambda cfg: _edit_m0(cfg, weights=["0.5", "0.5"])),
+        ("mfg", lambda cfg: _edit_m0(cfg, weights=[[0.5], [0.5]])),
     ], ids=["m0-missing", "negative-weight", "weights-sum", "start-outside",
             "x0-outside", "x0-dimension", "potential-dimension",
             "A-dimension",
@@ -364,7 +390,16 @@ class TestMalformedScenario:
             "potential-number", "terminal-string", "value-number",
             "mfg-list", "mfg-value-number", "mfg-coupling-number",
             "x0-string", "x0-entry-string",
-            "M-bool", "T-string", "kappa-bool", "M-negative"])
+            "M-bool", "T-string", "kappa-bool", "M-negative",
+            "radius-true", "radius-string", "radius-null",
+            "center-entry-string", "center-entry-null",
+            "semi_axes-entry-null", "corner_radius-null",
+            "potential-b-entry-true", "potential-b-entry-null",
+            "A-entry-string", "x0-entry-null", "x0-entry-false",
+            "mfg-coupling-amp-true", "mfg-coupling-amp-null",
+            "mfg-coupling-scale-string", "mfg-coupling-terminal_amp-negative",
+            "mfg-m0-point-entry-false", "mfg-m0-weights-strings",
+            "mfg-m0-weights-nested"])
     def test_is_config_error(self, tmp_path, mini_config, mini_mfg_config,
                              capsys, command, edit):
         path = (mini_mfg_config if command.split()[0] == "mfg"

@@ -1,4 +1,3 @@
-import json
 import logging
 from dataclasses import replace
 from pathlib import Path
@@ -7,14 +6,15 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment, linprog
 
-from statecon import (Ball, DiscreteMeasure, Domain, GaussianKernelCoupling,
+from statecon import (Ball, DiscreteMeasure, GaussianKernelCoupling,
                       MeasureFlow, PenaltyParams, TrajectoryMeasure,
                       Trajectory, UnbalancedMeasure, best_response,
                       constant_measure, delta_choice, epsilon_schedule,
                       evaluate_flow, fixed_point, kantorovich_d1, lip_flow,
-                      minimize_penalized, problem_from_config,
-                      quadratic_problem)
+                      minimize_penalized, quadratic_problem)
 from statecon import mfg, penalty
+from statecon.cli import (build_coupling, build_domain, build_problem,
+                          load_config)
 from statecon.mfg import (_coupling_cost, _prune, coupled_problem,
                           potential_problem,
                           equilibrium_residual, flow_speed_bound)
@@ -290,16 +290,18 @@ class TestCoupling:
         vals = monotonicity_check(c, pairs)
         assert all(v >= -1e-12 for v in vals)
 
-    def test_config_round_trip(self):
-        c = GaussianKernelCoupling(amp=0.5, scale=0.3, terminal_amp=0.1)
-        c2 = GaussianKernelCoupling.from_config(c.to_config())
-        assert (c2.amp, c2.scale, c2.terminal_amp) == (0.5, 0.3, 0.1)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             GaussianKernelCoupling(amp=-1.0)
         with pytest.raises(ValueError):
             GaussianKernelCoupling(scale=0.0)
+
+    @pytest.mark.parametrize("terminal_amp", [-1.0, -0.1])
+    def test_negative_terminal_amp_is_refused(self, terminal_amp):
+        # a negative terminal amplitude would lower kappa and break the
+        # monotonicity of the terminal coupling
+        with pytest.raises(ValueError, match="terminal_amp >= 0"):
+            GaussianKernelCoupling(terminal_amp=terminal_amp)
 
 
 class TestCoupledProblem:
@@ -567,14 +569,14 @@ class TestFixedPoint:
 
 def s4_game(N=32):
     """S4's domain, problem, coupling and stay-put measure at grid N."""
-    cfg = json.loads(S4.read_text())
-    dom = Domain.from_config(cfg["domain"])
-    prob = problem_from_config(cfg["problem"], dom.dim)
+    cfg = load_config(str(S4))
+    dom = build_domain(cfg)
+    prob = build_problem(cfg, dom)
     mc = cfg["mfg"]
     eta0 = constant_measure(np.asarray(mc["m0"]["points"]),
                             np.asarray(mc["m0"]["weights"]), prob.horizon,
                             N=N)
-    return dom, prob, GaussianKernelCoupling.from_config(mc["coupling"]), eta0
+    return dom, prob, build_coupling(mc), eta0
 
 
 def damped(eta, br, alpha=0.5):

@@ -14,9 +14,7 @@ from .penalty import (MaxIterations, NonFiniteCost, PenaltyParams,
                       penalized_cost)
 from .pmp import (Extremal, LeftTube, NegativeMultiplier, PMPReport,
                   check_extremal, contact_mask, feedback_lambda,
-                  feedback_lambda_many, hamiltonian_drift, make_extremal,
-                  multiplier_from_residual, recover_adjoint, shoot,
-                  velocity_bound)
+                  feedback_lambda_many, make_extremal, shoot, velocity_bound)
 from .value import ValueGrid, compute_value, dpp_check, lipschitz_report
 from .mfg import (DiscreteMeasure, GaussianKernelCoupling, MeasureFlow,
                   NoConvergence, TrajectoryMeasure, UnbalancedMeasure,
@@ -37,9 +35,7 @@ __all__ = [
     "minimize_penalized", "penalized_cost",
     "Extremal", "LeftTube", "NegativeMultiplier", "PMPReport",
     "check_extremal", "contact_mask", "feedback_lambda",
-    "feedback_lambda_many", "hamiltonian_drift", "make_extremal",
-    "multiplier_from_residual", "recover_adjoint", "shoot",
-    "velocity_bound",
+    "feedback_lambda_many", "make_extremal", "shoot", "velocity_bound",
     "ValueGrid", "compute_value", "dpp_check", "lipschitz_report",
     "DiscreteMeasure", "GaussianKernelCoupling", "MeasureFlow",
     "NoConvergence", "TrajectoryMeasure", "UnbalancedMeasure",

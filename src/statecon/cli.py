@@ -24,7 +24,7 @@ from .geometry import Ball, Domain, Ellipse, SmoothedBox, fd_grad
 from .model import (Hamiltonian, check_assumptions, delta_choice,
                     quadratic_problem)
 from .penalty import Trajectory, epsilon_schedule
-from .pmp import check_extremal, make_extremal
+from .pmp import Extremal, check_extremal, make_extremal
 from .value import compute_value, dpp_check, lipschitz_report
 from .mfg import (GaussianKernelCoupling, constant_measure, evaluate_flow,
                   fixed_point, lip_flow, mild_solution)
@@ -58,11 +58,13 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def trajectory_rows(dom: Domain, gamma: Trajectory):
+def trajectory_rows(ex: Extremal):
+    """Rows (t, x, v, d) of ``solve``'s CSV; d is read off ``ex.geo``."""
+    gamma = ex.gamma
     t = gamma.times
     V = gamma.velocities
     V = np.vstack([V, V[-1]])  # repeat the last interval velocity at t = T
-    d = np.maximum(dom.b_many(gamma.knots), 0.0)
+    d = np.maximum(ex.geo.b, 0.0)
     for i in range(gamma.N + 1):
         yield [t[i], *gamma.knots[i], *V[i], d[i]]
 
@@ -105,7 +107,39 @@ def _exact_int(text: str) -> int:
     return value
 
 
+# The keys of README's "Config format", by section: a section maps to its
+# own keys, any other key to None.
+CONFIG_KEYS = {
+    "domain": dict.fromkeys(("shape", "center", "radius", "semi_axes",
+                             "half_widths", "corner_radius")),
+    "problem": {**dict.fromkeys(("family", "A", "T", "mu", "M", "kappa")),
+                "potential": dict.fromkeys(("type", "b")),
+                "terminal": dict.fromkeys(("type", "b"))},
+    "x0": None,
+    "solver": {"N": None},
+    "value": dict.fromkeys(("n_times", "n_points", "N")),
+    "mfg": {**dict.fromkeys(("alpha", "tol", "max_iter", "N", "n_times")),
+            "coupling": dict.fromkeys(("amp", "scale", "terminal_amp")),
+            "m0": dict.fromkeys(("points", "weights")),
+            "value": dict.fromkeys(("n_times", "n_points", "N"))},
+}
+
+
+def _known_keys(section: dict, keys: dict, path: str = "") -> None:
+    """Refuse a key of ``section`` (dotted ``path``) that ``keys`` lacks,
+    and so in each subsection that is an object; one that is not keeps the
+    error its reader gives."""
+    for key, value in section.items():
+        if key not in keys:
+            raise ConfigError(f"{path}{key} is not a config key (README, "
+                              "\"Config format\")")
+        if keys[key] is not None and isinstance(value, dict):
+            _known_keys(value, keys[key], f"{path}{key}.")
+
+
 def load_config(path: str) -> dict:
+    """The config at ``path``: a JSON object of finite numbers whose keys
+    are all in ``CONFIG_KEYS``, whichever command reads it."""
     try:
         cfg = json.loads(Path(path).read_text(), parse_float=_finite,
                          parse_int=_exact_int, parse_constant=_finite)
@@ -113,6 +147,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"the config must be a JSON object, got {cfg!r}")
+    _known_keys(cfg, CONFIG_KEYS)
     return cfg
 
 
@@ -257,7 +292,7 @@ def cmd_solve(cfg, out: Path, args) -> int:
     write_csv(out / "trajectory.csv",
               ["t"] + [f"x{i+1}" for i in range(dom.dim)]
               + [f"v{i+1}" for i in range(dom.dim)] + ["d"],
-              trajectory_rows(dom, gamma))
+              trajectory_rows(ex))
     write_json(out / "pmp_report.json", {
         "checks": report.checks, "residuals": report.residuals,
         "epsilon": params.epsilon, "delta": params.delta,

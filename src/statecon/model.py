@@ -100,6 +100,9 @@ def quadratic_problem(dim: int, *, A=None, potential=None, terminal=None,
     A = np.eye(dim) if A is None else np.asarray(A, dtype=float)
     if A.shape != (dim, dim):
         raise ValueError(f"A must be {dim} x {dim}, got shape {A.shape}")
+    if not np.array_equal(A, A.T):
+        # f uses all of A, eigvalsh below reads only one triangle
+        raise ValueError("velocity matrix must be symmetric")
     b, c = (np.zeros(dim) if w is None else np.asarray(w, dtype=float)
             for w in (potential, terminal))
     for name, w in (("potential", b), ("terminal", c)):

@@ -91,57 +91,6 @@ def grid_derivative(Y: np.ndarray, dt: float,
     return D
 
 
-def recover_adjoint(prob: Problem, gamma: Trajectory,
-                    dom: Domain | None = None,
-                    geo: BoundaryEval | None = None) -> np.ndarray:
-    """Co-state from duality: p(t) = -D_v f(t, gamma(t), gamma'(t)); with
-    ``dom``, gamma' is differenced within contact runs only (``geo`` as in
-    ``contact_mask``)."""
-    mask = None if dom is None else contact_mask(dom, gamma, geo=geo)
-    v = grid_derivative(gamma.knots, gamma.dt, mask)
-    return -prob.fv(gamma.times, gamma.knots, v)
-
-
-def multiplier_from_residual(prob: Problem, dom: Domain, gamma: Trajectory,
-                             p: np.ndarray, geo: BoundaryEval | None = None):
-    """Constraint multiplier from the adjoint-equation defect.
-
-    Returns (lam, nu, orth) where lam is the per-knot multiplier (zero off
-    contact), nu the terminal multiplier, and orth the norm of the defect
-    component orthogonal to Db at each contact knot.  ``geo``, when given,
-    is the geometry of the knots, evaluated already.
-    """
-    if geo is None:
-        geo = dom.eval(gamma.knots, hess=False)
-    mask = np.abs(geo.b) <= dom.boundary_tol
-    t = gamma.times
-    pdot = grid_derivative(p, gamma.dt, mask)
-    # DxH = -fx(t, x, v*) at the conjugate maximizer v*
-    _, v = Hamiltonian(prob).legendre_many(t, gamma.knots, p)
-    defect = -prob.fx(t, gamma.knots, v) - pdot
-    lam = np.zeros(gamma.N + 1)
-    orth = np.zeros(gamma.N + 1)
-    if np.any(mask):
-        Db = geo.Db[mask]
-        proj = np.einsum("mi,mi->m", defect[mask], Db)
-        lam[mask] = proj
-        orth[mask] = np.linalg.norm(defect[mask] - proj[:, None] * Db, axis=1)
-    mx = float(np.max(lam, initial=0.0))
-    # junction knots see the atomic part of the multiplier measure; the sign
-    # condition is only checked in the interior of contact runs
-    clear = lam[junction_clear_mask(mask)]
-    if clear.size and float(np.min(clear)) < -MULTIPLIER_TOL_FACTOR * max(
-            mx, 1e-12):
-        raise NegativeMultiplier(
-            f"multiplier reaches {np.min(clear):.3e}; candidate is not a "
-            "constrained minimizer")
-    if mask[-1]:
-        nu = float(np.dot(p[-1] - prob.Dg(gamma.knots[-1:])[0], geo.Db[-1]))
-    else:
-        nu = 0.0
-    return lam, nu, orth
-
-
 def _feedback(Db: np.ndarray, D2b: np.ndarray,
               d: HamiltonianDerivs) -> np.ndarray:
     """The feedback formula of ``feedback_lambda_many`` from geometry and
@@ -180,12 +129,16 @@ def feedback_lambda(ham: Hamiltonian, dom: Domain, t, x, p) -> float:
 
 @dataclass
 class Extremal:
-    """Minimizer bundled with its co-state and multipliers.
+    """Minimizer bundled with its co-state, its multipliers and the data of
+    its knots they are read off.
 
     lam stores the observable product (multiplier over epsilon); C is the
     measured growth constant C(mu, M') of H behind Lstar; K is the energy
     budget behind Lstar and the Hamiltonian-drift bound; params, when
-    present, records the penalty run that produced gamma.
+    present, records the penalty run that produced gamma.  geo is the
+    geometry of the knots; v and pdot are gamma' and p' on the knot grid;
+    vstar is the conjugate maximizer at (t, gamma, p), so DpH = -vstar, and
+    DxH = -fx(t, gamma, vstar).
     """
 
     gamma: Trajectory
@@ -196,20 +149,12 @@ class Extremal:
     Lstar: float
     C: float
     K: float
+    geo: BoundaryEval
+    v: np.ndarray
+    pdot: np.ndarray
+    vstar: np.ndarray
+    DxH: np.ndarray
     params: PenaltyParams | None = None
-
-
-def hamiltonian_drift(prob: Problem, dom: Domain, gamma: Trajectory,
-                      p: np.ndarray, epsilon: float | None = None,
-                      geo: BoundaryEval | None = None) -> np.ndarray:
-    """r(t) = H(t, gamma, p), minus the penalty well d/eps while penalized
-    (``geo`` as in ``contact_mask``)."""
-    ham = Hamiltonian(prob)
-    r = ham.value_many(gamma.times, gamma.knots, p)
-    if epsilon is not None:
-        b = dom.b_many(gamma.knots) if geo is None else geo.b
-        r = r - np.maximum(b, 0.0) / epsilon
-    return r
 
 
 def _c1(prob: Problem, C: float, Dg_max: float, K: float) -> float:
@@ -228,20 +173,45 @@ def velocity_bound(prob: Problem, report: AssumptionReport, C: float,
 
 def make_extremal(prob: Problem, dom: Domain, gamma: Trajectory,
                   params: PenaltyParams | None = None) -> Extremal:
-    """Assemble the full first-order bundle from a certified minimizer; its
-    knots are evaluated once, and K, C and L* come from
-    ``check_assumptions`` and ``measure_hamiltonian_constants``."""
-    geo = dom.eval(gamma.knots, hess=False)
-    p = recover_adjoint(prob, gamma, dom, geo=geo)
-    lam, nu, _ = multiplier_from_residual(prob, dom, gamma, p, geo=geo)
-    r = hamiltonian_drift(prob, dom, gamma, p,
-                          params.epsilon if params is not None else None,
-                          geo=geo)
+    """Assemble the full first-order bundle from a certified minimizer, from
+    one evaluation of its knots' geometry and one conjugate solve.
+
+    gamma' and p' are differenced within contact runs.  The co-state comes
+    from duality, p = -D_v f(t, gamma, gamma'); the multiplier lam is the
+    projection on Db of the adjoint-equation defect DxH - p' at contact
+    knots (zero off contact), and nu that of p(T) - Dg at a terminal
+    contact; r = H(t, gamma, p), minus the penalty well d/eps when
+    ``params`` records a penalized run.  K, C and L* come from
+    ``check_assumptions`` and ``measure_hamiltonian_constants``.
+    """
+    t, X = gamma.times, gamma.knots
+    geo = dom.eval(X, hess=False)
+    mask = contact_mask(dom, gamma, geo=geo)
+    v = grid_derivative(X, gamma.dt, mask)
+    p = -prob.fv(t, X, v)
+    pdot = grid_derivative(p, gamma.dt, mask)
+    H, vstar = Hamiltonian(prob).legendre_many(t, X, p)
+    DxH = -prob.fx(t, X, vstar)
+    lam = np.zeros(gamma.N + 1)
+    lam[mask] = np.einsum("mi,mi->m", (DxH - pdot)[mask], geo.Db[mask])
+    mx = float(np.max(lam, initial=0.0))
+    # junction knots see the atomic part of the multiplier measure; the sign
+    # condition is only checked in the interior of contact runs
+    clear = lam[junction_clear_mask(mask)]
+    if clear.size and float(np.min(clear)) < -MULTIPLIER_TOL_FACTOR * max(
+            mx, 1e-12):
+        raise NegativeMultiplier(
+            f"multiplier reaches {np.min(clear):.3e}; candidate is not a "
+            "constrained minimizer")
+    nu = (float(np.dot(p[-1] - prob.Dg(X[-1:])[0], geo.Db[-1])) if mask[-1]
+          else 0.0)
+    r = H if params is None else H - np.maximum(geo.b, 0.0) / params.epsilon
     rep = check_assumptions(prob, dom)
     delta = params.delta if params is not None else 1.0
     _, C = measure_hamiltonian_constants(prob, dom)
     return Extremal(gamma=gamma, p=p, lam=lam, beta_over_delta=nu, r=r,
                     Lstar=velocity_bound(prob, rep, C, delta), C=C, K=rep.K,
+                    geo=geo, v=v, pdot=pdot, vstar=vstar, DxH=DxH,
                     params=params)
 
 
@@ -256,30 +226,24 @@ class PMPReport:
 
 
 def check_extremal(prob: Problem, dom: Domain, ex: Extremal) -> PMPReport:
-    """Residual report for the full first-order system.
+    """Residual report for the full first-order system, read off the data
+    ``make_extremal`` evaluated.
 
     Tolerances for the two ODE residuals scale as 1 / N; transversality is
     held to 1e-6.
     """
-    gamma, p = ex.gamma, ex.p
-    t = gamma.times
-    geo = dom.eval(gamma.knots, hess=False)
-    mask = np.abs(geo.b) <= dom.boundary_tol
+    gamma, p, geo = ex.gamma, ex.p, ex.geo
+    mask = contact_mask(dom, gamma, geo=geo)
     tol_ode = 1.0 / gamma.N
-    # DpH = -v* and DxH = -fx(t, gamma, v*)
-    _, vstar = Hamiltonian(prob).legendre_many(t, gamma.knots, p)
 
     rep = PMPReport()
-    v = grid_derivative(gamma.knots, gamma.dt, mask)
-    res_state = np.linalg.norm(v - vstar, axis=1)
+    res_state = np.linalg.norm(ex.v - ex.vstar, axis=1)
     rep.residuals["state_ode"] = float(np.max(res_state))
     rep.checks["state_ode"] = rep.residuals["state_ode"] < tol_ode
 
-    pdot = grid_derivative(p, gamma.dt, mask)
-    rhs = -prob.fx(t, gamma.knots, vstar)
-    if np.any(mask):
-        rhs[mask] -= ex.lam[mask, None] * geo.Db[mask]
-    res_adj = np.linalg.norm(pdot - rhs, axis=1)
+    rhs = ex.DxH.copy()
+    rhs[mask] -= ex.lam[mask, None] * geo.Db[mask]
+    res_adj = np.linalg.norm(ex.pdot - rhs, axis=1)
     keep = junction_clear_mask(mask)
     rep.residuals["adjoint_ode"] = float(np.max(res_adj[keep]))
     rep.checks["adjoint_ode"] = rep.residuals["adjoint_ode"] < tol_ode
@@ -297,7 +261,7 @@ def check_extremal(prob: Problem, dom: Domain, ex: Extremal) -> PMPReport:
     rep.checks["hamiltonian_drift"] = drift <= bound + 1e-6 * (
         1.0 + abs(ex.r[0]))
 
-    vmax = float(np.max(np.linalg.norm(v, axis=1)))
+    vmax = float(np.max(np.linalg.norm(ex.v, axis=1)))
     rep.residuals["speed"] = vmax
     rep.checks["speed"] = vmax <= ex.Lstar * (1.0 + 1e-9)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import statecon
-from statecon.cli import main
+from statecon.cli import COMMANDS, CONFIG_KEYS, main
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -245,6 +245,38 @@ class TestErrors:
         assert err.startswith("error: ") and "--seed" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_misspelt_key_is_config_error(self, tmp_path, capsys, command):
+        # a misspelt optional key would otherwise take its default, here
+        # kappa = 0; every command reads the whole config
+        cfg = json.loads((SCENARIOS / "S1.json").read_text())
+        cfg["problem"]["kapa"] = 2.0
+        path = tmp_path / "kapa.json"
+        path.write_text(json.dumps(cfg))
+        rc, _ = run(tmp_path, command, "--config", str(path))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "problem.kapa" in err
+
+    @pytest.mark.parametrize("scenario, key", [
+        ("S1", "solvr"), ("S1", "problem.potential.c"),
+        ("S4", "mfg.value.nt"), ("S4", "mfg.m0.mass")])
+    def test_unknown_key_is_named_by_its_path(self, tmp_path, capsys,
+                                              scenario, key):
+        # known per section, whatever the command reads
+        cfg = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+        *sections, last = key.split(".")
+        section = cfg
+        for name in sections:
+            section = section[name]
+        section[last] = 1
+        path = tmp_path / "unknown.json"
+        path.write_text(json.dumps(cfg))
+        rc, _ = run(tmp_path, "assumptions", "--config", str(path))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{key} " in err
+
     def test_out_naming_a_file_is_config_error(self, tmp_path, mini_config,
                                                capsys):
         out = tmp_path / "taken"
@@ -295,6 +327,8 @@ class TestMalformedScenario:
         ("solve", lambda cfg: cfg.update(x0=[0.0, 0.0, 0.0])),
         ("solve", lambda cfg: cfg["problem"]["potential"].update(b=[1.0])),
         ("solve", lambda cfg: cfg["problem"].update(A=[[1.0]])),
+        ("assumptions",
+         lambda cfg: cfg["problem"].update(A=[[1.0, 5.0], [0.0, 1.0]])),
         # grids the solver cannot use, read before any solve
         ("value", lambda cfg: cfg.update(value={"n_points": 1})),
         ("value", lambda cfg: cfg.update(value={"n_points": 2})),
@@ -373,7 +407,7 @@ class TestMalformedScenario:
         ("mfg", lambda cfg: _edit_m0(cfg, weights=[[0.5], [0.5]])),
     ], ids=["m0-missing", "negative-weight", "weights-sum", "start-outside",
             "x0-outside", "x0-dimension", "potential-dimension",
-            "A-dimension",
+            "A-dimension", "A-not-symmetric",
             "value-n_points-1", "value-no-node-inside", "value-n_times-1",
             "value-N-4", "mfg-n_times-1", "mfg-value-n_times-1",
             "mfg-value-N-4", "mfg-value-n_points-1",
@@ -492,6 +526,21 @@ class TestPackage:
         public = {name for name in imported if not name.startswith("_")}
         assert all(hasattr(statecon, name) for name in statecon.__all__)
         assert public == set(statecon.__all__)
+
+    def test_readme_config_table_lists_the_known_keys(self):
+        # README's "Config format" table and the reader's keys, which it
+        # refuses any other than, name the same dotted keys
+        text = (ROOT / "README.md").read_text()
+        table = text.split("\n## Config format\n", 1)[1].split("\n## ", 1)[0]
+        documented = {line.split("`")[1] for line in table.splitlines()
+                      if line.startswith("| `")}
+
+        def dotted(keys, path=""):
+            for key, sub in keys.items():
+                yield path + key
+                yield from dotted(sub or {}, f"{path}{key}.")
+
+        assert documented == set(dotted(CONFIG_KEYS))
 
     def test_readme_quick_start_runs(self):
         # the first python block of the README certifies its extremal

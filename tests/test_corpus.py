@@ -12,8 +12,7 @@ import pytest
 
 from statecon import (Ball, Ellipse, MaxIterations, SmoothedBox, Trajectory,
                       delta_choice, epsilon_schedule, feasibility_gap,
-                      multiplier_from_residual, quadratic_problem,
-                      recover_adjoint)
+                      make_extremal, quadratic_problem)
 from statecon import penalty
 
 # per-case times on 2 shared vCPUs, every level a Newton finish: corpus B's
@@ -98,8 +97,7 @@ def test_corpus_case(case, stalls):
     assert np.max(np.abs(warm.knots - gamma.knots)) < 1e-8
 
     # lambda >= 0 away from junctions (NegativeMultiplier otherwise)
-    p = recover_adjoint(prob, gamma, dom)
-    multiplier_from_residual(prob, dom, gamma, p)
+    make_extremal(prob, dom, gamma, params=params)
     assert stalls == []
 
 

@@ -139,6 +139,13 @@ class TestProblemConstruction:
             quadratic_problem(2, A=[[1.0, 0.0], [0.0, -1.0]], M=1.0,
                               kappa=0.0)
 
+    def test_non_symmetric_matrix_rejected(self):
+        # f = 1/2 <A v, v> uses all of A, but eigvalsh reads one triangle:
+        # this A passes it although its symmetric part has eigenvalue -1.5
+        with pytest.raises(ValueError, match="symmetric"):
+            quadratic_problem(2, A=[[1.0, 5.0], [0.0, 1.0]], M=1.0,
+                              kappa=0.0)
+
     def test_missing_bounds_rejected(self):
         with pytest.raises(ValueError):
             quadratic_problem(2)

@@ -7,11 +7,10 @@ from statecon import (Ball, Ellipse, Hamiltonian, NegativeMultiplier,
                       Trajectory, check_assumptions, check_extremal,
                       compute_value, contact_mask, delta_choice, dpp_check,
                       epsilon_schedule, feedback_lambda, feedback_lambda_many,
-                      hamiltonian_drift, make_extremal,
-                      measure_hamiltonian_constants, multiplier_from_residual,
-                      quadratic_problem, recover_adjoint, shoot, value,
-                      velocity_bound)
-from statecon.cli import _node_grid, build_domain, build_problem, load_config
+                      make_extremal, measure_hamiltonian_constants,
+                      quadratic_problem, shoot, value, velocity_bound)
+from statecon.cli import (_node_grid, build_domain, build_problem,
+                          load_config, trajectory_rows)
 from statecon.pmp import grid_derivative, junction_clear_mask
 
 from conftest import drifting_problem, s1_exact
@@ -108,7 +107,7 @@ class TestJunctionMask:
 class TestAdjointRecovery:
     def test_costate_is_negative_momentum(self):
         prob, disk, gamma = exact_pull(256)
-        p = recover_adjoint(prob, gamma, disk)
+        p = make_extremal(prob, disk, gamma).p
         t = gamma.times
         want = np.stack([np.where(t < TSTAR, 3.0 * t - np.sqrt(6.0), 0.0),
                          np.zeros_like(t)], axis=1)
@@ -117,15 +116,17 @@ class TestAdjointRecovery:
 
     def test_multiplier_is_normal_pull(self):
         prob, disk, gamma = exact_pull(256)
-        p = recover_adjoint(prob, gamma, disk)
-        lam, nu, orth = multiplier_from_residual(prob, disk, gamma, p)
+        ex = make_extremal(prob, disk, gamma)
         mask = contact_mask(disk, gamma)
         sel = mask & junction_clear_mask(mask)
         # resting against the pull of strength 3 needs exactly that much
         # normal force
-        assert np.max(np.abs(lam[sel] - 3.0)) < 1e-8
-        assert np.max(orth[sel]) < 1e-8
-        assert np.all(lam[~mask] == 0.0)
+        assert np.max(np.abs(ex.lam[sel] - 3.0)) < 1e-8
+        assert np.all(ex.lam[~mask] == 0.0)
+        # the adjoint defect has no part orthogonal to Db on contact (nor
+        # any off it) once the multiplier is taken out
+        rep = check_extremal(prob, disk, ex)
+        assert rep.residuals["adjoint_ode"] < 1e-8
 
     def test_wrong_side_rest_is_rejected(self):
         # resting on the far side of the disk, away from the pull, would need
@@ -134,14 +135,12 @@ class TestAdjointRecovery:
         t = np.linspace(0.0, 1.0, 65)
         knots = np.tile([-1.0, 0.0], (65, 1))
         gamma = Trajectory(0.0, 1.0, knots)
-        p = recover_adjoint(prob, gamma, disk)
         with pytest.raises(NegativeMultiplier):
-            multiplier_from_residual(prob, disk, gamma, p)
+            make_extremal(prob, disk, gamma)
 
     def test_hamiltonian_constant_along_extremal(self):
         prob, disk, gamma = exact_pull(256)
-        p = recover_adjoint(prob, gamma, disk)
-        r = hamiltonian_drift(prob, disk, gamma, p)
+        r = make_extremal(prob, disk, gamma).r
         keep = junction_clear_mask(contact_mask(disk, gamma))
         # H = |p|^2/2 + 3 x_1 equals 3 on both phases
         assert np.max(np.abs(r[keep] - 3.0)) < 1e-8
@@ -193,7 +192,7 @@ class TestShooting:
         p0 = np.array([-np.sqrt(6.0), 0.0])
         traj, P = shoot(ham, disk, np.zeros(2), p0, T=1.0, N=512)
         assert np.max(np.abs(traj.knots - gamma.knots)) < 1e-5
-        p_exact = recover_adjoint(prob, gamma, disk)
+        p_exact = make_extremal(prob, disk, gamma).p
         free = gamma.times < TSTAR - 2 * gamma.dt
         assert np.max(np.abs(P[free] - p_exact[free])) < 1e-4
         # on the rest arc the costate vanishes up to the contact resolution
@@ -245,6 +244,34 @@ class TestCheckExtremal:
         Lam = feedback_lambda_many(ham, disk, ex.gamma.times[sel],
                                    ex.gamma.knots[sel], ex.p[sel])
         assert np.max(np.abs(Lam - ex.lam[sel])) < 1e-6
+
+
+class TestSinglePass:
+    def test_knots_are_evaluated_once(self, pull_extremal, monkeypatch):
+        # make_extremal evaluates the knots' geometry and the conjugate
+        # maximizer at (t, gamma, p) once; check_extremal and the CSV rows
+        # of solve read them off the extremal
+        prob, disk, ex = pull_extremal
+        knots = ex.gamma.knots
+        calls = {"geometry": 0, "conjugate": 0}
+        geometry, conjugate = type(disk).eval, Hamiltonian.legendre_many
+
+        def counted_geometry(dom, X, hess=True):
+            calls["geometry"] += np.array_equal(X, knots)
+            return geometry(dom, X, hess)
+
+        def counted_conjugate(ham, t, x, p):
+            calls["conjugate"] += np.array_equal(x, knots)
+            return conjugate(ham, t, x, p)
+
+        monkeypatch.setattr(type(disk), "eval", counted_geometry)
+        monkeypatch.setattr(Hamiltonian, "legendre_many", counted_conjugate)
+        again = make_extremal(prob, disk, ex.gamma, params=ex.params)
+        check_extremal(prob, disk, again)
+        assert calls == {"geometry": 1, "conjugate": 1}
+        rows = list(trajectory_rows(again))
+        assert len(rows) == ex.gamma.N + 1
+        assert calls == {"geometry": 1, "conjugate": 1}
 
 
 class TestDeterministicConstants:

@@ -20,8 +20,7 @@ shapes = {
 
 for name, dom in shapes.items():
     X = dom.sample_tube(rng, 5000)
-    G = dom.grad_many(X)
-    H = dom.hess_many(X)
+    _, G, H, _ = dom.eval(X)
     unit = np.max(np.abs(np.linalg.norm(G, axis=1) - 1.0))
     orth = np.max(np.linalg.norm(np.einsum("mij,mj->mi", H, G), axis=1))
     print(f"{name:14s}  | |Db|-1 | <= {unit:.2e}   |D2b Db| <= {orth:.2e}")

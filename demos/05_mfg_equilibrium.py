@@ -11,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from statecon import (constant_measure, evaluate_flow, fixed_point, lip_flow,
-                      mild_solution, lipschitz_report)
+from statecon import (constant_measure, fixed_point, lip_flow, mild_solution,
+                      lipschitz_report)
 from statecon.cli import (build_coupling, build_domain, build_problem,
                           load_config)
 
@@ -32,15 +32,14 @@ print(f"converged in {len(history)} iterations, final residual "
       f"{history[-1]:.2e}")
 print("residual history:", "  ".join(f"{r:.1e}" for r in history))
 
-times = np.linspace(0.0, prob.horizon, 9)
-flow = evaluate_flow(eta, times)
 start = np.linalg.norm(atoms, axis=1) @ weights
-end = np.linalg.norm(flow.measures[-1].points, axis=1) @ flow.measures[-1].weights
+end = np.linalg.norm(eta.positions_at(prob.horizon)[0], axis=1) @ eta.weights
 print(f"mean radius m0 {start:.3f} -> m(T) {end:.3f} (crowd spreads)")
-print(f"flow Lipschitz constant {lip_flow(flow):.4f}")
+times = np.linspace(0.0, prob.horizon, 9)
+print(f"flow Lipschitz constant {lip_flow(eta, times):.4f}")
 
 pts = dom.sample_closure(np.random.default_rng(7), 12)
-vg, _ = mild_solution(prob, dom, coupling, eta, np.linspace(0.0, 1.0, 3),
-                      pts, N=32)
+vg = mild_solution(prob, dom, coupling, eta, np.linspace(0.0, 1.0, 3), pts,
+                   N=32)
 Lx, Lt = lipschitz_report(vg)
 print(f"mild solution Lipschitz constants  Lx = {Lx:.3f}  Lt = {Lt:.3f}")

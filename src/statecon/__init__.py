@@ -16,10 +16,10 @@ from .pmp import (Extremal, LeftTube, NegativeMultiplier, PMPReport,
                   check_extremal, contact_mask, feedback_lambda,
                   feedback_lambda_many, make_extremal, shoot, velocity_bound)
 from .value import ValueGrid, compute_value, dpp_check, lipschitz_report
-from .mfg import (DiscreteMeasure, GaussianKernelCoupling, MeasureFlow,
-                  NoConvergence, TrajectoryMeasure, UnbalancedMeasure,
-                  best_response, constant_measure, evaluate_flow, fixed_point,
-                  kantorovich_d1, lip_flow, mild_solution)
+from .mfg import (DiscreteMeasure, GaussianKernelCoupling, NoConvergence,
+                  TrajectoryMeasure, UnbalancedMeasure, best_response,
+                  constant_measure, fixed_point, kantorovich_d1, lip_flow,
+                  mild_solution)
 
 __version__ = "0.1.0"
 
@@ -37,8 +37,8 @@ __all__ = [
     "check_extremal", "contact_mask", "feedback_lambda",
     "feedback_lambda_many", "make_extremal", "shoot", "velocity_bound",
     "ValueGrid", "compute_value", "dpp_check", "lipschitz_report",
-    "DiscreteMeasure", "GaussianKernelCoupling", "MeasureFlow",
-    "NoConvergence", "TrajectoryMeasure", "UnbalancedMeasure",
-    "best_response", "constant_measure", "evaluate_flow", "fixed_point",
-    "kantorovich_d1", "lip_flow", "mild_solution",
+    "DiscreteMeasure", "GaussianKernelCoupling", "NoConvergence",
+    "TrajectoryMeasure", "UnbalancedMeasure", "best_response",
+    "constant_measure", "fixed_point", "kantorovich_d1", "lip_flow",
+    "mild_solution",
 ]

@@ -26,8 +26,8 @@ from .model import (Hamiltonian, check_assumptions, delta_choice,
 from .penalty import Trajectory, epsilon_schedule
 from .pmp import Extremal, check_extremal, make_extremal
 from .value import compute_value, dpp_check, lipschitz_report
-from .mfg import (GaussianKernelCoupling, constant_measure, evaluate_flow,
-                  fixed_point, lip_flow, mild_solution)
+from .mfg import (GaussianKernelCoupling, constant_measure, fixed_point,
+                  lip_flow, mild_solution)
 
 log = logging.getLogger("statecon")
 
@@ -280,7 +280,7 @@ def cmd_solve(cfg, out: Path, args) -> int:
     dom = build_domain(cfg)
     prob = build_problem(cfg, dom)
     x0 = _vector(cfg.get("x0", [0.0] * dom.dim), "x0", (dom.dim,))
-    if dom.signed_distance(x0) > dom.boundary_tol:
+    if dom.eval(x0, hess=False).b[0] > dom.boundary_tol:
         raise ConfigError(f"x0 must be a point of the closed {dom.dim}-D "
                           "domain")
     N = _grid_size(_grid_arg(args, _section(cfg, "solver").get("N", 256)), 8,
@@ -330,7 +330,8 @@ def _node_grid(dom: Domain, T: float, nt: int, nx: int):
     """nt times on [0, T] and the nodes of an nx-per-axis grid over the
     domain's bounding box that lie in the closed domain."""
     pts = dom.box_grid(nx)
-    return np.linspace(0.0, T, nt), pts[dom.b_many(pts) <= dom.boundary_tol]
+    inside = dom.eval(pts, hess=False).b <= dom.boundary_tol
+    return np.linspace(0.0, T, nt), pts[inside]
 
 
 def _write_values(path: Path, vg, points: np.ndarray) -> None:
@@ -384,7 +385,7 @@ def cmd_mfg(cfg, out: Path, args) -> int:
     m0 = _section(mc, "mfg.m0", required=True)
     atoms = _vector(m0.get("points"), "mfg.m0.points", (None, dom.dim))
     weights = _vector(m0.get("weights"), "mfg.m0.weights", (len(atoms),))
-    if np.any(dom.b_many(atoms) > dom.boundary_tol):
+    if np.any(dom.eval(atoms, hess=False).b > dom.boundary_tol):
         raise ConfigError("mfg.m0.points must lie in the closed domain")
     eta0 = _spec("mfg.m0", constant_measure, atoms, weights, prob.horizon,
                  N=N)
@@ -395,17 +396,16 @@ def cmd_mfg(cfg, out: Path, args) -> int:
     max_iter = _grid_size(mc.get("max_iter", 50), 1, "mfg.max_iter")
     eta, history = fixed_point(prob, dom, coupling, eta0, alpha=alpha,
                                tol=tol, max_iter=max_iter, N=N)
-    flow = evaluate_flow(eta, times)
-    rows = [[t, *x, w] for t, m in zip(times, flow.measures)
-            for x, w in zip(m.points, m.weights)]
+    rows = [[t, *x, w] for t, X in zip(times, eta.positions_at(times))
+            for x, w in zip(X, eta.weights)]
     write_csv(out / "flow.csv",
               ["t"] + [f"x{k+1}" for k in range(dom.dim)] + ["w"], rows)
     write_csv(out / "residuals.csv", ["iter", "residual"],
               [[i, r] for i, r in enumerate(history)])
-    vg, _flow = mild_solution(prob, dom, coupling, eta, vt, pts, N=value_N)
+    vg = mild_solution(prob, dom, coupling, eta, vt, pts, N=value_N)
     _write_values(out / "mild_value.csv", vg, pts)
     print(f"mfg: {len(history)} iterations, residual "
-          f"{_fmt(history[-1])}, Lip(m)={_fmt(lip_flow(flow))}")
+          f"{_fmt(history[-1])}, Lip(m)={_fmt(lip_flow(eta, times))}")
     return 0
 
 
@@ -413,13 +413,11 @@ def cmd_geometry_test(cfg, out: Path, args) -> int:
     dom = build_domain(cfg)
     rng = np.random.default_rng(args.seed)
     pts = dom.sample_tube(rng, 2000)
-    g = dom.grad_many(pts)
+    _, g, H, _ = dom.eval(pts)
     unit_err = float(np.max(np.abs(np.linalg.norm(g, axis=1) - 1.0)))
-    H = dom.hess_many(pts)
     orth_err = float(np.max(np.linalg.norm(
         np.einsum("mij,mj->mi", H, g), axis=1)))
-    fd_err = max(float(np.max(np.abs(
-        fd_grad(dom, x) - dom.grad_many(x[None])[0]))) for x in pts[:50])
+    fd_err = float(np.max(np.abs(fd_grad(dom, pts[:50]) - g[:50])))
     report = {"unit_gradient_error": unit_err,
               "hessian_orthogonality_error": orth_err,
               "fd_gradient_error": fd_err,

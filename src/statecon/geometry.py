@@ -58,25 +58,10 @@ class Domain:
         return BOUNDARY_TOL_FACTOR * self.diameter
 
     def eval(self, X: np.ndarray, hess: bool = True) -> BoundaryEval:
-        """b, Db, D2b and the projection P at points X of shape (m, n), from
-        one evaluation of the shape; ``hess=False`` skips the Hessian."""
+        """b, Db, D2b and the projection P at points X of shape (m, n), or
+        at one point (n,) as a batch of one, from one evaluation of the
+        shape; ``hess=False`` skips the Hessian."""
         raise NotImplementedError
-
-    def b_many(self, X: np.ndarray) -> np.ndarray:
-        return self.eval(X, hess=False).b
-
-    def grad_many(self, X: np.ndarray) -> np.ndarray:
-        return self.eval(X, hess=False).Db
-
-    def hess_many(self, X: np.ndarray) -> np.ndarray:
-        return self.eval(X).D2b
-
-    def project_many(self, X: np.ndarray) -> np.ndarray:
-        return self.eval(X, hess=False).P
-
-    # scalar API; eval accepts a single point as a batch of one
-    def signed_distance(self, x) -> float:
-        return float(self.eval(x, hess=False).b[0])
 
     def subdiff_distance(self, x) -> SubdiffDescription:
         e = self.eval(x, hess=False)
@@ -101,7 +86,7 @@ class Domain:
         need = size
         while need > 0:
             cand = rng.uniform(lo, hi, size=(max(4 * need, 64), self.dim))
-            kept = cand[keep(self.b_many(cand))]
+            kept = cand[keep(self.eval(cand, hess=False).b)]
             pts.append(kept[:need])
             need -= len(kept[:need])
         return np.vstack(pts)
@@ -341,12 +326,13 @@ class SmoothedBox(Domain):
         return self.center - self.half, self.center + self.half
 
 
-def fd_grad(dom: Domain, x, h: float = 1e-5) -> np.ndarray:
-    """Central finite-difference gradient of the signed distance."""
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (dom.signed_distance(x + e) - dom.signed_distance(x - e)) / (2 * h)
-    return g
+def fd_grad(dom: Domain, X, h: float = 1e-5) -> np.ndarray:
+    """Central finite-difference gradient of the signed distance at a point
+    (n,) or at each row of a batch (m, n), from 2n evaluations."""
+    X = np.asarray(X, dtype=float)
+    rows = np.atleast_2d(X)
+    g = np.empty_like(rows)
+    for i, e in enumerate(h * np.eye(rows.shape[1])):
+        g[:, i] = (dom.eval(rows + e, hess=False).b
+                   - dom.eval(rows - e, hess=False).b) / (2 * h)
+    return g.reshape(X.shape)

@@ -108,24 +108,11 @@ class TrajectoryMeasure:
         return self._stacked.at(t).reshape(t.size, len(self.trajectories), -1)
 
 
-@dataclass
-class MeasureFlow:
-    times: np.ndarray
-    measures: list  # of DiscreteMeasure
-
-
 def constant_measure(points, weights, T: float, N: int = 64) -> TrajectoryMeasure:
     """The stay-put measure: every atom rides a constant trajectory."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     trajs = [Trajectory.constant(0.0, T, x, N) for x in points]
     return TrajectoryMeasure(trajs, np.asarray(weights, dtype=float))
-
-
-def evaluate_flow(eta: TrajectoryMeasure, times) -> MeasureFlow:
-    times = np.asarray(times, dtype=float)
-    pos = eta.positions_at(times)
-    measures = [DiscreteMeasure(pos[i], eta.weights) for i in range(times.size)]
-    return MeasureFlow(times=times, measures=measures)
 
 
 def linprog(*args, **kwargs):
@@ -191,27 +178,23 @@ def _max_by_bounds(bounds: np.ndarray, value) -> tuple[float, int]:
     return worst, solved
 
 
-def lip_flow(flow: MeasureFlow) -> float:
-    """max_i d1(m_i, m_{i+1}) / (t_{i+1} - t_i) over consecutive slices.
+def lip_flow(eta: TrajectoryMeasure, times) -> float:
+    """max_i d1(m_i, m_{i+1}) / (t_{i+1} - t_i) over the consecutive slices
+    m_i of eta at the given times.
 
-    When every slice carries the same weights in the same particle order
-    (as ``evaluate_flow`` builds them), moving each particle along itself is
-    a transport plan whose cost bounds d1; the exact d1 are evaluated in
-    order of decreasing bound until no bound left can beat the running
-    maximum (``_max_by_bounds``), so the result equals the maximum over
-    every slice.  Otherwise every slice's d1 is evaluated.
+    Moving each particle along itself is a transport plan whose cost bounds
+    d1 (``_particle_speeds``); the exact d1 are evaluated in order of
+    decreasing bound until no bound left can beat the running maximum
+    (``_max_by_bounds``), so the result equals the maximum over every slice.
     """
-    if flow.times.size < 2:
+    times = np.asarray(times, dtype=float)
+    if times.size < 2:
         raise ValueError("need at least 2 time slices")
-    dt = np.diff(flow.times)
-    w = flow.measures[0].weights
-    if all(np.array_equal(m.weights, w) for m in flow.measures):
-        bounds = _particle_speeds(np.stack([m.points for m in flow.measures]),
-                                  w, flow.times)
-    else:
-        bounds = np.full(dt.size, np.inf)
-    worst, _ = _max_by_bounds(bounds, lambda i: kantorovich_d1(
-        flow.measures[i], flow.measures[i + 1]) / dt[i])
+    pos, w, dt = eta.positions_at(times), eta.weights, np.diff(times)
+    worst, _ = _max_by_bounds(
+        _particle_speeds(pos, w, times),
+        lambda i: kantorovich_d1(DiscreteMeasure(pos[i], w),
+                                 DiscreteMeasure(pos[i + 1], w)) / dt[i])
     return max(0.0, worst)
 
 
@@ -264,14 +247,6 @@ class GaussianKernelCoupling:
         return self._at(X, m, self.amp, 0)
 
 
-def flow_speed_bound(eta: TrajectoryMeasure, times) -> float:
-    """Upper bound on the flow's d1 Lipschitz constant via the particle
-    coupling: the average particle displacement dominates the transport cost."""
-    times = np.asarray(times, dtype=float)
-    return float(np.max(_particle_speeds(eta.positions_at(times),
-                                         eta.weights, times)))
-
-
 def coupled_problem(prob: Problem, dom: Domain, coupling,
                     eta: TrajectoryMeasure) -> Problem:
     """Single-agent problem against the frozen population flow of eta: the
@@ -283,7 +258,10 @@ def coupled_problem(prob: Problem, dom: Domain, coupling,
         D = x[:, None, :] - eta.positions_at(np.clip(t, 0.0, T))
         return coupling._bump(D, eta.weights, coupling.amp, order)
 
-    mT = evaluate_flow(eta, [T]).measures[0]
+    # the flow on a grid that ends at T: m_T is its last slice
+    grid = np.linspace(0.0, T, 65)
+    pos = eta.positions_at(grid)
+    mT = DiscreteMeasure(pos[-1], eta.weights)
 
     def at_end(base, order):
         return lambda x: base(x) + coupling._at(x, mT, coupling.terminal_amp,
@@ -292,8 +270,7 @@ def coupled_problem(prob: Problem, dom: Domain, coupling,
     # constants inherited from the base problem plus the coupling's bounds;
     # the flow Lipschitz constant is bounded by transporting each particle
     # along itself, which avoids transport solves
-    grid = np.linspace(0.0, T, 65)
-    lipm = flow_speed_bound(eta, grid)
+    lipm = float(np.max(_particle_speeds(pos, eta.weights, grid)))
     M = prob.M + coupling.amp + coupling.terminal_amp + coupling.kappa
     kappa = prob.kappa + coupling.kappa * lipm
     return Problem(f=prob.f, fx=prob.fx, fv=prob.fv, fvv=prob.fvv,
@@ -564,10 +541,8 @@ def fixed_point(prob: Problem, dom: Domain, coupling,
 
 def mild_solution(prob: Problem, dom: Domain, coupling,
                   eta_eq: TrajectoryMeasure, times, points, N: int = 32):
-    """Value function against the equilibrium flow plus the flow itself."""
+    """Value function against the equilibrium flow of eta_eq."""
     from .value import compute_value
 
     single = coupled_problem(prob, dom, coupling, eta_eq)
-    flow = evaluate_flow(eta_eq, times)
-    vg = compute_value(single, dom, times, points, N=N)
-    return vg, flow
+    return compute_value(single, dom, times, points, N=N)

@@ -266,13 +266,14 @@ def _draws(m: int, dim: int, T: float):
     return T * u[:, 0], T * u[:, 1], 3.0 * v
 
 
-def _growth(F, v):
-    """max |F(v)| / (1 + |v|) over the rows of v and over their directions
-    at norm 1e4, where the ratio of an F of linear growth is within 1e-4 of
-    its limit as |v| -> inf."""
-    return max(np.max(np.linalg.norm(F(w), axis=1)
+def _growth(F, v, Fv):
+    """max |F(v)| / (1 + |v|) over the rows of v, given Fv = F(v), and over
+    their directions at norm 1e4, where the ratio of an F of linear growth
+    is within 1e-4 of its limit as |v| -> inf."""
+    far = 1e4 / np.linalg.norm(v, axis=1)[:, None] * v
+    return max(np.max(np.linalg.norm(Fw, axis=1)
                       / (1 + np.linalg.norm(w, axis=1)))
-               for w in (v, 1e4 / np.linalg.norm(v, axis=1)[:, None] * v))
+               for w, Fw in ((v, Fv), (far, F(far))))
 
 
 def check_assumptions(prob: Problem, dom: Domain) -> AssumptionReport:
@@ -310,8 +311,9 @@ def check_assumptions(prob: Problem, dom: Domain) -> AssumptionReport:
     checks["mixed_growth"] = CheckResult(m_fvx <= mu + 1e-9, m_fvx, mu)
 
     # time Lipschitz of f and fv
-    df = np.abs(prob.f(t, x, v) - prob.f(s, x, v))
-    dfv = np.linalg.norm(prob.fv(t, x, v) - prob.fv(s, x, v), axis=1)
+    fval, fv = prob.f(t, x, v), prob.fv(t, x, v)
+    df = np.abs(fval - prob.f(s, x, v))
+    dfv = np.linalg.norm(fv - prob.fv(s, x, v), axis=1)
     dt = np.abs(t - s) + 1e-300
     m_lf = float(np.max(df / ((1 + np.linalg.norm(v, axis=1) ** 2) * dt)))
     m_lfv = float(np.max(dfv / ((1 + np.linalg.norm(v, axis=1)) * dt)))
@@ -320,9 +322,8 @@ def check_assumptions(prob: Problem, dom: Domain) -> AssumptionReport:
 
     # derived growth constants (measured, with safety factor)
     speed = np.linalg.norm(v, axis=1)
-    c_fv = _growth(lambda w: prob.fv(t, x, w), v)
+    c_fv = _growth(lambda w: prob.fv(t, x, w), v, fv)
     c_fx = np.max(np.linalg.norm(prob.fx(t, x, v), axis=1) / (1 + speed ** 2))
-    fval = prob.f(t, x, v)
     c_low = np.max(speed ** 2 / (4 * mu) - fval)
     c_up = np.max(fval - 4 * mu * speed ** 2)
     C = 1.05 * float(max(c_fv, c_fx, c_low, c_up, 0.0))
@@ -348,7 +349,7 @@ def measure_hamiltonian_constants(prob: Problem, dom: Domain):
                       + np.linalg.norm(v0, axis=1)))
     d = ham.derivs_many(t, x, p)
     pn = np.linalg.norm(p, axis=1)
-    c1 = _growth(lambda q: ham.DpH_many(t, x, q), p)
+    c1 = _growth(lambda q: ham.DpH_many(t, x, q), p, d.DpH)
     c2 = np.max(np.linalg.norm(d.DxH, axis=1) / (1 + pn ** 2))
     c3 = np.max(np.linalg.norm(d.DpxH, ord=2, axis=(1, 2)) / (1 + pn))
     C = 1.05 * float(max(c1, c2, c3))

@@ -537,7 +537,8 @@ def _solve_level(prob: Problem, dom: Domain, params: PenaltyParams, x0s,
         raise ValueError(f"a knot of dimension {prob.dim} does not hold "
                          f"{params.weights.size} points of the domain's "
                          f"dimension {dom.dim}")
-    if np.any(dom.b_many(x0s.reshape(-1, dom.dim)) > dom.boundary_tol):
+    if np.any(dom.eval(x0s.reshape(-1, dom.dim), hess=False).b
+              > dom.boundary_tol):
         raise ValueError("initial state must lie in the closed domain")
     eps = np.broadcast_to(np.asarray(params.epsilon, dtype=float), (B,))
     leash = dom.rho0 + dom.diameter
@@ -591,7 +592,7 @@ def feasibility_gap(dom: Domain, gamma: Trajectory) -> float:
     """max_t d(gamma(t)) over each of the knots' points; for convex domains
     the segment maximum is attained at the knots."""
     return float(np.max(np.maximum(
-        dom.b_many(gamma.knots.reshape(-1, dom.dim)), 0.0)))
+        dom.eval(gamma.knots.reshape(-1, dom.dim), hess=False).b, 0.0)))
 
 
 def epsilon_schedule_batch(prob: Problem, dom: Domain, x0s, delta: float,
@@ -679,7 +680,7 @@ def energy_certificate(prob: Problem, dom: Domain, params: PenaltyParams,
     """Discrete coercivity budget: int [ |gamma'|^2/(4 mu) + d/eps ] <= 1.05 K."""
     v = gamma.velocities
     kinetic = np.sum(v * v, axis=1) / (4.0 * prob.mu)
-    d = np.maximum(dom.b_many(gamma.knots), 0.0)
+    d = np.maximum(dom.eval(gamma.knots, hess=False).b, 0.0)
     total = (float(np.sum(kinetic)) * gamma.dt
              + float(np.dot(_trapezoid_weights(gamma.N, gamma.dt), d))
              / params.epsilon)

@@ -34,7 +34,7 @@ def contact_mask(dom: Domain, gamma: Trajectory,
                  geo: BoundaryEval | None = None) -> np.ndarray:
     """Knots lying on the boundary (within ``dom.boundary_tol``); ``geo``,
     when given, is the geometry of the knots, evaluated already."""
-    b = dom.b_many(gamma.knots) if geo is None else geo.b
+    b = (dom.eval(gamma.knots, hess=False) if geo is None else geo).b
     return np.abs(b) <= dom.boundary_tol
 
 

@@ -45,8 +45,7 @@ def compute_value(prob: Problem, dom: Domain, times, points,
     T = prob.horizon
     if abs(times[-1] - T) > 1e-12:
         raise ValueError("time grid must end at the horizon")
-    b = dom.b_many(points)
-    if np.any(b > dom.boundary_tol):
+    if np.any(dom.eval(points, hess=False).b > dom.boundary_tol):
         raise ValueError("value grid points must lie in the closed domain")
 
     nt, npt = times.size, points.shape[0]
@@ -119,8 +118,9 @@ def dpp_check(prob: Problem, dom: Domain, vg: ValueGrid, samples: int = 10,
         gamma = vg.trajectories[keys[idx]]
         m = gamma.N // 2
         t_mid, x_mid = gamma.times[m], gamma.knots[m]
-        if dom.signed_distance(x_mid) > 0.0:
-            x_mid = dom.project_many(x_mid[None])[0]
+        e = dom.eval(x_mid, hess=False)
+        if e.b[0] > 0.0:
+            x_mid = e.P[0]
         tails.setdefault(t_mid, []).append(
             (keys[idx], x_mid, running_cost(prob, gamma, upto=m),
              _resample(gamma, t_mid, prob.horizon, N)))

@@ -18,9 +18,9 @@ from statecon import (Ball, DiscreteMeasure, Ellipse, Hamiltonian,
                       SmoothedBox, Trajectory, TrajectoryMeasure,
                       check_assumptions, check_extremal, compute_value,
                       constant_measure, contact_mask, delta_choice,
-                      energy_certificate, epsilon_schedule, evaluate_flow,
-                      feasibility_gap, feedback_lambda_many, fixed_point,
-                      holder_gap, kantorovich_d1, lip_flow, lipschitz_report,
+                      energy_certificate, epsilon_schedule, feasibility_gap,
+                      feedback_lambda_many, fixed_point, holder_gap,
+                      kantorovich_d1, lip_flow, lipschitz_report,
                       make_extremal, measure_hamiltonian_constants,
                       mild_solution, quadratic_problem, velocity_bound)
 from statecon.cli import build_coupling, build_domain, build_problem, main
@@ -97,7 +97,7 @@ def s2_suite():
     axes = np.linspace(-1.0, 1.0, 10)
     mesh = np.stack(np.meshgrid(axes, axes, indexing="ij"), axis=-1)
     pts = mesh.reshape(-1, 2)
-    pts = pts[dom.b_many(pts) <= dom.boundary_tol]
+    pts = pts[dom.eval(pts, hess=False).b <= dom.boundary_tol]
     vg = compute_value(prob, dom, times, pts, N=32)
     return {"dom": dom, "prob": prob, "gamma": gamma, "params": params,
             "vg": vg, "secs": time.perf_counter() - t0}
@@ -133,14 +133,13 @@ def test_criterion_01_geometry_invariants():
     cases_ok = True
     for dom in shapes.values():
         X = dom.sample_tube(np.random.default_rng(0), 10000)
-        g = dom.grad_many(X)
-        H = dom.hess_many(X)
+        _, g, H, _ = dom.eval(X)
         worst_unit = max(worst_unit, float(np.max(np.abs(
             np.linalg.norm(g, axis=1) - 1.0))))
         worst_orth = max(worst_orth, float(np.max(np.linalg.norm(
             np.einsum("mij,mj->mi", H, g), axis=1))))
-        P = dom.project_many(X[:100])
-        n = dom.grad_many(P)
+        P = dom.eval(X[:100], hess=False).P
+        n = dom.eval(P, hess=False).Db
         for k in range(100):
             cases_ok &= dom.subdiff_distance(P[k]).case == "boundary"
             cases_ok &= dom.subdiff_distance(
@@ -197,7 +196,7 @@ def test_criterion_03_interior_closed_form(s2_suite):
     compared = 0
     for i, t in enumerate(vg.times):
         ends = vg.points + a * (1.0 - t)
-        sel = dom.b_many(ends) <= -1e-6
+        sel = dom.eval(ends, hess=False).b <= -1e-6
         want = -vg.points[sel] @ a - 0.125 * (1.0 - t)
         if np.any(sel):
             val_err = max(val_err, float(np.max(np.abs(
@@ -380,7 +379,7 @@ def test_criterion_09_mfg_equilibrium(s4_suite):
     L0 = velocity_bound(single, check_assumptions(single, dom),
                         measure_hamiltonian_constants(single, dom)[1], delta)
     times = np.linspace(0.0, prob.horizon, int(mc["n_times"]))
-    lip_m = lip_flow(evaluate_flow(eta, times))
+    lip_m = lip_flow(eta, times)
     lip_ok = lip_m <= 1.05 * L0
 
     # every particle must be (re)optimal against the frozen equilibrium flow
@@ -398,10 +397,10 @@ def test_criterion_09_mfg_equilibrium(s4_suite):
     axes = np.linspace(-1.0, 1.0, int(vc["n_points"]))
     pts = np.stack(np.meshgrid(axes, axes, indexing="ij"),
                    axis=-1).reshape(-1, 2)
-    pts = pts[dom.b_many(pts) <= dom.boundary_tol]
+    pts = pts[dom.eval(pts, hess=False).b <= dom.boundary_tol]
     vt = np.linspace(0.0, prob.horizon, int(vc["n_times"]))
-    vg32, _ = mild_solution(prob, dom, coupling, eta, vt, pts, N=32)
-    vg64, _ = mild_solution(prob, dom, coupling, eta, vt, pts, N=64)
+    vg32 = mild_solution(prob, dom, coupling, eta, vt, pts, N=32)
+    vg64 = mild_solution(prob, dom, coupling, eta, vt, pts, N=64)
     Lx32, Lt32 = lipschitz_report(vg32)
     Lx64, Lt64 = lipschitz_report(vg64)
     mild_ok = (not vg32.failures and not vg64.failures
@@ -441,12 +440,12 @@ def test_criterion_10_uniqueness_probe(s4_suite):
     axes = np.linspace(-1.0, 1.0, int(vc["n_points"]))
     grid = np.stack(np.meshgrid(axes, axes, indexing="ij"),
                     axis=-1).reshape(-1, 2)
-    grid = grid[dom.b_many(grid) <= dom.boundary_tol]
+    grid = grid[dom.eval(grid, hess=False).b <= dom.boundary_tol]
     vt = np.linspace(0.0, prob.horizon, int(vc["n_times"]))
-    vg_a, _ = mild_solution(prob, dom, coupling, s4_suite["eta"], vt, grid,
-                            N=int(vc["N"]))
-    vg_b, _ = mild_solution(prob, dom, coupling, eta_b, vt, grid,
-                            N=int(vc["N"]))
+    vg_a = mild_solution(prob, dom, coupling, s4_suite["eta"], vt, grid,
+                         N=int(vc["N"]))
+    vg_b = mild_solution(prob, dom, coupling, eta_b, vt, grid,
+                         N=int(vc["N"]))
     diff = float(np.max(np.abs(vg_a.values - vg_b.values)))
     secs = time.perf_counter() - t0
     ok = diff <= 2e-3 and not vg_a.failures and not vg_b.failures

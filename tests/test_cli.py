@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import statecon
-from statecon.cli import COMMANDS, CONFIG_KEYS, main
+from statecon.cli import (COMMANDS, CONFIG_KEYS, build_domain, load_config,
+                          main)
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -172,14 +173,62 @@ class TestMFG:
         assert i > 0 and set(Ns[:i]) == {16} and set(Ns[i:]) == {32}
 
 
+# shapes that build_domain accepts and no shipped scenario uses
+DOMAINS = {
+    "box-2d": {"shape": "smoothed-box", "center": [0.0, 0.0],
+               "half_widths": [1.0, 0.6], "corner_radius": 0.2},
+    "box-3d": {"shape": "smoothed-box", "center": [0.0, 0.0, 0.0],
+               "half_widths": [1.0, 0.8, 0.6], "corner_radius": 0.25},
+    "ball-1d": {"shape": "ball", "center": [0.0], "radius": 1.0},
+    "ball-3d": {"shape": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0},
+}
+
+
+def domain_config(tmp_path, name):
+    """The path of a scenario, or of a config holding only DOMAINS[name]."""
+    if name not in DOMAINS:
+        return SCENARIOS / f"{name}.json"
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"domain": DOMAINS[name]}))
+    return path
+
+
 class TestGeometryAndAssumptions:
-    @pytest.mark.parametrize("scenario", ["S1", "S2", "S3", "S4"])
+    @pytest.mark.parametrize("scenario", ["S1", "S2", "S3", "S4", *DOMAINS])
     def test_geometry_passes(self, tmp_path, scenario):
         rc, out = run(tmp_path, "geometry-test", "--config",
-                      str(SCENARIOS / f"{scenario}.json"))
+                      str(domain_config(tmp_path, scenario)))
         assert rc == 0
         rep = json.loads((out / "geometry_report.json").read_text())
         assert rep["unit_gradient_error"] < 1e-9
+
+    @pytest.mark.parametrize("scenario", ["S1", "S3", *DOMAINS])
+    def test_geometry_evaluates_each_batch_once(self, tmp_path, monkeypatch,
+                                                scenario):
+        # after drawing its sample, one eval gives Db and D2b of every
+        # point, and fd_grad differences the first 50 with 2n more
+        path = domain_config(tmp_path, scenario)
+        dom = build_domain(load_config(str(path)))
+        cls = type(dom)
+        evaluate, sample = cls.eval, cls.sample_tube
+        calls = []
+
+        def counted_eval(self, X, hess=True):
+            calls.append("eval")
+            return evaluate(self, X, hess)
+
+        def marked_sample(self, rng, size):
+            out = sample(self, rng, size)
+            calls.append("sampled")
+            return out
+
+        monkeypatch.setattr(cls, "eval", counted_eval)
+        monkeypatch.setattr(cls, "sample_tube", marked_sample)
+        rc, _ = run(tmp_path, "geometry-test", "--config", str(path))
+        assert rc == 0
+        assert len(calls) - calls.index("sampled") - 1 == 1 + 2 * dom.dim
+        if scenario in ("S1", "S3"):
+            assert calls.count("eval") == 6
 
     @pytest.mark.parametrize("scenario", ["S1", "S2", "S3", "S4"])
     def test_assumptions_pass(self, tmp_path, scenario):

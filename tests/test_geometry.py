@@ -10,23 +10,27 @@ from statecon.geometry import fd_grad
 RNG = np.random.default_rng(101)
 
 
+def b_at(dom, x):
+    """The signed distance at one point."""
+    return float(dom.eval(x, hess=False).b[0])
+
+
 def fd_hess(dom, x, h=1e-5):
     """Central finite-difference Hessian of the signed distance."""
     x = np.asarray(x, dtype=float)
     n = x.size
     H = np.zeros((n, n))
-    f0 = dom.signed_distance(x)
+    f0 = b_at(dom, x)
     for i in range(n):
         ei = np.zeros(n)
         ei[i] = h
-        H[i, i] = (dom.signed_distance(x + ei) - 2 * f0
-                   + dom.signed_distance(x - ei)) / h ** 2
+        H[i, i] = (b_at(dom, x + ei) - 2 * f0 + b_at(dom, x - ei)) / h ** 2
         for j in range(i + 1, n):
             ej = np.zeros(n)
             ej[j] = h
             H[i, j] = H[j, i] = (
-                dom.signed_distance(x + ei + ej) - dom.signed_distance(x + ei - ej)
-                - dom.signed_distance(x - ei + ej) + dom.signed_distance(x - ei - ej)
+                b_at(dom, x + ei + ej) - b_at(dom, x + ei - ej)
+                - b_at(dom, x - ei + ej) + b_at(dom, x - ei - ej)
             ) / (4 * h ** 2)
     return H
 
@@ -37,58 +41,68 @@ def tube_points(dom, n=2000):
 
 class TestSignedDistance:
     def test_ball_values(self, disk):
-        assert disk.signed_distance(np.array([0.0, 0.0])) == -1.0
-        assert disk.signed_distance(np.array([2.0, 0.0])) == 1.0
-        assert abs(disk.signed_distance(np.array([0.0, 1.0]))) < 1e-15
+        assert b_at(disk, np.array([0.0, 0.0])) == -1.0
+        assert b_at(disk, np.array([2.0, 0.0])) == 1.0
+        assert abs(b_at(disk, np.array([0.0, 1.0]))) < 1e-15
 
     def test_ellipse_axis_points(self, ellipse):
-        assert ellipse.signed_distance(np.array([2.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
-        assert ellipse.signed_distance(np.array([0.0, -1.0])) == pytest.approx(0.0, abs=1e-12)
-        assert ellipse.signed_distance(np.array([3.0, 0.0])) == pytest.approx(1.0, abs=1e-12)
+        assert b_at(ellipse, np.array([2.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
+        assert b_at(ellipse, np.array([0.0, -1.0])) == pytest.approx(0.0, abs=1e-12)
+        assert b_at(ellipse, np.array([3.0, 0.0])) == pytest.approx(1.0, abs=1e-12)
 
     def test_box_face_and_corner(self, box):
-        assert box.signed_distance(np.array([1.0, 0.0])) == pytest.approx(0.0, abs=1e-14)
+        assert b_at(box, np.array([1.0, 0.0])) == pytest.approx(0.0, abs=1e-14)
         # beyond the rounded corner the nearest point lies on the arc around
         # the inner-box corner (0.75, 0.55)
         x = np.array([0.75 + 0.3, 0.55 + 0.4])
-        assert box.signed_distance(x) == pytest.approx(0.5 - 0.25, abs=1e-12)
+        assert b_at(box, x) == pytest.approx(0.5 - 0.25, abs=1e-12)
 
     def test_unit_gradient(self, shapes):
         for dom in shapes.values():
             X = tube_points(dom)
-            g = dom.grad_many(X)
-            assert np.max(np.abs(np.linalg.norm(g, axis=1) - 1.0)) < 1e-12
+            e = dom.eval(X, hess=False)
+            assert np.max(np.abs(np.linalg.norm(e.Db, axis=1) - 1.0)) < 1e-12
+            assert e.D2b is None
 
     def test_hessian_annihilates_gradient(self, shapes):
         for dom in shapes.values():
             X = tube_points(dom)
-            g = dom.grad_many(X)
-            H = dom.hess_many(X)
+            _, g, H, _ = dom.eval(X)
             r = np.linalg.norm(np.einsum("mij,mj->mi", H, g), axis=1)
             assert np.max(r) < 1e-10
 
     def test_gradient_matches_finite_differences(self, shapes):
         for dom in shapes.values():
             for x in tube_points(dom, 40):
-                assert np.allclose(fd_grad(dom, x), dom.grad_many(x[None])[0],
-                                   atol=1e-7)
+                assert np.allclose(fd_grad(dom, x),
+                                   dom.eval(x, hess=False).Db[0], atol=1e-7)
+
+    def test_batched_fd_grad_equals_rows(self, shapes):
+        # fd_grad differences a whole batch with 2n evaluations; each row
+        # is the same float as the point's own difference
+        for dom in [*shapes.values(), Ball([0.5], 1.0), Ball([0.0] * 3, 1.0),
+                    SmoothedBox([0.0] * 3, [1.0, 0.8, 0.6], 0.25)]:
+            X = tube_points(dom, 40)
+            G = fd_grad(dom, X)
+            assert G.shape == X.shape
+            for x, g in zip(X, G):
+                assert np.array_equal(g, fd_grad(dom, x))
 
     def test_hessian_matches_finite_differences(self, disk, ellipse):
         # the smoothed box is C^{1,1}: seams between corner arcs and faces
         # break second differences, so only the smooth shapes are sampled
         for dom in (disk, ellipse):
             for x in tube_points(dom, 25):
-                assert np.allclose(fd_hess(dom, x), dom.hess_many(x[None])[0],
+                assert np.allclose(fd_hess(dom, x), dom.eval(x).D2b[0],
                                    atol=1e-4)
 
     def test_eikonal_along_normal_line(self, ellipse):
         # b(x + s Db(x)) = b(x) + s inside the tube
         X = tube_points(ellipse, 200)
-        g = ellipse.grad_many(X)
-        b = ellipse.b_many(X)
+        b, g, _, _ = ellipse.eval(X, hess=False)
         for s in (-0.05, 0.04):
             ok = np.abs(b + s) < ellipse.rho0 * 0.9
-            shifted = ellipse.b_many(X[ok] + s * g[ok])
+            shifted = ellipse.eval(X[ok] + s * g[ok], hess=False).b
             assert np.max(np.abs(shifted - (b[ok] + s))) < 1e-9
 
 
@@ -96,22 +110,22 @@ class TestProjection:
     def test_projects_onto_boundary(self, shapes):
         for dom in shapes.values():
             X = tube_points(dom, 500)
-            P = dom.project_many(X)
-            assert np.max(np.abs(dom.b_many(P))) < 1e-9
+            P = dom.eval(X, hess=False).P
+            assert np.max(np.abs(dom.eval(P, hess=False).b)) < 1e-9
 
     def test_projection_distance_is_b(self, shapes):
         for dom in shapes.values():
             X = tube_points(dom, 500)
-            P = dom.project_many(X)
+            b, _, _, P = dom.eval(X, hess=False)
             d = np.linalg.norm(X - P, axis=1)
-            assert np.max(np.abs(d - np.abs(dom.b_many(X)))) < 1e-8
+            assert np.max(np.abs(d - np.abs(b))) < 1e-8
 
     def test_ellipse_projection_off_axis(self, ellipse):
         x = np.array([1.2, 0.7])
-        p = ellipse.project_many(x[None])[0]
+        p = ellipse.eval(x, hess=False).P[0]
         assert (p[0] / 2.0) ** 2 + p[1] ** 2 == pytest.approx(1.0, abs=1e-12)
         # the normal at the projection points back at x
-        n = ellipse.grad_many(p[None])[0]
+        n = ellipse.eval(p, hess=False).Db[0]
         r = x - p
         r = r / np.linalg.norm(r)
         assert abs(abs(np.dot(n, r)) - 1.0) < 1e-6
@@ -121,8 +135,8 @@ class TestProjection:
         # inside the evolute, a hair off the major axis: the nearest point's
         # minor coordinate a^2 q / (t + a^2) must not lose t + a^2 to
         # cancellation
-        P = ellipse.project_many(np.array([[0.452139526, y]]))
-        assert abs(ellipse.b_many(P)[0]) <= 1e-12 * ellipse.diameter
+        P = ellipse.eval(np.array([[0.452139526, y]]), hess=False).P
+        assert abs(b_at(ellipse, P[0])) <= 1e-12 * ellipse.diameter
 
     @pytest.mark.parametrize("axes", [[2.0, 1.0], [0.6, 2.5]])
     def test_ellipse_batch_rows_match_single_rows(self, axes):
@@ -148,16 +162,6 @@ class TestProjection:
         for i, x in enumerate(X):
             for got, want in zip(batch, dom.eval(x)):
                 assert np.array_equal(got[i], want[0], equal_nan=True), (i, x)
-
-    def test_fused_eval_matches_public_methods(self, shapes):
-        for dom in shapes.values():
-            X = tube_points(dom, 200)
-            b, Db, D2b, P = dom.eval(X)
-            assert np.array_equal(b, dom.b_many(X))
-            assert np.array_equal(Db, dom.grad_many(X))
-            assert np.array_equal(D2b, dom.hess_many(X))
-            assert np.array_equal(P, dom.project_many(X))
-            assert dom.eval(X, hess=False).D2b is None
 
 
 class TestSubdifferential:
@@ -190,14 +194,14 @@ class TestSubdifferential:
 class TestErrors:
     def test_center_gradient_allowed(self, disk):
         # depth exactly rho0; the selection is still well defined
-        g = disk.grad_many(np.array([[0.0, 0.0]]))[0]
+        g = disk.eval(np.array([[0.0, 0.0]]), hess=False).Db[0]
         assert np.isfinite(g).all()
 
     def test_ball_centre_selection(self):
         ball = Ball([1.0, -2.0], 0.5)
         e = ball.eval(np.array([[1.0, -2.0], [1.2, -2.0]]))
         assert np.linalg.norm(e.Db[0]) == pytest.approx(1.0)
-        assert ball.b_many(e.P[:1])[0] == pytest.approx(0.0, abs=1e-15)
+        assert b_at(ball, e.P[0]) == pytest.approx(0.0, abs=1e-15)
         assert not np.isfinite(e.D2b[0]).all()
         assert np.isfinite(e.D2b[1]).all()
 
@@ -215,9 +219,9 @@ class TestErrors:
 def test_ball_distance_is_radial(cx, cy, r):
     dom = Ball([cx, cy], r)
     x = np.array([cx + 1.3 * r, cy])
-    assert dom.signed_distance(x) == pytest.approx(0.3 * r, rel=1e-12)
-    g = dom.grad_many(x[None])[0]
-    assert np.allclose(g, [1.0, 0.0], atol=1e-12)
+    b, g, _, _ = dom.eval(x, hess=False)
+    assert b[0] == pytest.approx(0.3 * r, rel=1e-12)
+    assert np.allclose(g[0], [1.0, 0.0], atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -225,7 +229,7 @@ def test_ball_distance_is_radial(cx, cy, r):
 def test_disk_projection_is_ray(rho, ang):
     dom = Ball([0.0, 0.0], 1.0)
     x = rho * np.array([np.cos(ang), np.sin(ang)])
-    p = dom.project_many(x[None])[0]
+    p = dom.eval(x, hess=False).P[0]
     assert np.linalg.norm(p) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(p, x / rho, atol=1e-9)
 
@@ -275,14 +279,14 @@ def ellipse_and_point(draw):
 def test_ellipse_projection_properties(case):
     dom, x, kind, foot = case
     scale = dom.diameter
-    b, Db, D2b, P = dom.eval(x[None])
+    b, _, _, P = dom.eval(x[None], hess=False)
     p = P[0]
     # P lies on the boundary
     u = (p - dom.center) / dom.axes
     assert abs(u @ u - 1.0) <= 1e-12
     # x - P is parallel to the normal at P
     r = x - p
-    n = dom.grad_many(P)[0]
+    n = dom.eval(P, hess=False).Db[0]
     assert abs(r[0] * n[1] - r[1] * n[0]) <= 1e-12 * scale
     # P is the nearest boundary point (no boundary sample is closer)
     th = np.linspace(0.0, 2.0 * np.pi, 4001)
@@ -292,9 +296,3 @@ def test_ellipse_projection_properties(case):
     if kind in ("tube", "outside"):
         assert abs(dist - abs(b[0])) <= 1e-12 * scale
         assert np.max(np.abs(p - foot)) <= 1e-10 * scale
-    # the fused evaluation agrees with the separate public methods (D2b is
-    # infinite at a circle's center, the focal point of its boundary)
-    assert np.array_equal(b, dom.b_many(x[None]))
-    assert np.array_equal(Db, dom.grad_many(x[None]))
-    assert np.array_equal(D2b, dom.hess_many(x[None]), equal_nan=True)
-    assert np.array_equal(P, dom.project_many(x[None]))

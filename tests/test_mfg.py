@@ -7,17 +7,17 @@ import pytest
 from scipy.optimize import linear_sum_assignment, linprog
 
 from statecon import (Ball, DiscreteMeasure, GaussianKernelCoupling,
-                      MeasureFlow, PenaltyParams, TrajectoryMeasure,
-                      Trajectory, UnbalancedMeasure, best_response,
-                      constant_measure, delta_choice, epsilon_schedule,
-                      evaluate_flow, fixed_point, kantorovich_d1, lip_flow,
-                      minimize_penalized, quadratic_problem)
+                      PenaltyParams, TrajectoryMeasure, Trajectory,
+                      UnbalancedMeasure, best_response, constant_measure,
+                      delta_choice, epsilon_schedule, fixed_point,
+                      kantorovich_d1, lip_flow, minimize_penalized,
+                      quadratic_problem)
 from statecon import mfg, penalty
 from statecon.cli import (build_coupling, build_domain, build_problem,
                           load_config)
-from statecon.mfg import (_coupling_cost, _prune, coupled_problem,
-                          potential_problem,
-                          equilibrium_residual, flow_speed_bound)
+from statecon.mfg import (_coupling_cost, _particle_speeds, _prune,
+                          coupled_problem, potential_problem,
+                          equilibrium_residual)
 from statecon.penalty import (MaxIterations, ScheduleExhausted,
                               _action_hessian, _cost_and_grad, _stationarity)
 
@@ -212,10 +212,10 @@ class TestMeasures:
     def test_constant_measure_flow_is_static(self):
         pts = RNG.uniform(-0.5, 0.5, (4, 2))
         eta = constant_measure(pts, np.full(4, 0.25), T=1.0, N=16)
-        flow = evaluate_flow(eta, np.linspace(0, 1, 5))
-        for m in flow.measures:
-            assert np.allclose(m.points, pts, atol=1e-14)
-        assert lip_flow(flow) == pytest.approx(0.0, abs=1e-12)
+        times = np.linspace(0, 1, 5)
+        for X in eta.positions_at(times):
+            assert np.allclose(X, pts, atol=1e-14)
+        assert lip_flow(eta, times) == pytest.approx(0.0, abs=1e-12)
 
     def test_flow_speed_bound_dominates_lip_flow(self):
         # straight-line particles with different velocities
@@ -224,8 +224,9 @@ class TestMeasures:
                  for v in (np.array([[0.5, 0.0]]), np.array([[-0.2, 0.4]]))]
         eta = TrajectoryMeasure(trajs, np.array([0.5, 0.5]))
         times = np.linspace(0.0, 1.0, 9)
-        bound = flow_speed_bound(eta, times)
-        lip = lip_flow(evaluate_flow(eta, times))
+        bound = np.max(_particle_speeds(eta.positions_at(times), eta.weights,
+                                        times))
+        lip = lip_flow(eta, times)
         assert bound >= lip - 1e-12
         # the bound is the weighted mean speed
         assert bound == pytest.approx(0.5 * 0.5 + 0.5 * np.hypot(0.2, 0.4),
@@ -633,7 +634,8 @@ class TestBestResponse:
         assert np.array_equal(br.weights, eta.weights)
         for tr, x0 in zip(br.trajectories, eta.initial_measure().points):
             assert np.array_equal(tr.knots[0], x0)
-            assert np.max(dom.b_many(tr.knots)) <= 1e-6 * dom.diameter
+            b = dom.eval(tr.knots, hess=False).b
+            assert np.max(b) <= 1e-6 * dom.diameter
 
     def test_warm_epsilon_skips_the_weak_levels(self, monkeypatch):
         # a crowd pulled onto the unit circle: each start certifies at
@@ -650,7 +652,7 @@ class TestBestResponse:
         br = best_response(base, disk, c, eta, N=32, warm=warm)
         first = solves[0]
         assert [eps for _, eps in warm.values()] == [0.125, 0.125]
-        assert all(np.max(disk.b_many(tr.knots)) > -1e-9
+        assert all(np.max(disk.eval(tr.knots, hess=False).b) > -1e-9
                    for tr in br.trajectories)  # both reach the boundary
         eta = damped(eta, br)
         forgetful = {key: (tr, 1.0) for key, (tr, _) in warm.items()}
@@ -666,22 +668,26 @@ class TestBestResponse:
             assert np.max(np.abs(a.knots - b.knots)) < 1e-8
 
 
+def slices(eta, times):
+    """eta's time slices, one measure per time."""
+    return [DiscreteMeasure(X, eta.weights) for X in eta.positions_at(times)]
+
+
 def residual_all_slices(eta, br, times):
     """``equilibrium_residual`` with one exact d1 per slice (the
     reference)."""
-    fa, fb = evaluate_flow(eta, times), evaluate_flow(br, times)
     return max(kantorovich_d1(ma, mb)
-               for ma, mb in zip(fa.measures, fb.measures))
+               for ma, mb in zip(slices(eta, times), slices(br, times)))
 
 
-def lip_all_slices(flow):
+def lip_all_slices(eta, times):
     """``lip_flow`` with one exact d1 per pair of slices (the
     reference)."""
+    ms = slices(eta, times)
     worst = 0.0
-    for i in range(flow.times.size - 1):
-        dt = flow.times[i + 1] - flow.times[i]
-        worst = max(worst, kantorovich_d1(flow.measures[i],
-                                          flow.measures[i + 1]) / dt)
+    for i in range(len(times) - 1):
+        dt = times[i + 1] - times[i]
+        worst = max(worst, kantorovich_d1(ms[i], ms[i + 1]) / dt)
     return worst
 
 
@@ -705,9 +711,8 @@ def wandering_pair(rng, n_starts, n_particles, step, N=16):
 
 
 def slice_d1(eta, br, times):
-    fa, fb = evaluate_flow(eta, times), evaluate_flow(br, times)
     return np.array([kantorovich_d1(ma, mb)
-                     for ma, mb in zip(fa.measures, fb.measures)])
+                     for ma, mb in zip(slices(eta, times), slices(br, times))])
 
 
 @pytest.fixture(scope="module")
@@ -781,44 +786,29 @@ class TestTransportBounds:
                                br.positions_at(self.TIMES))
         assert np.all(bound >= slice_d1(eta, br, self.TIMES) - 1e-12)
         want = residual_all_slices(eta, br, self.TIMES)
-        flow = evaluate_flow(eta, np.linspace(0.0, 1.0, 9))
-        want_lip = lip_all_slices(flow)
+        lip_times = np.linspace(0.0, 1.0, 9)
+        want_lip = lip_all_slices(eta, lip_times)
         d1s = counted(monkeypatch, mfg, "kantorovich_d1")
         assert equilibrium_residual(eta, br, self.TIMES) == want
         assert d1s[0] < self.TIMES.size
         d1s[0] = 0
-        assert lip_flow(flow) == want_lip
+        assert lip_flow(eta, lip_times) == want_lip
         assert d1s[0] < 8
 
-    def test_lip_flow_equals_all_slices(self, monkeypatch):
+    def test_lip_flow_equals_all_slices(self):
         rng = np.random.default_rng(10)
         for n_particles, step in ((1, 0.1), (4, 0.02), (6, 0.3), (12, 0.3)):
             eta, _ = wandering_pair(rng, 3 if n_particles > 3 else 1,
                                     n_particles, step)
             times = np.sort(rng.uniform(0.0, 1.0, 9))
-            flow = evaluate_flow(eta, times)
-            assert lip_flow(flow) == lip_all_slices(flow)
+            assert lip_flow(eta, times) == lip_all_slices(eta, times)
             # the particle coupling bounds every step's d1
             speed = np.linalg.norm(np.diff(eta.positions_at(times), axis=0),
                                    axis=2) @ eta.weights
+            ms = slices(eta, times)
             for i in range(times.size - 1):
-                d1 = kantorovich_d1(flow.measures[i], flow.measures[i + 1])
+                d1 = kantorovich_d1(ms[i], ms[i + 1])
                 assert speed[i] >= d1 - 1e-12
-        # the last slice moves mass between resting points: index by index
-        # nothing moves, yet d1 is the largest there, so every slice's d1 is
-        # evaluated
-        a, b = [0.0, 0.0], [0.5, 0.0]
-        times = np.linspace(0.0, 1.0, 4)
-        flow = MeasureFlow(times, [
-            DiscreteMeasure([a, b], [0.9, 0.1]),
-            DiscreteMeasure([a, b], [0.9, 0.1]),
-            DiscreteMeasure([[0.1, 0.0], b], [0.9, 0.1]),
-            DiscreteMeasure([[0.1, 0.0], b], [0.1, 0.9])])
-        want = lip_all_slices(flow)
-        assert want == pytest.approx(0.8 * 0.4 * 3.0)
-        d1s = counted(monkeypatch, mfg, "kantorovich_d1")
-        assert lip_flow(flow) == want
-        assert d1s[0] == times.size - 1
 
 
 class TestJointEquilibrium:
@@ -1012,7 +1002,7 @@ class TestJointEquilibrium:
         levels = counted(monkeypatch, penalty, "_newton_finish")
         seed = mfg.joint_equilibrium(prob, disk, c, eta0, N=32)
         assert levels[0] > 1
-        assert max(np.max(disk.b_many(tr.knots))
+        assert max(np.max(disk.eval(tr.knots, hess=False).b)
                    for tr in seed.trajectories) <= 1e-6 * disk.diameter
         with caplog.at_level(logging.INFO, logger="statecon"):
             _, history = fixed_point(prob, disk, c, eta0, tol=1e-3, N=32)

@@ -170,7 +170,7 @@ class TestAssumptions:
         rep = check_assumptions(prob, disk)
         assert not rep.checks["base_bound"].passed
         assert 9.0 - 5e-3 < rep.checks["base_bound"].measured < 9.0
-        b = disk.b_many(disk.tube_grid())
+        b = disk.eval(disk.tube_grid(), hess=False).b
         assert np.all(b < disk.rho0)
         assert np.max(b) == pytest.approx(disk.rho0 * (1 - 1e-12), abs=1e-15)
 
@@ -202,6 +202,27 @@ class TestAssumptions:
             monkeypatch.undo()
             assert zero == [True, False]
             assert Mp == want
+
+    def test_constants_solve_the_conjugate_three_times(self, disk,
+                                                       pull_problem,
+                                                       monkeypatch):
+        # at p = 0, at the drawn p (every derivative and the growth there)
+        # and at p scaled to norm 1e4 (the growth's limit)
+        maximizer = Hamiltonian._maximizer
+        calls = []
+
+        def counted(self, t, x, p):
+            calls.append(1)
+            return maximizer(self, t, x, p)
+
+        for prob in (pull_problem, drifting_problem()[0]):
+            want = measure_hamiltonian_constants(prob, disk)
+            monkeypatch.setattr(Hamiltonian, "_maximizer", counted)
+            calls.clear()
+            got = measure_hamiltonian_constants(prob, disk)
+            monkeypatch.undo()
+            assert len(calls) == 3
+            assert got == want
 
     def test_draws_have_the_laws_of_uniform_times_and_normal_vectors(self):
         # the R_d points feed two uniform times on [0, T] and, by

@@ -31,10 +31,10 @@ def naive_cost(prob, dom, params, gamma):
         total += 0.5 * dt * (fl + fr)
     for i in range(gamma.N + 1):
         w = dt if 0 < i < gamma.N else dt / 2.0
-        d = max(float(dom.b_many(x[i][None])[0]), 0.0)
+        d = max(float(dom.eval(x[i], hess=False).b[0]), 0.0)
         total += w * d / params.epsilon
     total += float(prob.g(x[-1][None])[0])
-    total += max(float(dom.b_many(x[-1][None])[0]), 0.0) / params.delta
+    total += max(float(dom.eval(x[-1], hess=False).b[0]), 0.0) / params.delta
     return total
 
 
@@ -360,7 +360,7 @@ class TestSchedule:
         gamma, params = epsilon_schedule(prob, disk, np.array([0.2, 0.1]),
                                          delta, N=32)
         assert feasibility_gap(disk, gamma) <= 1e-6 * disk.diameter
-        assert abs(disk.signed_distance(gamma.knots[-1])) <= 1e-10
+        assert abs(disk.eval(gamma.knots[-1], hess=False).b[0]) <= 1e-10
 
     def test_the_cold_ladder_runs_no_lbfgs(self, disk, pull_problem,
                                            monkeypatch):
@@ -451,7 +451,7 @@ class TestSchedule:
     def test_rest_phase_sits_on_boundary(self, solved):
         prob, disk, gamma, params = solved
         late = gamma.times > np.sqrt(2.0 / 3.0) + 2 * gamma.dt
-        b = disk.b_many(gamma.knots[late])
+        b = disk.eval(gamma.knots[late], hess=False).b
         assert np.max(np.abs(b)) < 1e-9
 
     def test_energy_certificate(self, solved):

@@ -42,7 +42,7 @@ def lambda_oracle(ham, dom, t, x, p, h=1e-4):
     def rhs(lam, s, y):
         d = ham.derivs_many(s, y[None, :2], y[None, 2:])
         xd = -d.DpH[0]
-        pd = d.DxH[0] - lam * dom.grad_many(y[None, :2])[0]
+        pd = d.DxH[0] - lam * dom.eval(y[None, :2], hess=False).Db[0]
         return np.concatenate([xd, pd])
 
     def second_diff(lam):
@@ -55,8 +55,8 @@ def lambda_oracle(ham, dom, t, x, p, h=1e-4):
             k3 = rhs(lam, t + 0.5 * step, y + 0.5 * step * k2)
             k4 = rhs(lam, t + step, y + step * k3)
             y = y + step * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-            bs[sgn] = float(dom.b_many(y[None, :2])[0])
-        b0 = float(dom.b_many(x[None])[0])
+            bs[sgn] = float(dom.eval(y[None, :2], hess=False).b[0])
+        b0 = float(dom.eval(x[None], hess=False).b[0])
         return (bs[1.0] - 2.0 * b0 + bs[-1.0]) / h ** 2
 
     phi0 = second_diff(0.0)

@@ -42,7 +42,8 @@ class TestComputeValue:
         vg = compute_value(prob, disk, [0.0, 0.5, 1.0],
                            [[0.0, 0.0], [-0.3, 0.2], [0.8, 0.0]], N=32)
         assert vg.failures == []
-        assert np.max(disk.b_many(vg.trajectories[(0, 2)].knots)) > -1e-9
+        knots = vg.trajectories[(0, 2)].knots
+        assert np.max(disk.eval(knots, hess=False).b) > -1e-9
 
     def test_terminal_slice_is_terminal_cost(self, drift_value):
         prob, _, _, vg = drift_value

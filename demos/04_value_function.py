@@ -32,6 +32,5 @@ print(f"closed-form agreement on interior-regime nodes: {err:.3e}")
 Lx, Lt = lipschitz_report(vg)
 print(f"discrete Lipschitz constants  Lx = {Lx:.4f}  Lt = {Lt:.4f}")
 
-gap = dpp_check(prob, dom, vg, samples=5, rng=np.random.default_rng(11),
-                N=32)
+gap = dpp_check(prob, dom, vg, samples=5, rng=np.random.default_rng(11))
 print(f"dynamic-programming gap {gap:.3e}")

@@ -27,7 +27,7 @@ weights = np.asarray(mc["m0"]["weights"])
 
 eta0 = constant_measure(atoms, weights, prob.horizon, N=64)
 eta, history = fixed_point(prob, dom, coupling, eta0, alpha=0.5, tol=1e-3,
-                           max_iter=50, N=64)
+                           max_iter=50)
 print(f"converged in {len(history)} iterations, final residual "
       f"{history[-1]:.2e}")
 print("residual history:", "  ".join(f"{r:.1e}" for r in history))

@@ -10,8 +10,7 @@ from .model import (AssumptionReport, Hamiltonian, NewtonDiverged, Problem,
 from .penalty import (MaxIterations, NonFiniteCost, PenaltyParams,
                       ScheduleExhausted, Trajectory, energy_certificate,
                       epsilon_schedule, epsilon_schedule_batch,
-                      feasibility_gap, holder_gap, minimize_penalized,
-                      penalized_cost)
+                      feasibility_gap, holder_gap)
 from .pmp import (Extremal, LeftTube, NegativeMultiplier, PMPReport,
                   check_extremal, contact_mask, feedback_lambda,
                   feedback_lambda_many, make_extremal, shoot, velocity_bound)
@@ -32,7 +31,6 @@ __all__ = [
     "MaxIterations", "NonFiniteCost", "PenaltyParams", "ScheduleExhausted",
     "Trajectory", "energy_certificate", "epsilon_schedule",
     "epsilon_schedule_batch", "feasibility_gap", "holder_gap",
-    "minimize_penalized", "penalized_cost",
     "Extremal", "LeftTube", "NegativeMultiplier", "PMPReport",
     "check_extremal", "contact_mask", "feedback_lambda",
     "feedback_lambda_many", "make_extremal", "shoot", "velocity_bound",

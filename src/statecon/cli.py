@@ -356,7 +356,7 @@ def cmd_value(cfg, out: Path, args) -> int:
     vg = compute_value(prob, dom, times, points, N=N)
     Lx, Lt = lipschitz_report(vg)
     gap = dpp_check(prob, dom, vg, samples=5,
-                    rng=np.random.default_rng(args.seed), N=N)
+                    rng=np.random.default_rng(args.seed))
     _write_values(out / "value.csv", vg, points)
     write_json(out / "value_report.json",
                {"Lx": Lx, "Lt": Lt, "dpp_gap": gap,
@@ -395,7 +395,7 @@ def cmd_mfg(cfg, out: Path, args) -> int:
                   "a positive finite number")
     max_iter = _grid_size(mc.get("max_iter", 50), 1, "mfg.max_iter")
     eta, history = fixed_point(prob, dom, coupling, eta0, alpha=alpha,
-                               tol=tol, max_iter=max_iter, N=N)
+                               tol=tol, max_iter=max_iter)
     rows = [[t, *x, w] for t, X in zip(times, eta.positions_at(times))
             for x, w in zip(X, eta.weights)]
     write_csv(out / "flow.csv",

@@ -258,9 +258,9 @@ def coupled_problem(prob: Problem, dom: Domain, coupling,
         D = x[:, None, :] - eta.positions_at(np.clip(t, 0.0, T))
         return coupling._bump(D, eta.weights, coupling.amp, order)
 
-    # the flow on a grid that ends at T: m_T is its last slice
-    grid = np.linspace(0.0, T, 65)
-    pos = eta.positions_at(grid)
+    # the flow at its own knot times, which end at T: m_T is its last slice
+    times = eta.trajectories[0].times
+    pos = eta.positions_at(times)
     mT = DiscreteMeasure(pos[-1], eta.weights)
 
     def at_end(base, order):
@@ -270,7 +270,7 @@ def coupled_problem(prob: Problem, dom: Domain, coupling,
     # constants inherited from the base problem plus the coupling's bounds;
     # the flow Lipschitz constant is bounded by transporting each particle
     # along itself, which avoids transport solves
-    lipm = float(np.max(_particle_speeds(pos, eta.weights, grid)))
+    lipm = float(np.max(_particle_speeds(pos, eta.weights, times)))
     M = prob.M + coupling.amp + coupling.terminal_amp + coupling.kappa
     kappa = prob.kappa + coupling.kappa * lipm
     return Problem(f=prob.f, fx=prob.fx, fv=prob.fv, fvv=prob.fvv,
@@ -280,11 +280,11 @@ def coupled_problem(prob: Problem, dom: Domain, coupling,
 
 
 def best_response(prob: Problem, dom: Domain, coupling,
-                  eta: TrajectoryMeasure, N: int = 64,
+                  eta: TrajectoryMeasure,
                   warm: dict | None = None) -> TrajectoryMeasure:
     """One batched solve from every distinct start against the frozen flow
-    of eta; each optimal trajectory carries its start's initial weight.
-    Each solve starts from the constant trajectory (no init), or from
+    of eta, on eta's grid; each optimal trajectory carries its start's
+    initial weight.  Each solve starts from the constant trajectory, or from
     ``warm[key]``, the (trajectory, epsilon) of an earlier certified solve
     from the start rounded to ``key``, at that epsilon (the penalty is
     exact).  Results go back into ``warm`` up to the first failed start,
@@ -297,7 +297,8 @@ def best_response(prob: Problem, dom: Domain, coupling,
     inits, eps0s = zip(*(warm.get(key) or (None, 1.0) for key in keys))
     trajs = []
     for key, res in zip(keys, epsilon_schedule_batch(
-            single, dom, m0.points, delta, N=N, inits=inits, eps0s=eps0s)):
+            single, dom, m0.points, delta, N=eta.trajectories[0].N,
+            inits=inits, eps0s=eps0s)):
         if isinstance(res, Exception):
             raise res
         warm[key] = (res[0], res[1].epsilon)
@@ -376,10 +377,10 @@ def potential_problem(prob: Problem, coupling, weights) -> Problem:
 
 
 def joint_equilibrium(prob: Problem, dom: Domain, coupling,
-                      eta0: TrajectoryMeasure, N: int = 64):
+                      eta0: TrajectoryMeasure):
     """A constrained critical point of the game's potential with one
-    trajectory per distinct start of eta0: certified, and in the domain to
-    the tolerance of ``epsilon_schedule``.
+    trajectory per distinct start of eta0, on eta0's grid: certified, and
+    in the domain to the tolerance of ``epsilon_schedule``.
 
     ``epsilon_schedule`` solves ``potential_problem`` for one member, with
     knots (x_1, ..., x_k), penalty weights w_i per agent and the delta
@@ -392,6 +393,7 @@ def joint_equilibrium(prob: Problem, dom: Domain, coupling,
     """
     m0 = eta0.initial_measure()
     k, n, T = m0.weights.size, dom.dim, prob.horizon
+    N = eta0.trajectories[0].N
     keys = [_start_key(x) for x in m0.points]
     own = np.array([keys.index(_start_key(tr.knots[0]))
                     for tr in eta0.trajectories])
@@ -403,7 +405,7 @@ def joint_equilibrium(prob: Problem, dom: Domain, coupling,
     delta, _ = delta_choice(coupled_problem(prob, dom, coupling, eta0), dom)
     traj, _ = epsilon_schedule(
         potential_problem(prob, coupling, m0.weights), dom, X[0].ravel(),
-        delta, N=N, init=Trajectory(0.0, T, X.reshape(N + 1, k * n)),
+        delta, init=Trajectory(0.0, T, X.reshape(N + 1, k * n)),
         eps0=1.0 / max(1.0, prob.M), weights=m0.weights)
     X = traj.knots.reshape(N + 1, k, n)
     return TrajectoryMeasure([Trajectory(0.0, T, X[:, j].copy())
@@ -470,10 +472,10 @@ def equilibrium_residual(eta: TrajectoryMeasure, br: TrajectoryMeasure,
 
 def fixed_point(prob: Problem, dom: Domain, coupling,
                 eta0: TrajectoryMeasure, alpha: float = 0.5,
-                tol: float = 1e-3, max_iter: int = 50, N: int = 64,
-                n_times: int = 17):
+                tol: float = 1e-3, max_iter: int = 50, n_times: int = 17):
     """Damped best-response iteration on the convex set of measures with the
-    given initial marginal; stops at flow residual <= tol.
+    given initial marginal, on the grid of eta0, which spans [0, T]; stops
+    at flow residual <= tol.
 
     The iteration starts from the critical point of the game's potential
     that ``joint_equilibrium`` finds from eta0, and from eta0 if its ladder
@@ -494,8 +496,9 @@ def fixed_point(prob: Problem, dom: Domain, coupling,
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     tr = eta0.trajectories[0]  # every particle of eta0 is on its grid
-    if (tr.t0, tr.t1, tr.N) != (0.0, prob.horizon, N):
-        raise ValueError(f"eta0 is not on the solves' grid: N={N} on [0, T]")
+    if (tr.t0, tr.t1) != (0.0, prob.horizon):
+        raise ValueError(f"eta0 spans [{tr.t0}, {tr.t1}], not [0, T]")
+    N = tr.N
     times = np.linspace(0.0, prob.horizon, n_times)
     size = eta0.initial_measure().weights.size * dom.dim
     if (N + 1) * size ** 2 > JOINT_MAX_BLOCK_ENTRIES:
@@ -504,7 +507,7 @@ def fixed_point(prob: Problem, dom: Domain, coupling,
         eta = eta0
     else:
         try:
-            eta = joint_equilibrium(prob, dom, coupling, eta0, N=N)
+            eta = joint_equilibrium(prob, dom, coupling, eta0)
             log.info("mfg joint Newton: seed used")
         except (MaxIterations, NonFiniteCost, ScheduleExhausted) as exc:
             log.info("mfg joint Newton: seed rejected (%s: %s), starting "
@@ -514,7 +517,7 @@ def fixed_point(prob: Problem, dom: Domain, coupling,
     warm: dict = {}
     polished = False
     for it in range(max_iter):
-        br = best_response(prob, dom, coupling, eta, N=N, warm=warm)
+        br = best_response(prob, dom, coupling, eta, warm=warm)
         res, lps = _residual(eta, br, times)
         log.info("mfg iteration %d: residual %.3e, support %d, "
                  "%d of %d transport LPs", it, res, len(eta.trajectories),

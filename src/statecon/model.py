@@ -50,8 +50,9 @@ class Problem:
     [value (m,), gradient (m, n), Hessian (m, n, n)][:order + 1] from one
     evaluation.  The ``f``, ``fx`` and ``fxx`` passed in are then the
     velocity-dependent rest, kept as ``rest``, and the fields become the
-    full rest + V (so ``dataclasses.replace`` keeping V adds it twice).
-    The discrete action evaluates V once per knot.
+    full rest + V; one of them passed back in with the same V, as
+    ``dataclasses.replace`` does, is read as its rest.  The discrete action
+    evaluates V once per knot.
     """
 
     f: Callable          # (t, x, v) -> (m,)
@@ -80,10 +81,16 @@ class Problem:
             raise ValueError("kappa must be >= 0")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        self.rest = (self.f, self.fx, self.fxx)
-        if self.V is not None:
-            def full(rest, k, V=self.V):  # rest plus V's k-th derivative
-                return lambda t, x, v: rest(t, x, v) + V(*_batch(t, x), k)[k]
+        V = self.V
+        self.rest = tuple(
+            fn.rest if V is not None and getattr(fn, "V", None) is V else fn
+            for fn in (self.f, self.fx, self.fxx))
+        if V is not None:
+            def full(rest, k):  # rest plus V's k-th derivative
+                def fn(t, x, v):
+                    return rest(t, x, v) + V(*_batch(t, x), k)[k]
+                fn.rest, fn.V = rest, V
+                return fn
             self.f, self.fx, self.fxx = map(full, self.rest, range(3))
 
 

@@ -85,19 +85,21 @@ class Trajectory:
         return np.diff(self.knots, axis=-2) / self.dt
 
     def at(self, t) -> np.ndarray:
-        """Piecewise-linear interpolation, batched over t."""
+        """Piecewise-linear interpolation, batched over t: (len(t), n), or
+        (B, len(t), n) for a batch."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         s = np.clip((t - self.t0) / self.dt, 0.0, self.N)
         i = np.minimum(s.astype(int), self.N - 1)
         w = (s - i)[:, None]
-        return (1.0 - w) * self.knots[i] + w * self.knots[i + 1]
+        X = self.knots
+        return (1.0 - w) * X[..., i, :] + w * X[..., i + 1, :]
 
     def refine(self) -> "Trajectory":
         """Double N by inserting segment midpoints."""
-        mids = 0.5 * (self.knots[:-1] + self.knots[1:])
-        knots = np.empty((2 * self.N + 1, self.dim))
-        knots[0::2] = self.knots
-        knots[1::2] = mids
+        X = self.knots
+        knots = np.empty(X.shape[:-2] + (2 * self.N + 1, self.dim))
+        knots[..., 0::2, :] = X
+        knots[..., 1::2, :] = 0.5 * (X[..., :-1, :] + X[..., 1:, :])
         return Trajectory(self.t0, self.t1, knots)
 
     @staticmethod
@@ -109,14 +111,13 @@ class Trajectory:
 @dataclass
 class PenaltyParams:
     """Penalty weights 1/epsilon (one per member of a batch, or shared) along
-    the arc and 1/delta at the end, and the grid size N.  ``weights`` scales
-    the penalty of each of the k points that every knot carries: one point for
-    a single agent, one per agent for the stacked state (x_1, ..., x_k) of
-    ``mfg.joint_equilibrium``."""
+    the arc and 1/delta at the end.  ``weights`` scales the penalty of each
+    of the k points that every knot carries: one point for a single agent,
+    one per agent for the stacked state (x_1, ..., x_k) of
+    ``mfg.joint_equilibrium``.  The grid is the trajectory's."""
 
     epsilon: float | np.ndarray
     delta: float
-    N: int
     weights: np.ndarray = field(default_factory=lambda: np.ones(1))
 
     def __post_init__(self):
@@ -125,8 +126,6 @@ class PenaltyParams:
             raise ValueError("epsilon must be positive")
         if not 0 < self.delta <= 1:
             raise ValueError("delta must lie in (0, 1]")
-        if self.N < 8:
-            raise ValueError("N must be >= 8")
 
 
 def _trapezoid_weights(N: int, dt: float) -> np.ndarray:
@@ -185,11 +184,6 @@ def running_cost(prob: Problem, gamma: Trajectory, upto: int | None = None,
         V = (Vk or _knot_V(prob, gamma, 0))[0]
         fl, fr = fl + V[..., :-1], fr + V[..., 1:]
     return 0.5 * gamma.dt * np.sum((fl + fr)[..., :upto], axis=-1)
-
-
-def penalized_cost(prob: Problem, dom: Domain, params: PenaltyParams,
-                   gamma: Trajectory):
-    return _cost_and_grad(prob, dom, params, gamma, need_grad=False)[0]
 
 
 def _action_grad(prob: Problem, gamma: Trajectory, Vk=None) -> np.ndarray:
@@ -525,12 +519,12 @@ def _certificate(prob: Problem, dom: Domain, params: PenaltyParams,
 def _solve_level(prob: Problem, dom: Domain, params: PenaltyParams, x0s,
                  inits: list):
     """One level of the epsilon ladder: member i, pinned at x0s[i], starts
-    from inits[i] (from the constant trajectory at x0s[i] if None) at
-    ``params.epsilon[i]``; one Newton finish solves all.  A knot of the
-    problem's state carries k = ``params.weights.size`` points of the
-    domain.  Returns per member its certified trajectory or MaxIterations,
-    Runaway (a point is a diameter outside) or NonFiniteCost, and the
-    Newton steps."""
+    from the trajectory inits[i] at ``params.epsilon[i]``; one Newton
+    finish solves all on the starts' one grid.  A knot of the problem's
+    state carries k = ``params.weights.size`` points of the domain.
+    Returns per member its certified trajectory or MaxIterations, Runaway
+    (a point is a diameter outside) or NonFiniteCost, and the Newton
+    steps."""
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     B = x0s.shape[0]
     if prob.dim != params.weights.size * dom.dim:
@@ -543,18 +537,14 @@ def _solve_level(prob: Problem, dom: Domain, params: PenaltyParams, x0s,
     eps = np.broadcast_to(np.asarray(params.epsilon, dtype=float), (B,))
     leash = dom.rho0 + dom.diameter
     out: list = [None] * B
-    inits = [Trajectory.constant(0.0, prob.horizon, x0, params.N)
-             if init is None else init for x0, init in zip(x0s, inits)]
     grids = {(init.t0, init.t1, init.N) for init in inits}
     if len(grids) != 1:
         raise ValueError("the members of a batch share one time grid")
-    (t0, t1, N), = grids
-    if N != params.N:
-        raise ValueError("init grid does not match params.N")
+    (t0, t1, _), = grids
     X = np.stack([init.knots for init in inits])
     X[:, 0] = x0s
-    cost = penalized_cost(prob, dom, replace(params, epsilon=eps),
-                          Trajectory(t0, t1, X))
+    cost = _cost_and_grad(prob, dom, replace(params, epsilon=eps),
+                          Trajectory(t0, t1, X), need_grad=False)[0]
     for i in np.flatnonzero(~np.isfinite(cost)):
         out[i] = NonFiniteCost(f"penalized cost became {cost[i]}")
     run = np.flatnonzero(np.isfinite(cost))
@@ -576,18 +566,6 @@ def _solve_level(prob: Problem, dom: Domain, params: PenaltyParams, x0s,
     return out, int(np.sum(steps))
 
 
-def minimize_penalized(prob: Problem, dom: Domain, params: PenaltyParams,
-                       x0, init: Trajectory | None = None) -> Trajectory:
-    """Minimize the penalized cost over the free knots 1..N from ``init``
-    (knot 0 reset to x0), or from the constant trajectory at x0, each knot
-    holding ``params.weights.size`` points of the domain: one
-    ``_solve_level`` for a batch of one, raising its failure."""
-    (gamma,), _ = _solve_level(prob, dom, params, [x0], [init])
-    if isinstance(gamma, Exception):
-        raise gamma
-    return gamma
-
-
 def feasibility_gap(dom: Domain, gamma: Trajectory) -> float:
     """max_t d(gamma(t)) over each of the knots' points; for convex domains
     the segment maximum is attained at the knots."""
@@ -599,27 +577,32 @@ def epsilon_schedule_batch(prob: Problem, dom: Domain, x0s, delta: float,
                            N: int = 256, *, inits, eps0s=1.0,
                            weights=(1.0,)) -> list:
     """The epsilon ladder for B members on one time grid: member i, pinned
-    at x0s[i], starts from inits[i] at eps0s[i] (shared or one each) and
-    halves its epsilon until its minimizer is feasible to 1e-6 diam, each
-    level warm from the last.  After Runaway it restarts from its init,
-    after MaxIterations from its finish's best point (logged on
+    at x0s[i], starts from inits[i] (if None, the constant trajectory on
+    [0, T] with N intervals, built once) at eps0s[i] (shared or one each)
+    and halves its epsilon until its minimizer is feasible to 1e-6 diam,
+    each level warm from the last.  After Runaway it restarts from its
+    start, after MaxIterations from its finish's best point (logged on
     ``statecon``); a second finish in a row that accepts no step, from the
     same start, ends it.  Each round is one ``_solve_level``, logged on
-    ``statecon.ladder``.  Members share numpy calls, not iterates: each gets
-    the floats of its batch-of-one solve if the problem treats rows one by
-    one (a matrix-vector product over 8 or more columns may not).  Returns
-    per member its trajectory and final parameters, or the NonFiniteCost,
-    MaxIterations or ScheduleExhausted that ended it.  ``weights`` are the
-    penalty weights of the k points per knot (``PenaltyParams``)."""
+    ``statecon.ladder`` with the starts' grid.  Members share numpy calls,
+    not iterates: each gets the floats of its batch-of-one solve if the
+    problem treats rows one by one (a matrix-vector product over 8 or more
+    columns may not).  Returns per member its trajectory and final
+    parameters, or the NonFiniteCost, MaxIterations or ScheduleExhausted
+    that ended it.  ``weights`` are the penalty weights of the k points per
+    knot (``PenaltyParams``)."""
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     B = x0s.shape[0]
     eps, tau = np.ones(B) * eps0s, FEASIBILITY_TOL_FACTOR * dom.diameter
+    inits = [Trajectory.constant(0.0, prob.horizon, x0, N) if init is None
+             else init for x0, init in zip(x0s, inits)]
     gammas, out, live = list(inits), [None] * B, np.arange(B)
     stuck = [False] * B  # the member's last finish accepted no step
     for level in range(MAX_HALVINGS + 1):
         if not live.size:
             break
-        params = PenaltyParams(epsilon=eps[live], delta=delta, N=N,
+        grid = gammas[live[0]].N  # one for all (``_solve_level`` checks)
+        params = PenaltyParams(epsilon=eps[live], delta=delta,
                                weights=weights)
         results, steps = _solve_level(prob, dom, params, x0s[live],
                                       [gammas[i] for i in live])
@@ -631,7 +614,7 @@ def epsilon_schedule_batch(prob: Problem, dom: Domain, x0s, delta: float,
                 out[i], kind = res, "failed"
             elif isinstance(res, (Runaway, MaxIterations)):
                 log.info("epsilon ladder restart after %s: %s (eps=%g, N=%d)",
-                         type(res).__name__, res, eps[i], N)
+                         type(res).__name__, res, eps[i], grid)
                 if isinstance(res, Runaway):  # too weak a penalty
                     gammas[i] = inits[i]
                 elif res.best is not None:
@@ -648,13 +631,13 @@ def epsilon_schedule_batch(prob: Problem, dom: Domain, x0s, delta: float,
                 eps[i] *= 0.5
             kinds.append(kind)
         rounds.info("ladder round %d (N=%d): %d solved, %d certified, "
-                    "%d feasible, %d restarted, %d Newton steps", level, N,
-                    live.size, kinds.count("feasible") + kinds.count("halved"),
+                    "%d feasible, %d restarted, %d Newton steps", level,
+                    grid, live.size,
+                    kinds.count("feasible") + kinds.count("halved"),
                     kinds.count("feasible"), kinds.count("restarted"), steps)
         live = np.array([i for i in live if out[i] is None], dtype=int)
     for i in live:  # still on the ladder after MAX_HALVINGS halvings
-        gap = (feasibility_gap(dom, gammas[i]) if gammas[i] is not None
-               else float("inf"))
+        gap = feasibility_gap(dom, gammas[i])
         out[i] = ScheduleExhausted(
             f"feasibility {gap:.3e} > {tau:.3e} after {MAX_HALVINGS} "
             "halvings; check assumptions or refine the grid")

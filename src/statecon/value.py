@@ -61,7 +61,7 @@ def compute_value(prob: Problem, dom: Domain, times, points,
                  else _resample(w, t0, T, N) for x, w in zip(points, warm)]
         solved = []
         for j, res in enumerate(epsilon_schedule_batch(
-                prob, dom, points, delta, N=N, inits=inits, eps0s=eps0)):
+                prob, dom, points, delta, inits=inits, eps0s=eps0)):
             # the solver's own failures (NonFiniteCost, MaxIterations,
             # ScheduleExhausted) come back per node; anything else is a bug
             # and propagates
@@ -102,12 +102,12 @@ def lipschitz_report(vg: ValueGrid):
 
 
 def dpp_check(prob: Problem, dom: Domain, vg: ValueGrid, samples: int = 10,
-              rng: np.random.Generator | None = None, N: int = 32) -> float:
+              rng: np.random.Generator | None = None) -> float:
     """Worst gap in the two-stage decomposition of the value along computed
     optimal arcs: cost to an intermediate time plus a fresh solve from there
     should reproduce the node value.  Each tail solve starts from the node's
-    arc at the node's epsilon and the grid's delta; the tails from one time
-    are one batch."""
+    arc, resampled on its own N, at the node's epsilon and the grid's
+    delta; the tails from one time are one batch."""
     rng = rng or np.random.default_rng(5)
     keys = [k for k in vg.trajectories if np.isfinite(vg.values[k])]
     if not keys:
@@ -123,12 +123,12 @@ def dpp_check(prob: Problem, dom: Domain, vg: ValueGrid, samples: int = 10,
             x_mid = e.P[0]
         tails.setdefault(t_mid, []).append(
             (keys[idx], x_mid, running_cost(prob, gamma, upto=m),
-             _resample(gamma, t_mid, prob.horizon, N)))
+             _resample(gamma, t_mid, prob.horizon, gamma.N)))
     worst = 0.0
     for group in tails.values():
         nodes, x_mids, heads, inits = zip(*group)
         results = epsilon_schedule_batch(
-            prob, dom, x_mids, vg.delta, N=N, inits=inits,
+            prob, dom, x_mids, vg.delta, inits=inits,
             eps0s=[vg.epsilons.get(node, 1.0) for node in nodes])
         for node, head, res in zip(nodes, heads, results):
             if isinstance(res, Exception):

@@ -3,7 +3,7 @@ import pytest
 
 from statecon import (Ball, Ellipse, Problem, SmoothedBox, Trajectory,
                       quadratic_problem)
-from statecon.penalty import _action_grad
+from statecon.penalty import _action_grad, _solve_level
 
 
 @pytest.fixture
@@ -169,3 +169,13 @@ def fd_action_hessian(prob, gamma, h=1e-6):
             grads.append(_action_grad(prob, traj)[1:].ravel())
         cols.append((grads[0] - grads[1]) / (2.0 * h))
     return np.stack(cols, axis=1)
+
+
+def solve_level(prob, dom, params, x0, init):
+    """One level of the epsilon ladder, ``penalty._solve_level``, for one
+    member pinned at x0 and started from the trajectory init; raises its
+    failure."""
+    (gamma,), _ = _solve_level(prob, dom, params, [x0], [init])
+    if isinstance(gamma, Exception):
+        raise gamma
+    return gamma

@@ -117,8 +117,7 @@ def s4_suite():
     eta, history = fixed_point(prob, dom, coupling, eta0,
                                alpha=float(mc["alpha"]),
                                tol=float(mc["tol"]),
-                               max_iter=int(mc["max_iter"]),
-                               N=int(mc["N"]))
+                               max_iter=int(mc["max_iter"]))
     return {"cfg": cfg, "dom": dom, "prob": prob, "coupling": coupling,
             "eta0": eta0, "eta": eta, "history": history,
             "secs": time.perf_counter() - t0}
@@ -434,7 +433,7 @@ def test_criterion_10_uniqueness_probe(s4_suite):
 
     eta_b, _ = fixed_point(prob, dom, coupling, eta0b,
                            alpha=float(mc["alpha"]), tol=float(mc["tol"]),
-                           max_iter=int(mc["max_iter"]), N=N)
+                           max_iter=int(mc["max_iter"]))
 
     vc = mc["value"]
     axes = np.linspace(-1.0, 1.0, int(vc["n_points"]))

@@ -10,8 +10,7 @@ from statecon import (Ball, DiscreteMeasure, GaussianKernelCoupling,
                       PenaltyParams, TrajectoryMeasure, Trajectory,
                       UnbalancedMeasure, best_response, constant_measure,
                       delta_choice, epsilon_schedule, fixed_point,
-                      kantorovich_d1, lip_flow, minimize_penalized,
-                      quadratic_problem)
+                      kantorovich_d1, lip_flow, quadratic_problem)
 from statecon import mfg, penalty
 from statecon.cli import (build_coupling, build_domain, build_problem,
                           load_config)
@@ -21,7 +20,7 @@ from statecon.mfg import (_coupling_cost, _particle_speeds, _prune,
 from statecon.penalty import (MaxIterations, ScheduleExhausted,
                               _action_hessian, _cost_and_grad, _stationarity)
 
-from conftest import dense_tridiag, fd_action_hessian
+from conftest import dense_tridiag, fd_action_hessian, solve_level
 
 
 RNG = np.random.default_rng(17)
@@ -333,6 +332,38 @@ class TestCoupledProblem:
         assert single.kappa == 0.0
 
 
+    def test_replace_adds_V_once(self):
+        base = quadratic_problem(2, T=1.0, M=3.0, kappa=0.0)
+        eta = constant_measure([[0.1, 0.0], [-0.2, 0.1]], [0.5, 0.5],
+                               T=1.0, N=16)
+        cp = coupled_problem(base, Ball([0.0, 0.0], 1.0),
+                             GaussianKernelCoupling(), eta)
+        t, x, v = np.zeros(1), np.array([[0.1, 0.0]]), np.zeros((1, 2))
+        want = cp.f(t, x, v)
+        assert want[0] == pytest.approx(0.909, abs=1e-3)
+        again = replace(cp, M=cp.M + 1.0)
+        assert again.V is cp.V
+        for a, b in zip((again.f, again.fx, again.fxx),
+                        (cp.f, cp.fx, cp.fxx)):
+            assert np.array_equal(a(t, x, v), b(t, x, v))
+        assert again.rest == cp.rest
+        assert again.rest[0](t, x, v)[0] == 0.0
+
+    def test_flow_bound_reads_every_knot_interval(self):
+        # at N = 128 the one particle moves 0.5 in one interval, a speed of
+        # 64, which coarser slices would average down
+        knots = np.zeros((129, 2))
+        knots[65:, 0] = 0.5
+        eta = TrajectoryMeasure([Trajectory(0.0, 1.0, knots)], [1.0])
+        base = quadratic_problem(2, T=1.0, M=3.0, kappa=0.25)
+        c = GaussianKernelCoupling(terminal_amp=1.0)
+        cp = coupled_problem(base, Ball([0.0, 0.0], 1.0), c, eta)
+        assert cp.kappa - base.kappa == pytest.approx(c.kappa * 64.0,
+                                                      rel=1e-12)
+        # m_T is the last knot: the terminal bump peaks there
+        assert cp.g(np.array([[0.5, 0.0]]))[0] == 1.0
+
+
 def pulled_crowd_problem(terminal_amp=0.3):
     """Coupled problem whose minimizer lands on the unit circle and rests
     there against a crowd of two moving particles."""
@@ -385,8 +416,9 @@ class TestCoupledHessian:
         delta, _ = delta_choice(single, disk)
         knots = []
         for eps in (0.125, 0.0625):
-            params = PenaltyParams(epsilon=eps, delta=delta, N=32)
-            gamma = minimize_penalized(single, disk, params, np.zeros(2))
+            params = PenaltyParams(epsilon=eps, delta=delta)
+            gamma = solve_level(single, disk, params, np.zeros(2),
+                                Trajectory.constant(0.0, 1.0, np.zeros(2), 32))
             cost, G, geo = _cost_and_grad(single, disk, params, gamma)
             stat = _stationarity(disk, params, gamma, G, geo)
             assert stat <= 1e-12 * (1.0 + abs(cost))
@@ -400,8 +432,9 @@ class TestCoupledHessian:
         # the minimizer is held to the leash rho0 + diam = 3
         disk, single = pulled_crowd_problem()
         delta, _ = delta_choice(single, disk)
-        params = PenaltyParams(epsilon=0.25, delta=delta, N=32)
-        gamma = minimize_penalized(single, disk, params, np.zeros(2))
+        params = PenaltyParams(epsilon=0.25, delta=delta)
+        gamma = solve_level(single, disk, params, np.zeros(2),
+                            Trajectory.constant(0.0, 1.0, np.zeros(2), 32))
         cost, G, geo = _cost_and_grad(single, disk, params, gamma)
         assert _stationarity(disk, params, gamma, G, geo) <= 1e-8 * (
             1.0 + abs(cost))
@@ -459,9 +492,10 @@ class TestStateOnlyCost:
             prob = pulled_crowd_problem()[1]
             gamma = Trajectory(0.0, 1.0, RNG.uniform(-1.1, 1.1, (3, 17, 2)))
             weights = np.ones(1)
-        folded = replace(prob, V=None)
+        # the full f, fx and fxx as the costs of a problem without V
+        folded = replace(prob, f=prob.f, fx=prob.fx, fxx=prob.fxx, V=None)
         assert prob.V is not None and folded.V is None
-        params = PenaltyParams(epsilon=0.5, delta=0.5, N=16, weights=weights)
+        params = PenaltyParams(epsilon=0.5, delta=0.5, weights=weights)
         cost, G, _ = _cost_and_grad(prob, disk, params, gamma)
         cost_f, G_f, _ = _cost_and_grad(folded, disk, params, gamma)
         assert close(cost, cost_f) and close(G, G_f)
@@ -476,9 +510,10 @@ class TestStateOnlyCost:
         monkeypatch.setattr(single, "V", lambda t, x, order: (
             orders.append(order) or V(t, x, order)))
         hessians = counted(monkeypatch, penalty, "_action_hessian")
-        params = PenaltyParams(epsilon=0.25, delta=0.5, N=32)
+        params = PenaltyParams(epsilon=0.25, delta=0.5)
         traj = Trajectory(0.0, 1.0, np.zeros((1, 33, 2)))  # a batch of one
-        cost = penalty.penalized_cost(single, disk, params, traj)
+        cost, _, _ = _cost_and_grad(single, disk, params, traj,
+                                    need_grad=False)
         orders.clear()
         _, (steps,) = penalty._newton_finish(single, disk, params, traj, cost)
         # one order-2 evaluation per step, for its gradient and Hessian;
@@ -496,7 +531,7 @@ class TestFixedPoint:
         c = GaussianKernelCoupling(amp=0.0, scale=0.5)
         pts = np.array([[0.2, 0.0], [-0.1, 0.3]])
         eta0 = constant_measure(pts, np.array([0.5, 0.5]), T=1.0, N=32)
-        eta, history = fixed_point(prob, disk, c, eta0, tol=1e-6, N=32,
+        eta, history = fixed_point(prob, disk, c, eta0, tol=1e-6,
                                    n_times=5)
         assert history[-1] <= 1e-6
         pos = eta.positions_at(np.linspace(0, 1, 5))
@@ -509,7 +544,7 @@ class TestFixedPoint:
         pts = np.array([[0.05, 0.0], [-0.05, 0.05], [0.0, -0.08]])
         eta0 = constant_measure(pts, np.full(3, 1.0 / 3.0), T=1.0, N=32)
         eta, history = fixed_point(prob, disk, c, eta0, alpha=0.5, tol=1e-3,
-                                   N=32, n_times=5)
+                                   n_times=5)
         assert history[-1] <= 1e-3
         # initial marginal is preserved exactly
         m0 = eta.initial_measure()
@@ -524,19 +559,21 @@ class TestFixedPoint:
         spreadT = float(np.linalg.norm(posT - avgT, axis=1) @ eta.weights)
         assert spreadT > spread0
 
-    def test_eta0_off_the_solver_grid_is_refused(self, monkeypatch):
-        # checked before any solve, joint or best response
+    def test_eta0_off_the_horizon_is_refused(self, monkeypatch):
+        # the solves run on eta0's grid, which must span [0, T]; checked
+        # before any solve, joint or best response
         calls = []
         monkeypatch.setattr(mfg, "epsilon_schedule",
                             lambda *a, **k: calls.append(a))
         monkeypatch.setattr(mfg, "epsilon_schedule_batch",
                             lambda *a, **k: calls.append(a))
         prob = quadratic_problem(2, M=1.0, kappa=0.0)
-        eta0 = constant_measure([[0.1, 0.0]], [1.0], T=1.0, N=32)
-        with pytest.raises(ValueError, match="grid"):
-            fixed_point(prob, Ball([0.0, 0.0], 1.0),
-                        GaussianKernelCoupling(amp=0.0, scale=0.5), eta0,
-                        N=64)
+        for t0, t1 in ((0.0, 2.0), (0.5, 1.0)):
+            eta0 = TrajectoryMeasure(
+                [Trajectory.constant(t0, t1, [0.1, 0.0], 32)], [1.0])
+            with pytest.raises(ValueError, match=r"not \[0, T\]"):
+                fixed_point(prob, Ball([0.0, 0.0], 1.0),
+                            GaussianKernelCoupling(amp=0.0, scale=0.5), eta0)
         assert calls == []
 
     def test_residual_of_equilibrium_is_zero(self):
@@ -559,7 +596,7 @@ class TestFixedPoint:
         pts = np.array([[0.05, 0.0], [-0.05, 0.05]])
         eta0 = constant_measure(pts, np.full(2, 0.5), T=1.0, N=16)
         with caplog.at_level(logging.INFO, logger="statecon"):
-            _, history = fixed_point(prob, disk, c, eta0, tol=1e-3, N=16,
+            _, history = fixed_point(prob, disk, c, eta0, tol=1e-3,
                                      n_times=5)
         lines = [r.getMessage() for r in caplog.records
                  if r.getMessage().startswith("mfg iteration")]
@@ -622,14 +659,14 @@ class TestBestResponse:
         prob = quadratic_problem(2, M=1.0, kappa=0.0)
         c = GaussianKernelCoupling(amp=0.0, scale=0.5)
         eta = constant_measure([[0.3, -0.2]], [1.0], T=1.0, N=32)
-        br = best_response(prob, disk, c, eta, N=32)
+        br = best_response(prob, disk, c, eta)
         assert np.max(np.abs(br.trajectories[0].knots - [0.3, -0.2])) < 1e-8
 
     def test_constant_starts_need_no_lbfgs(self):
         # no warm trajectory: every start's first level is a Newton solve
         # from the constant trajectory
         dom, prob, coupling, eta = s4_game()
-        br = best_response(prob, dom, coupling, eta, N=32, warm=None)
+        br = best_response(prob, dom, coupling, eta, warm=None)
         assert len(br.trajectories) == 8
         assert np.array_equal(br.weights, eta.weights)
         for tr, x0 in zip(br.trajectories, eta.initial_measure().points):
@@ -649,7 +686,7 @@ class TestBestResponse:
         # one count per member of each level of the batched ladder
         solves = counted_members(monkeypatch, penalty, "_solve_level", 3)
         warm = {}
-        br = best_response(base, disk, c, eta, N=32, warm=warm)
+        br = best_response(base, disk, c, eta, warm=warm)
         first = solves[0]
         assert [eps for _, eps in warm.values()] == [0.125, 0.125]
         assert all(np.max(disk.eval(tr.knots, hess=False).b) > -1e-9
@@ -657,12 +694,12 @@ class TestBestResponse:
         eta = damped(eta, br)
         forgetful = {key: (tr, 1.0) for key, (tr, _) in warm.items()}
         solves[0] = 0
-        again = best_response(base, disk, c, eta, N=32, warm=warm)
+        again = best_response(base, disk, c, eta, warm=warm)
         assert solves[0] == 2 < first
         # the same trajectories without their epsilon walk the whole ladder
         # and land on the same minimizers: the penalty is exact
         solves[0] = 0
-        slow = best_response(base, disk, c, eta, N=32, warm=forgetful)
+        slow = best_response(base, disk, c, eta, warm=forgetful)
         assert solves[0] > 2
         for a, b in zip(again.trajectories, slow.trajectories):
             assert np.max(np.abs(a.knots - b.knots)) < 1e-8
@@ -721,9 +758,9 @@ def s4_iterate():
     response."""
     dom, prob, coupling, eta = s4_game()
     warm = {}
-    eta = damped(eta, best_response(prob, dom, coupling, eta, N=32,
+    eta = damped(eta, best_response(prob, dom, coupling, eta,
                                     warm=warm))
-    return eta, best_response(prob, dom, coupling, eta, N=32, warm=warm)
+    return eta, best_response(prob, dom, coupling, eta, warm=warm)
 
 
 class TestTransportBounds:
@@ -834,8 +871,8 @@ class TestJointEquilibrium:
         eta = TrajectoryMeasure([Trajectory(0.0, 1.0, X[:, i].copy())
                                  for i in range(3)], self.W)
         single = coupled_problem(base, disk, c, eta)
-        params = PenaltyParams(epsilon=0.5, delta=0.5, N=N)
-        joint = PenaltyParams(epsilon=0.5, delta=0.5, N=N, weights=self.W)
+        params = PenaltyParams(epsilon=0.5, delta=0.5)
+        joint = PenaltyParams(epsilon=0.5, delta=0.5, weights=self.W)
         G = _cost_and_grad(potential_problem(base, c, self.W), disk, joint,
                            Trajectory(0.0, 1.0, X.reshape(N + 1, 6)))[1]
         G = G.reshape(N + 1, 3, 2)
@@ -862,7 +899,7 @@ class TestJointEquilibrium:
         base, c, X = self.stacked(N)
         joint = potential_problem(base, c, self.W)
         disk = Ball([0.0, 0.0], 1.0)
-        params = PenaltyParams(epsilon=0.5, delta=0.5, N=N, weights=self.W)
+        params = PenaltyParams(epsilon=0.5, delta=0.5, weights=self.W)
         calls = []
 
         def recording(D, U, g, Db, b, act):
@@ -873,9 +910,9 @@ class TestJointEquilibrium:
         penalty_kkt = penalty._kkt_step
         monkeypatch.setattr(penalty, "_kkt_step", recording)
         traj = Trajectory(0.0, 1.0, X.reshape(1, N + 1, 6))
-        penalty._newton_finish(joint, disk, params, traj,
-                               penalty.penalized_cost(joint, disk, params,
-                                                      traj))
+        cost, _, _ = _cost_and_grad(joint, disk, params, traj,
+                                    need_grad=False)
+        penalty._newton_finish(joint, disk, params, traj, cost)
         (D, U, g, Db, b, mask), (dx, mu) = calls[0]
         # the joint solve is a batch of one: its member's system
         D, U, g, Db, b, dx = D[0], U[0], g[0], Db[0], b[0], dx[0]
@@ -901,16 +938,16 @@ class TestJointEquilibrium:
                                  2)
         joints = counted(monkeypatch, mfg, "epsilon_schedule")
         lps = counted(monkeypatch, mfg, "linprog")
-        eta, history = fixed_point(prob, dom, coupling, eta0, tol=tol, N=32)
+        eta, history = fixed_point(prob, dom, coupling, eta0, tol=tol)
         assert len(history) <= 2 and history[-1] <= tol
         assert solves[0] <= 16 and joints[0] == 1 and lps[0] <= 20
         # the damped iteration from the stay-put measure to the same tol
         warm = {}
         ref = eta0
-        br = best_response(prob, dom, coupling, ref, N=32, warm=warm)
+        br = best_response(prob, dom, coupling, ref, warm=warm)
         while equilibrium_residual(ref, br, times) > tol:
             ref = damped(ref, br)
-            br = best_response(prob, dom, coupling, ref, N=32, warm=warm)
+            br = best_response(prob, dom, coupling, ref, warm=warm)
         assert np.max(slice_d1(eta, br, times)) <= tol
 
     def test_rejected_seed_starts_from_eta0(self, monkeypatch, caplog):
@@ -931,7 +968,7 @@ class TestJointEquilibrium:
 
         monkeypatch.setattr(penalty, "_newton_finish", stay)
         with caplog.at_level(logging.INFO, logger="statecon"):
-            _, history = fixed_point(prob, disk, c, eta0, tol=1e-3, N=16,
+            _, history = fixed_point(prob, disk, c, eta0, tol=1e-3,
                                      n_times=5)
         lines = [r.getMessage() for r in caplog.records]
         assert lines[0].startswith(
@@ -945,7 +982,7 @@ class TestJointEquilibrium:
                                    "(MaxIterations: stationarity stalled")
         assert lines[3].endswith("), starting from eta0")
         assert sum("seed" in line for line in lines) == 1
-        first = best_response(prob, disk, c, eta0, N=16)
+        first = best_response(prob, disk, c, eta0)
         assert history[0] == equilibrium_residual(eta0, first,
                                                   np.linspace(0, 1, 5))
         assert history[-1] <= 1e-3
@@ -978,7 +1015,7 @@ class TestJointEquilibrium:
         monkeypatch.setattr(mfg, "epsilon_schedule", one_level)
         with caplog.at_level(logging.INFO, logger="statecon"):
             with pytest.raises(ScheduleExhausted) as failed:
-                mfg.joint_equilibrium(prob, disk, c, eta0, N=32)
+                mfg.joint_equilibrium(prob, disk, c, eta0)
         # certified (stationary), but a point lies 0.01 outside
         (line,) = [r.getMessage() for r in caplog.records]
         assert line.startswith("ladder round 0 (N=32): 1 solved, 1 certified, "
@@ -986,7 +1023,7 @@ class TestJointEquilibrium:
         assert float(str(failed.value).split()[1]) > 0.01
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="statecon"):
-            _, history = fixed_point(prob, disk, c, eta0, tol=1e-3, N=32)
+            _, history = fixed_point(prob, disk, c, eta0, tol=1e-3)
         lines = [r.getMessage() for r in caplog.records
                  if "seed" in r.getMessage()]
         assert len(lines) == 1
@@ -1000,12 +1037,12 @@ class TestJointEquilibrium:
         # the loop returns in two rounds
         disk, prob, c, eta0 = self.pull_crowd(M=1.0)
         levels = counted(monkeypatch, penalty, "_newton_finish")
-        seed = mfg.joint_equilibrium(prob, disk, c, eta0, N=32)
+        seed = mfg.joint_equilibrium(prob, disk, c, eta0)
         assert levels[0] > 1
         assert max(np.max(disk.eval(tr.knots, hess=False).b)
                    for tr in seed.trajectories) <= 1e-6 * disk.diameter
         with caplog.at_level(logging.INFO, logger="statecon"):
-            _, history = fixed_point(prob, disk, c, eta0, tol=1e-3, N=32)
+            _, history = fixed_point(prob, disk, c, eta0, tol=1e-3)
         assert [r.getMessage() for r in caplog.records
                 if r.name == "statecon"][0] == "mfg joint Newton: seed used"
         assert len(history) <= 2 and history[-1] <= 1e-3
@@ -1015,7 +1052,7 @@ class TestJointEquilibrium:
         # Newton solve gives the feasible seed
         disk, prob, c, eta0 = self.pull_crowd(M=36.0)
         levels = counted(monkeypatch, penalty, "_newton_finish")
-        mfg.joint_equilibrium(prob, disk, c, eta0, N=32)
+        mfg.joint_equilibrium(prob, disk, c, eta0)
         assert levels[0] == 1
 
     def test_uncertified_level_resumes_at_half_epsilon(self, monkeypatch):
@@ -1033,7 +1070,7 @@ class TestJointEquilibrium:
             return finish(prob, dom, params, traj, cost)
 
         monkeypatch.setattr(penalty, "_newton_finish", stall_first)
-        mfg.joint_equilibrium(prob, disk, c, eta0, N=32)
+        mfg.joint_equilibrium(prob, disk, c, eta0)
         assert levels == [1 / 36, 1 / 72]
 
         def stall(prob, dom, params, traj, cost):
@@ -1043,7 +1080,7 @@ class TestJointEquilibrium:
         levels.clear()
         monkeypatch.setattr(penalty, "_newton_finish", stall)
         with pytest.raises(MaxIterations) as failed:
-            mfg.joint_equilibrium(prob, disk, c, eta0, N=32)
+            mfg.joint_equilibrium(prob, disk, c, eta0)
         # no step taken, so no best point
         assert failed.value.best is None and levels == [1 / 36, 1 / 72]
 
@@ -1057,7 +1094,7 @@ class TestJointEquilibrium:
         monkeypatch.setattr(mfg, "JOINT_MAX_BLOCK_ENTRIES", 17 * 16 - 1)
         monkeypatch.setattr(mfg, "joint_equilibrium", None)
         with caplog.at_level(logging.INFO, logger="statecon"):
-            _, history = fixed_point(prob, disk, c, eta0, tol=1e-3, N=16,
+            _, history = fixed_point(prob, disk, c, eta0, tol=1e-3,
                                      n_times=5)
         lines = [r.getMessage() for r in caplog.records]
         assert lines[0] == ("mfg joint Newton skipped: stacked state of "

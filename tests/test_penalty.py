@@ -6,7 +6,7 @@ import pytest
 from statecon import (Ball, Ellipse, PenaltyParams, Problem, Trajectory,
                       check_assumptions, delta_choice, energy_certificate,
                       epsilon_schedule, feasibility_gap, holder_gap,
-                      minimize_penalized, penalized_cost, quadratic_problem)
+                      quadratic_problem)
 from statecon import GaussianKernelCoupling, penalty
 from statecon.mfg import potential_problem
 from statecon.penalty import (MaxIterations, Runaway, _action_hessian,
@@ -14,7 +14,7 @@ from statecon.penalty import (MaxIterations, Runaway, _action_hessian,
                               _stationarity, _tridiag_solve)
 
 from conftest import (dense_tridiag, fd_action_hessian, mixed_problem,
-                      s1_exact)
+                      s1_exact, solve_level)
 
 
 def naive_cost(prob, dom, params, gamma):
@@ -53,6 +53,19 @@ class TestTrajectory:
         assert np.allclose(fine.knots[0::2], gamma.knots)
         assert np.allclose(fine.at(gamma.times), gamma.knots)
 
+    def test_batch_interpolates_and_refines_each_member(self):
+        # 12 members at N = 8: at and refine act on the knot axis, and each
+        # member's rows are the floats of its own arc
+        rng = np.random.default_rng(4)
+        batch = Trajectory(0.0, 1.0, rng.normal(size=(12, 9, 2)))
+        t = np.array([0.0, 0.3, 0.5, 0.93, 1.0])
+        at, fine = batch.at(t), batch.refine()
+        assert at.shape == (12, 5, 2) and fine.knots.shape == (12, 17, 2)
+        for j, X in enumerate(batch.knots):
+            member = Trajectory(0.0, 1.0, X)
+            assert np.array_equal(at[j], member.at(t))
+            assert np.array_equal(fine.knots[j], member.refine().knots)
+
     def test_linear_interpolation(self):
         knots = np.linspace(0.0, 1.0, 11)[:, None] * np.array([[2.0, -1.0]])
         gamma = Trajectory(0.0, 1.0, knots)
@@ -71,34 +84,35 @@ class TestTrajectory:
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            PenaltyParams(epsilon=0.0, delta=0.5, N=16)
+            PenaltyParams(epsilon=0.0, delta=0.5)
         with pytest.raises(ValueError):
-            PenaltyParams(epsilon=0.5, delta=2.0, N=16)
-        with pytest.raises(ValueError):
-            PenaltyParams(epsilon=0.5, delta=0.5, N=4)
+            PenaltyParams(epsilon=0.5, delta=2.0)
 
 
 class TestPenalizedCost:
     def test_matches_naive_oracle(self, disk, pull_problem):
         rng = np.random.default_rng(11)
-        params = PenaltyParams(epsilon=0.25, delta=0.5, N=16)
+        params = PenaltyParams(epsilon=0.25, delta=0.5)
         # wandering arc that leaves the disk so both penalties activate
         knots = np.cumsum(rng.normal(scale=0.12, size=(17, 2)), axis=0)
         gamma = Trajectory(0.0, 1.0, knots)
-        got = penalized_cost(pull_problem, disk, params, gamma)
+        got, _, _ = _cost_and_grad(pull_problem, disk, params, gamma,
+                                   need_grad=False)
         want = naive_cost(pull_problem, disk, params, gamma)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_penalties_vanish_inside(self, disk):
         prob = quadratic_problem(2, M=1.0, kappa=0.0)
-        params = PenaltyParams(epsilon=1e-6, delta=1e-6, N=16)
+        params = PenaltyParams(epsilon=1e-6, delta=1e-6)
         knots = 0.3 * np.ones((17, 2)) * np.linspace(0, 1, 17)[:, None]
         gamma = Trajectory(0.0, 1.0, knots)
         # tiny epsilon would blow up any violation; cost stays the kinetic
         # integral because the arc never leaves the disk
         v = gamma.velocities
-        assert penalized_cost(prob, disk, params, gamma) == pytest.approx(
-            0.5 * np.sum(v * v) * gamma.dt, rel=1e-12)
+        cost, _, _ = _cost_and_grad(prob, disk, params, gamma,
+                                    need_grad=False)
+        assert cost == pytest.approx(0.5 * np.sum(v * v) * gamma.dt,
+                                     rel=1e-12)
 
 
 class TestActionHessian:
@@ -196,11 +210,12 @@ class TestTridiagSolve:
         with pytest.raises(np.linalg.LinAlgError):
             _tridiag_solve(np.zeros((16, 2, 2)), np.zeros((15, 2, 2)),
                            np.ones((16, 2)))
-        params = PenaltyParams(epsilon=0.5, delta=0.5, N=16)
+        params = PenaltyParams(epsilon=0.5, delta=0.5)
         start = Trajectory.constant(0.0, 1.0, [0.1, 0.2], 16)
         traj = Trajectory(0.0, 1.0, start.knots[None].copy())  # batch of one
-        out, steps = _newton_finish(prob, disk, params, traj,
-                                    penalized_cost(prob, disk, params, traj))
+        cost, _, _ = _cost_and_grad(prob, disk, params, traj,
+                                    need_grad=False)
+        out, steps = _newton_finish(prob, disk, params, traj, cost)
         assert steps.tolist() == [0]
         assert np.array_equal(out.knots[0], start.knots)
 
@@ -212,22 +227,26 @@ class TestMinimize:
         dom = Ball([0.0, 0.0], 3.0)
         c = np.array([0.3, -0.2])
         prob = quadratic_problem(2, terminal=c, T=1.0, M=2.0, kappa=0.0)
-        params = PenaltyParams(epsilon=0.5, delta=0.5, N=32)
-        gamma = minimize_penalized(prob, dom, params, np.zeros(2))
+        params = PenaltyParams(epsilon=0.5, delta=0.5)
+        gamma = solve_level(prob, dom, params, np.zeros(2),
+                            Trajectory.constant(0.0, 1.0, np.zeros(2), 32))
         exact = -np.outer(gamma.times, c)
         assert np.max(np.abs(gamma.knots - exact)) < 1e-6
 
     def test_x0_outside_rejected(self, disk, pull_problem):
-        params = PenaltyParams(epsilon=0.5, delta=0.5, N=16)
+        params = PenaltyParams(epsilon=0.5, delta=0.5)
+        x0 = np.array([2.0, 0.0])
         with pytest.raises(ValueError):
-            minimize_penalized(pull_problem, disk, params, np.array([2.0, 0.0]))
+            solve_level(pull_problem, disk, params, x0,
+                        Trajectory.constant(0.0, 1.0, x0, 16))
 
     def test_certifies_infeasible_level(self, disk, pull_problem):
         # at eps = 1 the penalty cannot hold the arc on the disk, so the
         # minimizer leaves it and no knot sits on the kink of the penalty
         delta, _ = delta_choice(pull_problem, disk)
-        params = PenaltyParams(epsilon=1.0, delta=delta, N=64)
-        gamma = minimize_penalized(pull_problem, disk, params, np.zeros(2))
+        params = PenaltyParams(epsilon=1.0, delta=delta)
+        gamma = solve_level(pull_problem, disk, params, np.zeros(2),
+                            Trajectory.constant(0.0, 1.0, np.zeros(2), 64))
         cost, G, geo = _cost_and_grad(pull_problem, disk, params, gamma)
         assert np.sum(geo.b > disk.boundary_tol) == 16
         assert _stationarity(disk, params, gamma, G, geo) <= 1e-12 * (
@@ -237,11 +256,11 @@ class TestMinimize:
         # from the eps = 1 minimizer (68 knots outside) the Newton finish
         # moves the contact set; without backtracking its groups cycle
         delta, _ = delta_choice(pull_problem, disk)
-        gamma = None
+        gamma = Trajectory.constant(0.0, 1.0, np.zeros(2), 256)
         for eps in (1.0, 0.5):
-            params = PenaltyParams(epsilon=eps, delta=delta, N=256)
-            gamma = minimize_penalized(pull_problem, disk, params,
-                                       np.zeros(2), init=gamma)
+            params = PenaltyParams(epsilon=eps, delta=delta)
+            gamma = solve_level(pull_problem, disk, params, np.zeros(2),
+                                gamma)
         cost, G, geo = _cost_and_grad(pull_problem, disk, params, gamma)
         assert _stationarity(disk, params, gamma, G, geo) <= 1e-12 * (
             1.0 + abs(cost))
@@ -251,19 +270,20 @@ class TestMinimize:
         # past the leash rho0 + diam = 3, and eps = 100 barely resists it
         prob = quadratic_problem(2, potential=[-20.0, 0.0],
                                  T=1.0, M=400.0, kappa=0.0)
-        params = PenaltyParams(epsilon=100.0, delta=1.0, N=32)
+        params = PenaltyParams(epsilon=100.0, delta=1.0)
         with pytest.raises(Runaway):
-            minimize_penalized(prob, disk, params, np.zeros(2))
+            solve_level(prob, disk, params, np.zeros(2),
+                        Trajectory.constant(0.0, 1.0, np.zeros(2), 32))
 
     def test_warm_newton_past_the_leash_runs_away(self, disk):
         # the same pull from a constant init: the Newton stage certifies the
         # penalized minimizer near x = (10, 0), and the leash rejects it
         prob = quadratic_problem(2, potential=[-20.0, 0.0],
                                  T=1.0, M=400.0, kappa=0.0)
-        params = PenaltyParams(epsilon=100.0, delta=1.0, N=32)
+        params = PenaltyParams(epsilon=100.0, delta=1.0)
         init = Trajectory.constant(0.0, 1.0, np.zeros(2), 32)
         with pytest.raises(Runaway):
-            minimize_penalized(prob, disk, params, np.zeros(2), init=init)
+            solve_level(prob, disk, params, np.zeros(2), init)
 
     def test_warm_start_at_ellipse_cusp(self):
         # every free knot starts on the evolute cusp (1.5, 0) of the S3
@@ -273,12 +293,12 @@ class TestMinimize:
         prob = quadratic_problem(2, potential=[-1.5, -3.0],
                                  T=1.0, M=12.0, kappa=0.0)
         assert not np.all(np.isfinite(dom.eval([[1.5, 0.0]]).D2b))
-        params = PenaltyParams(epsilon=0.25, delta=1.0, N=32)
+        params = PenaltyParams(epsilon=0.25, delta=1.0)
         x0 = np.array([1.5, 0.0])
         knots = []
         for y in (0.0, 1e-9):
             init = Trajectory.constant(0.0, 1.0, [1.5, y], 32)
-            gamma = minimize_penalized(prob, dom, params, x0, init=init)
+            gamma = solve_level(prob, dom, params, x0, init)
             cost, G, geo = _cost_and_grad(prob, dom, params, gamma)
             assert _stationarity(dom, params, gamma, G, geo) <= 1e-8 * (
                 1.0 + abs(cost))
@@ -301,11 +321,10 @@ class TestMinimize:
             return finish(prob, dom, params, traj, cost)
 
         monkeypatch.setattr(penalty, "_newton_finish", stall_once)
-        params = PenaltyParams(epsilon=0.5, delta=0.5, N=32)
+        params = PenaltyParams(epsilon=0.5, delta=0.5)
         init = Trajectory.constant(0.0, 1.0, np.zeros(2), 32)
         with pytest.raises(MaxIterations):
-            minimize_penalized(pull_problem, disk, params, np.zeros(2),
-                               init=init)
+            solve_level(pull_problem, disk, params, np.zeros(2), init)
         stalls[0] = 1
         with caplog.at_level(logging.INFO, logger="statecon"):
             gamma, params = epsilon_schedule(pull_problem, disk, np.zeros(2),
@@ -323,17 +342,10 @@ class TestMinimize:
 
     def test_several_points_per_knot_rejected(self, disk, pull_problem):
         # k points per knot need a knot of k times the domain's dimension
-        params = PenaltyParams(epsilon=0.5, delta=0.5, N=16,
-                               weights=[0.5, 0.5])
+        params = PenaltyParams(epsilon=0.5, delta=0.5, weights=[0.5, 0.5])
         with pytest.raises(ValueError, match="does not hold 2 points"):
-            minimize_penalized(pull_problem, disk, params, np.zeros(2))
-
-    def test_init_grid_mismatch_rejected(self, disk, pull_problem):
-        params = PenaltyParams(epsilon=0.5, delta=0.5, N=16)
-        init = Trajectory.constant(0.0, 1.0, np.zeros(2), 32)
-        with pytest.raises(ValueError):
-            minimize_penalized(pull_problem, disk, params, np.zeros(2),
-                               init=init)
+            solve_level(pull_problem, disk, params, np.zeros(2),
+                        Trajectory.constant(0.0, 1.0, np.zeros(2), 16))
 
 
 @pytest.fixture(scope="module")

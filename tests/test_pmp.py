@@ -317,7 +317,7 @@ class TestDeterministicConstants:
         prob = build_problem(cfg, dom)
         times, points = _node_grid(dom, prob.horizon, 5, 5)
         vg = compute_value(prob, dom, times, points, N=32)
-        dpp_check(prob, dom, vg, samples=5, N=32)
+        dpp_check(prob, dom, vg, samples=5)
         assert len(calls) == 1
         assert vg.delta == delta_choice(prob, dom)[0]
         # the extremal's K and L* are the assumption report's and the

@@ -5,7 +5,7 @@ import pytest
 
 from statecon import (Ball, Trajectory, compute_value, dpp_check,
                       lipschitz_report, quadratic_problem)
-from statecon import value
+from statecon import penalty, value
 from statecon.value import running_cost
 
 
@@ -123,6 +123,26 @@ class TestDPP:
         assert gap < 1e-8
 
 
+    @pytest.mark.parametrize("N", [16, 64])
+    def test_tails_run_on_the_node_grid(self, monkeypatch, N):
+        # each tail solve resamples its node's arc on the node's own N
+        disk = Ball([0.0, 0.0], 1.0)
+        prob = quadratic_problem(2, terminal=[-0.5, 0.0], T=1.0, M=1.0,
+                                 kappa=0.0)
+        vg = compute_value(prob, disk, [0.0, 0.5, 1.0],
+                           [[0.0, 0.0], [0.4, 0.0]], N=N)
+        grids = []
+        solve = penalty._solve_level
+
+        def recording(prob, dom, params, x0s, inits):
+            grids.extend(init.N for init in inits)
+            return solve(prob, dom, params, x0s, inits)
+
+        monkeypatch.setattr(penalty, "_solve_level", recording)
+        assert dpp_check(prob, disk, vg, samples=4) < 1e-8
+        assert len(grids) >= 4 and set(grids) == {N}
+
+
 class TestEpsilonReuse:
     def test_each_solve_starts_at_its_neighbours_epsilon(
             self, disk, pull_problem, monkeypatch):
@@ -150,7 +170,7 @@ class TestEpsilonReuse:
             assert [vg.epsilons[(i, j)] for i in (1, 0)] == [b, c]
         assert min(eps for _, eps in calls) < 1.0
         calls.clear()
-        value.dpp_check(pull_problem, disk, vg, samples=6, N=32)
+        value.dpp_check(pull_problem, disk, vg, samples=6)
         assert sorted(eps0 for eps0, _ in calls) == sorted(
             vg.epsilons.values())
         # the penalty is exact: the ladder from eps = 1 finds the same values

@@ -282,10 +282,16 @@ def _tridiag_solve(D: np.ndarray, U: np.ndarray, r: np.ndarray) -> np.ndarray:
 def _cost_and_grad(prob: Problem, dom: Domain, params: PenaltyParams,
                    gamma: Trajectory, need_grad: bool = True,
                    geo: BoundaryEval | None = None):
-    """Discrete cost per member, its gradient with respect to knots 1..N
-    (knot 0 is the pinned initial state) and the first-order geometry of
-    the knots' points (k per knot, in knot order), which the caller may
-    pass in as ``geo`` when it already has it."""
+    """Discrete cost per member, the minimal-norm element of its
+    subdifferential with respect to every knot (row 0, the pinned initial
+    state, is not free) and the first-order geometry of the knots' points
+    (k per knot, in knot order), which the caller may pass in as ``geo``
+    when it already has it.  Each point's row of the action gradient gets
+    s Db, s its coefficient of the penalty c max(b, 0), c from
+    ``_point_weights``: s = c outside, 0 inside, and on the boundary band
+    |b| <= ``boundary_tol``, where any s in [0, c] is admissible, the one
+    nearest the row's minimizer over s, -<row, Db> (Db is a unit normal),
+    clipped to [0, c]."""
     X, dt, eps = gamma.knots, gamma.dt, np.asarray(params.epsilon)
     if geo is None:
         geo = dom.eval(X.reshape(-1, dom.dim), hess=False)
@@ -301,40 +307,14 @@ def _cost_and_grad(prob: Problem, dom: Domain, params: PenaltyParams,
     if not need_grad:
         return cost, None, geo
 
-    G = _action_grad(prob, gamma, Vk)
-    # gradient selection of d = max(b, 0): 0 inside, Db outside, and the
-    # midpoint Db/2 on the boundary band (fixed tie-break)
-    tol = dom.boundary_tol
-    scale = np.where(geo.b > tol, 1.0, np.where(geo.b > -tol, 0.5, 0.0))
-    scale *= np.tile(params.weights, geo.b.size // params.weights.size)
-    dgrad = (geo.Db * scale[:, None]).reshape(X.shape[:-1] + (-1,))
-    G += (w / eps[..., None])[..., None] * dgrad
-    G[..., -1, :] += dgrad[..., -1, :] / params.delta
-    return cost, G, geo
-
-
-def _stationarity(dom: Domain, params: PenaltyParams, gamma: Trajectory,
-                  G: np.ndarray, geo: BoundaryEval):
-    """Minimal-norm element of the discrete subdifferential, per member.
-
-    G carries the midpoint selection Db/2 at boundary-band points; those rows
-    admit any coefficient in [0, c] on Db, c from ``_point_weights``, so the
-    best choice is projected out before taking the norm.
-    """
-    band = np.abs(geo.b) <= dom.boundary_tol
-    R = G.reshape(-1, dom.dim).copy()  # one row per point
-    if np.any(band):
-        Db = geo.Db[band]
-        c = _point_weights(params, gamma.N, gamma.dt)
-        half = 0.5 * np.broadcast_to(c, G.shape[:-2] + c.shape[-1:]).ravel()[
-            band]
-        # G used coefficient c/2; admissible shifts are s in [-c/2, +c/2]
-        proj = np.einsum("mi,mi->m", R[band], Db)
-        shift = np.clip(-proj, -half, half)
-        R[band] += shift[:, None] * Db
-    R = R.reshape(G.shape[:-2] + (-1, dom.dim))
-    R[..., :params.weights.size, :] = 0.0  # pinned knot
-    return np.max(np.abs(R), axis=(-2, -1))
+    G = _action_grad(prob, gamma, Vk).reshape(X.shape[:-2] + (-1, dom.dim))
+    Db, b = geo.Db.reshape(G.shape), geo.b.reshape(G.shape[:-1])
+    c = _point_weights(params, gamma.N, dt)
+    band = np.abs(b) <= dom.boundary_tol
+    s = np.where(band, np.clip(-np.einsum("...pi,...pi->...p", G, Db), 0.0, c),
+                 np.where(b > 0.0, c, 0.0))
+    G += s[..., None] * Db
+    return cost, G.reshape(X.shape), geo
 
 
 def _block_diag(A: np.ndarray) -> np.ndarray:
@@ -508,10 +488,12 @@ def _newton_finish(prob: Problem, dom: Domain, params: PenaltyParams,
 def _certificate(prob: Problem, dom: Domain, params: PenaltyParams,
                  traj: Trajectory):
     """The certificate of a penalized minimizer: the minimal-norm element of
-    the subdifferential must fall below 1e-8 (1 + |cost|).  Returns, per
-    member, that norm, whether it certifies and the largest b."""
+    the subdifferential (``_cost_and_grad``'s, whose boundary-band
+    coefficients on Db are clipped to [0, c]) over the free knots 1..N must
+    fall below 1e-8 (1 + |cost|).  Returns, per member, that norm, whether
+    it certifies and the largest b."""
     cost, G, geo = _cost_and_grad(prob, dom, params, traj)
-    stat = _stationarity(dom, params, traj, G, geo)
+    stat = np.max(np.abs(G[..., 1:, :]), axis=(-2, -1))
     bmax = np.max(geo.b.reshape(np.shape(stat) + (-1,)), axis=-1)
     return stat, stat < 1e-8 * (1.0 + np.abs(cost)), bmax
 

@@ -18,7 +18,7 @@ from statecon.mfg import (_coupling_cost, _particle_speeds, _prune,
                           coupled_problem, potential_problem,
                           equilibrium_residual)
 from statecon.penalty import (MaxIterations, ScheduleExhausted,
-                              _action_hessian, _cost_and_grad, _stationarity)
+                              _action_hessian, _cost_and_grad)
 
 from conftest import dense_tridiag, fd_action_hessian, solve_level
 
@@ -419,8 +419,8 @@ class TestCoupledHessian:
             params = PenaltyParams(epsilon=eps, delta=delta)
             gamma = solve_level(single, disk, params, np.zeros(2),
                                 Trajectory.constant(0.0, 1.0, np.zeros(2), 32))
-            cost, G, geo = _cost_and_grad(single, disk, params, gamma)
-            stat = _stationarity(disk, params, gamma, G, geo)
+            cost, _, geo = _cost_and_grad(single, disk, params, gamma)
+            stat = penalty._certificate(single, disk, params, gamma)[0]
             assert stat <= 1e-12 * (1.0 + abs(cost))
             assert np.sum(np.abs(geo.b) < 1e-9) >= 5
             knots.append(gamma.knots)
@@ -435,9 +435,9 @@ class TestCoupledHessian:
         params = PenaltyParams(epsilon=0.25, delta=delta)
         gamma = solve_level(single, disk, params, np.zeros(2),
                             Trajectory.constant(0.0, 1.0, np.zeros(2), 32))
-        cost, G, geo = _cost_and_grad(single, disk, params, gamma)
-        assert _stationarity(disk, params, gamma, G, geo) <= 1e-8 * (
-            1.0 + abs(cost))
+        cost, _, geo = _cost_and_grad(single, disk, params, gamma)
+        stat = penalty._certificate(single, disk, params, gamma)[0]
+        assert stat <= 1e-8 * (1.0 + abs(cost))
         assert np.max(geo.b) <= 1e-6 * disk.diameter
 
 
@@ -459,9 +459,9 @@ class TestCoupledHessian:
             single, disk, x0, delta, N=32,
             init=Trajectory.constant(0.5, 1.0, x0, 32))
         assert params.epsilon == 0.5
-        cost, G, geo = _cost_and_grad(single, disk, params, gamma)
-        assert _stationarity(disk, params, gamma, G, geo) <= 1e-8 * (
-            1.0 + abs(cost))
+        cost, _, geo = _cost_and_grad(single, disk, params, gamma)
+        stat = penalty._certificate(single, disk, params, gamma)[0]
+        assert stat <= 1e-8 * (1.0 + abs(cost))
         assert abs(geo.b[-1]) <= disk.boundary_tol
 
 

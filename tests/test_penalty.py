@@ -9,9 +9,9 @@ from statecon import (Ball, Ellipse, PenaltyParams, Problem, Trajectory,
                       quadratic_problem)
 from statecon import GaussianKernelCoupling, penalty
 from statecon.mfg import potential_problem
-from statecon.penalty import (MaxIterations, Runaway, _action_hessian,
-                              _cost_and_grad, _kkt_step, _newton_finish,
-                              _stationarity, _tridiag_solve)
+from statecon.penalty import (MaxIterations, Runaway, _action_grad,
+                              _action_hessian, _cost_and_grad, _kkt_step,
+                              _newton_finish, _tridiag_solve)
 
 from conftest import (dense_tridiag, fd_action_hessian, mixed_problem,
                       s1_exact, solve_level)
@@ -113,6 +113,40 @@ class TestPenalizedCost:
                                     need_grad=False)
         assert cost == pytest.approx(0.5 * np.sum(v * v) * gamma.dt,
                                      rel=1e-12)
+
+    def test_subgradient_is_minimal_norm(self, disk):
+        # two members (eps 0.5 and 0.125) of two points per knot (weights
+        # 0.5 and 2), each point inside (r = 0.98), on the unit circle
+        # (b = 0) or outside (r = 1.02): a point's row is the action
+        # gradient's plus s Db, s = 0 inside, c outside and -<row, Db>
+        # clipped to [0, c] on the circle
+        prob = quadratic_problem(4, potential=[2.0, -3.0, 0.4, 0.6],
+                                 terminal=[0.3, 0.1, -0.4, 0.2],
+                                 T=1.0, M=9.0, kappa=0.0)
+        W, eps = np.array([0.5, 2.0]), np.array([0.5, 0.125])
+        delta, N = 0.5, 8
+        params = PenaltyParams(epsilon=eps, delta=delta, weights=W)
+        theta = (np.random.default_rng(8).uniform(0.0, 2 * np.pi, (2, 1, 2))
+                 + 0.1 * np.arange(N + 1)[:, None])
+        kind = (np.arange(2)[:, None, None] + np.arange(N + 1)[:, None]
+                + np.arange(2)) % 3  # 0 inside, 1 on the circle, 2 outside
+        Db = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        P = np.choose(kind, [0.98, 1.0, 1.02])[..., None] * Db
+        gamma = Trajectory(0.0, 1.0, P.reshape(2, N + 1, 4))
+        _, G, _ = _cost_and_grad(prob, disk, params, gamma)
+        A = _action_grad(prob, gamma).reshape(P.shape)
+        trap = np.full(N + 1, 1.0 / N)
+        trap[[0, -1]] /= 2.0
+        c = (trap[:, None] / eps[:, None, None] + np.where(
+            np.arange(N + 1) == N, 1.0 / delta, 0.0)[:, None]) * W
+        free = -np.einsum("...i,...i->...", A, Db)  # unclipped s
+        # on the circle the clip hits 0, c and a value between them
+        r = (free / c)[kind == 1]
+        assert np.any(r < 0.0) and np.any(r > 1.0)
+        assert np.any((r > 0.0) & (r < 1.0))
+        s = np.choose(kind, [np.zeros_like(c), np.clip(free, 0.0, c), c])
+        assert np.max(np.abs(G.reshape(P.shape) - (A + s[..., None] * Db))
+                      ) <= 1e-13 * np.max(np.abs(A))
 
 
 class TestActionHessian:
@@ -247,10 +281,10 @@ class TestMinimize:
         params = PenaltyParams(epsilon=1.0, delta=delta)
         gamma = solve_level(pull_problem, disk, params, np.zeros(2),
                             Trajectory.constant(0.0, 1.0, np.zeros(2), 64))
-        cost, G, geo = _cost_and_grad(pull_problem, disk, params, gamma)
+        cost, _, geo = _cost_and_grad(pull_problem, disk, params, gamma)
         assert np.sum(geo.b > disk.boundary_tol) == 16
-        assert _stationarity(disk, params, gamma, G, geo) <= 1e-12 * (
-            1.0 + abs(cost))
+        stat = penalty._certificate(pull_problem, disk, params, gamma)[0]
+        assert stat <= 1e-12 * (1.0 + abs(cost))
 
     def test_warm_start_at_stronger_penalty(self, disk, pull_problem):
         # from the eps = 1 minimizer (68 knots outside) the Newton finish
@@ -261,9 +295,9 @@ class TestMinimize:
             params = PenaltyParams(epsilon=eps, delta=delta)
             gamma = solve_level(pull_problem, disk, params, np.zeros(2),
                                 gamma)
-        cost, G, geo = _cost_and_grad(pull_problem, disk, params, gamma)
-        assert _stationarity(disk, params, gamma, G, geo) <= 1e-12 * (
-            1.0 + abs(cost))
+        cost, _, _ = _cost_and_grad(pull_problem, disk, params, gamma)
+        stat = penalty._certificate(pull_problem, disk, params, gamma)[0]
+        assert stat <= 1e-12 * (1.0 + abs(cost))
 
     def test_weak_penalty_runs_away(self, disk):
         # the unconstrained minimizer of this pull ends at x = (10, 0), far
@@ -299,9 +333,9 @@ class TestMinimize:
         for y in (0.0, 1e-9):
             init = Trajectory.constant(0.0, 1.0, [1.5, y], 32)
             gamma = solve_level(prob, dom, params, x0, init)
-            cost, G, geo = _cost_and_grad(prob, dom, params, gamma)
-            assert _stationarity(dom, params, gamma, G, geo) <= 1e-8 * (
-                1.0 + abs(cost))
+            cost, _, geo = _cost_and_grad(prob, dom, params, gamma)
+            stat = penalty._certificate(prob, dom, params, gamma)[0]
+            assert stat <= 1e-8 * (1.0 + abs(cost))
             assert np.sum(np.abs(geo.b) <= dom.boundary_tol) > 0
             knots.append(gamma.knots)
         assert np.max(np.abs(knots[0] - knots[1])) < 1e-6
